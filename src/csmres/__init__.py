@@ -31,6 +31,7 @@ from .model import (
     ModelParams,
     RegionBounds,
     ResonancePole,
+    branch_point,
     branch_point_coupling,
     contact_coupling_root,
     critical_angle,
@@ -53,7 +54,6 @@ from .wavefun import (
     gamow_cnorm,
     normalize_gamow,
     raw_psi,
-    resonance_field,
     siegert_residual,
 )
 from .binbasis import (
@@ -67,7 +67,6 @@ from .binbasis import (
     build_bins,
     degeneracy_diagnostics,
     ep_ray,
-    hamiltonian_matrix,
     limit_exchange_entries,
     overlap_matrix,
     plane_wave_bin,

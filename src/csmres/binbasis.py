@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,14 +32,15 @@ from scipy.integrate import simpson
 from scipy.special import exp1
 
 from .errors import EmptyRange, NonNormalizable, QuadratureError
-from .model import ModelParams, branch_point_coupling, derived_quantities, \
+from .model import ModelParams, branch_point, derived_quantities, \
     resonance_energy
-from .specfun import complex_gamma, reciprocal_gamma
-from .wavefun import LN4, raw_psi
+from .wavefun import LN4, _gamma_coeffs, raw_psi
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _GL_ORDERS = (8, 16, 32, 64, 96)
+# bin quadrature stops when two successive orders agree to this
+_GL_TOL = 1e-9
 _RING_POINTS = 16
 _TAIL_ORDERS = 5
 
@@ -117,11 +118,7 @@ def build_bins(params: ModelParams, contour_spec, n_bins: int | None = None) -> 
         if len(alphas) < 2:
             raise EmptyRange("EP contour needs at least two nodes")
         lam = complex(contour_spec.lam)
-        lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
-                                       params.beta)
-        g_bp = 8.0 * params.m * lam_bp / (params.beta * params.hbar) ** 2
-        e_bp = params.energy_scale * (cmath.sqrt(g_bp - 1.0) - 1j) ** 2
-        k_bp = cmath.sqrt(2.0 * params.m * e_bp) / params.hbar
+        lam_bp, _, k_bp = branch_point(params)
         root = cmath.sqrt(lam - lam_bp)
         nodes = k_bp + alphas * root
         return BinGrid(nodes=nodes.astype(complex), hermitian=False, lam=lam)
@@ -260,7 +257,7 @@ def spatial_grid(beta: float = 1.0, x_max: float | None = None,
     return np.linspace(-x_max, x_max, n_points)
 
 
-def _gl_integral(fun, ka: complex, kb: complex, tol: float = 1e-9):
+def _gl_integral(fun, ka: complex, kb: complex):
     """Adaptive Gauss-Legendre over the straight segment [ka, kb].
 
     ``fun`` maps an array of k values to an array (len(k), ...) of samples;
@@ -276,7 +273,7 @@ def _gl_integral(fun, ka: complex, kb: complex, tol: float = 1e-9):
         integ = half * np.tensordot(w, vals, axes=(0, 0))
         if prev is not None:
             scale = max(1.0, float(np.max(np.abs(integ))))
-            if float(np.max(np.abs(integ - prev))) <= tol * scale:
+            if float(np.max(np.abs(integ - prev))) <= _GL_TOL * scale:
                 return integ
         prev = integ
     raise QuadratureError(
@@ -299,27 +296,14 @@ class _Continuum:
     bounded everywhere, delta weight (1 + A^2 + B^2)/2 instead of 1.
     """
 
-    def __init__(self, lam: complex, theta: float, m: float, hbar: float,
-                 beta: float, channel: bool = False):
-        self.lam = complex(lam)
+    def __init__(self, params: ModelParams, lam: complex, theta: float,
+                 channel: bool = False):
         self.theta = float(theta)
-        self.m = m
-        self.hbar = hbar
-        self.beta = beta
+        self.beta = params.beta
         self.channel = bool(channel)
-        g = 8.0 * m * self.lam / (beta * hbar) ** 2
-        self.s = 0.5 * (-1.0 + cmath.sqrt(1.0 - g))
+        self.s = derived_quantities(params.with_lam(lam)).s
         self.jac = cmath.exp(0.5j * self.theta)
         self.phase = cmath.exp(1j * self.theta)
-
-    def _gamma_coeffs(self, k: complex):
-        kb = 1j * k / self.beta
-        s = self.s
-        refl = complex_gamma(1.0 - kb) * complex_gamma(kb) \
-            * reciprocal_gamma(1.0 + s) * reciprocal_gamma(-s)
-        trans = complex_gamma(1.0 - kb) * complex_gamma(-kb) \
-            * reciprocal_gamma(-kb - s) * reciprocal_gamma(-kb + s + 1.0)
-        return refl, trans
 
     def _amp(self, k: complex) -> complex:
         return cmath.exp(-1j * k * LN4 / (2.0 * self.beta))
@@ -327,7 +311,7 @@ class _Continuum:
     def _norm_div(self, k: complex) -> complex:
         if self.channel:
             return SQRT_2PI + 0.0j
-        _, trans = self._gamma_coeffs(k)
+        _, trans = _gamma_coeffs(k, self.s, self.beta)
         return SQRT_2PI * trans
 
     # scalar coefficient functions of the asymptotic components
@@ -335,11 +319,11 @@ class _Continuum:
         return self.jac * self._amp(k) / self._norm_div(k)
 
     def coef_minus_refl(self, k: complex) -> complex:
-        refl, _ = self._gamma_coeffs(k)
+        refl, _ = _gamma_coeffs(k, self.s, self.beta)
         return self.jac * self._amp(k) * refl / self._norm_div(k)
 
     def coef_minus_trans(self, k: complex) -> complex:
-        _, trans = self._gamma_coeffs(k)
+        _, trans = _gamma_coeffs(k, self.s, self.beta)
         return self.jac * self._amp(k) * trans / self._norm_div(k)
 
     def phi_values(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -361,8 +345,7 @@ class _Continuum:
 
 
 def binned_state(params: ModelParams, grid: BinGrid, n: int,
-                 x: np.ndarray, quad_tol: float = 1e-9,
-                 normalization: str = "delta") -> BasisState:
+                 x: np.ndarray, normalization: str = "delta") -> BasisState:
     """Construct binned state n with its biorthogonal left partner.
 
     Real-axis grids use the unrotated solutions with conjugated left
@@ -387,15 +370,14 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     dk = kb - ka
     inv_sqrt_dk = 1.0 / np.sqrt(np.complex128(dk))
     theta_eff = 0.0 if grid.hermitian else params.theta
-    cont = _Continuum(grid.lam, theta_eff, params.m, params.hbar, params.beta,
-                      channel=channel)
+    cont = _Continuum(params, grid.lam, theta_eff, channel=channel)
     eps = lambda k: (params.hbar * k) ** 2 / (2.0 * params.m)
 
     def plain_and_h(ks):
         phi = cont.phi_values(ks, x)
         return np.stack([phi, eps(np.asarray(ks))[:, None] * phi], axis=1)
 
-    both = inv_sqrt_dk * _gl_integral(plain_and_h, ka, kb, quad_tol)
+    both = inv_sqrt_dk * _gl_integral(plain_and_h, ka, kb)
     values, h_values = both[0], both[1]
 
     tails = {"plus": [], "minus": []}
@@ -414,13 +396,13 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         # theta scaling of the coordinate.  The bar toolkit is built at
         # (conj lam, -theta); conjugating its output restores the +theta
         # half-Jacobian automatically.
-        bar = _Continuum(np.conj(grid.lam), -theta_eff, params.m,
-                         params.hbar, params.beta, channel=channel)
+        bar = _Continuum(params, np.conj(grid.lam), -theta_eff,
+                         channel=channel)
 
         def bar_phi(ks):
             return np.conj(bar.phi_values(np.conj(ks), x))
 
-        left_values = inv_sqrt_dk * _gl_integral(bar_phi, ka, kb, quad_tol)
+        left_values = inv_sqrt_dk * _gl_integral(bar_phi, ka, kb)
         left_tp, left_tm = [], []
         for side, cfun, zeta in bar.components():
             cbar = lambda k, c=cfun: np.conj(c(np.conj(k)))
@@ -547,12 +529,6 @@ def overlap_matrix(left_states, right_states, x: np.ndarray,
     )
 
 
-def hamiltonian_matrix(states, params: ModelParams,
-                       x: np.ndarray) -> OverlapMatrix:
-    """Matrix of the Hamiltonian in the given basis (left x H right)."""
-    return overlap_matrix(states, states, x, apply_h=True)
-
-
 def unit_diagonal_state(state: BasisState, x: np.ndarray) -> BasisState:
     """Rescale a state so its bilinear self-product equals 1.
 
@@ -593,6 +569,18 @@ class DegeneracyPoint:
     matrix: OverlapMatrix
 
 
+def _ep_states(params: ModelParams, lam: complex, alphas, x: np.ndarray):
+    """L2-normalized resonance and unit-diagonal channel bins on the EP ray."""
+    p = params.with_lam(lam)
+    grid = build_bins(p, ep_ray(lam, alphas))
+    res = resonance_state(p, x, normalization="l2")
+    bins = [
+        unit_diagonal_state(
+            binned_state(p, grid, j, x, normalization="channel"), x)
+        for j in range(grid.n_bins)]
+    return res, bins
+
+
 def degeneracy_diagnostics(params: ModelParams, lam_seq,
                            alphas=(-1.0, 0.0, 1.0),
                            x: np.ndarray | None = None):
@@ -608,13 +596,8 @@ def degeneracy_diagnostics(params: ModelParams, lam_seq,
         x = spatial_grid(params.beta)
     out = []
     for lam in lam_seq:
-        p = params.with_lam(lam)
-        grid = build_bins(p, ep_ray(lam, alphas))
-        states = [resonance_state(p, x, normalization="l2")]
-        states += [
-            unit_diagonal_state(
-                binned_state(p, grid, j, x, normalization="channel"), x)
-            for j in range(grid.n_bins)]
+        res, bins = _ep_states(params, lam, alphas, x)
+        states = [res] + bins
         s_mat = overlap_matrix(states, states, x)
         svals = np.linalg.svd(s_mat.matrix, compute_uv=False)
         out.append(DegeneracyPoint(
@@ -646,25 +629,15 @@ def limit_exchange_entries(params: ModelParams, lam_seq,
     """
     if x is None:
         x = spatial_grid(params.beta)
-    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
-                                   params.beta)
+    lam_bp, _, k_bp = branch_point(params)
+    # boundary continuum solution at the branch point
+    s_bp = derived_quantities(params.with_lam(lam_bp)).s
+    phi_bp = cmath.exp(0.5j * params.theta) \
+        * raw_psi(k_bp, s_bp, params.beta, params.theta, x) / SQRT_2PI
     interior = []
     limits = []
-    # boundary continuum solution at the branch point, unit grid L2 norm
-    p_bp = params.with_lam(lam_bp)
-    dq = derived_quantities(p_bp)
-    k_bp = resonance_energy(p_bp, 0).k
-    phi_bp = cmath.exp(0.5j * params.theta) \
-        * raw_psi(k_bp, dq.s, params.beta, params.theta, x) / SQRT_2PI
-
     for lam in lam_seq:
-        p = params.with_lam(lam)
-        grid = build_bins(p, ep_ray(lam, alphas))
-        bins = [
-            unit_diagonal_state(
-                binned_state(p, grid, j, x, normalization="channel"), x)
-            for j in range(grid.n_bins)]
-        res = resonance_state(p, x, normalization="l2")
+        res, bins = _ep_states(params, lam, alphas, x)
         interior.append(max(abs(product_entry(res, b, x)) for b in bins))
         limits.append(max(abs(complex(simpson(phi_bp * b.values, x=x)))
                           for b in bins))

@@ -11,7 +11,6 @@ significant digits; identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -58,20 +57,6 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("CSM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"CSM_THREADS must be an integer, got {raw!r}") \
-            from exc
-    if n < 1:
-        raise ConfigError("CSM_THREADS must be positive")
-    return n
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -87,21 +72,46 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _complex(value) -> complex:
+    """A complex number given as {"re": .., "im": ..} or as a real."""
+    if isinstance(value, dict):
+        return complex(float(value.get("re", 0.0)),
+                       float(value.get("im", 0.0)))
+    return complex(float(value), 0.0)
+
+
+def _floats(value) -> list:
+    return [float(v) for v in value]
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _read_block(cfg: dict, name: str | None, **fields) -> list:
+    """Values of ``fields`` (key=(convert, default)) from block ``name``.
+
+    ``name`` None reads the top level of the config.  A block that is not
+    a JSON object, or a value its converter rejects, is a ConfigError.
+    """
+    block = cfg if name is None else cfg.get(name, {})
+    where = "config" if name is None else name
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    values = []
+    for key, (convert, default) in fields.items():
+        try:
+            values.append(convert(block.get(key, default)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed {where}.{key}: {exc}") from exc
+    return values
+
+
 def _params_from(cfg: dict) -> ModelParams:
-    units = cfg.get("units", {})
-    try:
-        m = float(units.get("m", 1.0))
-        hbar = float(units.get("hbar", 1.0))
-        beta = float(units.get("beta", 1.0))
-        theta = float(cfg.get("theta", 0.3))
-        lam_cfg = cfg.get("lam", 1.0)
-        if isinstance(lam_cfg, dict):
-            lam = complex(float(lam_cfg.get("re", 0.0)),
-                          float(lam_cfg.get("im", 0.0)))
-        else:
-            lam = complex(float(lam_cfg), 0.0)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed parameter block: {exc}") from exc
+    m, hbar, beta = _read_block(cfg, "units", m=(float, 1.0),
+                                hbar=(float, 1.0), beta=(float, 1.0))
+    theta, lam = _read_block(cfg, None, theta=(float, 0.3),
+                             lam=(_complex, 1.0))
     if not 0.0 < theta < math.pi / 4.0:
         raise ConfigError(
             f"theta = {theta:g} outside the admissible range (0, pi/4)")
@@ -125,7 +135,7 @@ def _emit(out_dir: str, name: str, fmt: str, workflow: str, header, rows,
 
 def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
-    n_max = int(cfg.get("spectrum", {}).get("n_max", 3))
+    n_max, = _read_block(cfg, "spectrum", n_max=(int, 3))
     if n_max < 0:
         raise ConfigError("spectrum.n_max must be >= 0")
     rows = []
@@ -145,10 +155,9 @@ def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
 
 def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
-    block = cfg.get("regions", {})
-    t_lo = float(block.get("theta_min", 0.02))
-    t_hi = float(block.get("theta_max", math.pi / 4.0 - 1e-3))
-    n_pts = int(block.get("n_points", 64))
+    t_lo, t_hi, n_pts = _read_block(
+        cfg, "regions", theta_min=(float, 0.02),
+        theta_max=(float, math.pi / 4.0 - 1e-3), n_points=(int, 64))
     if not (0.0 < t_lo < t_hi < math.pi / 4.0):
         raise ConfigError("regions grid must satisfy 0 < min < max < pi/4")
     if n_pts < 2:
@@ -184,11 +193,9 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
                            overlap_matrix, real_axis, spatial_grid)
 
     params = _params_from(cfg)
-    block = cfg.get("overlap", {})
-    k_min = float(block.get("k_min", 0.5))
-    k_max = float(block.get("k_max", 3.5))
-    n_bins = int(block.get("n_bins", 6))
-    deltas = [float(d) for d in block.get("deltas", (1e-2, 1e-3, 1e-4))]
+    k_min, k_max, n_bins, deltas = _read_block(
+        cfg, "overlap", k_min=(float, 0.5), k_max=(float, 3.5),
+        n_bins=(int, 6), deltas=(_floats, (1e-2, 1e-3, 1e-4)))
     if k_min <= 0.0 or k_max <= k_min:
         raise ConfigError("overlap bins need 0 < k_min < k_max")
     if n_bins < 1:
@@ -230,14 +237,14 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     from .eploop import LoopSpec, fit_puiseux, run_berry_loop
 
     params = _params_from(cfg)
-    block = cfg.get("berry", {})
+    radius_rel, windings, n_steps = _read_block(
+        cfg, "berry", radius_rel=(float, 1e-5), windings=(int, 4),
+        n_steps=(int, 256))
     lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
                                    params.beta)
-    radius = float(block.get("radius_rel", 1e-5)) * lam_bp
-    windings = int(block.get("windings", 4))
-    n_steps = int(block.get("n_steps", 256))
     try:
-        spec = LoopSpec(radius=radius, windings=windings, n_steps=n_steps)
+        spec = LoopSpec(radius=radius_rel * lam_bp, windings=windings,
+                        n_steps=n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -276,18 +283,12 @@ def cmd_wavefunction(cfg: dict, out_dir: str, fmt: str) -> None:
     from .wavefun import default_grid, eval_wavefunction
 
     params = _params_from(cfg)
-    block = cfg.get("wavefunction", {})
-    k_cfg = block.get("k", {"re": 1.0, "im": 0.0})
-    if isinstance(k_cfg, dict):
-        k = complex(float(k_cfg.get("re", 0.0)), float(k_cfg.get("im", 0.0)))
-    else:
-        k = complex(float(k_cfg), 0.0)
-    x_max = block.get("x_max")
-    n_points = int(block.get("n_points", 2049))
+    k, x_max, n_points = _read_block(
+        cfg, "wavefunction", k=(_complex, 1.0), x_max=(_optional_float, None),
+        n_points=(int, 2049))
     if n_points < 5:
         raise ConfigError("wavefunction.n_points must be >= 5")
-    grid = default_grid(params.beta,
-                        None if x_max is None else float(x_max), n_points)
+    grid = default_grid(params.beta, x_max, n_points)
     field = eval_wavefunction(params, k, grid)
     rows = [[_fmt(xv), _fmt(pv.real), _fmt(pv.imag)]
             for xv, pv in zip(field.grid, field.values)]
@@ -331,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _threads_cap()
         cfg = _load_config(args.config)
         _COMMANDS[args.command](cfg, args.out, args.format)
     except ConfigError as exc:

@@ -25,9 +25,13 @@ import numpy as np
 
 from .errors import BranchCollision, IllConditionedFit, PreconditionViolation, \
     StepTooCoarse
-from .model import ModelParams, branch_point_coupling, resonance_energy
-from .wavefun import LN4, RegionLabel, classification_functional, \
-    classify_region
+from .model import ModelParams, branch_point, resonance_energy
+from .wavefun import LN4, classification_functional, classify_region
+
+# upper straddling bin [k_bp, k_bp + _UPPER_ALPHA sqrt(t)] of the Puiseux fit
+_UPPER_ALPHA = 1.0
+# scan points per 2 pi of the boundary-crossing search
+_N_SCAN = 720
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,11 @@ class LoopSpec:
                 b <= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError("alphas must be strictly increasing, >= 2 nodes")
 
+    @property
+    def dphi(self) -> float:
+        """Signed angle step of the loop."""
+        return self.orientation * 2.0 * math.pi / self.n_steps
+
 
 @dataclass(frozen=True)
 class PuiseuxFit:
@@ -97,14 +106,6 @@ class LoopTrace:
     boundary_phis: tuple
 
 
-def _branch_point_data(params: ModelParams):
-    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
-                                   params.beta)
-    p_bp = params.with_lam(lam_bp)
-    pole = resonance_energy(p_bp, 0)
-    return lam_bp, pole.energy, pole.k
-
-
 def _nearest_root(target: complex, prev: complex) -> complex:
     """Square root of target on the sheet continuous with prev."""
     c = cmath.sqrt(target)
@@ -114,6 +115,24 @@ def _nearest_root(target: complex, prev: complex) -> complex:
             f"sheet continuation ambiguous: step {abs(pick - prev):.3e} "
             f"vs sheet separation {2.0 * abs(c):.3e}")
     return pick
+
+
+def _continued_roots(targets) -> np.ndarray:
+    """Square roots along a path, continued from the principal first root.
+
+    Every later root is the one nearest its predecessor (``_nearest_root``),
+    which keeps the path on one sheet.
+    """
+    roots = np.empty(len(targets), dtype=complex)
+    roots[0] = cmath.sqrt(targets[0])
+    for j in range(1, len(targets)):
+        roots[j] = _nearest_root(targets[j], roots[j - 1])
+    return roots
+
+
+def _sheet_slope(params: ModelParams, k_bp: complex) -> complex:
+    """alpha_e of the sheet pair E_pm = E_bp +- alpha_e sqrt(lam - lam_bp)."""
+    return params.hbar**2 * k_bp / (2.0 * params.m)
 
 
 def trace_resonance(params: ModelParams, lam_path) -> np.ndarray:
@@ -130,28 +149,21 @@ def trace_resonance(params: ModelParams, lam_path) -> np.ndarray:
     BranchCollision
         If a path step is comparable to the local sheet separation.
     """
-    lam_bp, e_bp, k_bp = _branch_point_data(params)
-    alpha = params.hbar**2 * k_bp / (2.0 * params.m)
-    lam_path = np.asarray(lam_path, dtype=complex)
-    out = np.empty((len(lam_path), 2), dtype=complex)
-    r = cmath.sqrt(lam_path[0] - lam_bp)
-    for i, lam in enumerate(lam_path):
-        if i > 0:
-            r = _nearest_root(lam - lam_bp, r)
-        out[i, 0] = e_bp + alpha * r
-        out[i, 1] = e_bp - alpha * r
-    return out
+    lam_bp, e_bp, k_bp = branch_point(params)
+    alpha = _sheet_slope(params, k_bp)
+    rs = _continued_roots(np.asarray(lam_path, dtype=complex) - lam_bp)
+    return np.stack([e_bp + alpha * rs, e_bp - alpha * rs], axis=1)
 
 
 def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4),
-                n_samples: int = 25, upper_alpha: float = 1.0) -> PuiseuxFit:
+                n_samples: int = 25) -> PuiseuxFit:
     """Fit the leading square-root behavior of the straddling-bin energy.
 
     Samples the bin-averaged energy of the upper straddling bin
-    [k_bp, k_bp + upper_alpha*sqrt(t)] at couplings lam_bp + t with t
-    log-spaced over ``r_window`` (given relative to lam_bp), regresses
-    log|E - E_bp| against log t for the exponent, and extracts alpha from
-    the fixed-exponent-1/2 least squares.
+    [k_bp, k_bp + sqrt(t)] at couplings lam_bp + t with t log-spaced over
+    ``r_window`` (given relative to lam_bp), regresses log|E - E_bp|
+    against log t for the exponent, and extracts alpha from the
+    fixed-exponent-1/2 least squares.
 
     Raises
     ------
@@ -168,10 +180,10 @@ def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4),
             f"fit window ({lo:g}, {hi:g}) outside (1e-8, 1e-2) of lam_bp")
     if n_samples < 3 or hi / lo < 2.0:
         raise IllConditionedFit("need >= 3 samples spanning a factor >= 2")
-    lam_bp, e_bp, k_bp = _branch_point_data(params)
+    lam_bp, e_bp, k_bp = branch_point(params)
     ts = np.geomspace(lo * lam_bp, hi * lam_bp, n_samples)
     ys = np.array([
-        bin_energy(params, k_bp, k_bp + upper_alpha * math.sqrt(t))
+        bin_energy(params, k_bp, k_bp + _UPPER_ALPHA * math.sqrt(t))
         - e_bp for t in ts])
     logt = np.log(ts)
     logy = np.log(np.abs(ys))
@@ -197,37 +209,62 @@ def _bisect_zero(fun, a: float, b: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def boundary_crossings(params: ModelParams, radius: float,
-                       n_scan: int = 720) -> list:
+def boundary_crossings(params: ModelParams, radius: float) -> list:
     """Angles in [0, 2 pi) where the coupling circle meets the boundary.
 
     Scans the sign of the region-classification functional along
     lam_bp + R e^{i phi} and bisects each change to 1e-10.
     """
-    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
-                                   params.beta)
+    lam_bp, _, _ = branch_point(params)
 
     def f(phi):
         return classification_functional(
             params, lam_bp + radius * cmath.exp(1j * phi))
 
-    grid = np.linspace(0.0, 2.0 * math.pi, n_scan + 1)
+    grid = np.linspace(0.0, 2.0 * math.pi, _N_SCAN + 1)
     vals = np.array([f(p) for p in grid])
     out = []
-    for i in range(n_scan):
+    for i in range(_N_SCAN):
         if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
             out.append(_bisect_zero(f, grid[i], grid[i + 1]))
     return out
 
 
-def _lower_crossing(params: ModelParams, radius: float) -> float:
-    """The boundary crossing where the energy sits on the near-origin side."""
-    lam_bp, e_bp, _ = _branch_point_data(params)
-    for phi in boundary_crossings(params, radius):
-        lam = lam_bp + radius * cmath.exp(1j * phi)
+def _start_phase(params: ModelParams, spec: LoopSpec, crossings) -> float:
+    """``spec.start_phase``, else the crossing on the near-origin side.
+
+    That is the boundary crossing in ``crossings`` where |E_0| < |E_bp|.
+    """
+    if spec.start_phase is not None:
+        return spec.start_phase
+    lam_bp, e_bp, _ = branch_point(params)
+    for phi in crossings:
+        lam = lam_bp + spec.radius * cmath.exp(1j * phi)
         if abs(resonance_energy(params.with_lam(lam), 0).energy) < abs(e_bp):
             return phi
     raise PreconditionViolation("no lower boundary crossing found")
+
+
+def _readout_zeta(params: ModelParams, spec: LoopSpec,
+                  direction: int = 1) -> complex:
+    """Exponent zeta of the asymptotic readout at direction * x_ref.
+
+    Raises
+    ------
+    PreconditionViolation
+        If the Taylor-regime bound |zeta alpha' sqrt(R)| < 0.1 fails.
+    """
+    beta = params.beta
+    x_ref = spec.x_ref if spec.x_ref is not None else 10.0 / beta
+    xp = direction * x_ref * cmath.exp(1j * params.theta)
+    zeta = -1j * LN4 / (2.0 * beta) + 1j * direction * xp
+    amax = max(abs(spec.alphas[0]), abs(spec.alphas[-1]))
+    bound = abs(zeta) * amax * math.sqrt(spec.radius)
+    if bound >= 0.1:
+        raise PreconditionViolation(
+            f"Taylor-regime bound violated: |zeta alpha' sqrt(R)| = "
+            f"{bound:.3f} >= 0.1")
+    return zeta
 
 
 def _readout(zeta: complex, k_bp: complex, alphas, r: complex,
@@ -241,6 +278,25 @@ def _readout(zeta: complex, k_bp: complex, alphas, r: complex,
     k_dn = k_bp + alphas[0] * r
     k_up = k_bp + alphas[-1] * r
     return (cmath.exp(zeta * k_up) - cmath.exp(zeta * k_dn)) / (zeta * w)
+
+
+def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
+                  phi0: float, windings: int):
+    """Walk the coupling circle from phi0 and read out the binned state.
+
+    Returns (phis, lam, rs, read): the step angles, the couplings, the
+    continued roots r = sqrt(lam - lam_bp) and the readout at each step,
+    whose node-spacing root w = sqrt((alpha'_max - alpha'_min) r) is
+    continued along with r.
+    """
+    lam_bp, _, k_bp = branch_point(params)
+    phis = phi0 + spec.dphi * np.arange(windings * spec.n_steps + 1)
+    lam = np.array([lam_bp + spec.radius * cmath.exp(1j * p) for p in phis])
+    rs = _continued_roots(lam - lam_bp)
+    ws = _continued_roots((spec.alphas[-1] - spec.alphas[0]) * rs)
+    read = np.array([_readout(zeta, k_bp, spec.alphas, r, w)
+                     for r, w in zip(rs, ws)])
+    return phis, lam, rs, read
 
 
 def run_berry_loop(params: ModelParams, spec: LoopSpec):
@@ -260,37 +316,18 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     StepTooCoarse
         If the readout phase jumps by more than pi/4 between steps.
     """
-    beta = params.beta
-    x_ref = spec.x_ref if spec.x_ref is not None else 10.0 / beta
-    lam_bp, e_bp, k_bp = _branch_point_data(params)
-    alpha_e = params.hbar**2 * k_bp / (2.0 * params.m)
-    xp = x_ref * cmath.exp(1j * params.theta)
-    zeta = -1j * LN4 / (2.0 * beta) + 1j * xp
-    amax = max(abs(spec.alphas[0]), abs(spec.alphas[-1]))
-    bound = abs(zeta) * amax * math.sqrt(spec.radius)
-    if bound >= 0.1:
-        raise PreconditionViolation(
-            f"Taylor-regime bound violated: |zeta alpha' sqrt(R)| = "
-            f"{bound:.3f} >= 0.1")
-
-    phi0 = spec.start_phase if spec.start_phase is not None \
-        else _lower_crossing(params, spec.radius)
+    zeta = _readout_zeta(params, spec)
+    _, e_bp, k_bp = branch_point(params)
+    alpha_e = _sheet_slope(params, k_bp)
+    # geometric A/B crossings of the coupling circle (per 2 pi, for the
+    # trace record and the default start)
+    crossings = boundary_crossings(params, spec.radius)
+    phi0 = _start_phase(params, spec, crossings)
     total = spec.windings * spec.n_steps
-    dphi = spec.orientation * 2.0 * math.pi / spec.n_steps
-    phis = phi0 + dphi * np.arange(total + 1)
+    dphi = spec.dphi
+    phis, lam, rs, read = _loop_readout(params, spec, zeta, phi0,
+                                        spec.windings)
 
-    d_alpha = spec.alphas[-1] - spec.alphas[0]
-    lam = np.array([lam_bp + spec.radius * cmath.exp(1j * p) for p in phis])
-    rs = np.empty(total + 1, dtype=complex)
-    ws = np.empty(total + 1, dtype=complex)
-    rs[0] = cmath.sqrt(lam[0] - lam_bp)
-    ws[0] = cmath.sqrt(d_alpha * rs[0])
-    for j in range(1, total + 1):
-        rs[j] = _nearest_root(lam[j] - lam_bp, rs[j - 1])
-        ws[j] = _nearest_root(d_alpha * rs[j], ws[j - 1])
-
-    read = np.array([_readout(zeta, k_bp, spec.alphas, rs[j], ws[j])
-                     for j in range(total + 1)])
     angles = np.angle(read)
     jumps = np.diff(angles)
     jumps = (jumps + math.pi) % (2.0 * math.pi) - math.pi
@@ -325,17 +362,13 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
             acc *= 1j if spec.orientation > 0 else -1j
         accumulated[j + 1] = acc
 
-    # geometric A/B crossings of the coupling circle (per 2 pi, for the
-    # trace record)
-    base = boundary_crossings(params, spec.radius)
-
     trace = LoopTrace(
         phi=phis, lam=lam,
         e_plus=e_bp + alpha_e * rs, e_minus=e_bp - alpha_e * rs,
         region=regions, readout=read, unwrapped_phase=unwrapped,
         accumulated=accumulated,
         connection_phis=tuple(connection_phis),
-        boundary_phis=tuple(base),
+        boundary_phis=tuple(crossings),
     )
 
     ratios = {}
@@ -349,6 +382,7 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     consistency = max(
         abs(ratios[wnd] - accumulated[wnd * spec.n_steps])
         for wnd in range(1, spec.windings + 1))
+    d_alpha = spec.alphas[-1] - spec.alphas[0]
     dk_defect = max(
         abs((k_bp + spec.alphas[-1] * rs[j]) - (k_bp + spec.alphas[0] * rs[j])
             - d_alpha * rs[j]) for j in range(total + 1))
@@ -370,31 +404,14 @@ def case_asymptotic_phase(direction: int, params: ModelParams,
     ``direction`` +1 reads the outgoing form e^{ikx'} at x -> +inf, -1
     the outgoing form e^{-ikx'} at x -> -inf (the reflected-side term,
     with the transmitted-like one negligible near the Siegert condition).
-    Both must give the same factor i per positive 2 pi turn.
+    Both must give the same factor i per positive 2 pi turn.  The loop is
+    one turn of ``spec`` whatever its ``windings``.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    beta = params.beta
-    x_ref = spec.x_ref if spec.x_ref is not None else 10.0 / beta
-    lam_bp, e_bp, k_bp = _branch_point_data(params)
-    xp = direction * x_ref * cmath.exp(1j * params.theta)
-    zeta = -1j * LN4 / (2.0 * beta) + 1j * direction * xp
-    bound = abs(zeta) * max(abs(spec.alphas[0]), abs(spec.alphas[-1])) \
-        * math.sqrt(spec.radius)
-    if bound >= 0.1:
-        raise PreconditionViolation(
-            f"Taylor-regime bound violated: {bound:.3f} >= 0.1")
-    phi0 = spec.start_phase if spec.start_phase is not None \
-        else _lower_crossing(params, spec.radius)
-    d_alpha = spec.alphas[-1] - spec.alphas[0]
-    n = spec.n_steps
-    dphi = spec.orientation * 2.0 * math.pi / n
-    r = cmath.sqrt(lam_bp + spec.radius * cmath.exp(1j * phi0) - lam_bp)
-    w = cmath.sqrt(d_alpha * r)
-    i_start = _readout(zeta, k_bp, spec.alphas, r, w)
-    for j in range(1, n + 1):
-        lam_j = lam_bp + spec.radius * cmath.exp(1j * (phi0 + dphi * j))
-        r = _nearest_root(lam_j - lam_bp, r)
-        w = _nearest_root(d_alpha * r, w)
-    i_end = _readout(zeta, k_bp, spec.alphas, r, w)
-    return i_end / i_start
+    zeta = _readout_zeta(params, spec, direction)
+    crossings = [] if spec.start_phase is not None \
+        else boundary_crossings(params, spec.radius)
+    phi0 = _start_phase(params, spec, crossings)
+    read = _loop_readout(params, spec, zeta, phi0, 1)[3]
+    return complex(read[spec.n_steps] / read[0])

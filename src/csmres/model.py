@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateIndex, UndefinedAngle
 
@@ -174,7 +174,6 @@ class RegionBounds:
     lambda_bp: float
     E_bp: complex
     k_bp: complex
-    admissible: tuple = field(default=())
 
 
 def branch_point_coupling(theta: float, m: float = 1.0, hbar: float = 1.0,
@@ -183,6 +182,22 @@ def branch_point_coupling(theta: float, m: float = 1.0, hbar: float = 1.0,
     u0 = beta**2 * hbar**2 / (4.0 * m)
     # 1 - cos 2 theta = 2 sin^2 theta, stable at small angles
     return u0 / (2.0 * math.sin(theta) ** 2)
+
+
+def branch_point(params: ModelParams) -> tuple:
+    """(lambda_bp, E_bp, k_bp): where the n = 0 resonance meets the continuum.
+
+    E_bp = (beta^2 hbar^2 / 8m) [sqrt(g_bp - 1) - i]^2 with
+    g_bp = 8 m lambda_bp / (beta hbar)^2 is the n = 0 resonance energy at
+    lambda_bp, and k_bp = sqrt(2 m E_bp) / hbar.  The coupling of ``params``
+    does not enter.
+    """
+    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
+                                   params.beta)
+    g_bp = 8.0 * params.m * lam_bp / (params.beta * params.hbar) ** 2
+    E_bp = params.energy_scale * (cmath.sqrt(g_bp - 1.0) - 1j) ** 2
+    k_bp = cmath.sqrt(2.0 * params.m * E_bp) / params.hbar
+    return lam_bp, E_bp, k_bp
 
 
 def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
@@ -208,16 +223,14 @@ def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
     root = math.sqrt(disc)
     l1m = u0 * (head - root)
     l1p = u0 * (head + root)
-    lam_bp = branch_point_coupling(theta, m, hbar, beta)
-    g_bp = 8.0 * m * lam_bp / (beta * hbar) ** 2
-    E_bp = (beta**2 * hbar**2 / (8.0 * m)) * (cmath.sqrt(g_bp - 1.0) - 1j) ** 2
-    k_bp = cmath.sqrt(2.0 * m * E_bp) / hbar
+    # the coupling of the parameter set does not enter the branch point
+    lam_bp, E_bp, k_bp = branch_point(
+        ModelParams(lam=0.0, theta=theta, m=m, hbar=hbar, beta=beta))
     return RegionBounds(
         theta=theta,
         lambda0_minus=l0m, lambda0_plus=l0p,
         lambda1_minus=l1m, lambda1_plus=l1p,
         lambda_bp=lam_bp, E_bp=E_bp, k_bp=k_bp,
-        admissible=(l0p, l1p),
     )
 
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import NonConvergence, NonNormalizable, PreconditionViolation, \
-    SingularCoordinate
+from .errors import NonConvergence, NonNormalizable, SingularCoordinate
 from .model import ModelParams, derived_quantities, resonance_energy
 from .specfun import complex_gamma, hyp2f1_grid, reciprocal_gamma
 
@@ -147,14 +146,20 @@ def eval_wavefunction(params: ModelParams, k: complex,
                      meta=(k, params.lam, params.theta))
 
 
+def _gamma_coeffs(k: complex, s: complex, beta: float) -> tuple:
+    """(refl, trans_like) gamma ratios at wavenumber k and index s."""
+    kb = 1j * k / beta
+    refl = complex_gamma(1.0 - kb) * complex_gamma(kb) \
+        * reciprocal_gamma(1.0 + s) * reciprocal_gamma(-s)
+    trans = complex_gamma(1.0 - kb) * complex_gamma(-kb) \
+        * reciprocal_gamma(-kb - s) * reciprocal_gamma(-kb + s + 1.0)
+    return refl, trans
+
+
 def asymptotic_coefficients(params: ModelParams, k: complex) -> AsymptoticCoefficients:
     """Gamma-ratio coefficients of the asymptotic plane waves."""
-    dq = derived_quantities(params)
-    kb = 1j * complex(k) / params.beta
-    refl = complex_gamma(1.0 - kb) * complex_gamma(kb) \
-        * reciprocal_gamma(1.0 + dq.s) * reciprocal_gamma(-dq.s)
-    trans = complex_gamma(1.0 - kb) * complex_gamma(-kb) \
-        * reciprocal_gamma(-kb - dq.s) * reciprocal_gamma(-kb + dq.s + 1.0)
+    refl, trans = _gamma_coeffs(complex(k), derived_quantities(params).s,
+                                params.beta)
     return AsymptoticCoefficients(refl=refl, trans_like=trans)
 
 
@@ -204,6 +209,13 @@ def find_resonance_k(params: ModelParams, k0: complex,
     raise NonConvergence("Siegert Newton", {"k": k, "last_step": abs(dk)})
 
 
+def _tail_functional(params: ModelParams, lam: complex | None) -> float:
+    """Re[i k_0(lam) e^{i theta}], whose sign classifies the n = 0 tail."""
+    p = params if lam is None else params.with_lam(lam)
+    k0 = resonance_energy(p, 0).k
+    return (1j * k0 * cmath.exp(1j * p.theta)).real
+
+
 def classify_region(params: ModelParams, lam: complex | None = None) -> RegionLabel:
     """Convergence class of the n = 0 Gamow tail at the given coupling.
 
@@ -211,9 +223,7 @@ def classify_region(params: ModelParams, lam: complex | None = None) -> RegionLa
     (square-integrable pseudo-bound state), positive -> DivergentB, within
     1e-12 of zero -> ScatteringBoundary.
     """
-    p = params if lam is None else params.with_lam(lam)
-    k0 = resonance_energy(p, 0).k
-    f = (1j * k0 * cmath.exp(1j * p.theta)).real
+    f = _tail_functional(params, lam)
     if abs(f) <= 1e-12:
         return RegionLabel.ScatteringBoundary
     return RegionLabel.ConvergentA if f < 0.0 else RegionLabel.DivergentB
@@ -221,9 +231,7 @@ def classify_region(params: ModelParams, lam: complex | None = None) -> RegionLa
 
 def classification_functional(params: ModelParams, lam: complex | None = None) -> float:
     """The signed functional whose sign defines classify_region."""
-    p = params if lam is None else params.with_lam(lam)
-    k0 = resonance_energy(p, 0).k
-    return (1j * k0 * cmath.exp(1j * p.theta)).real
+    return _tail_functional(params, lam)
 
 
 def gamow_cnorm(field: WaveField) -> complex:
@@ -257,15 +265,3 @@ def normalize_gamow(field: WaveField) -> WaveField:
     root = cmath.sqrt(norm)
     return WaveField(grid=field.grid, values=field.values / root,
                      tail=field.tail, meta=field.meta)
-
-
-def resonance_field(params: ModelParams, n: int = 0,
-                    grid: np.ndarray | None = None) -> WaveField:
-    """Wave field of resonance n (purely outgoing Gamow state)."""
-    pole = resonance_energy(params, n)
-    field = eval_wavefunction(params, pole.k, grid)
-    if classify_region(params) is RegionLabel.DivergentB:
-        # still a valid field object; callers needing a norm will get
-        # NonNormalizable from gamow_cnorm
-        pass
-    return field

@@ -46,14 +46,21 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SingularCoordinate"
 
-    def test_bad_threads_env_is_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CSM_THREADS", "zero")
-        assert run(tmp_path, "spectrum") == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-
-    def test_threads_env_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CSM_THREADS", "4")
-        assert run(tmp_path, "spectrum") == 0
+    @pytest.mark.parametrize("command, payload", [
+        ("spectrum", {"spectrum": {"n_max": "x"}}),
+        ("regions", {"regions": {"n_points": "x"}}),
+        ("regions", {"regions": [1]}),
+        ("overlap", {"overlap": {"n_bins": "x"}}),
+        ("berry", {"berry": {"windings": "x"}}),
+        ("wavefunction", {"wavefunction": {"k": "x"}}),
+        ("spectrum", {"units": [1.0]}),
+    ])
+    def test_malformed_block_is_2(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path), command]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestDeterminism:

@@ -174,6 +174,12 @@ class TestCaseAsymptoticPhase:
             f = case_asymptotic_phase(direction, P, spec)
             assert abs(f - 1j) < 1e-3
 
+    def test_plus_direction_is_the_berry_loop_ratio(self):
+        for start in (None, 1.0):
+            spec = LoopSpec(radius=1e-5 * LBP, windings=1, start_phase=start)
+            _, verdicts = run_berry_loop(P, spec)
+            assert case_asymptotic_phase(1, P, spec) == verdicts["ratio_2pi"]
+
     def test_invalid_direction(self):
         spec = LoopSpec(radius=1e-5 * LBP, windings=1)
         with pytest.raises(ValueError):

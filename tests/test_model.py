@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmres.errors import DegenerateIndex
 from csmres.model import (
     CriticalAngle,
     ModelParams,
+    branch_point,
     branch_point_coupling,
     contact_coupling_root,
     critical_angle,
@@ -169,3 +172,22 @@ class TestLambdaWindow:
             rb = lambda_window(th)
             root = contact_coupling_root(th, n=1)
             assert abs(root - rb.lambda1_plus) < 1e-9 * rb.lambda1_plus
+
+
+class TestBranchPoint:
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(1e-3, math.pi / 4 - 1e-3),
+           m=st.floats(0.2, 5.0), hbar=st.floats(0.2, 5.0),
+           beta=st.floats(0.2, 5.0))
+    def test_one_branch_point_everywhere(self, theta, m, hbar, beta):
+        p = ModelParams(lam=1.0, theta=theta, m=m, hbar=hbar, beta=beta)
+        lam_bp, e_bp, k_bp = branch_point(p)
+        assert lam_bp == branch_point_coupling(theta, m, hbar, beta)
+        rb = lambda_window(theta, m, hbar, beta)
+        assert (rb.lambda_bp, rb.E_bp, rb.k_bp) == (lam_bp, e_bp, k_bp)
+        pole = resonance_energy(p.with_lam(lam_bp), 0)
+        assert (pole.energy, pole.k) == (e_bp, k_bp)
+
+    def test_coupling_does_not_enter(self):
+        p = ModelParams(lam=1.0, theta=0.3)
+        assert branch_point(p) == branch_point(p.with_lam(2.0 - 0.5j))
