@@ -34,7 +34,7 @@ from scipy.special import exp1
 from .errors import EmptyRange, NonNormalizable, QuadratureError
 from .model import ModelParams, branch_point, derived_quantities, \
     resonance_energy
-from .wavefun import LN4, _gamma_coeffs, raw_psi
+from .wavefun import _amplitude, _gamma_coeffs, raw_psi
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -43,6 +43,11 @@ _GL_ORDERS = (8, 16, 32, 64, 96)
 _GL_TOL = 1e-9
 _RING_POINTS = 16
 _TAIL_ORDERS = 5
+# k-nodes per batched raw_psi call.  It bounds the series working set:
+# the default `csmres overlap` run (2-core Xeon VM, one BLAS thread) took
+# about 2.1, 1.7, 1.9 and 1.8 s with blocks of 4, 8, 16 and 32 nodes, at a
+# peak RSS of 97, 101, 106 and 118 MB
+_K_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -184,41 +189,48 @@ def _scaled_terms(terms, factor):
 
 
 def _num_derivs(fun, z0: complex, radius: float, orders: int):
-    """Value and first orders-1 derivatives by a Cauchy sampling ring.
+    """Values and first orders-1 derivatives by a Cauchy sampling ring.
 
-    The coefficient functions are analytic near the nodes, so derivatives
-    come from trigonometric moments of samples on a small circle; this
-    stays accurate at high order where finite differences drown in
-    roundoff.
+    ``fun`` returns a tuple of n values at each k; the result holds, for
+    each of them, the list of its value and derivatives.  The coefficient
+    functions are analytic near the nodes, so derivatives come from
+    trigonometric moments of samples on a small circle; this stays
+    accurate at high order where finite differences drown in roundoff.
     """
     j = np.arange(_RING_POINTS)
     ring = np.exp(2j * np.pi * j / _RING_POINTS)
     samples = np.array([fun(z0 + radius * w) for w in ring])
-    moments = np.fft.fft(samples) / _RING_POINTS
+    moments = np.fft.fft(samples, axis=0) / _RING_POINTS
     out = []
-    fact = 1.0
-    for m in range(orders):
-        out.append(complex(moments[m]) * fact / radius**m)
-        fact *= m + 1
+    for col in moments.T:
+        derivs = []
+        fact = 1.0
+        for m in range(orders):
+            derivs.append(complex(col[m]) * fact / radius**m)
+            fact *= m + 1
+        out.append(derivs)
     return out
 
 
-def _ibp_tail_terms(cfun, zeta: complex, ka: complex, kb: complex,
+def _ibp_tail_terms(cfuns, zetas, ka: complex, kb: complex,
                     prefactor: complex):
     """Tail terms of prefactor * integral over the bin of c(k) e^{zeta k y} dk.
 
-    Repeated integration by parts in k pushes the remainder to
-    O(y^-(orders+1)); coefficient derivatives at the endpoints by ring
-    sampling.
+    ``cfuns(k)`` returns the coefficients (c_1(k), ..., c_n(k)), and
+    ``zetas`` their rate factors; the result is one list of terms per
+    coefficient.  Repeated integration by parts in k pushes the remainder
+    to O(y^-(orders+1)); coefficient derivatives at the endpoints come from
+    one sampling ring per endpoint shared by all coefficients.
     """
     radius = min(0.05, 0.25 * abs(kb - ka))
-    terms = []
+    terms = [[] for _ in zetas]
     for node, sign in ((kb, 1.0), (ka, -1.0)):
-        derivs = _num_derivs(cfun, node, radius, _TAIL_ORDERS)
-        for m in range(1, _TAIL_ORDERS + 1):
-            coef = sign * (-1.0) ** (m + 1) * derivs[m - 1] \
-                / zeta**m * prefactor
-            terms.append(TailTerm(coef=coef, power=m, rate=zeta * node))
+        derivs = _num_derivs(cfuns, node, radius, _TAIL_ORDERS)
+        for out, zeta, dc in zip(terms, zetas, derivs):
+            for m in range(1, _TAIL_ORDERS + 1):
+                coef = sign * (-1.0) ** (m + 1) * dc[m - 1] \
+                    / zeta**m * prefactor
+                out.append(TailTerm(coef=coef, power=m, rate=zeta * node))
     return terms
 
 
@@ -257,11 +269,14 @@ def spatial_grid(beta: float = 1.0, x_max: float | None = None,
     return np.linspace(-x_max, x_max, n_points)
 
 
-def _gl_integral(fun, ka: complex, kb: complex):
+def _gl_integral(fun, ka: complex, kb: complex, factors=()):
     """Adaptive Gauss-Legendre over the straight segment [ka, kb].
 
-    ``fun`` maps an array of k values to an array (len(k), ...) of samples;
-    the order escalates until two successive orders agree.
+    ``fun`` maps an array of k values to an array (len(k), nx) of samples.
+    The result (1 + len(factors), nx) holds the integral of fun and, from
+    the same samples, the integral of g(k) fun(k) for each g in
+    ``factors``; the order escalates until two successive orders agree on
+    all of them.
     """
     mid = 0.5 * (ka + kb)
     half = 0.5 * (kb - ka)
@@ -269,8 +284,8 @@ def _gl_integral(fun, ka: complex, kb: complex):
     for order in _GL_ORDERS:
         t, w = leggauss(order)
         ks = mid + half * t.astype(complex)
-        vals = fun(ks)
-        integ = half * np.tensordot(w, vals, axes=(0, 0))
+        rows = np.array([w] + [w * g(ks) for g in factors])
+        integ = half * (rows @ fun(ks))
         if prev is not None:
             scale = max(1.0, float(np.max(np.abs(integ))))
             if float(np.max(np.abs(integ - prev))) <= _GL_TOL * scale:
@@ -303,45 +318,40 @@ class _Continuum:
         self.channel = bool(channel)
         self.s = derived_quantities(params.with_lam(lam)).s
         self.jac = cmath.exp(0.5j * self.theta)
-        self.phase = cmath.exp(1j * self.theta)
+        zp = 1j * cmath.exp(1j * self.theta)
+        # rate factors of the plus, minus-reflected and minus-transmitted
+        # asymptotic components, in the order of ``coefficients``
+        self.zetas = (zp, zp, -zp)
 
-    def _amp(self, k: complex) -> complex:
-        return cmath.exp(-1j * k * LN4 / (2.0 * self.beta))
-
-    def _norm_div(self, k: complex) -> complex:
+    def _norm_div(self, k: complex, trans: complex | None = None) -> complex:
+        """sqrt(2 pi) B(k) (delta) or sqrt(2 pi) (channel), the divisor of
+        J psi; ``trans`` is B(k) when the caller already has it."""
         if self.channel:
             return SQRT_2PI + 0.0j
-        _, trans = _gamma_coeffs(k, self.s, self.beta)
+        if trans is None:
+            _, trans = _gamma_coeffs(k, self.s, self.beta)
         return SQRT_2PI * trans
 
-    # scalar coefficient functions of the asymptotic components
-    def coef_plus(self, k: complex) -> complex:
-        return self.jac * self._amp(k) / self._norm_div(k)
-
-    def coef_minus_refl(self, k: complex) -> complex:
-        refl, _ = _gamma_coeffs(k, self.s, self.beta)
-        return self.jac * self._amp(k) * refl / self._norm_div(k)
-
-    def coef_minus_trans(self, k: complex) -> complex:
-        _, trans = _gamma_coeffs(k, self.s, self.beta)
-        return self.jac * self._amp(k) * trans / self._norm_div(k)
+    def coefficients(self, k: complex) -> tuple:
+        """Coefficients of the plus, minus-reflected and minus-transmitted
+        asymptotic components at k, from one gamma-ratio evaluation."""
+        refl, trans = _gamma_coeffs(k, self.s, self.beta)
+        lead = self.jac * _amplitude(k, self.beta)
+        div = self._norm_div(k, trans)
+        return lead / div, lead * refl / div, lead * trans / div
 
     def phi_values(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Normalized solution sampled on the grid for each k."""
-        out = np.empty((len(ks), len(x)), dtype=complex)
-        for i, k in enumerate(ks):
-            out[i] = self.jac * raw_psi(complex(k), self.s, self.beta,
-                                        self.theta, x) / self._norm_div(complex(k))
-        return out
+        """Normalized solution sampled on the grid, one row per k.
 
-    def components(self):
-        """(side, coefficient function, rate factor zeta) of each tail."""
-        zp = 1j * self.phase
-        return [
-            ("plus", self.coef_plus, zp),
-            ("minus", self.coef_minus_refl, zp),
-            ("minus", self.coef_minus_trans, -zp),
-        ]
+        ``raw_psi`` evaluates up to _K_BLOCK k-nodes per call.
+        """
+        out = np.empty((len(ks), len(x)), dtype=complex)
+        for start in range(0, len(ks), _K_BLOCK):
+            block = ks[start:start + _K_BLOCK]
+            div = np.array([self._norm_div(complex(k)) for k in block])
+            psi = raw_psi(block, self.s, self.beta, self.theta, x)
+            out[start:start + _K_BLOCK] = self.jac * psi / div[:, None]
+        return out
 
 
 def binned_state(params: ModelParams, grid: BinGrid, n: int,
@@ -359,6 +369,13 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     which happens for EP-ray grids near the branch point.  "channel" uses
     unit-outgoing-amplitude solutions, bounded everywhere, at the price of
     a smooth non-unit delta weight.
+
+    The bin integral is adaptive Gauss-Legendre in k.  Each order's
+    k-nodes are evaluated by ``raw_psi`` in blocks of up to _K_BLOCK rows
+    (one batched 2F1 call per block), and the state and H applied to it
+    (weight eps(k)) are both integrated from the same phi samples.  The
+    tail coefficients of all asymptotic components, plain and
+    eps-weighted, come from one gamma-ratio evaluation per ring point.
     """
     if normalization not in ("delta", "channel"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -373,24 +390,22 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     cont = _Continuum(params, grid.lam, theta_eff, channel=channel)
     eps = lambda k: (params.hbar * k) ** 2 / (2.0 * params.m)
 
-    def plain_and_h(ks):
-        phi = cont.phi_values(ks, x)
-        return np.stack([phi, eps(np.asarray(ks))[:, None] * phi], axis=1)
+    values, h_values = inv_sqrt_dk * _gl_integral(
+        lambda ks: cont.phi_values(ks, x), ka, kb, factors=(eps,))
 
-    both = inv_sqrt_dk * _gl_integral(plain_and_h, ka, kb)
-    values, h_values = both[0], both[1]
+    def with_h(k):
+        c = cont.coefficients(k)
+        e = eps(k)
+        return c + tuple(e * ci for ci in c)
 
-    tails = {"plus": [], "minus": []}
-    h_tails = {"plus": [], "minus": []}
-    for side, cfun, zeta in cont.components():
-        tails[side] += _ibp_tail_terms(cfun, zeta, ka, kb, inv_sqrt_dk)
-        h_tails[side] += _ibp_tail_terms(
-            lambda k, c=cfun: eps(k) * c(k), zeta, ka, kb, inv_sqrt_dk)
+    plus, refl, trans, h_plus, h_refl, h_trans = _ibp_tail_terms(
+        with_h, cont.zetas * 2, ka, kb, inv_sqrt_dk)
+    minus = refl + trans
 
     if grid.hermitian:
         left_values = np.conj(values)
-        left_tp = _conj_terms(tails["plus"])
-        left_tm = _conj_terms(tails["minus"])
+        left_tp = _conj_terms(plus)
+        left_tm = _conj_terms(minus)
     else:
         # analytic conjugate: conjugate k, lam, and all i's; keep the
         # theta scaling of the coordinate.  The bar toolkit is built at
@@ -402,25 +417,22 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         def bar_phi(ks):
             return np.conj(bar.phi_values(np.conj(ks), x))
 
-        left_values = inv_sqrt_dk * _gl_integral(bar_phi, ka, kb)
-        left_tp, left_tm = [], []
-        for side, cfun, zeta in bar.components():
-            cbar = lambda k, c=cfun: np.conj(c(np.conj(k)))
-            zbar = np.conj(zeta)
-            terms = _ibp_tail_terms(cbar, zbar, ka, kb, inv_sqrt_dk)
-            if side == "plus":
-                left_tp += terms
-            else:
-                left_tm += terms
+        def bar_coefficients(k):
+            return tuple(np.conj(c) for c in bar.coefficients(np.conj(k)))
+
+        left_values = inv_sqrt_dk * _gl_integral(bar_phi, ka, kb)[0]
+        left_tp, lrefl, ltrans = _ibp_tail_terms(
+            bar_coefficients, tuple(np.conj(bar.zetas)), ka, kb, inv_sqrt_dk)
+        left_tm = lrefl + ltrans
 
     return BasisState(
         name=f"bin[{n}]",
         values=values, left_values=left_values,
-        tails_plus=tails["plus"], tails_minus=tails["minus"],
+        tails_plus=plus, tails_minus=minus,
         left_tails_plus=left_tp, left_tails_minus=left_tm,
         energy=bin_energy(params, ka, kb),
         h_values=h_values,
-        h_tails_plus=h_tails["plus"], h_tails_minus=h_tails["minus"],
+        h_tails_plus=h_plus, h_tails_minus=h_refl + h_trans,
     )
 
 

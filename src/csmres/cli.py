@@ -80,6 +80,13 @@ def _complex(value) -> complex:
     return complex(float(value), 0.0)
 
 
+def _integer(value) -> int:
+    """An integer; a float must be integral (3.0 is 3, 1.9 is an error)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _floats(value) -> list:
     return [float(v) for v in value]
 
@@ -135,7 +142,7 @@ def _emit(out_dir: str, name: str, fmt: str, workflow: str, header, rows,
 
 def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
-    n_max, = _read_block(cfg, "spectrum", n_max=(int, 3))
+    n_max, = _read_block(cfg, "spectrum", n_max=(_integer, 3))
     if n_max < 0:
         raise ConfigError("spectrum.n_max must be >= 0")
     rows = []
@@ -157,7 +164,7 @@ def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
     t_lo, t_hi, n_pts = _read_block(
         cfg, "regions", theta_min=(float, 0.02),
-        theta_max=(float, math.pi / 4.0 - 1e-3), n_points=(int, 64))
+        theta_max=(float, math.pi / 4.0 - 1e-3), n_points=(_integer, 64))
     if not (0.0 < t_lo < t_hi < math.pi / 4.0):
         raise ConfigError("regions grid must satisfy 0 < min < max < pi/4")
     if n_pts < 2:
@@ -195,7 +202,7 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
     k_min, k_max, n_bins, deltas = _read_block(
         cfg, "overlap", k_min=(float, 0.5), k_max=(float, 3.5),
-        n_bins=(int, 6), deltas=(_floats, (1e-2, 1e-3, 1e-4)))
+        n_bins=(_integer, 6), deltas=(_floats, (1e-2, 1e-3, 1e-4)))
     if k_min <= 0.0 or k_max <= k_min:
         raise ConfigError("overlap bins need 0 < k_min < k_max")
     if n_bins < 1:
@@ -238,8 +245,8 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
 
     params = _params_from(cfg)
     radius_rel, windings, n_steps = _read_block(
-        cfg, "berry", radius_rel=(float, 1e-5), windings=(int, 4),
-        n_steps=(int, 256))
+        cfg, "berry", radius_rel=(float, 1e-5), windings=(_integer, 4),
+        n_steps=(_integer, 256))
     lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
                                    params.beta)
     try:
@@ -285,7 +292,7 @@ def cmd_wavefunction(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
     k, x_max, n_points = _read_block(
         cfg, "wavefunction", k=(_complex, 1.0), x_max=(_optional_float, None),
-        n_points=(int, 2049))
+        n_points=(_integer, 2049))
     if n_points < 5:
         raise ConfigError("wavefunction.n_points must be >= 5")
     grid = default_grid(params.beta, x_max, n_points)

@@ -106,28 +106,73 @@ def reciprocal_gamma(z) -> complex:
     return 1.0 / complex_gamma(z)
 
 
-def _series_sum(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
-    """Power series sum_{n} (a)_n (b)_n / ((c)_n n!) x^n, vectorized in x.
+def _series_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """Power series sum_{n} (a)_n (b)_n / ((c)_n n!) x^n per row and point.
 
+    ``a``, ``b``, ``c`` are parameter vectors of length nk and ``x`` has
+    length m; the result is (nk, m).  Each (row, point) pair stops on its
+    own, after two consecutive terms at most _EPS times its partial sum, so
+    a value does not depend on which other rows or points share the call.
     Converges for |x| < 1; the caller guarantees |x| bounded away from 1.
     """
-    x = np.asarray(x, dtype=complex)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    quiet = 0
+    nk, m = len(a), len(x)
+    total = np.ones((nk, m), dtype=complex)
+    # active (row, point) pairs, flattened row-major; the partial sums
+    # start as a view of the result and are copied at the first drop
+    part = total.reshape(-1)
+    idx = np.arange(nk * m, dtype=np.int32)
+    row = idx // m
+    xs = np.broadcast_to(x, (nk, m)).reshape(-1)
+    term = np.ones(nk * m, dtype=complex)
+    was_quiet = np.zeros(nk * m, dtype=bool)
     for n in range(_SERIES_CAP):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * x
-        total = total + term
-        if np.all(np.abs(term) <= _EPS * np.abs(total)):
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
+        if not idx.size:
+            return total
+        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        # the right operand of a complex product is never a temporary:
+        # numpy may evaluate x * temp as temp * x for large arrays, and a
+        # complex product rounds differently with its operands swapped.
+        # ``term *= factor`` also broke the match with one-point calls;
+        # sums round the same in any form.
+        factor = ratio[row]
+        term = term * factor * xs
+        part += term
+        quiet = np.abs(term) <= _EPS * np.abs(part)
+        done = quiet & was_quiet
+        if done.any():
+            total.reshape(-1)[idx[done]] = part[done]
+            # one array at a time, so each old copy is freed before the next
+            keep = ~done
+            idx = idx[keep]
+            row = row[keep]
+            xs = xs[keep]
+            term = term[keep]
+            part = part[keep]
+            quiet = quiet[keep]
+        was_quiet = quiet
+    r = row[0]
     raise NonConvergence(
         "2F1 power series",
-        {"a": a, "b": b, "c": c, "max_abs_x": float(np.max(np.abs(x)))},
+        {"a": complex(a[r]), "b": complex(b[r]), "c": complex(c[r]),
+         "max_abs_x": float(np.max(np.abs(xs)))},
     )
+
+
+def _rows(p: np.ndarray, m: int) -> np.ndarray:
+    """p[i] repeated along row i of a contiguous (len(p), m) array."""
+    return np.repeat(p, m).reshape(len(p), m)
+
+
+def _outer(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """p[i] * v[j] as a (len(p), len(v)) array.
+
+    numpy rounds a broadcast complex product in another loop than a
+    same-shape one, and picks the loop from the shapes.  Both factors are
+    expanded first, so a value does not depend on how many rows or points
+    share the call.
+    """
+    return np.multiply(_rows(p, len(v)), np.tile(v, (len(p), 1)))
 
 
 def _terminating_sum(a: complex, b: complex, c: complex,
@@ -145,85 +190,62 @@ def _terminating_sum(a: complex, b: complex, c: complex,
     return total
 
 
-def _connection_sum(a: complex, b: complex, c: complex,
+def _connection_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                     v: np.ndarray, log_v: np.ndarray) -> np.ndarray:
     """2F1 via the u -> 1-u connection formula; v = 1-u, log_v = log(1-u).
 
-    log_v may lie on any analytic continuation of the logarithm; the branch
-    of v^(c-a-b) follows it.
+    Parameter vectors of length nk, result (nk, len(v)).  log_v may lie on
+    any analytic continuation of the logarithm; the branch of v^(c-a-b)
+    follows it.
     """
     cab = c - a - b
-    k = round(cab.real)
-    if abs(cab.imag) < _DEGENERATE_TOL and abs(cab.real - k) < _DEGENERATE_TOL:
+    near = np.round(cab.real)
+    degenerate = (np.abs(cab.imag) < _DEGENERATE_TOL) \
+        & (np.abs(cab.real - near) < _DEGENERATE_TOL)
+    out = np.zeros((len(a), len(v)), dtype=complex)
+    if degenerate.any():
         # Degenerate (integer c-a-b): the two terms develop cancelling gamma
         # poles.  Evaluate at c +/- i*shift and average; even in the shift,
         # so the error is O(shift^2).
         d = 1j * _DEGENERATE_SHIFT
-        up = _connection_sum(a, b, c + d, v, log_v)
-        dn = _connection_sum(a, b, c - d, v, log_v)
-        return 0.5 * (up + dn)
-    gc = complex_gamma(c)
-    coef1 = gc * complex_gamma(cab) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
-    coef2 = gc * complex_gamma(-cab) * reciprocal_gamma(a) * reciprocal_gamma(b)
-    out = np.zeros_like(np.asarray(v, dtype=complex))
-    if coef1 != 0.0:
-        out = out + coef1 * _series_sum(a, b, 1.0 - cab, v)
-    if coef2 != 0.0:
-        out = out + coef2 * np.exp(cab * log_v) * _series_sum(c - a, c - b, 1.0 + cab, v)
+        da, db, dc = a[degenerate], b[degenerate], c[degenerate]
+        up = _connection_sum(da, db, dc + d, v, log_v)
+        dn = _connection_sum(da, db, dc - d, v, log_v)
+        out[degenerate] = 0.5 * (up + dn)
+        regular = ~degenerate
+        if regular.any():
+            out[regular] = _connection_sum(a[regular], b[regular], c[regular],
+                                           v, log_v)
+        return out
+    coef1 = np.empty(len(a), dtype=complex)
+    coef2 = np.empty(len(a), dtype=complex)
+    for r in range(len(a)):
+        ar, br, cr, cabr = complex(a[r]), complex(b[r]), complex(c[r]), \
+            complex(cab[r])
+        gc = complex_gamma(cr)
+        coef1[r] = gc * complex_gamma(cabr) * reciprocal_gamma(cr - ar) \
+            * reciprocal_gamma(cr - br)
+        coef2[r] = gc * complex_gamma(-cabr) * reciprocal_gamma(ar) \
+            * reciprocal_gamma(br)
+    # right operands of complex products are named (see _series_sum)
+    live = coef1 != 0.0
+    if live.any():
+        series = _series_sum(a[live], b[live], 1.0 - cab[live], v)
+        out[live] = _rows(coef1[live], len(v)) * series
+    live = coef2 != 0.0
+    if live.any():
+        power = np.exp(_outer(cab[live], log_v))
+        series = _series_sum(c[live] - a[live], c[live] - b[live],
+                             1.0 + cab[live], v)
+        out[live] += _rows(coef2[live], len(v)) * power * series
     return out
 
 
-def hyp2f1_grid(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> np.ndarray:
-    """Gauss 2F1(a, b; c; u) vectorized over an array of arguments u.
-
-    Parameters
-    ----------
-    a, b, c : complex
-        Hypergeometric parameters (shared across the whole array).
-    u : array_like of complex
-        Arguments.
-    one_minus_u : array_like of complex, optional
-        Precomputed 1-u; pass it when u is exponentially close to 1 so the
-        subtraction does not lose digits.
-    log_one_minus_u : array_like of complex, optional
-        Analytically continued log(1-u) along the caller's path.  Defaults
-        to the principal branch.  All powers of (1-u) are taken on this
-        branch, which is what makes the result single-valued along spatial
-        grids whose u-image winds around u = 1.
-
-    Raises
-    ------
-    PoleError
-        c a non-positive integer not masked by earlier series termination.
-    NonConvergence
-        Iteration cap hit (pathological arguments only).
-    """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    if one_minus_u is None:
-        omu = 1.0 - u
-    else:
-        omu = np.atleast_1d(np.asarray(one_minus_u, dtype=complex))
-    if log_one_minus_u is None:
-        log_omu = np.log(omu)
-    else:
-        log_omu = np.atleast_1d(np.asarray(log_one_minus_u, dtype=complex))
-
-    na = _nonpositive_int(a)
-    nb = _nonpositive_int(b)
-    nc = _nonpositive_int(c)
-    if na is not None or nb is not None:
-        # terminating polynomial: exact, branch-free
-        degs = [-n for n in (na, nb) if n is not None]
-        degree = min(degs)
-        if nc is not None and -nc < degree:
-            raise PoleError(nc, c)
-        return _terminating_sum(a, b, c, u, degree)
-    if nc is not None:
-        raise PoleError(nc, c)
-
+def _general_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  u: np.ndarray, omu: np.ndarray, log_omu: np.ndarray,
+                  out: np.ndarray, rows: np.ndarray) -> None:
+    """Fill out[rows] with non-terminating 2F1 rows (parameters a, b, c),
+    each point on its smallest-modulus route."""
     w = np.where(omu != 0.0, -u / omu, np.inf)
 
     r_u = np.abs(u)
@@ -235,24 +257,99 @@ def hyp2f1_grid(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> np.nda
     moduli = np.stack([r_u, r_v, r_w, r_t], axis=0)
     route = np.argmin(moduli, axis=0)
 
-    out = np.empty_like(u)
     m0 = route == 0
     if np.any(m0):
-        out[m0] = _series_sum(a, b, c, u[m0])
+        out[np.ix_(rows, m0)] = _series_sum(a, b, c, u[m0])
     m1 = route == 1
     if np.any(m1):
-        out[m1] = _connection_sum(a, b, c, omu[m1], log_omu[m1])
+        out[np.ix_(rows, m1)] = _connection_sum(a, b, c, omu[m1],
+                                                log_omu[m1])
     m2 = route == 2
     if np.any(m2):
-        pf = np.exp(-a * log_omu[m2])
-        out[m2] = pf * _series_sum(a, c - b, c, w[m2])
+        pf = np.exp(-_outer(a, log_omu[m2]))
+        series = _series_sum(a, c - b, c, w[m2])
+        out[np.ix_(rows, m2)] = pf * series
     m3 = route == 3
     if np.any(m3):
         # 2F1(a, c-b; c; w) continued near w = 1; note 1-w = 1/(1-u)
-        pf = np.exp(-a * log_omu[m3])
+        pf = np.exp(-_outer(a, log_omu[m3]))
         one_minus_w = 1.0 / omu[m3]
-        out[m3] = pf * _connection_sum(a, c - b, c, one_minus_w, -log_omu[m3])
-    return out
+        series = _connection_sum(a, c - b, c, one_minus_w, -log_omu[m3])
+        out[np.ix_(rows, m3)] = pf * series
+
+
+def hyp2f1_grid(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> np.ndarray:
+    """Gauss 2F1(a, b; c; u) over an array of arguments u, for one or many
+    parameter sets.
+
+    Parameters
+    ----------
+    a, b, c : complex or 1-D array_like of complex
+        Hypergeometric parameters.  Scalars give one 2F1 over the whole
+        array u; vectors of a common length nk give nk of them, row i with
+        parameters (a[i], b[i], c[i]).
+    u : array_like of complex
+        Arguments.  The route of each point (direct series, u -> 1-u
+        connection, Pfaff, Pfaff plus connection) depends on u alone and is
+        chosen once for all rows.
+    one_minus_u : array_like of complex, optional
+        Precomputed 1-u; pass it when u is exponentially close to 1 so the
+        subtraction does not lose digits.
+    log_one_minus_u : array_like of complex, optional
+        Analytically continued log(1-u) along the caller's path.  Defaults
+        to the principal branch.  All powers of (1-u) are taken on this
+        branch, which is what makes the result single-valued along spatial
+        grids whose u-image winds around u = 1.
+
+    Returns
+    -------
+    ndarray
+        Shape (len(u),) for scalar parameters, (nk, len(u)) for vectors.
+        Every series stops per row and point (see ``_series_sum``), so an
+        entry is the same whatever other rows or points share the call.
+
+    Raises
+    ------
+    PoleError
+        c a non-positive integer, in any row, not masked by earlier series
+        termination of that row.
+    NonConvergence
+        Iteration cap hit (pathological arguments only).
+    """
+    scalar = all(np.ndim(p) == 0 for p in (a, b, c))
+    a, b, c = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(p, dtype=complex)) for p in (a, b, c)))
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    if one_minus_u is None:
+        omu = 1.0 - u
+    else:
+        omu = np.atleast_1d(np.asarray(one_minus_u, dtype=complex))
+    if log_one_minus_u is None:
+        log_omu = np.log(omu)
+    else:
+        log_omu = np.atleast_1d(np.asarray(log_one_minus_u, dtype=complex))
+
+    out = np.empty((len(a), len(u)), dtype=complex)
+    general = np.ones(len(a), dtype=bool)
+    for r in range(len(a)):
+        ar, br, cr = complex(a[r]), complex(b[r]), complex(c[r])
+        na = _nonpositive_int(ar)
+        nb = _nonpositive_int(br)
+        nc = _nonpositive_int(cr)
+        if na is None and nb is None:
+            if nc is not None:
+                raise PoleError(nc, cr)
+            continue
+        # terminating polynomial: exact, branch-free
+        degree = min(-n for n in (na, nb) if n is not None)
+        if nc is not None and -nc < degree:
+            raise PoleError(nc, cr)
+        out[r] = _terminating_sum(ar, br, cr, u, degree)
+        general[r] = False
+    if general.any():
+        _general_rows(a[general], b[general], c[general], u, omu, log_omu,
+                      out, general)
+    return out[0] if scalar else out
 
 
 def hyp2f1(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> complex:

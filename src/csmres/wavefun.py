@@ -100,19 +100,24 @@ def _split_by_sign(z: np.ndarray):
     return u, omu, log_u, log_omu
 
 
-def raw_psi(k: complex, s: complex, beta: float, theta: float,
+def raw_psi(k, s: complex, beta: float, theta: float,
             x: np.ndarray) -> np.ndarray:
     """Scaled solution on a real-x grid, continuous analytic branch.
 
-    ``theta`` may be negative (used for biorthogonal partners); the formula
-    is the same with x' = x e^{i theta}.
+    ``k`` is one wavenumber (result of shape (len(x),)) or a 1-D array of
+    them (result (len(k), len(x)), row i at k[i]).  The coordinate map,
+    its continued logarithms and the 2F1 routes depend on x alone and are
+    computed once per call; all rows go through one batched
+    ``hyp2f1_grid`` call.  ``theta`` may be negative (used for
+    biorthogonal partners); the formula is the same with x' = x e^{i theta}.
     """
     x = np.asarray(x, dtype=float)
+    k = np.asarray(k, dtype=complex)
     z = beta * x * cmath.exp(1j * theta)
     u, omu, log_u, log_omu = _split_by_sign(z)
     p = -1j * k / (2.0 * beta)
     # (1 - xi^2)^p = exp(p (ln 4 + log u + log(1-u))), continued branch
-    pref = np.exp(p * (LN4 + log_u + log_omu))
+    pref = np.exp(np.multiply.outer(p, LN4 + log_u + log_omu))
     kb = 1j * k / beta
     a = -kb - s
     b = -kb + s + 1.0
@@ -156,6 +161,11 @@ def _gamma_coeffs(k: complex, s: complex, beta: float) -> tuple:
     return refl, trans
 
 
+def _amplitude(k: complex, beta: float) -> complex:
+    """4^{-ik/2beta}, the common amplitude of the asymptotic plane waves."""
+    return cmath.exp(-1j * k * LN4 / (2.0 * beta))
+
+
 def asymptotic_coefficients(params: ModelParams, k: complex) -> AsymptoticCoefficients:
     """Gamma-ratio coefficients of the asymptotic plane waves."""
     refl, trans = _gamma_coeffs(complex(k), derived_quantities(params).s,
@@ -169,7 +179,7 @@ def asymptotic_values(params: ModelParams, k: complex,
     x = np.asarray(x, dtype=float)
     coeffs = asymptotic_coefficients(params, k)
     phase = cmath.exp(1j * params.theta)
-    amp = cmath.exp(-1j * k / (2.0 * params.beta) * LN4)
+    amp = _amplitude(k, params.beta)
     out = np.empty(x.shape, dtype=complex)
     pos = x >= 0.0
     out[pos] = amp * np.exp(1j * k * phase * x[pos])

@@ -158,12 +158,14 @@ class TestBinnedState:
 
 
 class TestHermitianIdentity:
-    def setup_method(self):
-        self.p = ModelParams(lam=1.0, theta=0.3)
-        self.x = spatial_grid(1.0)
-        self.grid = build_bins(self.p, real_axis(0.5, 3.5), n_bins=6)
-        self.bins = [binned_state(self.p, self.grid, j, self.x)
-                     for j in range(6)]
+    @pytest.fixture(autouse=True, scope="class")
+    def six_bins(self, request):
+        # built once: the tests only read them
+        cls = request.cls
+        cls.p = ModelParams(lam=1.0, theta=0.3)
+        cls.x = spatial_grid(1.0)
+        cls.grid = build_bins(cls.p, real_axis(0.5, 3.5), n_bins=6)
+        cls.bins = [binned_state(cls.p, cls.grid, j, cls.x) for j in range(6)]
 
     def test_overlap_is_identity(self):
         s = overlap_matrix(self.bins, self.bins, self.x).matrix

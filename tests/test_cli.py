@@ -54,6 +54,13 @@ class TestExitCodes:
         ("berry", {"berry": {"windings": "x"}}),
         ("wavefunction", {"wavefunction": {"k": "x"}}),
         ("spectrum", {"units": [1.0]}),
+        # integer keys reject fractional values instead of truncating them
+        ("spectrum", {"spectrum": {"n_max": 1.9}}),
+        ("regions", {"regions": {"n_points": 64.5}}),
+        ("overlap", {"overlap": {"n_bins": 1.5}}),
+        ("berry", {"berry": {"windings": 4.5}}),
+        ("berry", {"berry": {"n_steps": 256.5}}),
+        ("wavefunction", {"wavefunction": {"n_points": 2049.5}}),
     ])
     def test_malformed_block_is_2(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
@@ -61,6 +68,13 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_integral_float_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"spectrum": {"n_max": 2.0}})
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "spectrum"]) == 0
+        lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in lines[2:]] == ["0", "1", "2"]
 
 
 class TestDeterminism:

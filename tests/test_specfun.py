@@ -166,12 +166,52 @@ class TestHyp2f1:
         del ref
 
     def test_grid_matches_scalar(self):
+        # every series stops per point, so a grid entry is bitwise the
+        # one-point value
         rng = np.random.default_rng(31)
         a, b, c = 1.3 - 0.8j, -0.4 + 1.6j, 1.1 + 0.3j
-        us = np.array([_contract_domain_u(rng) for _ in range(40)])
+        us = np.array([_contract_domain_u(rng) for _ in range(400)])
         grid = hyp2f1_grid(a, b, c, us)
         for i, u in enumerate(us):
-            assert abs(grid[i] - hyp2f1(a, b, c, u)) < 1e-12 * max(1.0, abs(grid[i]))
+            assert grid[i] == hyp2f1(a, b, c, u)
+
+    def test_grid_values_do_not_depend_on_neighbours(self):
+        rng = np.random.default_rng(32)
+        a, b, c = 0.4 + 2.1j, 1.6 - 0.5j, 0.7 + 1.9j
+        us = np.array([_contract_domain_u(rng) for _ in range(400)])
+        whole = hyp2f1_grid(a, b, c, us)
+        perm = rng.permutation(len(us))
+        assert np.array_equal(hyp2f1_grid(a, b, c, us[perm]), whole[perm])
+        parts = [hyp2f1_grid(a, b, c, chunk)
+                 for chunk in np.array_split(us, [7, 150, 151])]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_parameter_rows_match_single_calls(self):
+        # one batched call over parameter rows: generic, terminating
+        # (a = -2), terminating before a c pole, degenerate c-a-b = 1, and
+        # rows only on the connection or Pfaff routes near u = 1
+        rng = np.random.default_rng(33)
+        us = np.array([_contract_domain_u(rng) for _ in range(200)]
+                      + [0.999 + 0.001j, 1.0 + 1e-7j, 3.0 - 2.0j])
+        a0, b0 = 0.7 - 0.9j, 1.1 + 0.9j
+        rows = [(1.3 - 0.8j, -0.4 + 1.6j, 1.1 + 0.3j),
+                (-2.0, 0.6 + 1.2j, 1.4 - 0.3j),
+                (-1.0, 1.5, -2.0),
+                (a0, b0, a0 + b0 + 1.0),
+                (-0.3 - 1.7j, 2.2 + 0.4j, 1.0 - 1.7j)]
+        a, b, c = (np.array(col) for col in zip(*rows))
+        batch = hyp2f1_grid(a, b, c, us)
+        assert batch.shape == (len(rows), len(us))
+        for i, (ai, bi, ci) in enumerate(rows):
+            assert np.array_equal(batch[i], hyp2f1_grid(ai, bi, ci, us)), i
+
+    def test_pole_row_raises_in_a_batch(self):
+        us = np.array([0.3 + 0.1j, 0.8 - 0.2j])
+        with pytest.raises(PoleError):
+            hyp2f1_grid(0.5, 1.5, -2.0, us)
+        with pytest.raises(PoleError):
+            hyp2f1_grid(np.array([0.5, 0.5]), np.array([1.5, 1.5]),
+                        np.array([1.2 + 0.3j, -2.0]), us)
 
     def test_c_pole_raises_unless_terminating(self):
         with pytest.raises(PoleError):

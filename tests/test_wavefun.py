@@ -14,6 +14,7 @@ from csmres.model import (
     lambda_window,
     resonance_energy,
 )
+from csmres.binbasis import build_bins, ep_ray, spatial_grid
 from csmres.specfun import complex_gamma
 from csmres.wavefun import (
     RegionLabel,
@@ -123,6 +124,65 @@ class TestEvalWavefunction:
         slope = np.polyfit(x[sel], np.log(np.abs(f.values[sel])), 1)[0]
         assert slope < 0.0  # grows toward -inf
         assert classify_region(p) is RegionLabel.DivergentB
+
+
+def psi_oracle(x: float, k: complex, s: complex, theta: float) -> complex:
+    """Scaled solution (beta = 1) by mpmath on principal branches.
+
+    50 digits keep 1 - u exact to double precision out to |x| = 40.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        k = mp.mpc(k.real, k.imag)
+        s = mp.mpc(s.real, s.imag)
+        z = mp.mpf(x) * mp.expj(mp.mpf(theta))
+        u = 1 / (1 + mp.exp(2 * z))
+        pref = mp.exp(-0.5j * k * (mp.log(4) + mp.log(u) + mp.log(1 - u)))
+        kb = 1j * k
+        return complex(pref * mp.hyp2f1(-kb - s, -kb + s + 1, -kb + 1, u))
+
+
+def _k_rows(case):
+    """(k-nodes, s, theta) of a batched raw_psi call as binned_state makes
+    them: real-axis nodes unrotated, EP-ray nodes at +theta and their
+    analytic-conjugate partners at -theta."""
+    if case == "real":
+        p = ModelParams(lam=1.0, theta=0.3)
+        return np.linspace(0.5, 3.5, 7).astype(complex), \
+            derived_quantities(p).s, 0.0
+    th = math.pi / 6
+    lam = branch_point_coupling(th) + 1e-3
+    p = ModelParams(lam=lam, theta=th)
+    nodes = build_bins(p, ep_ray(lam, (-2.0, -1.0, 0.0, 1.0, 2.0))).nodes
+    if case == "ep+":
+        return nodes, derived_quantities(p).s, th
+    return np.conj(nodes), derived_quantities(p.with_lam(np.conj(lam))).s, -th
+
+
+@pytest.mark.parametrize("case", ["real", "ep+", "ep-"])
+class TestBatchedRawPsi:
+    x = spatial_grid(1.0)
+
+    def test_rows_match_single_k_calls(self, case):
+        ks, s, theta = _k_rows(case)
+        rows = raw_psi(ks, s, 1.0, theta, self.x)
+        assert rows.shape == (len(ks), len(self.x))
+        for k, row in zip(ks, rows):
+            one = raw_psi(k, s, 1.0, theta, self.x)
+            assert np.all(np.abs(row - one) <= 4e-15 * np.abs(one))
+
+    def test_rows_match_mpmath(self, case):
+        # principal branches agree with the continued ones while
+        # |x| sin(theta) < pi/2, where tanh(x e^{i theta}) has no pole
+        ks, s, theta = _k_rows(case)
+        rows = raw_psi(ks, s, 1.0, theta, self.x)
+        inside = np.flatnonzero(
+            np.abs(self.x) * math.sin(abs(theta)) < 0.9 * math.pi / 2.0)
+        picks = inside[np.linspace(0, len(inside) - 1, 9).astype(int)]
+        worst = max(abs(row[i] - psi_oracle(self.x[i], k, s, theta))
+                    / abs(row[i]) for k, row in zip(ks, rows) for i in picks)
+        assert -math.log10(worst) >= 12.0
 
 
 class TestSiegert:
