@@ -23,6 +23,8 @@ approached.
 from __future__ import annotations
 
 import cmath
+import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -38,8 +40,11 @@ from .wavefun import _amplitude, _gamma_coeffs, raw_psi
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-_GL_ORDERS = (8, 16, 32, 64, 96)
-# bin quadrature stops when two successive orders agree to this
+_log = logging.getLogger(__name__)
+
+# Gauss orders n of the embedded Gauss-Kronrod pairs G_n / K_{2n+1}
+_GK_ORDERS = (8, 16, 32, 64)
+# bin quadrature stops when a pair's two integrals agree to this
 _GL_TOL = 1e-9
 _RING_POINTS = 16
 _TAIL_ORDERS = 5
@@ -170,11 +175,16 @@ def tail_integral(power: int, rate: complex, x_cut: float) -> complex:
 
 
 def _tail_product_sum(left_terms, right_terms, x_cut: float) -> complex:
+    # tail pairs repeat their (power, rate) sums: integrate each sum once
+    integrals = {}
     total = 0.0 + 0.0j
     for tl in left_terms:
         for tr in right_terms:
-            total += tl.coef * tr.coef * tail_integral(
-                tl.power + tr.power, tl.rate + tr.rate, x_cut)
+            key = (tl.power + tr.power, tl.rate + tr.rate)
+            val = integrals.get(key)
+            if val is None:
+                val = integrals[key] = tail_integral(*key, x_cut)
+            total += tl.coef * tr.coef * val
     return total
 
 
@@ -269,30 +279,113 @@ def spatial_grid(beta: float = 1.0, x_max: float | None = None,
     return np.linspace(-x_max, x_max, n_points)
 
 
-def _gl_integral(fun, ka: complex, kb: complex, factors=()):
-    """Adaptive Gauss-Legendre over the straight segment [ka, kb].
+@functools.cache
+def _kronrod_rule(n: int):
+    """Gauss-Kronrod pair G_n / K_{2n+1} on [-1, 1], n even.
+
+    Returns (t, rows): the 2n+1 Kronrod nodes in ascending order, and a
+    (2, 2n+1) array whose first row holds the Kronrod weights and whose
+    second the Gauss weights, zero at the n+1 Kronrod-only nodes.  K is
+    exact to degree 3n+1, G to 2n-1.  The Jacobi-Kronrod matrix comes from
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133, as in Gautschi's
+    r_kronrod) applied to the Legendre recurrence; its eigenvalues are the
+    nodes and the squared first eigenvector components, times 2, the
+    weights.  The odd-indexed nodes are the Gauss nodes, which are taken
+    from ``leggauss`` together with their weights.  The arrays are shared
+    by every caller and read-only.
+    """
+    size = 2 * n + 1
+    a = np.zeros(size)
+    b = np.zeros(size)
+    j = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0] = 2.0
+    b[j] = j * j / (4.0 * j * j - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    # Laurie's recurrences for the lower half of the Jacobi-Kronrod matrix,
+    # with r_kronrod's names: s and t are the two latest rows of mixed
+    # moments, a and b the recurrence coefficients filled in as they go
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        ll = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[ll]) * t[k + 1]
+                             + b[k + n + 1] * s[k] - b[ll] * s[k + 1])
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        ll = m - k
+        jj = n - 1 - ll
+        s[jj + 1] = np.cumsum(-(a[k + n + 1] - a[ll]) * t[jj + 1]
+                              - b[k + n + 1] * s[jj + 1] + b[ll] * s[jj + 2])
+        last = jj[-1]
+        kk = (m + 1) // 2
+        if m % 2 == 0:
+            a[kk + n + 1] = a[kk] + (s[last + 1] - b[kk + n + 1]
+                                     * s[last + 2]) / t[last + 2]
+        else:
+            b[kk + n + 1] = s[last + 1] / s[last + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    nodes, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+    weights = b[0] * vecs[0] ** 2
+    # the rule is symmetric: remove the eigensolver's roundoff asymmetry
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    rows = np.zeros((2, size))
+    rows[0] = weights
+    nodes[1::2], rows[1, 1::2] = leggauss(n)
+    nodes.setflags(write=False)
+    rows.setflags(write=False)
+    return nodes, rows
+
+
+def _gk_integral(fun, ka: complex, kb: complex, x_max: float, factors=()):
+    """Adaptive embedded Gauss-Kronrod over the straight segment [ka, kb].
 
     ``fun`` maps an array of k values to an array (len(k), nx) of samples.
     The result (1 + len(factors), nx) holds the integral of fun and, from
     the same samples, the integral of g(k) fun(k) for each g in
-    ``factors``; the order escalates until two successive orders agree on
-    all of them.
+    ``factors``.  Each level evaluates ``fun`` once, on the 2n+1 nodes of
+    K_{2n+1}, and forms both K and the embedded G_n from those samples; it
+    returns K once max|K - G| <= _GL_TOL max(1, max|K|) over all rows, and
+    otherwise moves to the next n in _GK_ORDERS.  The ladder starts at the
+    smallest n >= |kb - ka| x_max / 2, half the radians e^{ikx} turns across
+    the bin on a grid reaching |x| = x_max; a low start costs one level and
+    no accuracy.  One debug record per call gives the level reached, the
+    k-nodes evaluated and the last max|K - G| / scale.
+
+    Raises
+    ------
+    QuadratureError
+        If K_{129} and G_{64} still disagree.
     """
     mid = 0.5 * (ka + kb)
     half = 0.5 * (kb - ka)
-    prev = None
-    for order in _GL_ORDERS:
-        t, w = leggauss(order)
+    turns = 0.5 * abs(kb - ka) * x_max
+    orders = [n for n in _GK_ORDERS if n >= turns] or [_GK_ORDERS[-1]]
+    nodes = 0
+    for n in orders:
+        t, pair = _kronrod_rule(n)
         ks = mid + half * t.astype(complex)
-        rows = np.array([w] + [w * g(ks) for g in factors])
+        rows = np.concatenate([pair] + [pair * g(ks) for g in factors])
         integ = half * (rows @ fun(ks))
-        if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(integ))))
-            if float(np.max(np.abs(integ - prev))) <= _GL_TOL * scale:
-                return integ
-        prev = integ
-    raise QuadratureError(
-        f"bin quadrature did not settle at order {_GL_ORDERS[-1]}")
+        nodes += len(t)
+        kron, gauss = integ[0::2], integ[1::2]
+        scale = max(1.0, float(np.max(np.abs(kron))))
+        diff = float(np.max(np.abs(kron - gauss)))
+        settled = diff <= _GL_TOL * scale
+        if settled:
+            break
+    _log.debug("bin integral: K%d/G%d, %d k-nodes, |K-G|/scale %.3g%s",
+               len(t), n, nodes, diff / scale, "" if settled else ", failed")
+    if not settled:
+        raise QuadratureError(
+            f"bin quadrature did not settle at K{len(t)}/G{n}")
+    return kron
 
 
 def bin_energy(params: ModelParams, ka: complex, kb: complex) -> complex:
@@ -370,12 +463,17 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     unit-outgoing-amplitude solutions, bounded everywhere, at the price of
     a smooth non-unit delta weight.
 
-    The bin integral is adaptive Gauss-Legendre in k.  Each order's
-    k-nodes are evaluated by ``raw_psi`` in blocks of up to _K_BLOCK rows
-    (one batched 2F1 call per block), and the state and H applied to it
-    (weight eps(k)) are both integrated from the same phi samples.  The
-    tail coefficients of all asymptotic components, plain and
-    eps-weighted, come from one gamma-ratio evaluation per ring point.
+    The bin integral is adaptive embedded Gauss-Kronrod in k (see
+    ``_gk_integral``), started from the phase e^{ikx} turns across the bin
+    on this grid: the default 6-bin real-axis partition starts, and
+    settles, at K33, an EP-ray bin near the branch point at K17.  Each
+    level's k-nodes are evaluated by ``raw_psi`` in blocks of up to
+    _K_BLOCK rows (one batched 2F1 call per block), and the state and H
+    applied to it (weight eps(k)) are both integrated from the same phi
+    samples.  On every returned row the Kronrod and Gauss integrals agree
+    to _GL_TOL relative to max(1, max|K|).  The tail coefficients of
+    all asymptotic components, plain and eps-weighted, come from one
+    gamma-ratio evaluation per ring point.
     """
     if normalization not in ("delta", "channel"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -389,9 +487,10 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     theta_eff = 0.0 if grid.hermitian else params.theta
     cont = _Continuum(params, grid.lam, theta_eff, channel=channel)
     eps = lambda k: (params.hbar * k) ** 2 / (2.0 * params.m)
+    x_max = float(np.max(np.abs(x)))
 
-    values, h_values = inv_sqrt_dk * _gl_integral(
-        lambda ks: cont.phi_values(ks, x), ka, kb, factors=(eps,))
+    values, h_values = inv_sqrt_dk * _gk_integral(
+        lambda ks: cont.phi_values(ks, x), ka, kb, x_max, factors=(eps,))
 
     def with_h(k):
         c = cont.coefficients(k)
@@ -420,7 +519,7 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         def bar_coefficients(k):
             return tuple(np.conj(c) for c in bar.coefficients(np.conj(k)))
 
-        left_values = inv_sqrt_dk * _gl_integral(bar_phi, ka, kb)[0]
+        left_values = inv_sqrt_dk * _gk_integral(bar_phi, ka, kb, x_max)[0]
         left_tp, lrefl, ltrans = _ibp_tail_terms(
             bar_coefficients, tuple(np.conj(bar.zetas)), ka, kb, inv_sqrt_dk)
         left_tm = lrefl + ltrans

@@ -1,15 +1,22 @@
 """Tests for momentum-bin states, overlap machinery, and EP diagnostics."""
 
 import cmath
+import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.integrate import simpson
 
+from csmres import binbasis
 from csmres.binbasis import (
+    _GK_ORDERS,
     BinGrid,
+    TailTerm,
+    _gk_integral,
+    _kronrod_rule,
     bin_energy,
     binned_state,
     build_bins,
@@ -25,8 +32,10 @@ from csmres.binbasis import (
     tail_integral,
     unit_diagonal_state,
 )
-from csmres.errors import EmptyRange
-from csmres.model import ModelParams, branch_point_coupling
+from csmres.errors import EmptyRange, QuadratureError
+from csmres.model import ModelParams, branch_point_coupling, \
+    derived_quantities
+from csmres.wavefun import _gamma_coeffs, raw_psi
 
 LN2 = math.log(2.0)
 
@@ -92,6 +101,186 @@ class TestTailIntegral:
 
     def test_zero_rate_algebraic(self):
         assert abs(tail_integral(3, 0.0, 10.0) - 0.5e-2) < 1e-15
+
+    def test_product_sum_integrates_each_sum_once(self, monkeypatch):
+        # bin tails repeat (power, rate) sums: the product sum must equal
+        # the plain pairwise loop bit for bit with one integral per sum
+        rng = np.random.default_rng(5)
+        rates = (-0.3 + 0.7j, -0.1 - 1.2j, 0.2 + 1.0j)
+
+        def terms(count):
+            return [TailTerm(coef=complex(*rng.standard_normal(2)),
+                             power=int(rng.integers(0, 4)),
+                             rate=rates[int(rng.integers(0, 3))])
+                    for _ in range(count)]
+
+        left, right = terms(12), terms(10)
+        plain = 0.0 + 0.0j
+        for tl in left:
+            for tr in right:
+                plain += tl.coef * tr.coef * tail_integral(
+                    tl.power + tr.power, tl.rate + tr.rate, 40.0)
+        calls = []
+        monkeypatch.setattr(binbasis, "tail_integral",
+                            lambda *a: calls.append(a) or tail_integral(*a))
+        assert binbasis._tail_product_sum(left, right, 40.0) == plain
+        assert len(calls) == len(set(calls)) == len(
+            {(tl.power + tr.power, tl.rate + tr.rate)
+             for tl in left for tr in right})
+
+
+def _legendre_coeffs(n):
+    """Exact ascending monomial coefficients of P_n."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    if n == 0:
+        return prev
+    for j in range(1, n):
+        nxt = [(2 * j + 1) * c for c in [Fraction(0)] + cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= j * c
+        prev, cur = cur, [c / (j + 1) for c in nxt]
+    return cur
+
+
+def _stieltjes_coeffs(n):
+    """Exact ascending monomial coefficients of the monic Stieltjes
+    polynomial E_{n+1}: orthogonal to every x^j, j <= n, under the weight
+    P_n on [-1, 1]."""
+    pn = _legendre_coeffs(n)
+    mom = [sum(c * Fraction(2, i + m + 1) for i, c in enumerate(pn)
+               if (i + m) % 2 == 0) for m in range(2 * n + 2)]
+    size = n + 1
+    aug = [[mom[i + j] for i in range(size)] + [-mom[size + j]]
+           for j in range(size)]
+    for col in range(size):
+        piv = next(r for r in range(col, size) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][size] / aug[i][i] for i in range(size)] + [Fraction(1)]
+
+
+def _kronrod_oracle(n):
+    """K_{2n+1} by mpmath at 60 digits: the roots of P_n and E_{n+1}, and
+    the weights that integrate P_0 ... P_{2n} exactly."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        x = []
+        for coeffs in (_legendre_coeffs(n), _stieltjes_coeffs(n)):
+            desc = [mp.mpf(c.numerator) / c.denominator
+                    for c in reversed(coeffs)]
+            x += [mp.re(r) for r in mp.polyroots(desc, maxsteps=200,
+                                                  extraprec=300)]
+        x.sort()
+        vand = mp.matrix([[mp.legendre(j, xi) for xi in x]
+                          for j in range(2 * n + 1)])
+        w = mp.lu_solve(vand, mp.matrix([2] + [0] * (2 * n)))
+        return np.array([float(v) for v in x]), np.array([float(v) for v in w])
+
+
+class TestKronrodRule:
+    @pytest.mark.parametrize("n", (8, 16))
+    def test_matches_stieltjes_construction(self, n):
+        t, rows = _kronrod_rule(n)
+        xo, wo = _kronrod_oracle(n)
+        assert np.max(np.abs(t - xo)) < 1e-14
+        assert np.max(np.abs(rows[0] - wo)) < 1e-14
+
+    @pytest.mark.parametrize("n", _GK_ORDERS)
+    def test_level_is_exact_positive_and_embeds_gauss(self, n):
+        t, rows = _kronrod_rule(n)
+        assert t.shape == (2 * n + 1,) and rows.shape == (2, 2 * n + 1)
+        assert np.all(np.diff(t) > 0.0) and -1.0 < t[0] and t[-1] < 1.0
+        assert np.all(rows[0] > 0.0)
+        # K_{2n+1} integrates P_0 ... P_{3n+1} exactly
+        moments = rows[0] @ legvander(t, 3 * n + 1)
+        moments[0] -= 2.0
+        assert np.max(np.abs(moments)) < 1e-14
+        tg, wg = leggauss(n)
+        assert np.max(np.abs(t[1::2] - tg)) <= 1e-15
+        assert np.max(np.abs(rows[1, 1::2] - wg)) <= 1e-15
+        assert np.all(rows[1, 0::2] == 0.0)
+
+    def test_unsettled_integrand_raises_within_the_ladder(self, caplog):
+        ladder = sum(2 * n + 1 for n in _GK_ORDERS)
+        seen = []
+
+        def fun(ks):
+            seen.append(len(ks))
+            return np.exp(2000j * ks)[:, None]
+
+        with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"), \
+                pytest.raises(QuadratureError):
+            _gk_integral(fun, 0.0, 1.0, 1.0)
+        assert seen == [2 * n + 1 for n in _GK_ORDERS]
+        assert sum(seen) == ladder
+        (msg,) = [r.getMessage() for r in caplog.records]
+        assert msg.startswith(f"bin integral: K129/G64, {ladder} k-nodes")
+        assert msg.endswith(", failed")
+
+
+class TestBinQuadrature:
+    """binned_state against a plain leggauss(96) integral of raw_psi."""
+
+    x = np.linspace(-40.0, 40.0, 801)
+
+    @staticmethod
+    def gl96(fun, ka, kb):
+        t, w = leggauss(96)
+        half = 0.5 * (kb - ka)
+        ks = 0.5 * (ka + kb) + half * t.astype(complex)
+        return half * (w @ fun(ks)) / np.sqrt(np.complex128(kb - ka))
+
+    @staticmethod
+    def digits(got, ref):
+        return -math.log10(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+    def test_hermitian_delta_bin(self, caplog):
+        p = ModelParams(lam=1.0, theta=0.3)
+        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        s = derived_quantities(p).s
+        with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
+            st = binned_state(p, grid, 2, self.x)
+
+        def phi(ks):
+            trans = np.array([_gamma_coeffs(k, s, 1.0)[1] for k in ks])
+            return raw_psi(ks, s, 1.0, 0.0, self.x) \
+                / (math.sqrt(2.0 * math.pi) * trans[:, None])
+
+        ref = self.gl96(phi, 1.5, 2.0)
+        ref_h = self.gl96(lambda ks: 0.5 * ks[:, None] ** 2 * phi(ks),
+                          1.5, 2.0)
+        assert self.digits(st.values, ref) >= 12.0
+        assert self.digits(st.h_values, ref_h) >= 12.0
+        # the phase span 0.5 * 40 / 2 = 10 radians starts and settles at K33
+        (msg,) = [r.getMessage() for r in caplog.records]
+        assert msg.startswith("bin integral: K33/G16, 33 k-nodes")
+
+    def test_ep_ray_channel_bin(self, caplog):
+        th = math.pi / 6
+        lam = branch_point_coupling(th) + 1e-2
+        p = ModelParams(lam=lam, theta=th)
+        grid = build_bins(p, ep_ray(lam))
+        ka, kb = complex(grid.nodes[0]), complex(grid.nodes[1])
+        with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
+            st = binned_state(p, grid, 0, self.x, normalization="channel")
+        s = derived_quantities(p).s
+        s_bar = derived_quantities(p.with_lam(np.conj(lam))).s
+        jac = cmath.exp(0.5j * th) / math.sqrt(2.0 * math.pi)
+        ref = self.gl96(
+            lambda ks: jac * raw_psi(ks, s, 1.0, th, self.x), ka, kb)
+        ref_left = self.gl96(
+            lambda ks: jac * np.conj(raw_psi(np.conj(ks), s_bar, 1.0, -th,
+                                             self.x)), ka, kb)
+        assert self.digits(st.values, ref) >= 12.0
+        assert self.digits(st.left_values, ref_left) >= 12.0
+        msgs = [r.getMessage() for r in caplog.records]
+        assert len(msgs) == 2
+        assert all(m.startswith("bin integral: K17/G8, 17 k-nodes")
+                   for m in msgs)
 
 
 class TestBinEnergy:

@@ -3,9 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import csmres
 from csmres.cli import main
 
 
@@ -75,6 +79,20 @@ class TestExitCodes:
                      "spectrum"]) == 0
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in lines[2:]] == ["0", "1", "2"]
+
+
+class TestModuleEntryPoint:
+    def test_python_m_csmres_help(self):
+        # run the package that is imported here, installed or not
+        src = str(Path(csmres.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "csmres", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: csmres")
 
 
 class TestDeterminism:
