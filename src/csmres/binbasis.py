@@ -8,7 +8,17 @@ which turns them into square-integrable states falling off like 1/x.  Two
 contour families are supported: a real-axis partition (the unrotated
 Hermitian construction, left states by complex conjugation) and an
 EP-adapted ray of nodes k_n = k_bp + alpha'_n sqrt(lam - lam_bp) (scaled
-construction, left states by the analytic-conjugate biorthogonal rule).
+construction, left states by the analytic-conjugate biorthogonal rule,
+which is the solution at -k).
+
+The bin integrals sample only the Jost pair psi(k, y), psi(-k, y) on the
+half grid y = |x|: the barrier is even, so
+
+    psi(k, -y) = R(k) psi(k, y) + T(k) 4^{-ik/beta} psi(-k, y)
+
+with (R, T) the gamma-ratio coefficients of the asymptotic plane waves,
+and every right state, H applied to it and left partner is a weighted sum
+of those samples.
 
 All overlap and Hamiltonian entries combine Simpson quadrature on a finite
 grid with closed-form corrections for the algebraic-exponential tails
@@ -273,10 +283,34 @@ class BasisState:
 
 def spatial_grid(beta: float = 1.0, x_max: float | None = None,
                  n_points: int = 8001) -> np.ndarray:
-    """Default overlap grid: X = 40/beta, step 0.01/beta."""
+    """Default overlap grid: X = 40/beta, step 0.01/beta.
+
+    The grid is exactly mirror-symmetric, ``x == -x[::-1]`` holds in
+    floating point (each linspace point moves by at most 1 ulp of X), so
+    its |x| take (n_points + 1) / 2 distinct values.
+    """
     if x_max is None:
         x_max = 40.0 / beta
-    return np.linspace(-x_max, x_max, n_points)
+    x = np.linspace(-x_max, x_max, n_points)
+    return 0.5 * (x - x[::-1])
+
+
+def _cutoff(x: np.ndarray) -> float:
+    """Tail cut X of a grid spanning [-X, X].
+
+    Both tails start at |x| = X, so a grid whose ends are not mirror
+    images would cut one tail short or count part of it twice.
+
+    Raises
+    ------
+    ValueError
+        If x[0] != -x[-1] or x[-1] <= 0.
+    """
+    x_cut = float(x[-1])
+    if not (x_cut > 0.0 and float(x[0]) == -x_cut):
+        raise ValueError(
+            f"grid must span [-X, X] with X > 0, got [{x[0]}, {x[-1]}]")
+    return x_cut
 
 
 @functools.cache
@@ -343,15 +377,16 @@ def _kronrod_rule(n: int):
     return nodes, rows
 
 
-def _gk_integral(fun, ka: complex, kb: complex, x_max: float, factors=()):
+def _gk_integral(fun, weights, ka: complex, kb: complex, x_max: float):
     """Adaptive embedded Gauss-Kronrod over the straight segment [ka, kb].
 
-    ``fun`` maps an array of k values to an array (len(k), nx) of samples.
-    The result (1 + len(factors), nx) holds the integral of fun and, from
-    the same samples, the integral of g(k) fun(k) for each g in
-    ``factors``.  Each level evaluates ``fun`` once, on the 2n+1 nodes of
-    K_{2n+1}, and forms both K and the embedded G_n from those samples; it
-    returns K once max|K - G| <= _GL_TOL max(1, max|K|) over all rows, and
+    ``fun`` maps an array of k values to samples (n_src, len(k), nx),
+    ``weights(k)`` gives per-node weights (n_out, n_src, len(k)), and row
+    o of the result (n_out, nx) is the integral of the sum over sources
+    of weights[o, src](k) fun[src](k).  Each level evaluates ``fun``
+    once, on the 2n+1 nodes of K_{2n+1}, and forms both K and the
+    embedded G_n of every row from those samples with one matrix product;
+    it returns K once max|K - G| <= _GL_TOL max(1, max|K|) over all rows, and
     otherwise moves to the next n in _GK_ORDERS.  The ladder starts at the
     smallest n >= |kb - ka| x_max / 2, half the radians e^{ikx} turns across
     the bin on a grid reaching |x| = x_max; a low start costs one level and
@@ -371,10 +406,14 @@ def _gk_integral(fun, ka: complex, kb: complex, x_max: float, factors=()):
     for n in orders:
         t, pair = _kronrod_rule(n)
         ks = mid + half * t.astype(complex)
-        rows = np.concatenate([pair] + [pair * g(ks) for g in factors])
-        integ = half * (rows @ fun(ks))
+        samples = fun(ks)
+        coef = weights(ks)
+        n_out = len(coef)
+        # Kronrod rows first, then Gauss rows; sources run along the columns
+        rows = (pair[:, None, None, :] * coef).reshape(2 * n_out, -1)
+        integ = half * (rows @ samples.reshape(rows.shape[1], -1))
         nodes += len(t)
-        kron, gauss = integ[0::2], integ[1::2]
+        kron, gauss = integ[:n_out], integ[n_out:]
         scale = max(1.0, float(np.max(np.abs(kron))))
         diff = float(np.max(np.abs(kron - gauss)))
         settled = diff <= _GL_TOL * scale
@@ -416,13 +455,11 @@ class _Continuum:
         # asymptotic components, in the order of ``coefficients``
         self.zetas = (zp, zp, -zp)
 
-    def _norm_div(self, k: complex, trans: complex | None = None) -> complex:
+    def _norm_div(self, trans: complex) -> complex:
         """sqrt(2 pi) B(k) (delta) or sqrt(2 pi) (channel), the divisor of
-        J psi; ``trans`` is B(k) when the caller already has it."""
+        J psi, from ``trans`` = B(k)."""
         if self.channel:
             return SQRT_2PI + 0.0j
-        if trans is None:
-            _, trans = _gamma_coeffs(k, self.s, self.beta)
         return SQRT_2PI * trans
 
     def coefficients(self, k: complex) -> tuple:
@@ -430,21 +467,44 @@ class _Continuum:
         asymptotic components at k, from one gamma-ratio evaluation."""
         refl, trans = _gamma_coeffs(k, self.s, self.beta)
         lead = self.jac * _amplitude(k, self.beta)
-        div = self._norm_div(k, trans)
+        div = self._norm_div(trans)
         return lead / div, lead * refl / div, lead * trans / div
 
-    def phi_values(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Normalized solution sampled on the grid, one row per k.
+    def jost_weights(self, ks: np.ndarray) -> np.ndarray:
+        """Per-node weights (3, len(ks)) of the normalized solution
+        phi(k, x) = J psi(k, x) / div(k) on the Jost pair at y = |x|:
 
-        ``raw_psi`` evaluates up to _K_BLOCK k-nodes per call.
+            phi(k, y) = w0 psi(k, y),
+            phi(k, -y) = w1 psi(k, y) + w2 psi(-k, y),
+
+        w0 = J / div, w1 = J R / div, w2 = J T 4^{-ik/beta} / div, with
+        the gamma ratios (R, T) that ``coefficients`` uses.
         """
-        out = np.empty((len(ks), len(x)), dtype=complex)
-        for start in range(0, len(ks), _K_BLOCK):
-            block = ks[start:start + _K_BLOCK]
-            div = np.array([self._norm_div(complex(k)) for k in block])
-            psi = raw_psi(block, self.s, self.beta, self.theta, x)
-            out[start:start + _K_BLOCK] = self.jac * psi / div[:, None]
+        out = np.empty((3, len(ks)), dtype=complex)
+        for j, k in enumerate(ks):
+            k = complex(k)
+            refl, trans = _gamma_coeffs(k, self.s, self.beta)
+            w = self.jac / self._norm_div(trans)
+            out[:, j] = w, w * refl, w * trans * _amplitude(k, self.beta) ** 2
         return out
+
+    def jost_pair(self, ks: np.ndarray, y: np.ndarray,
+                  conjugate: bool) -> np.ndarray:
+        """psi(k, y) and psi(-k, y) for each k, shape (2, len(ks), len(y)).
+
+        ``raw_psi`` evaluates up to _K_BLOCK k-values per call.  With
+        ``conjugate``, which the caller may set only for real k, theta 0
+        and real lam, psi(-k) is taken as the complex conjugate of
+        psi(k), and only +k is evaluated.
+        """
+        kk = ks if conjugate else np.concatenate([ks, -ks])
+        psi = np.empty((len(kk), len(y)), dtype=complex)
+        for start in range(0, len(kk), _K_BLOCK):
+            psi[start:start + _K_BLOCK] = raw_psi(
+                kk[start:start + _K_BLOCK], self.s, self.beta, self.theta, y)
+        if conjugate:
+            return np.stack([psi, psi.conj()])
+        return psi.reshape(2, len(ks), len(y))
 
 
 def binned_state(params: ModelParams, grid: BinGrid, n: int,
@@ -454,7 +514,7 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     Real-axis grids use the unrotated solutions with conjugated left
     states; EP-ray grids use the scaled solutions with the
     analytic-conjugate partner (conjugate all explicit i's and parameters,
-    keep the theta scaling).
+    keep the theta scaling), which is the same solution at -k.
 
     ``normalization``: "delta" uses delta-normalized continuum solutions
     (mutual overlaps -> delta_{nn'}); these are singular wherever the
@@ -467,19 +527,31 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     ``_gk_integral``), started from the phase e^{ikx} turns across the bin
     on this grid: the default 6-bin real-axis partition starts, and
     settles, at K33, an EP-ray bin near the branch point at K17.  Each
-    level's k-nodes are evaluated by ``raw_psi`` in blocks of up to
-    _K_BLOCK rows (one batched 2F1 call per block), and the state and H
-    applied to it (weight eps(k)) are both integrated from the same phi
-    samples.  On every returned row the Kronrod and Gauss integrals agree
-    to _GL_TOL relative to max(1, max|K|).  The tail coefficients of
-    all asymptotic components, plain and eps-weighted, come from one
-    gamma-ratio evaluation per ring point.
+    level samples the Jost pair psi(k, y), psi(-k, y) on the distinct
+    y = |x| of the grid only (half of a mirror-symmetric grid), with
+    ``raw_psi`` on blocks of up to _K_BLOCK k-values; on real-axis grids
+    with real lam psi(-k) is the conjugate of psi(k) and costs nothing.
+    The reflection identity of the even barrier puts every per-node
+    scalar into the quadrature weights: the state on x >= 0 and on x < 0,
+    H applied to it (weight eps(k)) and, on EP-ray grids, the left
+    partner all come from the same samples and one Gauss-Kronrod ladder,
+    and only the finished integrals are gathered back onto x.  On every
+    returned row the Kronrod and Gauss integrals agree to _GL_TOL
+    relative to max(1, max|K|).  The tail coefficients of all asymptotic
+    components, plain and eps-weighted, come from one gamma-ratio
+    evaluation per ring point.
+
+    Raises
+    ------
+    ValueError
+        For an unknown normalization or a grid not spanning [-X, X].
     """
     if normalization not in ("delta", "channel"):
         raise ValueError(f"unknown normalization {normalization!r}")
     channel = normalization == "channel"
     if not 0 <= n < grid.n_bins:
         raise IndexError(f"bin index {n} out of range")
+    x_max = _cutoff(x)
     ka = complex(grid.nodes[n])
     kb = complex(grid.nodes[n + 1])
     dk = kb - ka
@@ -487,10 +559,33 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     theta_eff = 0.0 if grid.hermitian else params.theta
     cont = _Continuum(params, grid.lam, theta_eff, channel=channel)
     eps = lambda k: (params.hbar * k) ** 2 / (2.0 * params.m)
-    x_max = float(np.max(np.abs(x)))
+    y, at = np.unique(np.abs(x), return_inverse=True)
 
-    values, h_values = inv_sqrt_dk * _gk_integral(
-        lambda ks: cont.phi_values(ks, x), ka, kb, x_max, factors=(eps,))
+    def weights(ks):
+        # rows (x >= 0, x < 0) of phi, of eps phi and of the left partner,
+        # over the sources (psi(k, y), psi(-k, y))
+        w0, w1, w2 = cont.jost_weights(ks)
+        zero = np.zeros_like(w0)
+        e = eps(ks)
+        rows = [(w0, zero), (w1, w2), (e * w0, zero), (e * w1, e * w2)]
+        if not grid.hermitian:
+            # the solution at -k: psi(k) and psi(-k) swap roles
+            v0, v1, v2 = cont.jost_weights(-ks)
+            rows += [(zero, v0), (v2, v1)]
+        return np.array(rows)
+
+    # conj psi(k, s) = psi(-k, conj s), and conj s is s or -1 - s (the
+    # same solution) only for real lam
+    conjugate = grid.hermitian and grid.lam.imag == 0.0
+    integ = inv_sqrt_dk * _gk_integral(
+        lambda ks: cont.jost_pair(ks, y, conjugate), weights, ka, kb, x_max)
+    nonneg = x >= 0.0
+
+    def on_grid(pos, neg):
+        return np.where(nonneg, pos[at], neg[at])
+
+    values = on_grid(*integ[0:2])
+    h_values = on_grid(*integ[2:4])
 
     def with_h(k):
         c = cont.coefficients(k)
@@ -506,22 +601,18 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         left_tp = _conj_terms(plus)
         left_tm = _conj_terms(minus)
     else:
-        # analytic conjugate: conjugate k, lam, and all i's; keep the
-        # theta scaling of the coordinate.  The bar toolkit is built at
-        # (conj lam, -theta); conjugating its output restores the +theta
-        # half-Jacobian automatically.
+        left_values = on_grid(*integ[4:6])
+        # The partner's tail coefficients equal cont.coefficients(-k).  They
+        # are taken as conjugates of the toolkit at (conj lam, -theta) and
+        # conj k, whose gamma ratios sit at index conj s (for real lam with
+        # Re s = -1/2 the other root -1 - s) and so round differently; the
+        # ring derivatives of _ibp_tail_terms would turn that rounding into
+        # a 1e-11 change of S between bins near the branch point.
         bar = _Continuum(params, np.conj(grid.lam), -theta_eff,
                          channel=channel)
-
-        def bar_phi(ks):
-            return np.conj(bar.phi_values(np.conj(ks), x))
-
-        def bar_coefficients(k):
-            return tuple(np.conj(c) for c in bar.coefficients(np.conj(k)))
-
-        left_values = inv_sqrt_dk * _gk_integral(bar_phi, ka, kb, x_max)[0]
         left_tp, lrefl, ltrans = _ibp_tail_terms(
-            bar_coefficients, tuple(np.conj(bar.zetas)), ka, kb, inv_sqrt_dk)
+            lambda k: tuple(np.conj(c) for c in bar.coefficients(np.conj(k))),
+            tuple(np.conj(bar.zetas)), ka, kb, inv_sqrt_dk)
         left_tm = lrefl + ltrans
 
     return BasisState(
@@ -560,16 +651,21 @@ def resonance_state(params: ModelParams, x: np.ndarray, n: int = 0,
     (unit probability mass; the bilinear diagonal then exposes
     self-orthogonality), "cnorm" by the principal root of the bilinear
     norm, "raw" leaves the solution as evaluated.
+
+    Raises
+    ------
+    ValueError
+        If the grid does not span [-X, X].
     """
     from .wavefun import eval_wavefunction, gamow_cnorm
 
+    x_cut = _cutoff(x)
     pole = resonance_energy(params, n)
     fld = eval_wavefunction(params, pole.k, x)
     q = 1j * pole.k * cmath.exp(1j * params.theta)
     if q.real >= 0.0:
         raise NonNormalizable("resonance tail does not decay at this angle")
     v = fld.values
-    x_cut = float(x[-1])
     if normalization == "l2":
         interior = float(simpson(np.abs(v) ** 2, x=x))
         tail = (abs(v[-1]) ** 2 + abs(v[0]) ** 2) / (-2.0 * q.real)
@@ -614,13 +710,18 @@ def product_entry(left: BasisState, right: BasisState, x: np.ndarray,
     """c-product of a left state with a right state (or H right state).
 
     Simpson on the grid plus closed-form corrections from the pairwise
-    tail products on both sides.
+    tail products on both sides, both cut at |x| = X.
+
+    Raises
+    ------
+    ValueError
+        If the grid does not span [-X, X].
     """
     rv = right.h_values if apply_h else right.values
     rtp = right.h_tails_plus if apply_h else right.tails_plus
     rtm = right.h_tails_minus if apply_h else right.tails_minus
+    x_cut = _cutoff(x)
     interior = complex(simpson(left.left_values * rv, x=x))
-    x_cut = float(x[-1])
     tails = _tail_product_sum(left.left_tails_plus, rtp, x_cut) \
         + _tail_product_sum(left.left_tails_minus, rtm, x_cut)
     return interior + tails

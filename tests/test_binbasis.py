@@ -210,11 +210,12 @@ class TestKronrodRule:
 
         def fun(ks):
             seen.append(len(ks))
-            return np.exp(2000j * ks)[:, None]
+            return np.exp(2000j * ks)[None, :, None]
 
         with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"), \
                 pytest.raises(QuadratureError):
-            _gk_integral(fun, 0.0, 1.0, 1.0)
+            _gk_integral(fun, lambda ks: np.ones((1, 1, len(ks))),
+                         0.0, 1.0, 1.0)
         assert seen == [2 * n + 1 for n in _GK_ORDERS]
         assert sum(seen) == ladder
         (msg,) = [r.getMessage() for r in caplog.records]
@@ -238,26 +239,39 @@ class TestBinQuadrature:
     def digits(got, ref):
         return -math.log10(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
-    def test_hermitian_delta_bin(self, caplog):
-        p = ModelParams(lam=1.0, theta=0.3)
-        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+    def hermitian_refs(self, p):
+        """Values and H values of the delta bin [1.5, 2] at theta 0."""
         s = derived_quantities(p).s
-        with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
-            st = binned_state(p, grid, 2, self.x)
 
         def phi(ks):
             trans = np.array([_gamma_coeffs(k, s, 1.0)[1] for k in ks])
             return raw_psi(ks, s, 1.0, 0.0, self.x) \
                 / (math.sqrt(2.0 * math.pi) * trans[:, None])
 
-        ref = self.gl96(phi, 1.5, 2.0)
-        ref_h = self.gl96(lambda ks: 0.5 * ks[:, None] ** 2 * phi(ks),
-                          1.5, 2.0)
+        return (self.gl96(phi, 1.5, 2.0),
+                self.gl96(lambda ks: 0.5 * ks[:, None] ** 2 * phi(ks),
+                          1.5, 2.0))
+
+    def test_hermitian_delta_bin(self, caplog):
+        p = ModelParams(lam=1.0, theta=0.3)
+        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
+            st = binned_state(p, grid, 2, self.x)
+        ref, ref_h = self.hermitian_refs(p)
         assert self.digits(st.values, ref) >= 12.0
         assert self.digits(st.h_values, ref_h) >= 12.0
         # the phase span 0.5 * 40 / 2 = 10 radians starts and settles at K33
         (msg,) = [r.getMessage() for r in caplog.records]
         assert msg.startswith("bin integral: K33/G16, 33 k-nodes")
+
+    def test_hermitian_bin_with_complex_lam(self):
+        # conj psi(k) is not psi(-k) here: x < 0 needs psi at -k itself
+        p = ModelParams(lam=1.0 + 0.1j, theta=0.3)
+        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        st = binned_state(p, grid, 2, self.x)
+        ref, ref_h = self.hermitian_refs(p)
+        assert self.digits(st.values, ref) >= 12.0
+        assert self.digits(st.h_values, ref_h) >= 12.0
 
     def test_ep_ray_channel_bin(self, caplog):
         th = math.pi / 6
@@ -277,10 +291,65 @@ class TestBinQuadrature:
                                              self.x)), ka, kb)
         assert self.digits(st.values, ref) >= 12.0
         assert self.digits(st.left_values, ref_left) >= 12.0
-        msgs = [r.getMessage() for r in caplog.records]
-        assert len(msgs) == 2
-        assert all(m.startswith("bin integral: K17/G8, 17 k-nodes")
-                   for m in msgs)
+        # the left partner rides on the right state's ladder
+        (msg,) = [r.getMessage() for r in caplog.records]
+        assert msg.startswith("bin integral: K17/G8, 17 k-nodes")
+
+
+class TestJostPairWork:
+    """Bins sample psi(k) and psi(-k) on the distinct |x| of the grid only."""
+
+    x = spatial_grid()
+
+    def test_spatial_grid_is_mirror_symmetric(self):
+        assert np.array_equal(self.x, -self.x[::-1])
+        assert len(np.unique(np.abs(self.x))) == 4001
+        # symmetrizing moves each linspace point by at most 1 ulp of X
+        plain = np.linspace(-40.0, 40.0, 8001)
+        assert np.max(np.abs(self.x - plain)) <= np.spacing(40.0)
+
+    def psi_work(self, monkeypatch, build):
+        calls = []
+
+        def counted(k, s, beta, theta, x):
+            calls.append((np.size(k), len(x)))
+            return raw_psi(k, s, beta, theta, x)
+
+        monkeypatch.setattr(binbasis, "raw_psi", counted)
+        build()
+        assert max(k for k, _ in calls) <= binbasis._K_BLOCK
+        assert {n for _, n in calls} == {4001}
+        return sum(k for k, _ in calls)
+
+    def test_hermitian_bin_evaluates_plus_k_only(self, monkeypatch):
+        p = ModelParams(lam=1.0, theta=0.3)
+        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        assert self.psi_work(
+            monkeypatch, lambda: binned_state(p, grid, 0, self.x)) == 33
+
+    def test_ep_ray_bin_shares_one_ladder(self, monkeypatch):
+        # K17 nodes at k and at -k carry the right state and its partner
+        th = math.pi / 6
+        lam = branch_point_coupling(th) + 1e-2
+        p = ModelParams(lam=lam, theta=th)
+        grid = build_bins(p, ep_ray(lam))
+        assert self.psi_work(monkeypatch, lambda: binned_state(
+            p, grid, 0, self.x, normalization="channel")) == 34
+
+
+class TestGridSpan:
+    lopsided = np.linspace(-30.0, 40.0, 701)
+
+    def test_lopsided_grid_raises(self):
+        p = ModelParams(lam=1.0, theta=0.4)
+        grid = build_bins(p, real_axis(1.0, 2.0), n_bins=2)
+        st = binned_state(p, grid, 0, np.linspace(-35.0, 35.0, 701))
+        with pytest.raises(ValueError, match="span"):
+            binned_state(p, grid, 0, self.lopsided)
+        with pytest.raises(ValueError, match="span"):
+            resonance_state(p, self.lopsided)
+        with pytest.raises(ValueError, match="span"):
+            product_entry(st, st, self.lopsided)
 
 
 class TestBinEnergy:

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmres.errors import NonNormalizable
 from csmres.model import (
     ModelParams,
+    branch_point,
     branch_point_coupling,
     derived_quantities,
     lambda_window,
@@ -18,6 +21,8 @@ from csmres.binbasis import build_bins, ep_ray, spatial_grid
 from csmres.specfun import complex_gamma
 from csmres.wavefun import (
     RegionLabel,
+    _amplitude,
+    _gamma_coeffs,
     asymptotic_coefficients,
     asymptotic_values,
     classify_region,
@@ -183,6 +188,60 @@ class TestBatchedRawPsi:
         worst = max(abs(row[i] - psi_oracle(self.x[i], k, s, theta))
                     / abs(row[i]) for k, row in zip(ks, rows) for i in picks)
         assert -math.log10(worst) >= 12.0
+
+
+def _index(lam):
+    """Potential index s at coupling lam (s does not depend on theta)."""
+    return derived_quantities(ModelParams(lam=lam, theta=0.3)).s
+
+
+class TestJostPairIdentities:
+    """The identities the bin integrals of binbasis rest on."""
+
+    x = spatial_grid(1.0, n_points=801)
+
+    @settings(max_examples=30, deadline=None)
+    @given(theta=st.floats(0.0, 0.75), lam=st.floats(0.05, 2.0),
+           on_ray=st.booleans(), k_real=st.floats(0.2, 3.5),
+           alpha=st.floats(-2.0, 2.0), offset=st.floats(1e-6, 1e-2),
+           phase=st.floats(0.0, 2.0 * math.pi))
+    def test_mirror_identity(self, theta, lam, on_ray, k_real, alpha,
+                             offset, phase):
+        # the even barrier: psi(k, -y) = R psi(k, y) + T 4^{-ik} psi(-k, y),
+        # for real s (lam < 1/8) and Re s = -1/2 (lam > 1/8) alike
+        s = _index(lam)
+        k = complex(k_real)
+        if on_ray:
+            theta = max(theta, 0.05)
+            _, _, k_bp = branch_point(ModelParams(lam=lam, theta=theta))
+            k = k_bp + alpha * cmath.sqrt(offset * cmath.exp(1j * phase))
+        y = self.x[self.x >= 0.0]
+        refl, trans = _gamma_coeffs(k, s, 1.0)
+        pair = raw_psi(np.array([k, -k]), s, 1.0, theta, y)
+        mirror = raw_psi(k, s, 1.0, theta, -y)
+        got = refl * pair[0] + trans * _amplitude(k, 1.0) ** 2 * pair[1]
+        scale = max(np.max(np.abs(pair)), np.max(np.abs(mirror)))
+        assert np.max(np.abs(got - mirror)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("alpha", (-1.0, 0.0, 1.0))
+    @pytest.mark.parametrize("theta", (0.2, math.pi / 6, 0.7))
+    def test_analytic_conjugate_is_solution_at_minus_k(self, theta, alpha):
+        lam_bp, _, k_bp = branch_point(ModelParams(lam=1.0, theta=theta))
+        lam = lam_bp + 1e-3 * cmath.exp(0.7j)
+        s = _index(lam)
+        k = k_bp + alpha * cmath.sqrt(lam - lam_bp)
+        bar = np.conj(raw_psi(np.conj(k), np.conj(s), 1.0, -theta, self.x))
+        minus = raw_psi(-k, s, 1.0, theta, self.x)
+        assert np.max(np.abs(bar - minus)) <= 1e-14 * np.max(np.abs(minus))
+
+    @pytest.mark.parametrize("lam", (0.06, 0.5, 1.8))
+    def test_unrotated_conjugate_is_solution_at_minus_k(self, lam):
+        s = _index(lam)
+        for k in (0.3, 1.7, 3.4):
+            psi = raw_psi(k, s, 1.0, 0.0, self.x)
+            minus = raw_psi(-k, s, 1.0, 0.0, self.x)
+            assert np.max(np.abs(np.conj(psi) - minus)) \
+                <= 1e-14 * np.max(np.abs(minus))
 
 
 class TestSiegert:
