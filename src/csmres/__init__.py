@@ -74,7 +74,6 @@ from .binbasis import (
     real_axis,
     resonance_state,
     spatial_grid,
-    tail_integral,
     unit_diagonal_state,
 )
 from .eploop import (

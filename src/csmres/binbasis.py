@@ -21,13 +21,21 @@ and every right state, H applied to it and left partner is a weighted sum
 of those samples.
 
 All overlap and Hamiltonian entries combine Simpson quadrature on a finite
-grid with closed-form corrections for the algebraic-exponential tails
-(sums of c e^{q y} / y^p integrated by the exponential-integral recurrence),
-so slowly decaying and even non-decaying products acquire their regularized
-(analytically continued) values.  The degeneracy diagnostics near the branch
-point are built on top: the smallest singular value of the bilinear overlap
-of {resonance} + {straddling bins} collapses as the exceptional point is
-approached.
+grid, |x| <= X, with the exact tails beyond it.  There the resonance is
+c e^{q y} and every asymptotic component of a bin is the integral over the
+bin of c(k) e^{zeta k y} dk, with c(k) held as its Legendre series from
+gamma-ratio samples at _TAIL_N Gauss nodes (more for wide bins).  Every
+y-integral of a product is the Abel (Zel'dovich) value -e^{QX}/Q, which
+also continues non-decaying products; in k it leaves one Cauchy integral
+of c(k) e^{zeta k X} / (k - z) per point or node of the other factor.
+Where z lies on the bin, the convergence factor e^{-0 y} gives the
+principal value minus i pi sgn Im(zeta (k_b - k_a)) times the residue:
+for Hermitian bins this is the pi delta(u) of pi delta(u) + i PV e^{iuX}/u,
+u = k - k', and for a resonance whose k lies on a bin the residue of its
+pole.  The
+degeneracy diagnostics near the branch point are built on top: the smallest
+singular value of the bilinear overlap of {resonance} + {straddling bins}
+collapses as the exceptional point is approached.
 """
 
 from __future__ import annotations
@@ -36,12 +44,11 @@ import cmath
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.integrate import simpson
-from scipy.special import exp1
 
 from .errors import EmptyRange, NonNormalizable, QuadratureError
 from .model import ModelParams, branch_point, derived_quantities, \
@@ -56,8 +63,9 @@ _log = logging.getLogger(__name__)
 _GK_ORDERS = (8, 16, 32, 64)
 # bin quadrature stops when a pair's two integrals agree to this
 _GL_TOL = 1e-9
-_RING_POINTS = 16
-_TAIL_ORDERS = 5
+# Gauss-Legendre nodes per bin at which the tail coefficients c(k) are
+# first sampled, for their Legendre series of degree _TAIL_N - 1
+_TAIL_N = 24
 # k-nodes per batched raw_psi call.  It bounds the series working set:
 # the default `csmres overlap` run (2-core Xeon VM, one BLAS thread) took
 # about 2.1, 1.7, 1.9 and 1.8 s with blocks of 4, 8, 16 and 32 nodes, at a
@@ -150,108 +158,118 @@ def build_bins(params: ModelParams, contour_spec, n_bins: int | None = None) -> 
 
 @dataclass(frozen=True)
 class TailTerm:
-    """One algebraic-exponential tail component c e^{q y} / y^p, y = |x|."""
+    """One tail component beyond the cut, as a function of y = |x| >= X.
 
-    coef: complex
-    power: int
+    With ``seg`` None it is coef e^{rate y}.  With ``seg = (ka, kb)`` it is
+    the integral over the straight segment of c(k) e^{rate k y} dk, where
+    ``coef`` holds the Legendre coefficients of c in the segment
+    coordinate u = (2k - ka - kb) / (kb - ka).
+    """
+
+    coef: complex | np.ndarray
     rate: complex
+    seg: tuple | None = None
 
 
-def tail_integral(power: int, rate: complex, x_cut: float) -> complex:
-    """Regularized integral of e^{q y} / y^p over [X, inf).
-
-    For p = 0 this is the Abel-regularized -e^{qX}/q; for p >= 1 it is
-    built from the complex exponential integral E1(-qX) by the standard
-    upward recurrence.  Values for Re q > 0 are the analytic continuations
-    (principal E1 branch), which is precisely what the c-product of
-    non-decaying pairs requires.
-    """
-    q = complex(rate)
-    if power == 0:
-        if q == 0.0:
-            raise NonNormalizable("constant tail has no regularized integral")
-        return -cmath.exp(q * x_cut) / q
-    if abs(q) * x_cut < 1e-14:
-        if power == 1:
-            raise NonNormalizable("1/y tail with zero rate diverges")
-        return x_cut ** (1 - power) / (power - 1)
-    val = complex(exp1(complex(-q * x_cut)))
-    if power == 1:
-        return val
-    eqx = cmath.exp(q * x_cut)
-    for m in range(2, power + 1):
-        val = eqx / ((m - 1) * x_cut ** (m - 1)) + q * val / (m - 1)
-    return val
-
-
-def _tail_product_sum(left_terms, right_terms, x_cut: float) -> complex:
-    # tail pairs repeat their (power, rate) sums: integrate each sum once
-    integrals = {}
-    total = 0.0 + 0.0j
-    for tl in left_terms:
-        for tr in right_terms:
-            key = (tl.power + tr.power, tl.rate + tr.rate)
-            val = integrals.get(key)
-            if val is None:
-                val = integrals[key] = tail_integral(*key, x_cut)
-            total += tl.coef * tr.coef * val
-    return total
-
-
-def _conj_terms(terms):
-    return [TailTerm(coef=np.conj(t.coef), power=t.power, rate=np.conj(t.rate))
-            for t in terms]
-
-
-def _scaled_terms(terms, factor):
-    return [TailTerm(coef=factor * t.coef, power=t.power, rate=t.rate)
-            for t in terms]
-
-
-def _num_derivs(fun, z0: complex, radius: float, orders: int):
-    """Values and first orders-1 derivatives by a Cauchy sampling ring.
-
-    ``fun`` returns a tuple of n values at each k; the result holds, for
-    each of them, the list of its value and derivatives.  The coefficient
-    functions are analytic near the nodes, so derivatives come from
-    trigonometric moments of samples on a small circle; this stays
-    accurate at high order where finite differences drown in roundoff.
-    """
-    j = np.arange(_RING_POINTS)
-    ring = np.exp(2j * np.pi * j / _RING_POINTS)
-    samples = np.array([fun(z0 + radius * w) for w in ring])
-    moments = np.fft.fft(samples, axis=0) / _RING_POINTS
-    out = []
-    for col in moments.T:
-        derivs = []
-        fact = 1.0
-        for m in range(orders):
-            derivs.append(complex(col[m]) * fact / radius**m)
-            fact *= m + 1
-        out.append(derivs)
+@functools.cache
+def _rule(n: int, tanh_sinh: bool = False):
+    """Nodes t, weights and Legendre Vandermonde P_m(t), m < n, of a rule
+    on [-1, 1], read-only: Gauss-Legendre of order n, or tanh-sinh,
+    t = tanh(pi/2 sinh s) at 2n+1 equally spaced s in |s| <= 3.15, where
+    1 - |t| reaches 1e-16."""
+    if tanh_sinh:
+        s = np.linspace(-3.15, 3.15, 2 * n + 1)
+        arg = 0.5 * math.pi * np.sinh(s)
+        t = np.tanh(arg)
+        w = (3.15 / n) * 0.5 * math.pi * np.cosh(s) / np.cosh(arg) ** 2
+    else:
+        t, w = leggauss(n)
+    out = t, w, legvander(t, n - 1)
+    for a in out:
+        a.setflags(write=False)
     return out
 
 
-def _ibp_tail_terms(cfuns, zetas, ka: complex, kb: complex,
-                    prefactor: complex):
-    """Tail terms of prefactor * integral over the bin of c(k) e^{zeta k y} dk.
+def _n_nodes(term: TailTerm, x_cut: float) -> int:
+    """Quadrature order on a bin term's segment: the length of its series
+    plus twice the radians e^{rate k X} turns across half the segment."""
+    ka, kb = term.seg
+    return len(term.coef) \
+        + 2 * math.ceil(abs(0.5 * term.rate * (kb - ka) * x_cut))
 
-    ``cfuns(k)`` returns the coefficients (c_1(k), ..., c_n(k)), and
-    ``zetas`` their rate factors; the result is one list of terms per
-    coefficient.  Repeated integration by parts in k pushes the remainder
-    to O(y^-(orders+1)); coefficient derivatives at the endpoints come from
-    one sampling ring per endpoint shared by all coefficients.
+
+def _cauchy(term: TailTerm, z: np.ndarray, x_cut: float) -> np.ndarray:
+    """Integral over the segment of phi(k) / (k - z), phi = c(k) e^{rate k X},
+    at each point of z.
+
+    Gauss-Legendre of order n = ``_n_nodes``.  Where the rule's error on
+    1/(k - z), about rho^-2n for z on the Bernstein ellipse rho, is above
+    rounding, the pole is subtracted: phi(z) times log((kb - z)/(ka - z))
+    minus the rule applied to 1/(k - z) is added, with c(z) interpolated
+    from the nodes (barycentric weights (-1)^j sqrt((1 - t_j^2) w_j)),
+    which is exact for the series of degree below n.
+    On the segment, up to rounding, the integral is the Abel limit of the
+    y-integral: the convergence factor e^{-0 y} moves the pole off the
+    segment and gives PV - i pi sgn Im(rate (kb - ka)) phi(z).
     """
-    radius = min(0.05, 0.25 * abs(kb - ka))
-    terms = [[] for _ in zetas]
-    for node, sign in ((kb, 1.0), (ka, -1.0)):
-        derivs = _num_derivs(cfuns, node, radius, _TAIL_ORDERS)
-        for out, zeta, dc in zip(terms, zetas, derivs):
-            for m in range(1, _TAIL_ORDERS + 1):
-                coef = sign * (-1.0) ** (m + 1) * dc[m - 1] \
-                    / zeta**m * prefactor
-                out.append(TailTerm(coef=coef, power=m, rate=zeta * node))
-    return terms
+    t, w, vander = _rule(_n_nodes(term, x_cut))
+    ka, kb = term.seg
+    rate = term.rate * x_cut
+    c = vander[:, :len(term.coef)] @ term.coef
+    phi = c * np.exp(rate * 0.5 * (ka + kb + (kb - ka) * t))
+    u = (2.0 * z - ka - kb) / (kb - ka)
+    kern = w / (t - u[:, None])
+    out = kern @ phi
+    near = len(t) * np.log(np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))) \
+        < 18.0
+    un, kn = u[near], kern[near]
+    log = np.log((un - 1.0) / (un + 1.0))
+    on = (np.abs(un.imag) < 1e-9) & (np.abs(un.real) < 1.0)
+    log[on] = log[on].real - 1j * math.pi * np.sign((rate * (kb - ka)).imag)
+    mu = (-1.0) ** np.arange(len(t)) * np.sqrt((1.0 - t * t) / w)
+    phi_z = (kn @ (mu * c)) / (kn @ mu) \
+        * np.exp(rate * 0.5 * (ka + kb + (kb - ka) * un))
+    out[near] += phi_z * (log - kn.sum(axis=1))
+    return out
+
+
+def _tail_product(left: TailTerm, right: TailTerm, x_cut: float) -> complex:
+    """Abel-regularized integral over y in [X, inf) of the product of two
+    tail terms.
+
+    Every y-integral is -e^{QX}/Q with Q the total rate.  Two point terms
+    take it directly.  A point term of rate q times a bin term of rate r
+    is -e^{qX}/r times ``_cauchy`` of the bin at z = -q/r, and a bin
+    times a bin integrates that over the first bin's segment: by
+    Gauss-Legendre where z(k) stays clear of the second segment, and by
+    tanh-sinh, which resolves the logarithms of ``_cauchy`` at the ends,
+    where z(k) meets an end of it (same or touching bins).  Nodes whose z
+    is within rounding of an end of the second segment are dropped.
+    """
+    if right.seg is None:
+        left, right = right, left
+    if right.seg is None:
+        q = left.rate + right.rate
+        return -left.coef * right.coef * cmath.exp(q * x_cut) / q
+    ratio = -left.rate / right.rate
+    ends = np.array(right.seg)
+    if left.seg is None:
+        amp, k = np.array([left.coef]), np.ones(1)
+    else:
+        ka, kb = left.seg
+        meets = np.min(np.abs(np.subtract.outer(ratio * np.array(left.seg),
+                                                ends))) < 1e-9 * abs(kb - ka)
+        t, w, vander = _rule(_n_nodes(left, x_cut), meets)
+        k = 0.5 * (ka + kb + (kb - ka) * t)
+        amp = 0.5 * (kb - ka) * w * (vander[:, :len(left.coef)] @ left.coef)
+    z = ratio * k
+    keep = np.min(np.abs(z[:, None] - ends), axis=1) > 1e-14 * np.abs(z)
+    return -np.sum(amp[keep] * np.exp(left.rate * k[keep] * x_cut)
+                   * _cauchy(right, z[keep], x_cut)) / right.rate
+
+
+def _scaled_terms(terms, factor):
+    return [replace(t, coef=factor * t.coef) for t in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -455,37 +473,22 @@ class _Continuum:
         # asymptotic components, in the order of ``coefficients``
         self.zetas = (zp, zp, -zp)
 
-    def _norm_div(self, trans: complex) -> complex:
-        """sqrt(2 pi) B(k) (delta) or sqrt(2 pi) (channel), the divisor of
-        J psi, from ``trans`` = B(k)."""
-        if self.channel:
-            return SQRT_2PI + 0.0j
-        return SQRT_2PI * trans
+    def coefficients(self, ks: np.ndarray) -> np.ndarray:
+        """Coefficients (3, len(ks)) of the plus, minus-reflected and
+        minus-transmitted asymptotic components of phi(k, y),
 
-    def coefficients(self, k: complex) -> tuple:
-        """Coefficients of the plus, minus-reflected and minus-transmitted
-        asymptotic components at k, from one gamma-ratio evaluation."""
-        refl, trans = _gamma_coeffs(k, self.s, self.beta)
-        lead = self.jac * _amplitude(k, self.beta)
-        div = self._norm_div(trans)
-        return lead / div, lead * refl / div, lead * trans / div
+            J A (1, R, T) / div,   A = 4^{-ik/2beta},
 
-    def jost_weights(self, ks: np.ndarray) -> np.ndarray:
-        """Per-node weights (3, len(ks)) of the normalized solution
-        phi(k, x) = J psi(k, x) / div(k) on the Jost pair at y = |x|:
-
-            phi(k, y) = w0 psi(k, y),
-            phi(k, -y) = w1 psi(k, y) + w2 psi(-k, y),
-
-        w0 = J / div, w1 = J R / div, w2 = J T 4^{-ik/beta} / div, with
-        the gamma ratios (R, T) that ``coefficients`` uses.
+        div = sqrt(2 pi) T (delta) or sqrt(2 pi) (channel), from one
+        gamma-ratio evaluation (R, T) per k.
         """
         out = np.empty((3, len(ks)), dtype=complex)
         for j, k in enumerate(ks):
-            k = complex(k)
-            refl, trans = _gamma_coeffs(k, self.s, self.beta)
-            w = self.jac / self._norm_div(trans)
-            out[:, j] = w, w * refl, w * trans * _amplitude(k, self.beta) ** 2
+            refl, trans = _gamma_coeffs(complex(k), self.s, self.beta)
+            lead = self.jac * _amplitude(complex(k), self.beta) / SQRT_2PI
+            if not self.channel:
+                lead /= trans
+            out[:, j] = lead, lead * refl, lead * trans
         return out
 
     def jost_pair(self, ks: np.ndarray, y: np.ndarray,
@@ -537,14 +540,19 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     partner all come from the same samples and one Gauss-Kronrod ladder,
     and only the finished integrals are gathered back onto x.  On every
     returned row the Kronrod and Gauss integrals agree to _GL_TOL
-    relative to max(1, max|K|).  The tail coefficients of all asymptotic
-    components, plain and eps-weighted, come from one gamma-ratio
-    evaluation per ring point.
+    relative to max(1, max|K|).  The tails beyond X are exact: each
+    asymptotic component, plain and eps-weighted, and on EP-ray grids the
+    partner's from the coefficients at -k, is a ``TailTerm`` holding the
+    Legendre series of its coefficient on the bin.  All come from one
+    gamma-ratio sample set at _TAIL_N Gauss nodes, or 2 or 4 times as
+    many where the series has not settled to _GL_TOL.
 
     Raises
     ------
     ValueError
         For an unknown normalization or a grid not spanning [-X, X].
+    QuadratureError
+        If the Gauss-Kronrod ladder or the tail series does not settle.
     """
     if normalization not in ("delta", "channel"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -563,14 +571,18 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
 
     def weights(ks):
         # rows (x >= 0, x < 0) of phi, of eps phi and of the left partner,
-        # over the sources (psi(k, y), psi(-k, y))
-        w0, w1, w2 = cont.jost_weights(ks)
+        # over the sources (psi(k, y), psi(-k, y)): phi(k, y) = w0 psi(k, y)
+        # and phi(k, -y) = w1 psi(k, y) + w2 psi(-k, y), where (w0, w1, w2)
+        # are the coefficients divided by (A, A, 1/A), and A(-k) = 1/A(k)
+        amp = np.array([_amplitude(k, params.beta) for k in ks])
+        scale = np.array([amp, amp, 1.0 / amp])
+        w0, w1, w2 = cont.coefficients(ks) / scale
         zero = np.zeros_like(w0)
         e = eps(ks)
         rows = [(w0, zero), (w1, w2), (e * w0, zero), (e * w1, e * w2)]
         if not grid.hermitian:
             # the solution at -k: psi(k) and psi(-k) swap roles
-            v0, v1, v2 = cont.jost_weights(-ks)
+            v0, v1, v2 = cont.coefficients(-ks) * scale
             rows += [(zero, v0), (v2, v1)]
         return np.array(rows)
 
@@ -587,42 +599,44 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     values = on_grid(*integ[0:2])
     h_values = on_grid(*integ[2:4])
 
-    def with_h(k):
-        c = cont.coefficients(k)
-        e = eps(k)
-        return c + tuple(e * ci for ci in c)
-
-    plus, refl, trans, h_plus, h_refl, h_trans = _ibp_tail_terms(
-        with_h, cont.zetas * 2, ka, kb, inv_sqrt_dk)
-    minus = refl + trans
-
+    # Legendre coefficients of the tail coefficients on the bin, from
+    # samples at _TAIL_N Gauss nodes, or at 2 or 4 times as many until the
+    # last two of every row fall below _GL_TOL of its largest
+    for n_tail in (_TAIL_N, 2 * _TAIL_N, 4 * _TAIL_N):
+        t, w, vander = _rule(n_tail)
+        kt = 0.5 * (ka + kb + dk * t)
+        c = cont.coefficients(kt)
+        rows = [c, eps(kt) * c] if grid.hermitian \
+            else [c, eps(kt) * c, cont.coefficients(-kt)]
+        coef = (np.concatenate(rows) * w) @ vander * (np.arange(n_tail) + 0.5)
+        if np.all(np.max(np.abs(coef[:, -2:]), axis=1)
+                  <= _GL_TOL * np.max(np.abs(coef), axis=1)):
+            break
+    else:
+        raise QuadratureError(
+            f"tail coefficients did not settle at {n_tail} nodes")
+    # rows: the coefficients, eps times them (H) and, on EP-ray grids, the
+    # partner's, which is the solution at -k with rates -zeta
+    zetas = cont.zetas * 2 + tuple(-r for r in cont.zetas)
+    plus, refl, trans, h_plus, h_refl, h_trans, *left = [
+        TailTerm(coef=inv_sqrt_dk * a, rate=r, seg=(ka, kb))
+        for a, r in zip(coef, zetas)]
     if grid.hermitian:
         left_values = np.conj(values)
-        left_tp = _conj_terms(plus)
-        left_tm = _conj_terms(minus)
+        left = [TailTerm(coef=np.conj(t.coef), rate=np.conj(t.rate),
+                         seg=(np.conj(ka), np.conj(kb)))
+                for t in (plus, refl, trans)]
     else:
         left_values = on_grid(*integ[4:6])
-        # The partner's tail coefficients equal cont.coefficients(-k).  They
-        # are taken as conjugates of the toolkit at (conj lam, -theta) and
-        # conj k, whose gamma ratios sit at index conj s (for real lam with
-        # Re s = -1/2 the other root -1 - s) and so round differently; the
-        # ring derivatives of _ibp_tail_terms would turn that rounding into
-        # a 1e-11 change of S between bins near the branch point.
-        bar = _Continuum(params, np.conj(grid.lam), -theta_eff,
-                         channel=channel)
-        left_tp, lrefl, ltrans = _ibp_tail_terms(
-            lambda k: tuple(np.conj(c) for c in bar.coefficients(np.conj(k))),
-            tuple(np.conj(bar.zetas)), ka, kb, inv_sqrt_dk)
-        left_tm = lrefl + ltrans
 
     return BasisState(
         name=f"bin[{n}]",
         values=values, left_values=left_values,
-        tails_plus=plus, tails_minus=minus,
-        left_tails_plus=left_tp, left_tails_minus=left_tm,
+        tails_plus=[plus], tails_minus=[refl, trans],
+        left_tails_plus=left[:1], left_tails_minus=left[1:],
         energy=bin_energy(params, ka, kb),
         h_values=h_values,
-        h_tails_plus=h_plus, h_tails_minus=h_refl + h_trans,
+        h_tails_plus=[h_plus], h_tails_minus=[h_refl, h_trans],
     )
 
 
@@ -679,8 +693,8 @@ def resonance_state(params: ModelParams, x: np.ndarray, n: int = 0,
     v = v * scale
     cp = v[-1] * cmath.exp(-q * x_cut)
     cm = v[0] * cmath.exp(-q * x_cut)
-    tp = [TailTerm(coef=cp, power=0, rate=q)]
-    tm = [TailTerm(coef=cm, power=0, rate=q)]
+    tp = [TailTerm(coef=cp, rate=q)]
+    tm = [TailTerm(coef=cm, rate=q)]
     return BasisState(
         name=f"res[{n}]",
         values=v, left_values=v,
@@ -709,8 +723,8 @@ def product_entry(left: BasisState, right: BasisState, x: np.ndarray,
                   apply_h: bool = False) -> complex:
     """c-product of a left state with a right state (or H right state).
 
-    Simpson on the grid plus closed-form corrections from the pairwise
-    tail products on both sides, both cut at |x| = X.
+    Simpson on the grid plus the exact products (``_tail_product``) of
+    every pair of tail terms on each side, both cut at |x| = X.
 
     Raises
     ------
@@ -722,8 +736,10 @@ def product_entry(left: BasisState, right: BasisState, x: np.ndarray,
     rtm = right.h_tails_minus if apply_h else right.tails_minus
     x_cut = _cutoff(x)
     interior = complex(simpson(left.left_values * rv, x=x))
-    tails = _tail_product_sum(left.left_tails_plus, rtp, x_cut) \
-        + _tail_product_sum(left.left_tails_minus, rtm, x_cut)
+    tails = sum(_tail_product(a, b, x_cut)
+                for side_l, side_r in ((left.left_tails_plus, rtp),
+                                       (left.left_tails_minus, rtm))
+                for a in side_l for b in side_r)
     return interior + tails
 
 

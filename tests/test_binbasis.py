@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss, legvander
-from scipy.integrate import simpson
+from numpy.polynomial.legendre import leggauss, legval, legvander
+from scipy.integrate import quad, simpson
 
 from csmres import binbasis
 from csmres.binbasis import (
@@ -17,6 +17,7 @@ from csmres.binbasis import (
     TailTerm,
     _gk_integral,
     _kronrod_rule,
+    _tail_product,
     bin_energy,
     binned_state,
     build_bins,
@@ -29,7 +30,6 @@ from csmres.binbasis import (
     real_axis,
     resonance_state,
     spatial_grid,
-    tail_integral,
     unit_diagonal_state,
 )
 from csmres.errors import EmptyRange, QuadratureError
@@ -74,59 +74,52 @@ class TestGrids:
 
 
 class TestTailIntegral:
-    def segment(self, power, rate, a, b):
-        t, w = leggauss(200)
-        y = 0.5 * (a + b) + 0.5 * (b - a) * t
-        return 0.5 * (b - a) * np.sum(w * np.exp(rate * y) / y**power)
-
-    def test_additivity_decaying(self):
-        q = -0.3 + 0.7j
-        for p in (0, 1, 2, 3, 5):
-            whole = tail_integral(p, q, 10.0)
-            part = self.segment(p, q, 10.0, 25.0) + tail_integral(p, q, 25.0)
-            assert abs(whole - part) < 1e-12 * max(1.0, abs(whole))
-
-    def test_additivity_continued(self):
-        # growing exponentials: the regularized values still satisfy the
-        # same additivity, which pins down the analytic continuation
-        q = 0.2 + 1.0j
-        for p in (0, 1, 2, 4):
-            whole = tail_integral(p, q, 10.0)
-            part = self.segment(p, q, 10.0, 25.0) + tail_integral(p, q, 25.0)
-            assert abs(whole - part) < 1e-10 * max(1.0, abs(whole))
-
     def test_pure_exponential_closed_form(self):
+        # resonance x resonance: the Abel-regularized -e^{qX}/q, q the sum
+        left = TailTerm(coef=0.7 - 0.2j, rate=-0.2 + 0.1j)
+        right = TailTerm(coef=-1.1 + 0.4j, rate=-0.3 + 0.2j)
         q = -0.5 + 0.3j
-        assert abs(tail_integral(0, q, 8.0) - (-cmath.exp(q * 8.0) / q)) < 1e-15
+        expect = -left.coef * right.coef * cmath.exp(q * 8.0) / q
+        assert abs(_tail_product(left, right, 8.0) - expect) < 1e-15
 
-    def test_zero_rate_algebraic(self):
-        assert abs(tail_integral(3, 0.0, 10.0) - 0.5e-2) < 1e-15
+    # a bin term on [1, 1.5] with a 24-term Legendre series; a point term
+    # of rate q meets it at z = -q/r: far off the segment, 0.01 off it, or
+    # on it
+    seg = (1.0 + 0.0j, 1.5 + 0.0j)
+    coef = (0.5 + 0.3j) * (-0.4) ** np.arange(24) * (1.0 + 0.1j * np.arange(24))
+    rate = 1j * cmath.exp(0.3j)
 
-    def test_product_sum_integrates_each_sum_once(self, monkeypatch):
-        # bin tails repeat (power, rate) sums: the product sum must equal
-        # the plain pairwise loop bit for bit with one integral per sum
-        rng = np.random.default_rng(5)
-        rates = (-0.3 + 0.7j, -0.1 - 1.2j, 0.2 + 1.0j)
+    @pytest.mark.parametrize("z", (-1.0 + 0.0j, 1.2 - 0.01j, 1.3 + 0.0j))
+    def test_point_times_bin_matches_adaptive_quadrature(self, z):
+        # -e^{qX}/r times the integral over the bin of phi(k)/(k - z),
+        # phi = c(k) e^{rkX}, by scipy's adaptive quad in the segment
+        # coordinate u; on the segment its Cauchy-weighted principal value
+        # plus the Abel term -i pi sgn Im(r (kb - ka)) phi(z)
+        x_cut = 10.0
+        point = TailTerm(coef=0.8 - 0.6j, rate=-self.rate * z)
+        bin_term = TailTerm(coef=self.coef, rate=self.rate, seg=self.seg)
+        ka, kb = self.seg
 
-        def terms(count):
-            return [TailTerm(coef=complex(*rng.standard_normal(2)),
-                             power=int(rng.integers(0, 4)),
-                             rate=rates[int(rng.integers(0, 3))])
-                    for _ in range(count)]
+        def phi(u):
+            k = 0.5 * (ka + kb + (kb - ka) * u)
+            return legval(u, self.coef) * cmath.exp(self.rate * k * x_cut)
 
-        left, right = terms(12), terms(10)
-        plain = 0.0 + 0.0j
-        for tl in left:
-            for tr in right:
-                plain += tl.coef * tr.coef * tail_integral(
-                    tl.power + tr.power, tl.rate + tr.rate, 40.0)
-        calls = []
-        monkeypatch.setattr(binbasis, "tail_integral",
-                            lambda *a: calls.append(a) or tail_integral(*a))
-        assert binbasis._tail_product_sum(left, right, 40.0) == plain
-        assert len(calls) == len(set(calls)) == len(
-            {(tl.power + tr.power, tl.rate + tr.rate)
-             for tl in left for tr in right})
+        u_z = (2.0 * z - ka - kb) / (kb - ka)
+        if z.imag == 0.0 and abs(u_z.real) < 1.0:
+            parts = [quad(lambda u, f=f: f(phi(u)), -1.0, 1.0,
+                          weight="cauchy", wvar=u_z.real, epsabs=1e-15,
+                          epsrel=1e-15)[0] for f in (np.real, np.imag)]
+            integral = complex(*parts) - 1j * math.pi * phi(u_z.real)
+        else:
+            parts = [quad(lambda u, f=f: f(phi(u) / (u - u_z)), -1.0, 1.0,
+                          points=[u_z.real], limit=200, epsabs=1e-14,
+                          epsrel=1e-13)[0] for f in (np.real, np.imag)]
+            integral = complex(*parts)
+        expect = -point.coef * cmath.exp(point.rate * x_cut) / self.rate \
+            * integral
+        for pair in ((point, bin_term), (bin_term, point)):
+            got = _tail_product(*pair, x_cut)
+            assert abs(got - expect) < 1e-13 * abs(expect)
 
 
 def _legendre_coeffs(n):
@@ -407,6 +400,14 @@ class TestBinnedState:
         with pytest.raises(ValueError):
             binned_state(p, grid, 0, x, normalization="what")
 
+    def test_unsettled_tail_series_raises(self, monkeypatch):
+        # 2, 4 and then 8 nodes cannot resolve the coefficients of a bin
+        monkeypatch.setattr(binbasis, "_TAIL_N", 2)
+        p = ModelParams(lam=1.0, theta=0.3)
+        grid = build_bins(p, real_axis(1.0, 2.0), n_bins=2)
+        with pytest.raises(QuadratureError, match="settle at 8 nodes"):
+            binned_state(p, grid, 0, np.linspace(-8.0, 8.0, 161))
+
     def test_bin_energy_recorded(self):
         p = ModelParams(lam=1.0, theta=0.3)
         x = np.linspace(-8.0, 8.0, 161)
@@ -427,20 +428,29 @@ class TestHermitianIdentity:
 
     def test_overlap_is_identity(self):
         s = overlap_matrix(self.bins, self.bins, self.x).matrix
-        assert np.max(np.abs(s - np.eye(6))) < 1e-5
+        assert np.max(np.abs(s - np.eye(6))) < 1e-10
 
     def test_overlap_is_hermitian(self):
         s = overlap_matrix(self.bins, self.bins, self.x).matrix
-        assert np.max(np.abs(s - s.conj().T)) < 1e-5
+        assert np.max(np.abs(s - s.conj().T)) < 1e-10
 
     def test_hamiltonian_is_diagonal_of_bin_energies(self):
         h = overlap_matrix(self.bins, self.bins, self.x, apply_h=True).matrix
         eps = np.array([b.energy for b in self.bins])
-        assert np.max(np.abs(h - np.diag(eps))) < 1e-5
+        assert np.max(np.abs(h - np.diag(eps))) < 1e-10
 
     def test_neighboring_bins_orthogonal(self):
         s01 = product_entry(self.bins[0], self.bins[1], self.x)
-        assert abs(s01) < 1e-6
+        assert abs(s01) < 1e-10
+
+    def test_wide_bins(self):
+        # the delta normalization's pole 0.5 below the axis is close to
+        # these bins: their tail series need more than _TAIL_N terms
+        grid = build_bins(self.p, real_axis(0.5, 3.5), n_bins=2)
+        bins = [binned_state(self.p, grid, j, self.x) for j in range(2)]
+        s = overlap_matrix(bins, bins, self.x).matrix
+        assert np.max(np.abs(s - np.eye(2))) < 1e-10
+        assert max(len(b.tails_plus[0].coef) for b in bins) > binbasis._TAIL_N
 
 
 class TestScaledIdentity:
@@ -458,8 +468,8 @@ class TestScaledIdentity:
         s = overlap_matrix(bins, bins, x).matrix
         h = overlap_matrix(bins, bins, x, apply_h=True).matrix
         eps = np.array([b.energy for b in bins])
-        assert np.max(np.abs(s - np.eye(3))) < 1e-5
-        assert np.max(np.abs(h - np.diag(eps))) < 1e-5
+        assert np.max(np.abs(s - np.eye(3))) < 1e-9
+        assert np.max(np.abs(h - np.diag(eps))) < 1e-9
 
 
 class TestUnitDiagonal:
@@ -500,13 +510,32 @@ class TestDegeneracyDiagnostics:
         assert abs(m[1, 1] - 1.0) < 1e-6 and abs(m[2, 2] - 1.0) < 1e-6
         assert abs(m[0, 0]) < 1e-3
 
+    @pytest.mark.parametrize("theta, lam", [
+        (0.3, 1.0), (0.25, 0.8), (0.5, 1.8), (0.4, 1.3)])
+    def test_cond_ignores_rounding_of_the_coefficients(self, monkeypatch,
+                                                        theta, lam):
+        # a relative change of 1e-15 in every continuum coefficient, bin
+        # values and tails alike, stays a rounding-level change of cond
+        p = ModelParams(lam=lam, theta=theta)
+        lam_seq = [branch_point_coupling(theta) + 1e-4]
+        (plain,) = degeneracy_diagnostics(p, lam_seq)
+        original = binbasis._Continuum.coefficients
+
+        def jittered(cont, ks):
+            return original(cont, ks) \
+                * (1.0 + 1e-15 * np.sin(37.0 * np.abs(ks) + 1j))
+
+        monkeypatch.setattr(binbasis._Continuum, "coefficients", jittered)
+        (moved,) = degeneracy_diagnostics(p, lam_seq)
+        assert abs(moved.cond / plain.cond - 1.0) <= 1e-13
+
     def test_limit_exchange_inequality(self):
         th = math.pi / 6
         lbp = branch_point_coupling(th)
         p = ModelParams(lam=1.0, theta=th)
         interior, limits = limit_exchange_entries(
             p, [lbp + d for d in (1e-3, 1e-5)])
-        assert all(v < 1e-4 for v in interior)
+        assert all(v < 1e-10 for v in interior)
         assert all(v > 0.1 for v in limits)
         assert interior[1] < interior[0]
 
