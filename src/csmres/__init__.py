@@ -7,84 +7,66 @@ hypergeometric kernels), ``model`` (closed-form spectral data), ``wavefun``
 ``binbasis`` (momentum-bin discretization and overlap machinery),
 ``eploop`` (branch-point continuation and loop verdicts), and ``cli``
 (deterministic file emission).
+
+The re-exports below resolve on first use (PEP 562), so ``import csmres``
+loads only the package itself and each layer is imported when one of its
+names is first asked for.
 """
 
-from .errors import (
-    BranchCollision,
-    ConfigError,
-    CsmError,
-    DegenerateIndex,
-    EmptyRange,
-    IllConditionedFit,
-    NonConvergence,
-    NonNormalizable,
-    PoleError,
-    PreconditionViolation,
-    QuadratureError,
-    SingularCoordinate,
-    StepTooCoarse,
-    UndefinedAngle,
-)
-from .model import (
-    CriticalAngle,
-    DerivedQuantities,
-    ModelParams,
-    RegionBounds,
-    ResonancePole,
-    branch_point,
-    branch_point_coupling,
-    contact_coupling_root,
-    critical_angle,
-    derived_quantities,
-    lambda_window,
-    resonance_energy,
-)
-from .specfun import complex_gamma, hyp2f1, hyp2f1_grid, reciprocal_gamma
-from .wavefun import (
-    AsymptoticCoefficients,
-    RegionLabel,
-    WaveField,
-    asymptotic_coefficients,
-    asymptotic_values,
-    classification_functional,
-    classify_region,
-    default_grid,
-    eval_wavefunction,
-    find_resonance_k,
-    gamow_cnorm,
-    normalize_gamow,
-    raw_psi,
-    siegert_residual,
-)
-from .binbasis import (
-    BasisState,
-    BinGrid,
-    DegeneracyPoint,
-    OverlapMatrix,
-    TailTerm,
-    bin_energy,
-    binned_state,
-    build_bins,
-    degeneracy_diagnostics,
-    ep_ray,
-    limit_exchange_entries,
-    overlap_matrix,
-    plane_wave_bin,
-    product_entry,
-    real_axis,
-    resonance_state,
-    spatial_grid,
-    unit_diagonal_state,
-)
-from .eploop import (
-    LoopSpec,
-    LoopTrace,
-    PuiseuxFit,
-    boundary_crossings,
-    case_asymptotic_phase,
-    fit_puiseux,
-    run_berry_loop,
-    trace_resonance,
-)
+import importlib
 
+# home module of each re-exported name
+_EXPORTS = {
+    "errors": (
+        "BranchCollision", "ConfigError", "CsmError", "DegenerateIndex",
+        "EmptyRange", "IllConditionedFit", "NonConvergence",
+        "NonNormalizable", "PoleError", "PreconditionViolation",
+        "QuadratureError", "SingularCoordinate", "StepTooCoarse",
+        "UndefinedAngle",
+    ),
+    "model": (
+        "CriticalAngle", "DerivedQuantities", "ModelParams", "RegionBounds",
+        "ResonancePole", "branch_point", "branch_point_coupling",
+        "contact_coupling_root", "critical_angle", "derived_quantities",
+        "lambda_window", "resonance_energy",
+    ),
+    "specfun": ("complex_gamma", "hyp2f1", "hyp2f1_grid", "reciprocal_gamma"),
+    "wavefun": (
+        "AsymptoticCoefficients", "RegionLabel", "WaveField",
+        "asymptotic_coefficients", "asymptotic_values",
+        "classification_functional", "classify_region", "default_grid",
+        "eval_wavefunction", "find_resonance_k", "gamow_cnorm",
+        "normalize_gamow", "raw_psi", "siegert_residual",
+    ),
+    "binbasis": (
+        "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix",
+        "TailTerm", "bin_energy", "binned_state", "build_bins",
+        "degeneracy_diagnostics", "ep_ray", "limit_exchange_entries",
+        "overlap_matrix", "plane_wave_bin", "product_entry", "real_axis",
+        "resonance_state", "spatial_grid", "unit_diagonal_state",
+    ),
+    "eploop": (
+        "LoopSpec", "LoopTrace", "PuiseuxFit", "boundary_crossings",
+        "case_asymptotic_phase", "fit_puiseux", "run_berry_loop",
+        "trace_resonance",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # a layer module itself, imported on first use
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

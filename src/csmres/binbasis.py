@@ -48,12 +48,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.integrate import simpson
 
 from .errors import EmptyRange, NonNormalizable, QuadratureError
 from .model import ModelParams, branch_point, derived_quantities, \
     resonance_energy
-from .wavefun import _amplitude, _gamma_coeffs, raw_psi
+from .wavefun import _amplitude, _gamma_coeffs, raw_psi, simpson
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

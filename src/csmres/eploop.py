@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import BranchCollision, IllConditionedFit, PreconditionViolation, \
     StepTooCoarse
-from .model import ModelParams, branch_point, resonance_energy
+from .model import ModelParams, _bisect_zero, branch_point, \
+    resonance_energy
 from .wavefun import LN4, classification_functional, classify_region
 
 # upper straddling bin [k_bp, k_bp + _UPPER_ALPHA sqrt(t)] of the Puiseux fit
@@ -193,20 +194,6 @@ def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4),
     roots = np.sqrt(ts)
     alpha = complex(np.sum(roots * ys) / np.sum(ts))
     return PuiseuxFit(alpha=alpha, residual=residual, exponent=float(exponent))
-
-
-def _bisect_zero(fun, a: float, b: float, tol: float = 1e-10) -> float:
-    fa = fun(a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = fun(m)
-        if b - a < tol:
-            return m
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
 
 
 def boundary_crossings(params: ModelParams, radius: float) -> list:

@@ -14,7 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateIndex, UndefinedAngle
+from .errors import DegenerateIndex, NonConvergence, PreconditionViolation, \
+    UndefinedAngle
 
 _G_DEGENERATE_TOL = 1.0e-12
 
@@ -234,16 +235,42 @@ def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
     )
 
 
+def _bisect_zero(fun, a: float, b: float, tol: float = 1e-10) -> float:
+    """Zero of a real function on [a, b] by bisection, to an interval
+    narrower than ``tol`` or down to adjacent floats; the sign of a value
+    is whether it is below 0.
+
+    Raises
+    ------
+    PreconditionViolation
+        If fun(a) and fun(b) have the same sign.
+    NonConvergence
+        If 200 halvings leave the interval ``tol`` or wider.
+    """
+    fa, fb = fun(a), fun(b)
+    if (fa < 0.0) == (fb < 0.0):
+        raise PreconditionViolation(
+            f"no sign change on [{a}, {b}]: f = {fa}, {fb}")
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if b - a < tol or not a < m < b:
+            return m
+        fm = fun(m)
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    raise NonConvergence("bisection", {"a": a, "b": b, "tol": tol})
+
+
 def contact_coupling_root(theta: float, n: int = 0, m: float = 1.0,
                           hbar: float = 1.0, beta: float = 1.0) -> float:
-    """Coupling where level n touches the continuum, by numerical root.
+    """Coupling where level n touches the continuum, by bisection.
 
     Solves tan(2 theta) Re E_n(lam) + Im E_n(lam) = 0 for real lam above
     the degenerate point; independent cross-check of the closed-form
     window bounds (and of lambda_bp for n = 0).
     """
-    from scipy.optimize import brentq
-
     t = math.tan(2.0 * theta)
     scale = beta**2 * hbar**2 / (8.0 * m)
 
@@ -254,4 +281,4 @@ def contact_coupling_root(theta: float, n: int = 0, m: float = 1.0,
 
     lo = scale * (1.0 + 1.0e-9)
     hi = scale * 1.0e7
-    return brentq(objective, lo, hi, xtol=1.0e-13, rtol=8.9e-16)
+    return _bisect_zero(objective, lo, hi, tol=1.0e-13)

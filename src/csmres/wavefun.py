@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import NonConvergence, NonNormalizable, SingularCoordinate
 from .model import ModelParams, derived_quantities, resonance_energy
@@ -242,6 +241,39 @@ def classify_region(params: ModelParams, lam: complex | None = None) -> RegionLa
 def classification_functional(params: ModelParams, lam: complex | None = None) -> float:
     """The signed functional whose sign defines classify_region."""
     return _tail_functional(params, lam)
+
+
+def simpson(y, x):
+    """Composite Simpson integral of samples ``y`` on strictly increasing
+    ``x``.
+
+    The same floating-point operations, in the same order, as scipy's
+    ``simpson(y, x=x)`` on 1-D input: the non-uniform three-point rule on
+    consecutive pairs of intervals, then for an even number of points
+    Cartwright's correction on the last interval (the trapezoid for two
+    points).  It returns a numpy scalar of y's type.  The last-interval
+    weights are taken on 0-d arrays, as scipy takes them: numpy rounds a
+    power of a 0-d array and of a scalar differently.
+    """
+    y = np.asarray(y)
+    h = np.diff(np.asarray(x, dtype=float))
+    n = len(y)
+    if n == 2:
+        return 0.5 * h[0] * (y[1] + y[0])
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    mid = hsum * (hsum / (h0 * h1))
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                  + y[1:stop + 1:2] * mid
+                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        a, b = h[-2, ...], h[-1, ...]
+        result += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                   + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
+                   - b ** 3 / (6 * a * (a + b)) * y[-3])
+    return result
 
 
 def gamow_cnorm(field: WaveField) -> complex:

@@ -2,14 +2,9 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import csmres
 from csmres.cli import main
 
 
@@ -82,15 +77,8 @@ class TestExitCodes:
 
 
 class TestModuleEntryPoint:
-    def test_python_m_csmres_help(self):
-        # run the package that is imported here, installed or not
-        src = str(Path(csmres.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-m", "csmres", "--help"],
-                              env=env, capture_output=True, text=True,
-                              timeout=60)
+    def test_python_m_csmres_help(self, fresh_python):
+        done = fresh_python("-m", "csmres", "--help")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: csmres")
 

@@ -5,6 +5,7 @@ config stored next to them (overlap with two real-axis bins and one delta,
 defaults elsewhere).  Any change to a printed digit fails here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,23 @@ def test_output_matches_golden_bytes(tmp_path, command):
     for name in OUTPUTS[command]:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), \
             name
+
+
+def test_workflows_need_no_scipy(tmp_path, fresh_python):
+    # scipy is a test oracle only: with it blocked, every workflow still
+    # writes the golden bytes
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from csmres.cli import main\n"
+            "config, out, commands = json.loads(sys.argv[1])\n"
+            "for command in commands:\n"
+            "    code = main(['--config', config, '--out', out + '/' + command,\n"
+            "                 command])\n"
+            "    assert code == 0, command\n")
+    args = json.dumps([str(GOLDEN / "config.json"), str(tmp_path), COMMANDS])
+    done = fresh_python("-c", code, args)
+    assert done.returncode == 0, done.stderr
+    for command in COMMANDS:
+        for name in OUTPUTS[command]:
+            assert (tmp_path / command / name).read_bytes() \
+                == (GOLDEN / name).read_bytes(), name

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmres.errors import DegenerateIndex
+from csmres.errors import DegenerateIndex, NonConvergence, \
+    PreconditionViolation
 from csmres.model import (
     CriticalAngle,
     ModelParams,
+    _bisect_zero,
     branch_point,
     branch_point_coupling,
     contact_coupling_root,
@@ -172,6 +174,27 @@ class TestLambdaWindow:
             rb = lambda_window(th)
             root = contact_coupling_root(th, n=1)
             assert abs(root - rb.lambda1_plus) < 1e-9 * rb.lambda1_plus
+
+
+class TestBisectZero:
+    def test_root_to_tolerance(self):
+        root = _bisect_zero(lambda t: t * t - 2.0, 0.0, 2.0, tol=1e-13)
+        assert abs(root - math.sqrt(2.0)) < 1e-13
+
+    def test_stops_at_adjacent_floats(self):
+        # 1e-13 is below the float spacing near 1e6
+        root = _bisect_zero(lambda t: t - 1e6 - 0.3, 1e6, 1e6 + 1.0,
+                            tol=1e-13)
+        assert abs(root - (1e6 + 0.3)) <= 2.0 * math.ulp(1e6)
+
+    def test_same_sign_raises(self):
+        with pytest.raises(PreconditionViolation):
+            _bisect_zero(lambda t: t * t + 1.0, -1.0, 1.0)
+
+    def test_iteration_cap_raises(self):
+        # 200 halvings of 1e300 leave about 6e239, far above tol
+        with pytest.raises(NonConvergence):
+            _bisect_zero(lambda t: t - 1e-250, 0.0, 1e300, tol=1e-300)
 
 
 class TestBranchPoint:

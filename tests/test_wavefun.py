@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson as scipy_simpson
 
 from csmres.errors import NonNormalizable
 from csmres.model import (
@@ -33,6 +34,7 @@ from csmres.wavefun import (
     normalize_gamow,
     raw_psi,
     siegert_residual,
+    simpson,
 )
 
 SQRT7 = math.sqrt(7.0)
@@ -290,6 +292,28 @@ class TestSiegert:
             refl = asymptotic_coefficients(p, k).refl
             ident = 1j * cmath.sin(math.pi * s) / cmath.sinh(math.pi * k / p.beta)
             assert abs(refl - ident) < 1e-10 * max(1.0, abs(ident))
+
+
+class TestSimpson:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 40), uniform=st.booleans(),
+           complex_y=st.booleans())
+    def test_equals_scipy_bit_for_bit(self, data, n, uniform, complex_y):
+        start = data.draw(st.floats(-50.0, 50.0))
+        if uniform:
+            x = np.linspace(start, start + data.draw(st.floats(1e-3, 100.0)),
+                            n)
+        else:
+            steps = data.draw(st.lists(st.floats(1e-3, 10.0),
+                                       min_size=n - 1, max_size=n - 1))
+            x = start + np.concatenate(([0.0], np.cumsum(steps)))
+        samples = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+        y = np.array(data.draw(samples))
+        if complex_y:
+            y = y + 1j * np.array(data.draw(samples))
+        got, want = simpson(y, x), scipy_simpson(y, x=x)
+        assert got == want
+        assert type(got) is type(want)
 
 
 class TestGamowNorm:
