@@ -39,11 +39,11 @@ _EXPORTS = {
         "normalize_gamow", "raw_psi", "siegert_residual",
     ),
     "binbasis": (
-        "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix",
-        "TailTerm", "bin_energy", "binned_state", "build_bins",
-        "degeneracy_diagnostics", "ep_ray", "limit_exchange_entries",
-        "overlap_matrix", "plane_wave_bin", "product_entry", "real_axis",
-        "resonance_state", "spatial_grid", "unit_diagonal_state",
+        "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix", "Side",
+        "TailTerm", "bin_energy", "binned_state", "degeneracy_diagnostics",
+        "ep_ray", "limit_exchange_entries", "overlap_matrix",
+        "plane_wave_bin", "product_entry", "real_axis", "resonance_state",
+        "spatial_grid", "unit_diagonal_state",
     ),
     "eploop": (
         "LoopSpec", "LoopTrace", "PuiseuxFit", "boundary_crossings",

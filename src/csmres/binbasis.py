@@ -73,34 +73,7 @@ _K_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
-# contours and bin grids
-
-@dataclass(frozen=True)
-class RealAxisContour:
-    k_min: float
-    k_max: float
-
-
-@dataclass(frozen=True)
-class EpRayContour:
-    lam: complex
-    alphas: tuple
-
-
-def real_axis(k_min: float, k_max: float) -> RealAxisContour:
-    """Uniform real-axis contour spec (Hermitian construction)."""
-    if not k_max > k_min:
-        raise ValueError("k_max must exceed k_min")
-    return RealAxisContour(k_min, k_max)
-
-
-def ep_ray(lam: complex, alphas=( -1.0, 0.0, 1.0)) -> EpRayContour:
-    """EP-adapted contour spec: nodes k_bp + alpha' sqrt(lam - lam_bp)."""
-    alphas = tuple(float(a) for a in alphas)
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly increasing")
-    return EpRayContour(complex(lam), alphas)
-
+# bin grids
 
 @dataclass(frozen=True)
 class BinGrid:
@@ -108,7 +81,6 @@ class BinGrid:
 
     nodes: np.ndarray
     hermitian: bool
-    lam: complex
 
     @property
     def n_bins(self) -> int:
@@ -119,37 +91,45 @@ class BinGrid:
         return np.diff(self.nodes)
 
 
-def build_bins(params: ModelParams, contour_spec, n_bins: int | None = None) -> BinGrid:
-    """Build a BinGrid from a contour spec.
-
-    Real-axis contours need ``n_bins``; EP-ray contours take their node
-    count from the alpha' list (``n_bins`` is validated if given).
+def real_axis(k_min: float, k_max: float, n_bins: int) -> BinGrid:
+    """Uniform real-axis partition of [k_min, k_max] (Hermitian
+    construction).
 
     Raises
     ------
+    ValueError
+        If k_max <= k_min.
     EmptyRange
-        If the requested partition contains no bins.
+        If n_bins <= 0.
     """
-    if isinstance(contour_spec, RealAxisContour):
-        if n_bins is None:
-            raise ValueError("n_bins required for a real-axis contour")
-        if n_bins <= 0:
-            raise EmptyRange("n_bins must be positive")
-        nodes = np.linspace(contour_spec.k_min, contour_spec.k_max,
-                            n_bins + 1).astype(complex)
-        return BinGrid(nodes=nodes, hermitian=True, lam=complex(params.lam))
-    if isinstance(contour_spec, EpRayContour):
-        alphas = np.asarray(contour_spec.alphas, dtype=float)
-        if n_bins is not None and n_bins != len(alphas) - 1:
-            raise ValueError("n_bins inconsistent with alpha' list")
-        if len(alphas) < 2:
-            raise EmptyRange("EP contour needs at least two nodes")
-        lam = complex(contour_spec.lam)
-        lam_bp, _, k_bp = branch_point(params)
-        root = cmath.sqrt(lam - lam_bp)
-        nodes = k_bp + alphas * root
-        return BinGrid(nodes=nodes.astype(complex), hermitian=False, lam=lam)
-    raise TypeError(f"unknown contour spec {contour_spec!r}")
+    if not k_max > k_min:
+        raise ValueError("k_max must exceed k_min")
+    if n_bins <= 0:
+        raise EmptyRange("n_bins must be positive")
+    nodes = np.linspace(k_min, k_max, n_bins + 1).astype(complex)
+    return BinGrid(nodes=nodes, hermitian=True)
+
+
+def ep_ray(params: ModelParams, alphas=(-1.0, 0.0, 1.0)) -> BinGrid:
+    """EP-adapted partition: nodes k_bp + alpha' sqrt(lam - lam_bp), with
+    lam the coupling of ``params``.
+
+    Raises
+    ------
+    ValueError
+        If the alphas are not strictly increasing.
+    EmptyRange
+        If there are fewer than two alphas.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if np.any(np.diff(alphas) <= 0.0):
+        raise ValueError("alphas must be strictly increasing")
+    if len(alphas) < 2:
+        raise EmptyRange("EP contour needs at least two nodes")
+    lam_bp, _, k_bp = branch_point(params)
+    root = cmath.sqrt(complex(params.lam) - lam_bp)
+    return BinGrid(nodes=(k_bp + alphas * root).astype(complex),
+                   hermitian=False)
 
 
 # ---------------------------------------------------------------------------
@@ -267,35 +247,49 @@ def _tail_product(left: TailTerm, right: TailTerm, x_cut: float) -> complex:
                    * _cauchy(right, z[keep], x_cut)) / right.rate
 
 
-def _scaled_terms(terms, factor):
-    return [replace(t, coef=factor * t.coef) for t in terms]
-
-
 # ---------------------------------------------------------------------------
 # states
 
-@dataclass
-class BasisState:
-    """A square-integrable basis state with tail descriptors.
+@dataclass(frozen=True)
+class Side:
+    """One function of x: its samples on the grid and its tail terms
+    beyond x = X (``plus``) and x = -X (``minus``)."""
 
-    ``values``/``tails_*`` describe the right (ket-side) function on the
-    grid and beyond the cutoff; ``left_values``/``left_tails_*`` the left
-    (bra-side) function entering every product without further conjugation.
-    ``h_values``/``h_tails_*`` hold the Hamiltonian applied to the state
-    (exact: spectral weight for bins, eigenvalue for the resonance).
+    values: np.ndarray
+    plus: tuple
+    minus: tuple
+
+    def _map(self, values, term) -> "Side":
+        return Side(values, tuple(map(term, self.plus)),
+                    tuple(map(term, self.minus)))
+
+    def scaled(self, f) -> "Side":
+        """The function times the number f."""
+        return self._map(self.values * f,
+                         lambda t: replace(t, coef=f * t.coef))
+
+    def conj(self) -> "Side":
+        """The complex-conjugate function."""
+        return self._map(np.conj(self.values), lambda t: TailTerm(
+            coef=np.conj(t.coef), rate=np.conj(t.rate),
+            seg=None if t.seg is None else tuple(np.conj(t.seg))))
+
+
+@dataclass(frozen=True)
+class BasisState:
+    """A square-integrable basis state.
+
+    ``right`` is the (ket-side) function, ``left`` its biorthogonal
+    partner, which enters every product without further conjugation, and
+    ``h`` the Hamiltonian applied to ``right`` (exact: spectral weight for
+    bins, eigenvalue for the resonance).
     """
 
     name: str
-    values: np.ndarray
-    left_values: np.ndarray
-    tails_plus: list
-    tails_minus: list
-    left_tails_plus: list
-    left_tails_minus: list
-    energy: complex | None = None
-    h_values: np.ndarray | None = None
-    h_tails_plus: list | None = None
-    h_tails_minus: list | None = None
+    energy: complex
+    right: Side
+    left: Side
+    h: Side
 
 
 def spatial_grid(beta: float = 1.0, x_max: float | None = None,
@@ -460,12 +454,12 @@ class _Continuum:
     bounded everywhere, delta weight (1 + A^2 + B^2)/2 instead of 1.
     """
 
-    def __init__(self, params: ModelParams, lam: complex, theta: float,
+    def __init__(self, params: ModelParams, theta: float,
                  channel: bool = False):
         self.theta = float(theta)
         self.beta = params.beta
         self.channel = bool(channel)
-        self.s = derived_quantities(params.with_lam(lam)).s
+        self.s = derived_quantities(params).s
         self.jac = cmath.exp(0.5j * self.theta)
         zp = 1j * cmath.exp(1j * self.theta)
         # rate factors of the plus, minus-reflected and minus-transmitted
@@ -564,7 +558,7 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     dk = kb - ka
     inv_sqrt_dk = 1.0 / np.sqrt(np.complex128(dk))
     theta_eff = 0.0 if grid.hermitian else params.theta
-    cont = _Continuum(params, grid.lam, theta_eff, channel=channel)
+    cont = _Continuum(params, theta_eff, channel=channel)
     eps = lambda k: (params.hbar * k) ** 2 / (2.0 * params.m)
     y, at = np.unique(np.abs(x), return_inverse=True)
 
@@ -587,16 +581,13 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
 
     # conj psi(k, s) = psi(-k, conj s), and conj s is s or -1 - s (the
     # same solution) only for real lam
-    conjugate = grid.hermitian and grid.lam.imag == 0.0
+    conjugate = grid.hermitian and complex(params.lam).imag == 0.0
     integ = inv_sqrt_dk * _gk_integral(
         lambda ks: cont.jost_pair(ks, y, conjugate), weights, ka, kb, x_max)
     nonneg = x >= 0.0
 
     def on_grid(pos, neg):
         return np.where(nonneg, pos[at], neg[at])
-
-    values = on_grid(*integ[0:2])
-    h_values = on_grid(*integ[2:4])
 
     # Legendre coefficients of the tail coefficients on the bin, from
     # samples at _TAIL_N Gauss nodes, or at 2 or 4 times as many until the
@@ -617,26 +608,19 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     # rows: the coefficients, eps times them (H) and, on EP-ray grids, the
     # partner's, which is the solution at -k with rates -zeta
     zetas = cont.zetas * 2 + tuple(-r for r in cont.zetas)
-    plus, refl, trans, h_plus, h_refl, h_trans, *left = [
-        TailTerm(coef=inv_sqrt_dk * a, rate=r, seg=(ka, kb))
-        for a, r in zip(coef, zetas)]
-    if grid.hermitian:
-        left_values = np.conj(values)
-        left = [TailTerm(coef=np.conj(t.coef), rate=np.conj(t.rate),
-                         seg=(np.conj(ka), np.conj(kb)))
-                for t in (plus, refl, trans)]
-    else:
-        left_values = on_grid(*integ[4:6])
+    terms = [TailTerm(coef=inv_sqrt_dk * a, rate=r, seg=(ka, kb))
+             for a, r in zip(coef, zetas)]
 
+    def side(j):
+        # function j on x >= 0 and x < 0, its plus component beyond X and
+        # its reflected and transmitted ones beyond -X
+        return Side(on_grid(*integ[2 * j:2 * j + 2]), (terms[3 * j],),
+                    (terms[3 * j + 1], terms[3 * j + 2]))
+
+    right = side(0)
     return BasisState(
-        name=f"bin[{n}]",
-        values=values, left_values=left_values,
-        tails_plus=[plus], tails_minus=[refl, trans],
-        left_tails_plus=left[:1], left_tails_minus=left[1:],
-        energy=bin_energy(params, ka, kb),
-        h_values=h_values,
-        h_tails_plus=[h_plus], h_tails_minus=[h_refl, h_trans],
-    )
+        name=f"bin[{n}]", energy=bin_energy(params, ka, kb), right=right,
+        left=right.conj() if grid.hermitian else side(2), h=side(1))
 
 
 def plane_wave_bin(x: np.ndarray, ka: float, kb: float) -> np.ndarray:
@@ -663,12 +647,12 @@ def resonance_state(params: ModelParams, x: np.ndarray, n: int = 0,
     ``normalization``: "l2" divides by the regularized conjugate L2 norm
     (unit probability mass; the bilinear diagonal then exposes
     self-orthogonality), "cnorm" by the principal root of the bilinear
-    norm, "raw" leaves the solution as evaluated.
+    norm.
 
     Raises
     ------
     ValueError
-        If the grid does not span [-X, X].
+        For an unknown normalization or a grid not spanning [-X, X].
     """
     from .wavefun import eval_wavefunction, gamow_cnorm
 
@@ -685,25 +669,17 @@ def resonance_state(params: ModelParams, x: np.ndarray, n: int = 0,
         scale = 1.0 / math.sqrt(interior + tail)
     elif normalization == "cnorm":
         scale = 1.0 / cmath.sqrt(gamow_cnorm(fld))
-    elif normalization == "raw":
-        scale = 1.0
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
     v = v * scale
     cp = v[-1] * cmath.exp(-q * x_cut)
     cm = v[0] * cmath.exp(-q * x_cut)
-    tp = [TailTerm(coef=cp, rate=q)]
-    tm = [TailTerm(coef=cm, rate=q)]
-    return BasisState(
-        name=f"res[{n}]",
-        values=v, left_values=v,
-        tails_plus=tp, tails_minus=tm,
-        left_tails_plus=tp, left_tails_minus=tm,
-        energy=pole.energy,
-        h_values=pole.energy * v,
-        h_tails_plus=_scaled_terms(tp, pole.energy),
-        h_tails_minus=_scaled_terms(tm, pole.energy),
-    )
+    e = pole.energy
+    right = Side(v, (TailTerm(coef=cp, rate=q),), (TailTerm(coef=cm, rate=q),))
+    h = Side(e * v, (TailTerm(coef=e * cp, rate=q),),
+             (TailTerm(coef=e * cm, rate=q),))
+    return BasisState(name=f"res[{n}]", energy=e, right=right, left=right,
+                      h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -730,14 +706,12 @@ def product_entry(left: BasisState, right: BasisState, x: np.ndarray,
     ValueError
         If the grid does not span [-X, X].
     """
-    rv = right.h_values if apply_h else right.values
-    rtp = right.h_tails_plus if apply_h else right.tails_plus
-    rtm = right.h_tails_minus if apply_h else right.tails_minus
+    bra, ket = left.left, right.h if apply_h else right.right
     x_cut = _cutoff(x)
-    interior = complex(simpson(left.left_values * rv, x=x))
+    interior = complex(simpson(bra.values * ket.values, x=x))
     tails = sum(_tail_product(a, b, x_cut)
-                for side_l, side_r in ((left.left_tails_plus, rtp),
-                                       (left.left_tails_minus, rtm))
+                for side_l, side_r in ((bra.plus, ket.plus),
+                                       (bra.minus, ket.minus))
                 for a in side_l for b in side_r)
     return interior + tails
 
@@ -766,23 +740,9 @@ def unit_diagonal_state(state: BasisState, x: np.ndarray) -> BasisState:
     d = product_entry(state, state, x)
     if abs(d) < 1e-300:
         raise NonNormalizable("state is self-orthogonal; cannot rescale")
-    r = np.sqrt(np.complex128(d))
-    inv = 1.0 / r
-    return BasisState(
-        name=state.name,
-        values=state.values * inv,
-        left_values=state.left_values * inv,
-        tails_plus=_scaled_terms(state.tails_plus, inv),
-        tails_minus=_scaled_terms(state.tails_minus, inv),
-        left_tails_plus=_scaled_terms(state.left_tails_plus, inv),
-        left_tails_minus=_scaled_terms(state.left_tails_minus, inv),
-        energy=state.energy,
-        h_values=None if state.h_values is None else state.h_values * inv,
-        h_tails_plus=None if state.h_tails_plus is None
-        else _scaled_terms(state.h_tails_plus, inv),
-        h_tails_minus=None if state.h_tails_minus is None
-        else _scaled_terms(state.h_tails_minus, inv),
-    )
+    inv = 1.0 / np.sqrt(np.complex128(d))
+    return replace(state, right=state.right.scaled(inv),
+                   left=state.left.scaled(inv), h=state.h.scaled(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +759,7 @@ class DegeneracyPoint:
 def _ep_states(params: ModelParams, lam: complex, alphas, x: np.ndarray):
     """L2-normalized resonance and unit-diagonal channel bins on the EP ray."""
     p = params.with_lam(lam)
-    grid = build_bins(p, ep_ray(lam, alphas))
+    grid = ep_ray(p, alphas)
     res = resonance_state(p, x, normalization="l2")
     bins = [
         unit_diagonal_state(
@@ -866,6 +826,7 @@ def limit_exchange_entries(params: ModelParams, lam_seq,
     for lam in lam_seq:
         res, bins = _ep_states(params, lam, alphas, x)
         interior.append(max(abs(product_entry(res, b, x)) for b in bins))
-        limits.append(max(abs(complex(simpson(phi_bp * b.values, x=x)))
+        limits.append(max(abs(complex(simpson(phi_bp * b.right.values,
+                                              x=x)))
                           for b in bins))
     return interior, limits

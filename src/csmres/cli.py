@@ -57,12 +57,20 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _finite(text: str) -> float:
+    """A JSON number, or NaN/Infinity, that must be finite (1e400 is not)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -196,7 +204,7 @@ def _matrix_rows(om) -> list:
 
 
 def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
-    from .binbasis import (binned_state, build_bins, degeneracy_diagnostics,
+    from .binbasis import (binned_state, degeneracy_diagnostics,
                            overlap_matrix, real_axis, spatial_grid)
 
     params = _params_from(cfg)
@@ -211,7 +219,7 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
         raise ConfigError("overlap.deltas must be positive")
 
     x = spatial_grid(params.beta)
-    grid = build_bins(params, real_axis(k_min, k_max), n_bins=n_bins)
+    grid = real_axis(k_min, k_max, n_bins)
     bins = [binned_state(params, grid, j, x) for j in range(n_bins)]
     s_mat = overlap_matrix(bins, bins, x)
     h_mat = overlap_matrix(bins, bins, x, apply_h=True)
@@ -295,6 +303,8 @@ def cmd_wavefunction(cfg: dict, out_dir: str, fmt: str) -> None:
         n_points=(_integer, 2049))
     if n_points < 5:
         raise ConfigError("wavefunction.n_points must be >= 5")
+    if x_max is not None and not x_max > 0.0:
+        raise ConfigError("wavefunction.x_max must be > 0")
     grid = default_grid(params.beta, x_max, n_points)
     field = eval_wavefunction(params, k, grid)
     rows = [[_fmt(xv), _fmt(pv.real), _fmt(pv.imag)]

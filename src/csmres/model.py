@@ -188,17 +188,14 @@ def branch_point_coupling(theta: float, m: float = 1.0, hbar: float = 1.0,
 def branch_point(params: ModelParams) -> tuple:
     """(lambda_bp, E_bp, k_bp): where the n = 0 resonance meets the continuum.
 
-    E_bp = (beta^2 hbar^2 / 8m) [sqrt(g_bp - 1) - i]^2 with
-    g_bp = 8 m lambda_bp / (beta hbar)^2 is the n = 0 resonance energy at
-    lambda_bp, and k_bp = sqrt(2 m E_bp) / hbar.  The coupling of ``params``
-    does not enter.
+    E_bp and k_bp are the energy and wavenumber of the n = 0 resonance at
+    lambda_bp (``resonance_energy``).  The coupling of ``params`` does not
+    enter.
     """
     lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
                                    params.beta)
-    g_bp = 8.0 * params.m * lam_bp / (params.beta * params.hbar) ** 2
-    E_bp = params.energy_scale * (cmath.sqrt(g_bp - 1.0) - 1j) ** 2
-    k_bp = cmath.sqrt(2.0 * params.m * E_bp) / params.hbar
-    return lam_bp, E_bp, k_bp
+    pole = resonance_energy(params.with_lam(lam_bp), 0)
+    return lam_bp, pole.energy, pole.k
 
 
 def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,

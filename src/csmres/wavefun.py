@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, NonNormalizable, SingularCoordinate
+from .errors import NonConvergence, NonNormalizable, \
+    PreconditionViolation, SingularCoordinate
 from .model import ModelParams, derived_quantities, resonance_energy
 from .specfun import complex_gamma, hyp2f1_grid, reciprocal_gamma
 
@@ -109,20 +110,38 @@ def raw_psi(k, s: complex, beta: float, theta: float,
     computed once per call; all rows go through one batched
     ``hyp2f1_grid`` call.  ``theta`` may be negative (used for
     biorthogonal partners); the formula is the same with x' = x e^{i theta}.
+
+    Raises
+    ------
+    PreconditionViolation
+        If the gamma or 2F1 kernels overflow, or a value is not finite,
+        as happens for large |k| (|k| = 150 at theta 0.3 on |x| <= 12).
     """
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=complex)
     z = beta * x * cmath.exp(1j * theta)
     u, omu, log_u, log_omu = _split_by_sign(z)
     p = -1j * k / (2.0 * beta)
-    # (1 - xi^2)^p = exp(p (ln 4 + log u + log(1-u))), continued branch
-    pref = np.exp(np.multiply.outer(p, LN4 + log_u + log_omu))
     kb = 1j * k / beta
     a = -kb - s
     b = -kb + s + 1.0
     c = -kb + 1.0
-    f = hyp2f1_grid(a, b, c, u, one_minus_u=omu, log_one_minus_u=log_omu)
-    return pref * f
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (1 - xi^2)^p = exp(p (ln 4 + log u + log(1-u))), continued
+            # branch
+            pref = np.exp(np.multiply.outer(p, LN4 + log_u + log_omu))
+            # a named right operand: numpy may evaluate pref * (temporary)
+            # as temporary * pref, which rounds differently
+            f = hyp2f1_grid(a, b, c, u, one_minus_u=omu,
+                            log_one_minus_u=log_omu)
+            psi = pref * f
+    except OverflowError as exc:
+        raise PreconditionViolation(
+            f"raw_psi kernels overflow at k = {k}") from exc
+    if not np.isfinite(psi).all():
+        raise PreconditionViolation(f"raw_psi is not finite at k = {k}")
+    return psi
 
 
 def eval_wavefunction(params: ModelParams, k: complex,
@@ -202,9 +221,13 @@ def find_resonance_k(params: ModelParams, k0: complex,
 
     Raises
     ------
+    ValueError
+        If max_iter < 1.
     NonConvergence
         If the iteration cap is reached.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     k = complex(k0)
     for _ in range(max_iter):
         f = siegert_residual(params, k)

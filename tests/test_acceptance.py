@@ -14,7 +14,6 @@ from numpy.polynomial.legendre import leggauss
 from csmres.binbasis import (
     bin_energy,
     binned_state,
-    build_bins,
     degeneracy_diagnostics,
     limit_exchange_entries,
     overlap_matrix,
@@ -85,7 +84,7 @@ class TestAcceptance3BinIdentity:
     def test_hermitian_six_bins(self):
         p = ModelParams(lam=1.0, theta=0.3)
         x = spatial_grid(p.beta)
-        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        grid = real_axis(0.5, 3.5, 6)
         bins = [binned_state(p, grid, j, x) for j in range(6)]
         s = overlap_matrix(bins, bins, x).matrix
         h = overlap_matrix(bins, bins, x, apply_h=True).matrix

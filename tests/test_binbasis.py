@@ -3,6 +3,7 @@
 import cmath
 import logging
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.integrate import quad, simpson
 from csmres import binbasis
 from csmres.binbasis import (
     _GK_ORDERS,
+    BasisState,
     BinGrid,
     TailTerm,
     _gk_integral,
@@ -20,7 +22,6 @@ from csmres.binbasis import (
     _tail_product,
     bin_energy,
     binned_state,
-    build_bins,
     degeneracy_diagnostics,
     ep_ray,
     limit_exchange_entries,
@@ -42,8 +43,7 @@ LN2 = math.log(2.0)
 
 class TestGrids:
     def test_uniform_real_partition(self):
-        p = ModelParams(lam=1.0, theta=0.3)
-        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        grid = real_axis(0.5, 3.5, 6)
         assert grid.hermitian and grid.n_bins == 6
         assert np.allclose(grid.nodes, np.linspace(0.5, 3.5, 7))
         assert np.allclose(grid.widths, 0.5)
@@ -51,9 +51,9 @@ class TestGrids:
     def test_empty_partition_raises(self):
         p = ModelParams(lam=1.0, theta=0.3)
         with pytest.raises(EmptyRange):
-            build_bins(p, real_axis(0.5, 3.5), n_bins=0)
+            real_axis(0.5, 3.5, 0)
         with pytest.raises(EmptyRange):
-            build_bins(p, ep_ray(0.5 + 0.01j, alphas=(0.0,)))
+            ep_ray(p.with_lam(0.5 + 0.01j), alphas=(0.0,))
 
     def test_ep_ray_substitution(self):
         # nodes k_bp + alpha' sqrt(lam - lam_bp), principal root:
@@ -62,15 +62,22 @@ class TestGrids:
         p = ModelParams(lam=1.0, theta=th)
         lbp = branch_point_coupling(th)
         lam = lbp + 1e-4 * cmath.exp(1j * math.pi / 3)
-        grid = build_bins(p, ep_ray(lam, alphas=(0.0, 1.0, 2.0)))
+        grid = ep_ray(p.with_lam(lam), alphas=(0.0, 1.0, 2.0))
         k_bp = cmath.exp(-1j * th)
         step = 1e-2 * cmath.exp(1j * math.pi / 6)
         for n, a in enumerate((0.0, 1.0, 2.0)):
             assert abs(grid.nodes[n] - (k_bp + a * step)) < 1e-14
 
+    def test_grid_and_state_fields(self):
+        # the coupling lives in ModelParams only; every state has all sides
+        assert [f.name for f in fields(BinGrid)] == ["nodes", "hermitian"]
+        assert [f.name for f in fields(BasisState)] == [
+            "name", "energy", "right", "left", "h"]
+
     def test_alpha_ordering_enforced(self):
         with pytest.raises(ValueError):
-            ep_ray(0.5 + 0.01j, alphas=(1.0, 0.0))
+            ep_ray(ModelParams(lam=0.5 + 0.01j, theta=0.3),
+                   alphas=(1.0, 0.0))
 
 
 class TestTailIntegral:
@@ -247,12 +254,12 @@ class TestBinQuadrature:
 
     def test_hermitian_delta_bin(self, caplog):
         p = ModelParams(lam=1.0, theta=0.3)
-        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        grid = real_axis(0.5, 3.5, 6)
         with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
             st = binned_state(p, grid, 2, self.x)
         ref, ref_h = self.hermitian_refs(p)
-        assert self.digits(st.values, ref) >= 12.0
-        assert self.digits(st.h_values, ref_h) >= 12.0
+        assert self.digits(st.right.values, ref) >= 12.0
+        assert self.digits(st.h.values, ref_h) >= 12.0
         # the phase span 0.5 * 40 / 2 = 10 radians starts and settles at K33
         (msg,) = [r.getMessage() for r in caplog.records]
         assert msg.startswith("bin integral: K33/G16, 33 k-nodes")
@@ -260,17 +267,17 @@ class TestBinQuadrature:
     def test_hermitian_bin_with_complex_lam(self):
         # conj psi(k) is not psi(-k) here: x < 0 needs psi at -k itself
         p = ModelParams(lam=1.0 + 0.1j, theta=0.3)
-        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        grid = real_axis(0.5, 3.5, 6)
         st = binned_state(p, grid, 2, self.x)
         ref, ref_h = self.hermitian_refs(p)
-        assert self.digits(st.values, ref) >= 12.0
-        assert self.digits(st.h_values, ref_h) >= 12.0
+        assert self.digits(st.right.values, ref) >= 12.0
+        assert self.digits(st.h.values, ref_h) >= 12.0
 
     def test_ep_ray_channel_bin(self, caplog):
         th = math.pi / 6
         lam = branch_point_coupling(th) + 1e-2
         p = ModelParams(lam=lam, theta=th)
-        grid = build_bins(p, ep_ray(lam))
+        grid = ep_ray(p)
         ka, kb = complex(grid.nodes[0]), complex(grid.nodes[1])
         with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
             st = binned_state(p, grid, 0, self.x, normalization="channel")
@@ -282,8 +289,8 @@ class TestBinQuadrature:
         ref_left = self.gl96(
             lambda ks: jac * np.conj(raw_psi(np.conj(ks), s_bar, 1.0, -th,
                                              self.x)), ka, kb)
-        assert self.digits(st.values, ref) >= 12.0
-        assert self.digits(st.left_values, ref_left) >= 12.0
+        assert self.digits(st.right.values, ref) >= 12.0
+        assert self.digits(st.left.values, ref_left) >= 12.0
         # the left partner rides on the right state's ladder
         (msg,) = [r.getMessage() for r in caplog.records]
         assert msg.startswith("bin integral: K17/G8, 17 k-nodes")
@@ -316,7 +323,7 @@ class TestJostPairWork:
 
     def test_hermitian_bin_evaluates_plus_k_only(self, monkeypatch):
         p = ModelParams(lam=1.0, theta=0.3)
-        grid = build_bins(p, real_axis(0.5, 3.5), n_bins=6)
+        grid = real_axis(0.5, 3.5, 6)
         assert self.psi_work(
             monkeypatch, lambda: binned_state(p, grid, 0, self.x)) == 33
 
@@ -325,7 +332,7 @@ class TestJostPairWork:
         th = math.pi / 6
         lam = branch_point_coupling(th) + 1e-2
         p = ModelParams(lam=lam, theta=th)
-        grid = build_bins(p, ep_ray(lam))
+        grid = ep_ray(p)
         assert self.psi_work(monkeypatch, lambda: binned_state(
             p, grid, 0, self.x, normalization="channel")) == 34
 
@@ -335,7 +342,7 @@ class TestGridSpan:
 
     def test_lopsided_grid_raises(self):
         p = ModelParams(lam=1.0, theta=0.4)
-        grid = build_bins(p, real_axis(1.0, 2.0), n_bins=2)
+        grid = real_axis(1.0, 2.0, 2)
         st = binned_state(p, grid, 0, np.linspace(-35.0, 35.0, 701))
         with pytest.raises(ValueError, match="span"):
             binned_state(p, grid, 0, self.lopsided)
@@ -386,15 +393,15 @@ class TestBinnedState:
         # so the binned state is the free bin evaluated at x - ln 2
         p = ModelParams(lam=1e-12, theta=0.3)
         x = np.linspace(-8.0, 8.0, 321)
-        grid = build_bins(p, real_axis(1.0, 1.5), n_bins=1)
+        grid = real_axis(1.0, 1.5, 1)
         st = binned_state(p, grid, 0, x)
         expect = plane_wave_bin(x - LN2, 1.0, 1.5) / math.sqrt(2.0 * math.pi)
-        assert np.max(np.abs(st.values - expect)) < 1e-6
+        assert np.max(np.abs(st.right.values - expect)) < 1e-6
 
     def test_bad_index_and_normalization(self):
         p = ModelParams(lam=1.0, theta=0.3)
         x = np.linspace(-8.0, 8.0, 161)
-        grid = build_bins(p, real_axis(1.0, 2.0), n_bins=2)
+        grid = real_axis(1.0, 2.0, 2)
         with pytest.raises(IndexError):
             binned_state(p, grid, 2, x)
         with pytest.raises(ValueError):
@@ -404,14 +411,14 @@ class TestBinnedState:
         # 2, 4 and then 8 nodes cannot resolve the coefficients of a bin
         monkeypatch.setattr(binbasis, "_TAIL_N", 2)
         p = ModelParams(lam=1.0, theta=0.3)
-        grid = build_bins(p, real_axis(1.0, 2.0), n_bins=2)
+        grid = real_axis(1.0, 2.0, 2)
         with pytest.raises(QuadratureError, match="settle at 8 nodes"):
             binned_state(p, grid, 0, np.linspace(-8.0, 8.0, 161))
 
     def test_bin_energy_recorded(self):
         p = ModelParams(lam=1.0, theta=0.3)
         x = np.linspace(-8.0, 8.0, 161)
-        grid = build_bins(p, real_axis(1.0, 2.0), n_bins=2)
+        grid = real_axis(1.0, 2.0, 2)
         st = binned_state(p, grid, 1, x)
         assert abs(st.energy - bin_energy(p, 1.5, 2.0)) < 1e-14
 
@@ -423,7 +430,7 @@ class TestHermitianIdentity:
         cls = request.cls
         cls.p = ModelParams(lam=1.0, theta=0.3)
         cls.x = spatial_grid(1.0)
-        cls.grid = build_bins(cls.p, real_axis(0.5, 3.5), n_bins=6)
+        cls.grid = real_axis(0.5, 3.5, 6)
         cls.bins = [binned_state(cls.p, cls.grid, j, cls.x) for j in range(6)]
 
     def test_overlap_is_identity(self):
@@ -446,11 +453,11 @@ class TestHermitianIdentity:
     def test_wide_bins(self):
         # the delta normalization's pole 0.5 below the axis is close to
         # these bins: their tail series need more than _TAIL_N terms
-        grid = build_bins(self.p, real_axis(0.5, 3.5), n_bins=2)
+        grid = real_axis(0.5, 3.5, 2)
         bins = [binned_state(self.p, grid, j, self.x) for j in range(2)]
         s = overlap_matrix(bins, bins, self.x).matrix
         assert np.max(np.abs(s - np.eye(2))) < 1e-10
-        assert max(len(b.tails_plus[0].coef) for b in bins) > binbasis._TAIL_N
+        assert max(len(b.right.plus[0].coef) for b in bins) > binbasis._TAIL_N
 
 
 class TestScaledIdentity:
@@ -463,7 +470,7 @@ class TestScaledIdentity:
         ray = cmath.exp(-1j * th)
         nodes = np.array([ray * t for t in (1.0, 1.5, 2.0, 2.5)],
                          dtype=complex)
-        grid = BinGrid(nodes=nodes, hermitian=False, lam=1.0 + 0.0j)
+        grid = BinGrid(nodes=nodes, hermitian=False)
         bins = [binned_state(p, grid, j, x) for j in range(3)]
         s = overlap_matrix(bins, bins, x).matrix
         h = overlap_matrix(bins, bins, x, apply_h=True).matrix
@@ -479,10 +486,15 @@ class TestUnitDiagonal:
         lam = lbp + 1e-3
         p = ModelParams(lam=lam, theta=th)
         x = spatial_grid(1.0)
-        grid = build_bins(p, ep_ray(lam))
+        grid = ep_ray(p)
         st = binned_state(p, grid, 0, x, normalization="channel")
         un = unit_diagonal_state(st, x)
         assert abs(product_entry(un, un, x) - 1.0) < 1e-9
+        # the H side is rescaled with the other two
+        d = product_entry(st, st, x)
+        h_st = product_entry(st, st, x, apply_h=True)
+        h_un = product_entry(un, un, x, apply_h=True)
+        assert abs(h_un - h_st / d) < 1e-12 * abs(h_st / d)
 
 
 class TestDegeneracyDiagnostics:
@@ -545,9 +557,9 @@ class TestResonanceState:
         p = ModelParams(lam=1.0, theta=0.4)
         x = spatial_grid(1.0)
         st = resonance_state(p, x, normalization="l2")
-        q = st.tails_plus[0].rate
-        interior = float(simpson(np.abs(st.values) ** 2, x=x))
-        tail = (abs(st.values[-1]) ** 2 + abs(st.values[0]) ** 2) \
+        q = st.right.plus[0].rate
+        interior = float(simpson(np.abs(st.right.values) ** 2, x=x))
+        tail = (abs(st.right.values[-1]) ** 2 + abs(st.right.values[0]) ** 2) \
             / (-2.0 * q.real)
         assert abs(interior + tail - 1.0) < 1e-9
 
@@ -561,4 +573,4 @@ class TestResonanceState:
         p = ModelParams(lam=1.0, theta=0.4)
         x = spatial_grid(1.0)
         st = resonance_state(p, x)
-        assert np.max(np.abs(st.h_values - st.energy * st.values)) == 0.0
+        assert np.max(np.abs(st.h.values - st.energy * st.right.values)) == 0.0

@@ -60,12 +60,40 @@ class TestExitCodes:
         ("berry", {"berry": {"windings": 4.5}}),
         ("berry", {"berry": {"n_steps": 256.5}}),
         ("wavefunction", {"wavefunction": {"n_points": 2049.5}}),
+        # json reads NaN and Infinity; non-finite numbers are rejected
+        ("spectrum", {"lam": math.nan}),
+        ("overlap", {"lam": math.nan}),
+        ("wavefunction", {"lam": math.nan}),
+        ("overlap", {"overlap": {"deltas": [math.nan]}}),
+        ("overlap", {"overlap": {"k_max": math.inf}}),
+        ("overlap", {"units": {"m": math.inf}}),
+        ("wavefunction", {"wavefunction": {"x_max": -5.0}}),
     ])
     def test_malformed_block_is_2(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--out", str(tmp_path), command]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_overflowing_number_is_2(self, tmp_path, capsys):
+        # 1e400 parses to inf
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"lam": 1e400}')
+        assert main(["--config", str(cfg), "--out", str(tmp_path),
+                     "spectrum"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("k", [150.0, 300.0])
+    def test_wavefunction_out_of_range_is_3(self, tmp_path, capsys, k):
+        cfg = write_config(tmp_path, {"wavefunction": {"k": k,
+                                                       "n_points": 65}})
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "wavefunction"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionViolation"
+        assert "k = " in err["message"]
         assert not list(tmp_path.glob("*.csv"))
 
     def test_integral_float_is_accepted(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
-from csmres.errors import NonNormalizable
+from csmres.errors import NonNormalizable, PreconditionViolation
 from csmres.model import (
     ModelParams,
     branch_point,
@@ -18,7 +18,7 @@ from csmres.model import (
     lambda_window,
     resonance_energy,
 )
-from csmres.binbasis import build_bins, ep_ray, spatial_grid
+from csmres.binbasis import ep_ray, spatial_grid
 from csmres.specfun import complex_gamma
 from csmres.wavefun import (
     RegionLabel,
@@ -161,7 +161,7 @@ def _k_rows(case):
     th = math.pi / 6
     lam = branch_point_coupling(th) + 1e-3
     p = ModelParams(lam=lam, theta=th)
-    nodes = build_bins(p, ep_ray(lam, (-2.0, -1.0, 0.0, 1.0, 2.0))).nodes
+    nodes = ep_ray(p, (-2.0, -1.0, 0.0, 1.0, 2.0)).nodes
     if case == "ep+":
         return nodes, derived_quantities(p).s, th
     return np.conj(nodes), derived_quantities(p.with_lam(np.conj(lam))).s, -th
@@ -246,6 +246,24 @@ class TestJostPairIdentities:
                 <= 1e-14 * np.max(np.abs(minus))
 
 
+class TestRawPsiRange:
+    """Past the kernels' range raw_psi raises a typed error, not NaN."""
+
+    p = ModelParams(lam=1.0, theta=0.3)
+    x = default_grid(1.0, None, 65)
+
+    @pytest.mark.parametrize("k, what", [
+        (150.0, "not finite"),      # the 2F1 connection power overflows
+        (300.0, "kernels overflow"),  # math range error in complex_gamma
+    ])
+    def test_large_k_raises(self, k, what):
+        s = derived_quantities(self.p).s
+        with pytest.raises(PreconditionViolation, match=what):
+            raw_psi(k, s, 1.0, self.p.theta, self.x)
+        with pytest.raises(PreconditionViolation, match=what):
+            raw_psi(np.array([1.0, k]), s, 1.0, self.p.theta, self.x)
+
+
 class TestSiegert:
     def test_exact_condition_is_machine_zero(self):
         p = ModelParams(lam=1.0, theta=0.3)
@@ -259,6 +277,11 @@ class TestSiegert:
         assert abs(k - (SQRT7 / 2.0 - 0.5j)) < 1e-8
         e = (k**2) / 2.0
         assert abs(e - resonance_energy(p, 0).energy) < 1e-8
+
+    def test_no_iterations_is_a_value_error(self):
+        p = ModelParams(lam=1.0, theta=0.3)
+        with pytest.raises(ValueError, match="max_iter"):
+            find_resonance_k(p, 0.8 - 0.4j, max_iter=0)
 
     def test_anti_resonance_first_quadrant(self):
         # outgoing-at-minus-infinity condition: zeros of the residual at -k;
