@@ -24,7 +24,7 @@ All overlap and Hamiltonian entries combine Simpson quadrature on a finite
 grid, |x| <= X, with the exact tails beyond it.  There the resonance is
 c e^{q y} and every asymptotic component of a bin is the integral over the
 bin of c(k) e^{zeta k y} dk, with c(k) held as its Legendre series from
-gamma-ratio samples at _TAIL_N Gauss nodes (more for wide bins).  Every
+the gamma-ratio samples the bin quadrature takes at its Kronrod nodes.  Every
 y-integral of a product is the Abel (Zel'dovich) value -e^{QX}/Q, which
 also continues non-decaying products; in k it leaves one Cauchy integral
 of c(k) e^{zeta k X} / (k - z) per point or node of the other factor.
@@ -60,11 +60,14 @@ _log = logging.getLogger(__name__)
 
 # Gauss orders n of the embedded Gauss-Kronrod pairs G_n / K_{2n+1}
 _GK_ORDERS = (8, 16, 32, 64)
-# bin quadrature stops when a pair's two integrals agree to this
+# bin quadrature stops when a pair's two integrals agree to this, and the
+# last two Legendre coefficients of every tail series fall below it
 _GL_TOL = 1e-9
-# Gauss-Legendre nodes per bin at which the tail coefficients c(k) are
-# first sampled, for their Legendre series of degree _TAIL_N - 1
-_TAIL_N = 24
+# least order of the tanh-sinh rule of a product of touching bins.  The far
+# end of the neighbour, one bin width away, is a singularity of its Cauchy
+# integral, so between equal widths the rule's error falls only like
+# e^{-1.8 n}: 2e-11 at n = 16, below rounding from n = 20
+_TANH_SINH_MIN = 24
 # k-nodes per batched raw_psi call.  It bounds the series working set:
 # the default `csmres overlap` run (2-core Xeon VM, one BLAS thread) took
 # about 2.1, 1.7, 1.9 and 1.8 s with blocks of 4, 8, 16 and 32 nodes, at a
@@ -222,7 +225,8 @@ def _tail_product(left: TailTerm, right: TailTerm, x_cut: float) -> complex:
     times a bin integrates that over the first bin's segment: by
     Gauss-Legendre where z(k) stays clear of the second segment, and by
     tanh-sinh, which resolves the logarithms of ``_cauchy`` at the ends,
-    where z(k) meets an end of it (same or touching bins).  Nodes whose z
+    where z(k) meets an end of it (same or touching bins), of order at
+    least _TANH_SINH_MIN.  Nodes whose z
     is within rounding of an end of the second segment are dropped.
     """
     if right.seg is None:
@@ -238,7 +242,8 @@ def _tail_product(left: TailTerm, right: TailTerm, x_cut: float) -> complex:
         ka, kb = left.seg
         meets = np.min(np.abs(np.subtract.outer(ratio * np.array(left.seg),
                                                 ends))) < 1e-9 * abs(kb - ka)
-        t, w, vander = _rule(_n_nodes(left, x_cut), meets)
+        n = _n_nodes(left, x_cut)
+        t, w, vander = _rule(max(n, _TANH_SINH_MIN) if meets else n, meets)
         k = 0.5 * (ka + kb + (kb - ka) * t)
         amp = 0.5 * (kb - ka) * w * (vander[:, :len(left.coef)] @ left.coef)
     z = ratio * k
@@ -388,26 +393,52 @@ def _kronrod_rule(n: int):
     return nodes, rows
 
 
-def _gk_integral(fun, weights, ka: complex, kb: complex, x_max: float):
+@functools.cache
+def _kronrod_series(n: int) -> np.ndarray:
+    """Weights (2n+1, 3n/2) taking samples f_j at the nodes t_j of
+    ``_kronrod_rule(n)`` to the Legendre coefficients
+
+        a_m = (m + 1/2) sum_j w_j P_m(t_j) f_j,   m < 3n/2,
+
+    with w the Kronrod weights.  K_{2n+1} is exact to degree 3n+1, so for
+    f of degree below 3n/2 they are its Legendre series.  The length is even
+    for every n in _GK_ORDERS, and it must be: ``_n_nodes`` adds an even
+    number to it, and an odd Gauss rule in ``_cauchy`` has a node at the
+    segment centre, where the tanh-sinh rule of a same-bin product also has
+    one, so the Cauchy kernel would divide by zero.  Read-only and shared.
+    """
+    t, rows = _kronrod_rule(n)
+    m = 3 * n // 2
+    out = rows[0][:, None] * legvander(t, m - 1) * (np.arange(m) + 0.5)
+    out.setflags(write=False)
+    return out
+
+
+def _gk_integral(fun, ka: complex, kb: complex, x_max: float):
     """Adaptive embedded Gauss-Kronrod over the straight segment [ka, kb].
 
-    ``fun`` maps an array of k values to samples (n_src, len(k), nx),
-    ``weights(k)`` gives per-node weights (n_out, n_src, len(k)), and row
-    o of the result (n_out, nx) is the integral of the sum over sources
-    of weights[o, src](k) fun[src](k).  Each level evaluates ``fun``
-    once, on the 2n+1 nodes of K_{2n+1}, and forms both K and the
-    embedded G_n of every row from those samples with one matrix product;
-    it returns K once max|K - G| <= _GL_TOL max(1, max|K|) over all rows, and
-    otherwise moves to the next n in _GK_ORDERS.  The ladder starts at the
-    smallest n >= |kb - ka| x_max / 2, half the radians e^{ikx} turns across
-    the bin on a grid reaching |x| = x_max; a low start costs one level and
-    no accuracy.  One debug record per call gives the level reached, the
-    k-nodes evaluated and the last max|K - G| / scale.
+    ``fun`` maps an array of k values to (samples, weights, series):
+    samples (n_src, len(k), nx), per-node weights (n_out, n_src, len(k))
+    and series rows (n_ser, len(k)).  It returns (integrals, coefficients):
+    row o of the integrals (n_out, nx) is the integral of the sum over
+    sources of weights[o, src](k) samples[src](k), and row r of the
+    coefficients (n_ser, 3n/2) the Legendre series of series row r in the
+    segment coordinate (``_kronrod_series``).  Each level evaluates ``fun``
+    once, on the 2n+1 nodes of K_{2n+1}, and forms K, the embedded G_n and
+    the series from those samples with matrix products.  It stops once
+    max|K - G| <= _GL_TOL max(1, max|K|) over all rows and the last two
+    coefficients of every series row are at most _GL_TOL of its largest,
+    and otherwise moves to the next n in _GK_ORDERS.  The ladder starts at
+    the smallest n >= |kb - ka| x_max / 2, half the radians e^{ikx} turns
+    across the bin on a grid reaching |x| = x_max; a low start costs one
+    level and no accuracy.  One debug record per call gives the level
+    reached, the k-nodes evaluated, the last max|K - G| / scale and the
+    largest ratio of a series' last two coefficients to its largest.
 
     Raises
     ------
     QuadratureError
-        If K_{129} and G_{64} still disagree.
+        If K_{129} and G_{64} still disagree or the series have not settled.
     """
     mid = 0.5 * (ka + kb)
     half = 0.5 * (kb - ka)
@@ -417,25 +448,29 @@ def _gk_integral(fun, weights, ka: complex, kb: complex, x_max: float):
     for n in orders:
         t, pair = _kronrod_rule(n)
         ks = mid + half * t.astype(complex)
-        samples = fun(ks)
-        coef = weights(ks)
+        samples, coef, series = fun(ks)
         n_out = len(coef)
         # Kronrod rows first, then Gauss rows; sources run along the columns
         rows = (pair[:, None, None, :] * coef).reshape(2 * n_out, -1)
         integ = half * (rows @ samples.reshape(rows.shape[1], -1))
+        legendre = series @ _kronrod_series(n)
         nodes += len(t)
         kron, gauss = integ[:n_out], integ[n_out:]
         scale = max(1.0, float(np.max(np.abs(kron))))
         diff = float(np.max(np.abs(kron - gauss)))
-        settled = diff <= _GL_TOL * scale
+        size = np.abs(legendre)
+        tail = float(np.max(np.max(size[:, -2:], axis=1) / np.max(
+            size, axis=1, initial=np.finfo(float).tiny)))
+        settled = diff <= _GL_TOL * scale and tail <= _GL_TOL
         if settled:
             break
-    _log.debug("bin integral: K%d/G%d, %d k-nodes, |K-G|/scale %.3g%s",
-               len(t), n, nodes, diff / scale, "" if settled else ", failed")
+    _log.debug("bin integral: K%d/G%d, %d k-nodes, |K-G|/scale %.3g, "
+               "series tail %.3g%s", len(t), n, nodes, diff / scale, tail,
+               "" if settled else ", failed")
     if not settled:
         raise QuadratureError(
             f"bin quadrature did not settle at K{len(t)}/G{n}")
-    return kron
+    return kron, legendre
 
 
 def bin_energy(params: ModelParams, ka: complex, kb: complex) -> complex:
@@ -536,85 +571,68 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     relative to max(1, max|K|).  The tails beyond X are exact: each
     asymptotic component, plain and eps-weighted, and on EP-ray grids the
     partner's from the coefficients at -k, is a ``TailTerm`` holding the
-    Legendre series of its coefficient on the bin.  All come from one
-    gamma-ratio sample set at _TAIL_N Gauss nodes, or 2 or 4 times as
-    many where the series has not settled to _GL_TOL.
+    Legendre series of its coefficient on the bin.  The ladder takes that
+    series from the same coefficient samples, 3n/2 terms at K_{2n+1}, and
+    does not stop before its last two terms fall below _GL_TOL of its
+    largest.
 
     Raises
     ------
     ValueError
         For an unknown normalization or a grid not spanning [-X, X].
     QuadratureError
-        If the Gauss-Kronrod ladder or the tail series does not settle.
+        If the Gauss-Kronrod ladder does not settle.
     """
     if normalization not in ("delta", "channel"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    channel = normalization == "channel"
     if not 0 <= n < grid.n_bins:
         raise IndexError(f"bin index {n} out of range")
     x_max = _cutoff(x)
-    ka = complex(grid.nodes[n])
-    kb = complex(grid.nodes[n + 1])
-    dk = kb - ka
-    inv_sqrt_dk = 1.0 / np.sqrt(np.complex128(dk))
-    theta_eff = 0.0 if grid.hermitian else params.theta
-    cont = _Continuum(params, theta_eff, channel=channel)
-    eps = lambda k: (params.hbar * k) ** 2 / (2.0 * params.m)
+    ka, kb = (complex(k) for k in grid.nodes[n:n + 2])
+    inv_sqrt_dk = 1.0 / np.sqrt(np.complex128(kb - ka))
+    cont = _Continuum(params, 0.0 if grid.hermitian else params.theta,
+                      channel=normalization == "channel")
     y, at = np.unique(np.abs(x), return_inverse=True)
-
-    def weights(ks):
-        # rows (x >= 0, x < 0) of phi, of eps phi and of the left partner,
-        # over the sources (psi(k, y), psi(-k, y)): phi(k, y) = w0 psi(k, y)
-        # and phi(k, -y) = w1 psi(k, y) + w2 psi(-k, y), where (w0, w1, w2)
-        # are the coefficients divided by (A, A, 1/A), and A(-k) = 1/A(k)
-        amp = np.array([_amplitude(k, params.beta) for k in ks])
-        scale = np.array([amp, amp, 1.0 / amp])
-        w0, w1, w2 = cont.coefficients(ks) / scale
-        zero = np.zeros_like(w0)
-        e = eps(ks)
-        rows = [(w0, zero), (w1, w2), (e * w0, zero), (e * w1, e * w2)]
-        if not grid.hermitian:
-            # the solution at -k: psi(k) and psi(-k) swap roles
-            v0, v1, v2 = cont.coefficients(-ks) * scale
-            rows += [(zero, v0), (v2, v1)]
-        return np.array(rows)
-
     # conj psi(k, s) = psi(-k, conj s), and conj s is s or -1 - s (the
     # same solution) only for real lam
     conjugate = grid.hermitian and complex(params.lam).imag == 0.0
-    integ = inv_sqrt_dk * _gk_integral(
-        lambda ks: cont.jost_pair(ks, y, conjugate), weights, ka, kb, x_max)
-    nonneg = x >= 0.0
 
-    def on_grid(pos, neg):
-        return np.where(nonneg, pos[at], neg[at])
+    def sample(ks):
+        # quadrature weights: rows (x >= 0, x < 0) of phi, of eps phi and of
+        # the left partner, over the sources (psi(k, y), psi(-k, y)):
+        # phi(k, y) = w0 psi(k, y) and phi(k, -y) = w1 psi(k, y)
+        # + w2 psi(-k, y), where (w0, w1, w2) are the coefficients divided
+        # by (A, A, 1/A), and A(-k) = 1/A(k).  Series rows: the
+        # coefficients, eps times them (H) and, on EP-ray grids, the
+        # partner's, which is the solution at -k with rates -zeta
+        amp = np.array([_amplitude(k, params.beta) for k in ks])
+        scale = np.array([amp, amp, 1.0 / amp])
+        c = cont.coefficients(ks)
+        w0, w1, w2 = c / scale
+        zero = np.zeros_like(w0)
+        e = (params.hbar * ks) ** 2 / (2.0 * params.m)
+        rows = [(w0, zero), (w1, w2), (e * w0, zero), (e * w1, e * w2)]
+        series = [c, e * c]
+        if not grid.hermitian:
+            # the solution at -k: psi(k) and psi(-k) swap roles
+            c_minus = cont.coefficients(-ks)
+            v0, v1, v2 = c_minus * scale
+            rows += [(zero, v0), (v2, v1)]
+            series.append(c_minus)
+        return cont.jost_pair(ks, y, conjugate), np.array(rows), \
+            np.concatenate(series)
 
-    # Legendre coefficients of the tail coefficients on the bin, from
-    # samples at _TAIL_N Gauss nodes, or at 2 or 4 times as many until the
-    # last two of every row fall below _GL_TOL of its largest
-    for n_tail in (_TAIL_N, 2 * _TAIL_N, 4 * _TAIL_N):
-        t, w, vander = _rule(n_tail)
-        kt = 0.5 * (ka + kb + dk * t)
-        c = cont.coefficients(kt)
-        rows = [c, eps(kt) * c] if grid.hermitian \
-            else [c, eps(kt) * c, cont.coefficients(-kt)]
-        coef = (np.concatenate(rows) * w) @ vander * (np.arange(n_tail) + 0.5)
-        if np.all(np.max(np.abs(coef[:, -2:]), axis=1)
-                  <= _GL_TOL * np.max(np.abs(coef), axis=1)):
-            break
-    else:
-        raise QuadratureError(
-            f"tail coefficients did not settle at {n_tail} nodes")
-    # rows: the coefficients, eps times them (H) and, on EP-ray grids, the
-    # partner's, which is the solution at -k with rates -zeta
+    integ, coef = _gk_integral(sample, ka, kb, x_max)
     zetas = cont.zetas * 2 + tuple(-r for r in cont.zetas)
     terms = [TailTerm(coef=inv_sqrt_dk * a, rate=r, seg=(ka, kb))
              for a, r in zip(coef, zetas)]
 
     def side(j):
-        # function j on x >= 0 and x < 0, its plus component beyond X and
-        # its reflected and transmitted ones beyond -X
-        return Side(on_grid(*integ[2 * j:2 * j + 2]), (terms[3 * j],),
+        # function j gathered from its x >= 0 and x < 0 rows, its plus
+        # component beyond X and its reflected and transmitted ones
+        # beyond -X
+        pos, neg = inv_sqrt_dk * integ[2 * j:2 * j + 2]
+        return Side(np.where(x >= 0.0, pos[at], neg[at]), (terms[3 * j],),
                     (terms[3 * j + 1], terms[3 * j + 2]))
 
     right = side(0)
@@ -640,37 +658,31 @@ def plane_wave_bin(x: np.ndarray, ka: float, kb: float) -> np.ndarray:
     return out
 
 
-def resonance_state(params: ModelParams, x: np.ndarray, n: int = 0,
-                    normalization: str = "l2") -> BasisState:
+def resonance_state(params: ModelParams, x: np.ndarray,
+                    n: int = 0) -> BasisState:
     """Resonance Gamow state as a basis state (left state = itself).
 
-    ``normalization``: "l2" divides by the regularized conjugate L2 norm
-    (unit probability mass; the bilinear diagonal then exposes
-    self-orthogonality), "cnorm" by the principal root of the bilinear
-    norm.
+    Divided by the regularized conjugate L2 norm (unit probability mass),
+    so that the bilinear diagonal exposes self-orthogonality;
+    ``unit_diagonal_state`` rescales it to unit c-norm instead.
 
     Raises
     ------
     ValueError
-        For an unknown normalization or a grid not spanning [-X, X].
+        For a grid not spanning [-X, X].
+    NonNormalizable
+        If the resonance tail does not decay at this angle.
     """
-    from .wavefun import eval_wavefunction, gamow_cnorm
-
     x_cut = _cutoff(x)
     pole = resonance_energy(params, n)
-    fld = eval_wavefunction(params, pole.k, x)
     q = 1j * pole.k * cmath.exp(1j * params.theta)
     if q.real >= 0.0:
         raise NonNormalizable("resonance tail does not decay at this angle")
-    v = fld.values
-    if normalization == "l2":
-        interior = float(simpson(np.abs(v) ** 2, x=x))
-        tail = (abs(v[-1]) ** 2 + abs(v[0]) ** 2) / (-2.0 * q.real)
-        scale = 1.0 / math.sqrt(interior + tail)
-    elif normalization == "cnorm":
-        scale = 1.0 / cmath.sqrt(gamow_cnorm(fld))
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    v = raw_psi(pole.k, derived_quantities(params).s, params.beta,
+                params.theta, x)
+    interior = float(simpson(np.abs(v) ** 2, x=x))
+    tail = (abs(v[-1]) ** 2 + abs(v[0]) ** 2) / (-2.0 * q.real)
+    scale = 1.0 / math.sqrt(interior + tail)
     v = v * scale
     cp = v[-1] * cmath.exp(-q * x_cut)
     cm = v[0] * cmath.exp(-q * x_cut)
@@ -760,7 +772,7 @@ def _ep_states(params: ModelParams, lam: complex, alphas, x: np.ndarray):
     """L2-normalized resonance and unit-diagonal channel bins on the EP ray."""
     p = params.with_lam(lam)
     grid = ep_ray(p, alphas)
-    res = resonance_state(p, x, normalization="l2")
+    res = resonance_state(p, x)
     bins = [
         unit_diagonal_state(
             binned_state(p, grid, j, x, normalization="channel"), x)

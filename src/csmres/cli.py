@@ -263,8 +263,10 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    fit = fit_puiseux(params)
+    # the loop first: its Taylor-regime check rejects the angles at which
+    # the Puiseux fit's sample energies overflow
     trace, verdicts = run_berry_loop(params, spec)
+    fit = fit_puiseux(params)
 
     header = ["phi", "re_lambda", "im_lambda", "re_E_plus", "im_E_plus",
               "re_E_minus", "im_E_minus", "region", "re_factor", "im_factor",

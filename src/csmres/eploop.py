@@ -358,14 +358,10 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
         boundary_phis=tuple(crossings),
     )
 
-    ratios = {}
-    for wnd in range(1, spec.windings + 1):
-        ratios[wnd] = complex(read[wnd * spec.n_steps] / read[0])
-    monodromy = None
-    for wnd in range(1, spec.windings + 1):
-        if abs(ratios[wnd] - 1.0) < 1e-3:
-            monodromy = wnd
-            break
+    ratios = {wnd: complex(read[wnd * spec.n_steps] / read[0])
+              for wnd in range(1, spec.windings + 1)}
+    monodromy = next((wnd for wnd, r in ratios.items()
+                      if abs(r - 1.0) < 1e-3), None)
     consistency = max(
         abs(ratios[wnd] - accumulated[wnd * spec.n_steps])
         for wnd in range(1, spec.windings + 1))

@@ -177,12 +177,40 @@ class RegionBounds:
     k_bp: complex
 
 
+def _finite_bounds(theta: float, closed_form) -> tuple:
+    """The tuple ``closed_form()`` when all of its values are finite floats;
+    at tiny theta the sin^2 and tan^2 divisors of the closed forms
+    underflow.
+
+    Raises
+    ------
+    PreconditionViolation
+        If a value overflows, is not finite or divides by an underflowed 0.
+    """
+    try:
+        values = closed_form()
+    except (OverflowError, ZeroDivisionError):
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise PreconditionViolation(
+            f"closed-form coupling bounds are not finite at theta = {theta!r}")
+    return values
+
+
 def branch_point_coupling(theta: float, m: float = 1.0, hbar: float = 1.0,
                           beta: float = 1.0) -> float:
-    """lambda_bp = (beta^2 hbar^2 / 4m) / (1 - cos 2 theta)."""
+    """lambda_bp = (beta^2 hbar^2 / 4m) / (1 - cos 2 theta).
+
+    Raises
+    ------
+    PreconditionViolation
+        If lambda_bp is not a finite float (theta below about 1e-154).
+    """
     u0 = beta**2 * hbar**2 / (4.0 * m)
     # 1 - cos 2 theta = 2 sin^2 theta, stable at small angles
-    return u0 / (2.0 * math.sin(theta) ** 2)
+    (lam_bp,) = _finite_bounds(
+        theta, lambda: (u0 / (2.0 * math.sin(theta) ** 2),))
+    return lam_bp
 
 
 def branch_point(params: ModelParams) -> tuple:
@@ -206,21 +234,28 @@ def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
     n = 1 bounds are implemented literally as
     (beta^2 hbar^2/4m)[(9+5 t^2)/t^2 +- sqrt(((9+5 t^2)/t^2)^2 - (9+25 t^2)/t^2)]
     with t = tan 2theta.
+
+    Raises
+    ------
+    PreconditionViolation
+        If a bound is not a finite float (theta below about 1e-77).
     """
     if not (0.0 < theta < math.pi / 4):
         raise ValueError("theta must satisfy 0 < theta < pi/4")
     u0 = beta**2 * hbar**2 / (4.0 * m)
     two_t = 2.0 * theta
-    s2 = math.sin(two_t) ** 2
-    c = math.cos(two_t)
-    l0m = u0 * (1.0 - c) / s2
-    l0p = u0 * (1.0 + c) / s2
-    t2 = math.tan(two_t) ** 2
-    head = (9.0 + 5.0 * t2) / t2
-    disc = head**2 - (9.0 + 25.0 * t2) / t2
-    root = math.sqrt(disc)
-    l1m = u0 * (head - root)
-    l1p = u0 * (head + root)
+
+    def bounds():
+        s2 = math.sin(two_t) ** 2
+        c = math.cos(two_t)
+        t2 = math.tan(two_t) ** 2
+        head = (9.0 + 5.0 * t2) / t2
+        disc = head**2 - (9.0 + 25.0 * t2) / t2
+        root = math.sqrt(disc)
+        return (u0 * (1.0 - c) / s2, u0 * (1.0 + c) / s2,
+                u0 * (head - root), u0 * (head + root))
+
+    l0m, l0p, l1m, l1p = _finite_bounds(theta, bounds)
     # the coupling of the parameter set does not enter the branch point
     lam_bp, E_bp, k_bp = branch_point(
         ModelParams(lam=0.0, theta=theta, m=m, hbar=hbar, beta=beta))

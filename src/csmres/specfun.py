@@ -25,7 +25,7 @@ import cmath
 
 import numpy as np
 
-from .errors import NonConvergence, PoleError
+from .errors import NonConvergence, PoleError, PreconditionViolation
 
 # Lanczos parameters (g = 607/128, 15 coefficients).
 _LANCZOS_G = 607.0 / 128.0
@@ -75,35 +75,58 @@ def complex_gamma(z) -> complex:
     ------
     PoleError
         If z is a non-positive integer.
+    PreconditionViolation
+        If Gamma(z) or a factor of it leaves the float range (Re z above
+        171, or |Im z| large, as at 0.3 - 300i).
     """
     z = complex(z)
     pole = _nonpositive_int(z)
     if pole is not None:
         raise PoleError(pole, z)
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return cmath.pi / (cmath.sin(cmath.pi * z) * complex_gamma(1.0 - z))
-    zz = z - 1.0
+    # the Lanczos sum at z, or at 1 - z for the reflection
+    zz = (z if z.real >= 0.5 else 1.0 - z) - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[i] / (zz + i)
     t = zz + _LANCZOS_G + 0.5
-    return math_sqrt_2pi * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    try:
+        gamma = math_sqrt_2pi * t ** (zz + 0.5) * cmath.exp(-t) * acc
+        if z.real < 0.5:
+            # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
+            gamma = cmath.pi / (cmath.sin(cmath.pi * z) * gamma)
+        # an overflowing factor times one that underflowed gives nan
+        if cmath.isfinite(gamma):
+            return gamma
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise PreconditionViolation(f"gamma leaves the float range at z = {z}")
 
 
 math_sqrt_2pi = 2.5066282746310002  # sqrt(2 pi)
 
 
 def reciprocal_gamma(z) -> complex:
-    """1/Gamma(z); entire, returns exactly 0 at the poles of Gamma."""
+    """1/Gamma(z); entire, returns exactly 0 at the poles of Gamma.
+
+    Raises
+    ------
+    PreconditionViolation
+        If 1/Gamma(z) or a factor of it leaves the float range (as at
+        1 + 500i, where Gamma(z) underflows to 0).
+    """
     z = complex(z)
     pole = _nonpositive_int(z)
     if pole is not None:
         return 0.0 + 0.0j
-    if z.real < 0.5:
-        # 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi
-        return cmath.sin(cmath.pi * z) * complex_gamma(1.0 - z) / cmath.pi
-    return 1.0 / complex_gamma(z)
+    try:
+        # 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi for Re z < 1/2
+        rgamma = cmath.sin(cmath.pi * z) * complex_gamma(1.0 - z) / cmath.pi \
+            if z.real < 0.5 else 1.0 / complex_gamma(z)
+        if cmath.isfinite(rgamma):
+            return rgamma
+    except (OverflowError, ZeroDivisionError, PreconditionViolation):
+        pass
+    raise PreconditionViolation(f"1/gamma leaves the float range at z = {z}")
 
 
 def _series_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,

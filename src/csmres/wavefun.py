@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,25 +42,12 @@ class WaveField:
     """Sampled scaled wave function plus asymptotic tail descriptors.
 
     ``tail`` holds the exponents (q_plus, q_minus) of the dominant behavior
-    e^{q x} at x -> +inf / -inf; ``meta`` is (k, lam, theta).
+    e^{q x} at x -> +inf / -inf.
     """
 
     grid: np.ndarray
     values: np.ndarray
     tail: tuple
-    meta: tuple
-
-    @property
-    def k(self):
-        return self.meta[0]
-
-    @property
-    def lam(self):
-        return self.meta[1]
-
-    @property
-    def theta(self):
-        return self.meta[2]
 
 
 @dataclass(frozen=True)
@@ -136,7 +123,7 @@ def raw_psi(k, s: complex, beta: float, theta: float,
             f = hyp2f1_grid(a, b, c, u, one_minus_u=omu,
                             log_one_minus_u=log_omu)
             psi = pref * f
-    except OverflowError as exc:
+    except (OverflowError, PreconditionViolation) as exc:
         raise PreconditionViolation(
             f"raw_psi kernels overflow at k = {k}") from exc
     if not np.isfinite(psi).all():
@@ -165,8 +152,7 @@ def eval_wavefunction(params: ModelParams, k: complex,
         q_minus = -1j * k * phase
     else:
         q_minus = 1j * k * phase
-    return WaveField(grid=grid, values=values, tail=(q_plus, q_minus),
-                     meta=(k, params.lam, params.theta))
+    return WaveField(grid=grid, values=values, tail=(q_plus, q_minus))
 
 
 def _gamma_coeffs(k: complex, s: complex, beta: float) -> tuple:
@@ -241,8 +227,10 @@ def find_resonance_k(params: ModelParams, k0: complex,
     raise NonConvergence("Siegert Newton", {"k": k, "last_step": abs(dk)})
 
 
-def _tail_functional(params: ModelParams, lam: complex | None) -> float:
-    """Re[i k_0(lam) e^{i theta}], whose sign classifies the n = 0 tail."""
+def classification_functional(params: ModelParams,
+                              lam: complex | None = None) -> float:
+    """Re[i k_0(lam) e^{i theta}], whose sign classifies the n = 0 tail
+    (``classify_region``)."""
     p = params if lam is None else params.with_lam(lam)
     k0 = resonance_energy(p, 0).k
     return (1j * k0 * cmath.exp(1j * p.theta)).real
@@ -255,15 +243,10 @@ def classify_region(params: ModelParams, lam: complex | None = None) -> RegionLa
     (square-integrable pseudo-bound state), positive -> DivergentB, within
     1e-12 of zero -> ScatteringBoundary.
     """
-    f = _tail_functional(params, lam)
+    f = classification_functional(params, lam)
     if abs(f) <= 1e-12:
         return RegionLabel.ScatteringBoundary
     return RegionLabel.ConvergentA if f < 0.0 else RegionLabel.DivergentB
-
-
-def classification_functional(params: ModelParams, lam: complex | None = None) -> float:
-    """The signed functional whose sign defines classify_region."""
-    return _tail_functional(params, lam)
 
 
 def simpson(y, x):
@@ -328,5 +311,4 @@ def normalize_gamow(field: WaveField) -> WaveField:
     """Divide by the principal square root of the c-norm."""
     norm = gamow_cnorm(field)
     root = cmath.sqrt(norm)
-    return WaveField(grid=field.grid, values=field.values / root,
-                     tail=field.tail, meta=field.meta)
+    return replace(field, values=field.values / root)

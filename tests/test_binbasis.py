@@ -19,6 +19,7 @@ from csmres.binbasis import (
     TailTerm,
     _gk_integral,
     _kronrod_rule,
+    _kronrod_series,
     _tail_product,
     bin_energy,
     binned_state,
@@ -129,6 +130,24 @@ class TestTailIntegral:
             assert abs(got - expect) < 1e-13 * abs(expect)
 
 
+class TestTouchingBins:
+    def test_products_match_a_fine_tanh_sinh_rule(self, monkeypatch):
+        # the 12-term series of these EP-ray bins give tail rules of order
+        # 16, at which the tanh-sinh rule of touching bins is off by 2e-11
+        # in (b1 | b0), an entry of that size itself
+        th = 0.5
+        p = ModelParams(lam=branch_point_coupling(th) + 1e-2, theta=th)
+        x = spatial_grid(1.0)
+        grid = ep_ray(p)
+        bins = [unit_diagonal_state(binned_state(
+            p, grid, j, x, normalization="channel"), x) for j in range(2)]
+        pairs = [(0, 1), (1, 0), (1, 1)]
+        got = [product_entry(bins[i], bins[j], x) for i, j in pairs]
+        monkeypatch.setattr(binbasis, "_TANH_SINH_MIN", 80)
+        fine = [product_entry(bins[i], bins[j], x) for i, j in pairs]
+        assert max(abs(a - b) for a, b in zip(got, fine)) < 1e-13
+
+
 def _legendre_coeffs(n):
     """Exact ascending monomial coefficients of P_n."""
     prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
@@ -210,17 +229,58 @@ class TestKronrodRule:
 
         def fun(ks):
             seen.append(len(ks))
-            return np.exp(2000j * ks)[None, :, None]
+            return (np.exp(2000j * ks)[None, :, None],
+                    np.ones((1, 1, len(ks))), np.ones((1, len(ks))))
 
         with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"), \
                 pytest.raises(QuadratureError):
-            _gk_integral(fun, lambda ks: np.ones((1, 1, len(ks))),
-                         0.0, 1.0, 1.0)
+            _gk_integral(fun, 0.0, 1.0, 1.0)
         assert seen == [2 * n + 1 for n in _GK_ORDERS]
         assert sum(seen) == ladder
         (msg,) = [r.getMessage() for r in caplog.records]
         assert msg.startswith(f"bin integral: K129/G64, {ladder} k-nodes")
         assert msg.endswith(", failed")
+
+
+def _record_fields(msg):
+    """The |K-G|/scale and series-tail figures of a bin-integral record."""
+    return {name: float(value) for name, value in
+            (f.rsplit(" ", 1) for f in msg.split(", ")[2:4])}
+
+
+class TestKronrodSeries:
+    @pytest.mark.parametrize("n, length", ((8, 12), (16, 24), (32, 48),
+                                           (64, 96)))
+    def test_series_length_is_even(self, n, length):
+        # K17, K33, K65 and K129 give 12, 24, 48 and 96 coefficients.  The
+        # length must be even: the tail rules add an even number to it, and
+        # an odd Gauss rule has a node at the segment centre, where the
+        # tanh-sinh rule of a same-bin product has one too, so the Cauchy
+        # kernel 1/(t - u) would divide by zero there
+        assert _kronrod_series(n).shape == (2 * n + 1, length)
+
+    @pytest.mark.parametrize("n", _GK_ORDERS)
+    def test_recovers_legendre_coefficients(self, n):
+        # exact, up to rounding, for a series of degree below 3n/2
+        coef = np.random.default_rng(n).normal(size=3 * n // 2)
+        t, _ = _kronrod_rule(n)
+        got = legval(t, coef) @ _kronrod_series(n)
+        assert np.max(np.abs(got - coef)) < 1e-14 * np.sum(np.abs(coef))
+
+    def test_unsettled_series_raises_within_the_ladder(self, caplog):
+        # the integral settles at once; the series row never does
+        def fun(ks):
+            return (np.ones((1, len(ks), 1)), np.ones((1, 1, len(ks))),
+                    np.exp(2000j * ks)[None, :])
+
+        with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"), \
+                pytest.raises(QuadratureError, match="K129/G64"):
+            _gk_integral(fun, 0.0, 1.0, 1.0)
+        (msg,) = [r.getMessage() for r in caplog.records]
+        assert msg.endswith(", failed")
+        fields = _record_fields(msg)
+        assert fields["|K-G|/scale"] <= binbasis._GL_TOL
+        assert fields["series tail"] > binbasis._GL_TOL
 
 
 class TestBinQuadrature:
@@ -336,6 +396,34 @@ class TestJostPairWork:
         assert self.psi_work(monkeypatch, lambda: binned_state(
             p, grid, 0, self.x, normalization="channel")) == 34
 
+    @staticmethod
+    def coefficient_work(monkeypatch, build):
+        seen = []
+        original = binbasis._Continuum.coefficients
+
+        def counted(cont, ks):
+            seen.append(len(ks))
+            return original(cont, ks)
+
+        monkeypatch.setattr(binbasis._Continuum, "coefficients", counted)
+        build()
+        return sum(seen)
+
+    def test_hermitian_bin_samples_coefficients_once(self, monkeypatch):
+        # the K33 nodes give the quadrature weights and the tail series
+        p = ModelParams(lam=1.0, theta=0.3)
+        grid = real_axis(0.5, 3.5, 6)
+        assert self.coefficient_work(
+            monkeypatch, lambda: binned_state(p, grid, 0, self.x)) == 33
+
+    def test_ep_ray_bin_samples_coefficients_once(self, monkeypatch):
+        # K17 nodes at k and at -k: the right state's and the partner's
+        th = math.pi / 6
+        p = ModelParams(lam=branch_point_coupling(th) + 1e-2, theta=th)
+        grid = ep_ray(p)
+        assert self.coefficient_work(monkeypatch, lambda: binned_state(
+            p, grid, 0, self.x, normalization="channel")) == 34
+
 
 class TestGridSpan:
     lopsided = np.linspace(-30.0, 40.0, 701)
@@ -407,13 +495,19 @@ class TestBinnedState:
         with pytest.raises(ValueError):
             binned_state(p, grid, 0, x, normalization="what")
 
-    def test_unsettled_tail_series_raises(self, monkeypatch):
-        # 2, 4 and then 8 nodes cannot resolve the coefficients of a bin
-        monkeypatch.setattr(binbasis, "_TAIL_N", 2)
+    def test_unsettled_tail_series_raises(self, monkeypatch, caplog):
+        # on a ladder cut to K17 the bin integral settles, but 12 terms
+        # cannot resolve the coefficients of a bin of width 1
+        monkeypatch.setattr(binbasis, "_GK_ORDERS", (8,))
         p = ModelParams(lam=1.0, theta=0.3)
         grid = real_axis(1.0, 2.0, 2)
-        with pytest.raises(QuadratureError, match="settle at 8 nodes"):
+        with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"), \
+                pytest.raises(QuadratureError, match="settle at K17/G8"):
             binned_state(p, grid, 0, np.linspace(-8.0, 8.0, 161))
+        (msg,) = [r.getMessage() for r in caplog.records]
+        fields = _record_fields(msg)
+        assert fields["|K-G|/scale"] <= binbasis._GL_TOL
+        assert fields["series tail"] > binbasis._GL_TOL
 
     def test_bin_energy_recorded(self):
         p = ModelParams(lam=1.0, theta=0.3)
@@ -452,12 +546,14 @@ class TestHermitianIdentity:
 
     def test_wide_bins(self):
         # the delta normalization's pole 0.5 below the axis is close to
-        # these bins: their tail series need more than _TAIL_N terms
+        # these bins: they settle at K65, whose tail series has 48 terms,
+        # twice as many as the K33 series of the six default bins
         grid = real_axis(0.5, 3.5, 2)
         bins = [binned_state(self.p, grid, j, self.x) for j in range(2)]
         s = overlap_matrix(bins, bins, self.x).matrix
         assert np.max(np.abs(s - np.eye(2))) < 1e-10
-        assert max(len(b.right.plus[0].coef) for b in bins) > binbasis._TAIL_N
+        assert {len(b.right.plus[0].coef) for b in self.bins} == {24}
+        assert {len(b.right.plus[0].coef) for b in bins} == {48}
 
 
 class TestScaledIdentity:
@@ -556,7 +652,7 @@ class TestResonanceState:
     def test_l2_normalization_unit_mass(self):
         p = ModelParams(lam=1.0, theta=0.4)
         x = spatial_grid(1.0)
-        st = resonance_state(p, x, normalization="l2")
+        st = resonance_state(p, x)
         q = st.right.plus[0].rate
         interior = float(simpson(np.abs(st.right.values) ** 2, x=x))
         tail = (abs(st.right.values[-1]) ** 2 + abs(st.right.values[0]) ** 2) \
@@ -566,7 +662,7 @@ class TestResonanceState:
     def test_cnorm_normalization_unit_self_product(self):
         p = ModelParams(lam=1.0, theta=0.4)
         x = spatial_grid(1.0)
-        st = resonance_state(p, x, normalization="cnorm")
+        st = unit_diagonal_state(resonance_state(p, x), x)
         assert abs(product_entry(st, st, x) - 1.0) < 1e-6
 
     def test_h_values_are_energy_multiples(self):

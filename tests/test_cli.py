@@ -96,6 +96,27 @@ class TestExitCodes:
         assert "k = " in err["message"]
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, payload", [
+        # the closed-form window bounds divide by an underflowed sin^2 or
+        # overflow; the berry loop's Taylor check precedes the Puiseux fit
+        ("regions", {"regions": {"theta_min": 1e-300, "n_points": 3}}),
+        ("regions", {"regions": {"theta_min": 1e-160, "n_points": 3}}),
+        ("regions", {"regions": {"theta_min": 1e-100, "n_points": 3}}),
+        ("berry", {"theta": 1e-170}),
+        ("berry", {"theta": 1e-158}),
+        ("berry", {"theta": 1e-150}),
+        # lambda_bp is so large that the gamma kernels leave the float range
+        ("overlap", {"theta": 2e-3}),
+        ("overlap", {"theta": 5e-4}),
+    ])
+    def test_out_of_float_range_is_3(self, tmp_path, capsys, command,
+                                     payload):
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path), command]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionViolation"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_integral_float_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"spectrum": {"n_max": 2.0}})
         assert main(["--config", cfg, "--out", str(tmp_path),

@@ -5,11 +5,12 @@ frozen here; the shipped code never depends on it.
 """
 
 import cmath
+import re
 
 import numpy as np
 import pytest
 
-from csmres.errors import PoleError
+from csmres.errors import PoleError, PreconditionViolation
 from csmres.specfun import complex_gamma, hyp2f1, hyp2f1_grid, reciprocal_gamma
 
 SQRT_PI = 1.7724538509055160273
@@ -99,6 +100,22 @@ class TestComplexGamma:
                 * cmath.sin(cmath.pi * z) / cmath.pi
             assert abs(resid - 1.0) < 1e-11
             checked += 1
+
+    @pytest.mark.parametrize("fun, z", [
+        # sin(pi z) of the reflection overflows
+        (complex_gamma, 0.3 - 300j),
+        # Gamma(z) above the float range
+        (complex_gamma, 200.5),
+        # an overflowing factor times an underflowed one is nan
+        (complex_gamma, 113.06 + 705.27j),
+        # Gamma(z) underflows to 0
+        (reciprocal_gamma, 1 + 500j),
+        (reciprocal_gamma, -300.5),
+    ])
+    def test_out_of_float_range_raises(self, fun, z):
+        named = re.escape(f"z = {complex(z)}")
+        with pytest.raises(PreconditionViolation, match=named):
+            fun(z)
 
     def test_reciprocal_gamma_zero_at_poles(self):
         for n in (0, -1, -3, -8):
