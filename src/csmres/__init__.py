@@ -26,9 +26,9 @@ _EXPORTS = {
     ),
     "model": (
         "CriticalAngle", "DerivedQuantities", "ModelParams", "RegionBounds",
-        "ResonancePole", "branch_point", "branch_point_coupling",
-        "contact_coupling_root", "critical_angle", "derived_quantities",
-        "lambda_window", "resonance_energy",
+        "ResonancePole", "bin_energy", "branch_point",
+        "branch_point_coupling", "contact_coupling_root", "critical_angle",
+        "derived_quantities", "lambda_window", "resonance_energy",
     ),
     "specfun": ("complex_gamma", "hyp2f1", "hyp2f1_grid", "reciprocal_gamma"),
     "wavefun": (
@@ -40,10 +40,10 @@ _EXPORTS = {
     ),
     "binbasis": (
         "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix", "Side",
-        "TailTerm", "bin_energy", "binned_state", "degeneracy_diagnostics",
-        "ep_ray", "limit_exchange_entries", "overlap_matrix",
-        "plane_wave_bin", "product_entry", "real_axis", "resonance_state",
-        "spatial_grid", "unit_diagonal_state",
+        "TailTerm", "binned_state", "degeneracy_diagnostics", "ep_ray",
+        "limit_exchange_entries", "overlap_matrix", "plane_wave_bin",
+        "product_entry", "real_axis", "resonance_state", "spatial_grid",
+        "unit_diagonal_state",
     ),
     "eploop": (
         "LoopSpec", "LoopTrace", "PuiseuxFit", "boundary_crossings",

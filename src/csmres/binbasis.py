@@ -50,8 +50,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import EmptyRange, NonNormalizable, QuadratureError
-from .model import ModelParams, branch_point, derived_quantities, \
-    resonance_energy
+from .model import ModelParams, bin_energy, branch_point, \
+    derived_quantities, resonance_energy
 from .wavefun import _amplitude, _gamma_coeffs, raw_psi, simpson
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -471,12 +471,6 @@ def _gk_integral(fun, ka: complex, kb: complex, x_max: float):
         raise QuadratureError(
             f"bin quadrature did not settle at K{len(t)}/G{n}")
     return kron, legendre
-
-
-def bin_energy(params: ModelParams, ka: complex, kb: complex) -> complex:
-    """Closed-form bin-averaged kinetic energy (cubic formula)."""
-    dk = kb - ka
-    return params.hbar**2 / (2.0 * params.m) * (kb**3 - ka**3) / (3.0 * dk)
 
 
 class _Continuum:

@@ -218,15 +218,17 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     if any(d <= 0.0 for d in deltas):
         raise ConfigError("overlap.deltas must be positive")
 
+    # the degeneracy step first: it fails in milliseconds where the gamma
+    # kernels leave the float range, before any bin is built
+    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
+                                   params.beta)
+    points = degeneracy_diagnostics(params, [lam_bp + d for d in deltas])
+
     x = spatial_grid(params.beta)
     grid = real_axis(k_min, k_max, n_bins)
     bins = [binned_state(params, grid, j, x) for j in range(n_bins)]
     s_mat = overlap_matrix(bins, bins, x)
     h_mat = overlap_matrix(bins, bins, x, apply_h=True)
-
-    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
-                                   params.beta)
-    points = degeneracy_diagnostics(params, [lam_bp + d for d in deltas])
 
     header = ["matrix", "row", "col", "re", "im"]
     rows = [["S"] + r for r in _matrix_rows(s_mat)] \

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BranchCollision, IllConditionedFit, PreconditionViolation, \
     StepTooCoarse
-from .model import ModelParams, _bisect_zero, branch_point, \
+from .model import ModelParams, _bisect_zero, bin_energy, branch_point, \
     resonance_energy
 from .wavefun import LN4, classification_functional, classify_region
 
@@ -173,8 +173,6 @@ def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4),
     PreconditionViolation
         If the window leaves (1e-8, 1e-2) relative to lam_bp.
     """
-    from .binbasis import bin_energy
-
     lo, hi = float(r_window[0]), float(r_window[1])
     if not (1e-8 <= lo < hi <= 1e-2):
         raise PreconditionViolation(

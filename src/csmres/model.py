@@ -96,6 +96,12 @@ class ResonancePole:
     width: float
 
 
+def bin_energy(params: ModelParams, ka: complex, kb: complex) -> complex:
+    """Closed-form bin-averaged kinetic energy (cubic formula)."""
+    dk = kb - ka
+    return params.hbar**2 / (2.0 * params.m) * (kb**3 - ka**3) / (3.0 * dk)
+
+
 def resonance_energy(params: ModelParams, n: int) -> ResonancePole:
     """Exact resonance energy of level n.
 
@@ -230,10 +236,12 @@ def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
                   beta: float = 1.0) -> RegionBounds:
     """All four window bounds plus branch-point data at fixed angle.
 
-    lambda0^{+-} = (beta^2 hbar^2/4m)(1 +- cos 2theta)/sin^2 2theta and the
-    n = 1 bounds are implemented literally as
-    (beta^2 hbar^2/4m)[(9+5 t^2)/t^2 +- sqrt(((9+5 t^2)/t^2)^2 - (9+25 t^2)/t^2)]
-    with t = tan 2theta.
+    With u0 = beta^2 hbar^2/4m, lambda0^{+-} = u0 (1 +- cos 2theta)/sin^2 2theta,
+    evaluated as lambda0^- = u0/(2 cos^2 theta) and lambda0^+ = lambda_bp
+    (``branch_point_coupling``).  The n = 1 bounds are
+    u0 [h +- sqrt(h^2 - q)] with h = (9+5 t^2)/t^2, q = (9+25 t^2)/t^2 and
+    t = tan 2theta; lambda1^- is evaluated as u0 q / (h + sqrt(h^2 - q)),
+    which does not cancel at small theta.
 
     Raises
     ------
@@ -243,25 +251,21 @@ def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
     if not (0.0 < theta < math.pi / 4):
         raise ValueError("theta must satisfy 0 < theta < pi/4")
     u0 = beta**2 * hbar**2 / (4.0 * m)
-    two_t = 2.0 * theta
 
     def bounds():
-        s2 = math.sin(two_t) ** 2
-        c = math.cos(two_t)
-        t2 = math.tan(two_t) ** 2
+        t2 = math.tan(2.0 * theta) ** 2
         head = (9.0 + 5.0 * t2) / t2
-        disc = head**2 - (9.0 + 25.0 * t2) / t2
-        root = math.sqrt(disc)
-        return (u0 * (1.0 - c) / s2, u0 * (1.0 + c) / s2,
-                u0 * (head - root), u0 * (head + root))
+        q = (9.0 + 25.0 * t2) / t2
+        outer = head + math.sqrt(head**2 - q)
+        return u0 / (2.0 * math.cos(theta) ** 2), u0 * q / outer, u0 * outer
 
-    l0m, l0p, l1m, l1p = _finite_bounds(theta, bounds)
+    l0m, l1m, l1p = _finite_bounds(theta, bounds)
     # the coupling of the parameter set does not enter the branch point
     lam_bp, E_bp, k_bp = branch_point(
         ModelParams(lam=0.0, theta=theta, m=m, hbar=hbar, beta=beta))
     return RegionBounds(
         theta=theta,
-        lambda0_minus=l0m, lambda0_plus=l0p,
+        lambda0_minus=l0m, lambda0_plus=lam_bp,
         lambda1_minus=l1m, lambda1_plus=l1p,
         lambda_bp=lam_bp, E_bp=E_bp, k_bp=k_bp,
     )

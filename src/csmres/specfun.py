@@ -3,20 +3,20 @@
 Everything downstream (wave functions, asymptotic coefficients, momentum-bin
 quadratures) reduces to these two kernels evaluated at complex parameters and
 complex argument, so they are implemented here from scratch at double
-precision with explicit branch control.
+precision.
 
-The 2F1 evaluator selects among four representations by the smallest-modulus
-effective argument:
+A non-terminating 2F1 is summed on one of two routes, whichever has the
+smaller argument:
 
 * the defining power series in ``u``,
-* the ``u -> 1-u`` connection formula near ``u = 1``,
-* the Pfaff transformation ``w = u/(u-1)``,
-* Pfaff followed by the connection formula (large ``|u|``).
+* the Pfaff transformation to the series in ``w = u/(u-1)``.
 
-Callers that walk ``u`` along a path winding around ``u = 1`` (the spatial
-tails of scaled wave functions do exactly that) may pass an analytically
-continued logarithm of ``1-u``; all branch-sensitive powers are then taken on
-that branch instead of the principal one.
+It is accepted where min(|u|, |u/(u-1)|) <= SERIES_RADIUS (0.8).  There
+|1-u| >= 0.2, so 1-u never cancels and log(1-u) is the principal one.  The
+points outside, among them u = 1, u = e^{+-i pi/3} and large |u|, are
+refused with ``PreconditionViolation``; the wave functions of ``wavefun``
+reach them only through the mirror identity of the even barrier, which
+evaluates them at x >= 0 instead.
 """
 
 from __future__ import annotations
@@ -49,12 +49,10 @@ _LANCZOS_COEFFS = (
 
 _SERIES_CAP = 100_000
 _EPS = 2.0e-16
-# dist(c-a-b, Z) below which the u->1-u connection formula is regularized
-_DEGENERATE_TOL = 1.0e-6
-# imaginary shift used for the regularization; 1e-9 would lose ~9 digits to
-# cancellation between the two near-pole connection terms, 1e-5 balances
-# cancellation (~1e-11) against the O(shift^2) extrapolation residual
-_DEGENERATE_SHIFT = 1.0e-5
+# largest min(|u|, |u/(u-1)|) at which a non-terminating 2F1 is summed
+SERIES_RADIUS = 0.8
+# largest ratio of a series term to the sum: 1e8 leaves 8 digits
+_MAX_CANCELLATION = 1.0e8
 
 
 def _nonpositive_int(z: complex, tol: float = 1.0e-12) -> int | None:
@@ -137,7 +135,13 @@ def _series_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     length m; the result is (nk, m).  Each (row, point) pair stops on its
     own, after two consecutive terms at most _EPS times its partial sum, so
     a value does not depend on which other rows or points share the call.
-    Converges for |x| < 1; the caller guarantees |x| bounded away from 1.
+    The caller keeps |x| <= SERIES_RADIUS.
+
+    Raises
+    ------
+    PreconditionViolation
+        If a term exceeds _MAX_CANCELLATION times the sum it adds up to
+        (see ``_check_cancellation``).
     """
     nk, m = len(a), len(x)
     total = np.ones((nk, m), dtype=complex)
@@ -151,6 +155,7 @@ def _series_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     was_quiet = np.zeros(nk * m, dtype=bool)
     for n in range(_SERIES_CAP):
         if not idx.size:
+            _check_cancellation(a, b, c, x, total, n)
             return total
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
         # the right operand of a complex product is never a temporary:
@@ -182,9 +187,40 @@ def _series_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     )
 
 
-def _rows(p: np.ndarray, m: int) -> np.ndarray:
-    """p[i] repeated along row i of a contiguous (len(p), m) array."""
-    return np.repeat(p, m).reshape(len(p), m)
+def _check_cancellation(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                        x: np.ndarray, total: np.ndarray, n_terms: int) -> None:
+    """Raise where the first ``n_terms`` terms of a ``_series_sum`` hold one
+    larger than _MAX_CANCELLATION times the sum: there the terms cancel to
+    fewer than 8 significant digits, as for |a| near 50 at x = 1/2.
+
+    The term magnitudes follow from the parameters alone,
+    log|t_N| = sum_{n<N} log|ratio_n| + N log|x|, so the sum loop does not
+    track them.  A bound per row at max|x| clears most calls at once; only
+    the (row, point) pairs it does not clear are checked exactly.
+    """
+    n = np.arange(n_terms)[:, None]
+    power = n + 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        # log prod_{n<N} |ratio_n| for N = power, one column per row
+        log_prod = np.cumsum(np.log(np.abs(
+            (a + n) * (b + n) / ((c + n) * power))), axis=0)
+        log_x = np.log(np.abs(x))
+        # the first term is 1, so no peak is below log 1 = 0
+        bound = np.exp(np.maximum(
+            0.0, np.max(log_prod + power * log_x.max(), axis=0)))
+        r, j = np.nonzero(np.abs(total) < (bound / _MAX_CANCELLATION)[:, None])
+        if not r.size:
+            return
+        peak = np.maximum(
+            0.0, np.max(log_prod[:, r] + power * log_x[j], axis=0))
+        lost = np.flatnonzero(
+            peak > np.log(_MAX_CANCELLATION * np.abs(total[r, j])))
+    if lost.size:
+        r, j = r[lost[0]], j[lost[0]]
+        raise PreconditionViolation(
+            f"2F1 series terms cancel to fewer than 8 digits at "
+            f"a = {complex(a[r])}, b = {complex(b[r])}, c = {complex(c[r])}, "
+            f"x = {complex(x[j])}")
 
 
 def _outer(p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -195,113 +231,47 @@ def _outer(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     expanded first, so a value does not depend on how many rows or points
     share the call.
     """
-    return np.multiply(_rows(p, len(v)), np.tile(v, (len(p), 1)))
+    return np.multiply(np.repeat(p, len(v)).reshape(len(p), len(v)),
+                       np.tile(v, (len(p), 1)))
 
 
 def _terminating_sum(a: complex, b: complex, c: complex,
                      x: np.ndarray, degree: int) -> np.ndarray:
-    """Exact terminating hypergeometric polynomial of the given degree."""
-    x = np.asarray(x, dtype=complex)
+    """Exact terminating hypergeometric polynomial of the given degree; the
+    caller has checked that no c + n vanishes below it."""
     term = np.ones_like(x)
     total = np.ones_like(x)
     for n in range(degree):
-        denom = c + n
-        if abs(denom) < 1.0e-13:
-            raise PoleError(round(denom.real) - n, c)
-        term = term * ((a + n) * (b + n) / (denom * (n + 1.0))) * x
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * x
         total = total + term
     return total
 
 
-def _connection_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                    v: np.ndarray, log_v: np.ndarray) -> np.ndarray:
-    """2F1 via the u -> 1-u connection formula; v = 1-u, log_v = log(1-u).
-
-    Parameter vectors of length nk, result (nk, len(v)).  log_v may lie on
-    any analytic continuation of the logarithm; the branch of v^(c-a-b)
-    follows it.
-    """
-    cab = c - a - b
-    near = np.round(cab.real)
-    degenerate = (np.abs(cab.imag) < _DEGENERATE_TOL) \
-        & (np.abs(cab.real - near) < _DEGENERATE_TOL)
-    out = np.zeros((len(a), len(v)), dtype=complex)
-    if degenerate.any():
-        # Degenerate (integer c-a-b): the two terms develop cancelling gamma
-        # poles.  Evaluate at c +/- i*shift and average; even in the shift,
-        # so the error is O(shift^2).
-        d = 1j * _DEGENERATE_SHIFT
-        da, db, dc = a[degenerate], b[degenerate], c[degenerate]
-        up = _connection_sum(da, db, dc + d, v, log_v)
-        dn = _connection_sum(da, db, dc - d, v, log_v)
-        out[degenerate] = 0.5 * (up + dn)
-        regular = ~degenerate
-        if regular.any():
-            out[regular] = _connection_sum(a[regular], b[regular], c[regular],
-                                           v, log_v)
-        return out
-    coef1 = np.empty(len(a), dtype=complex)
-    coef2 = np.empty(len(a), dtype=complex)
-    for r in range(len(a)):
-        ar, br, cr, cabr = complex(a[r]), complex(b[r]), complex(c[r]), \
-            complex(cab[r])
-        gc = complex_gamma(cr)
-        coef1[r] = gc * complex_gamma(cabr) * reciprocal_gamma(cr - ar) \
-            * reciprocal_gamma(cr - br)
-        coef2[r] = gc * complex_gamma(-cabr) * reciprocal_gamma(ar) \
-            * reciprocal_gamma(br)
-    # right operands of complex products are named (see _series_sum)
-    live = coef1 != 0.0
-    if live.any():
-        series = _series_sum(a[live], b[live], 1.0 - cab[live], v)
-        out[live] = _rows(coef1[live], len(v)) * series
-    live = coef2 != 0.0
-    if live.any():
-        power = np.exp(_outer(cab[live], log_v))
-        series = _series_sum(c[live] - a[live], c[live] - b[live],
-                             1.0 + cab[live], v)
-        out[live] += _rows(coef2[live], len(v)) * power * series
-    return out
-
-
 def _general_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                  u: np.ndarray, omu: np.ndarray, log_omu: np.ndarray,
-                  out: np.ndarray, rows: np.ndarray) -> None:
+                  u: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
     """Fill out[rows] with non-terminating 2F1 rows (parameters a, b, c),
-    each point on its smallest-modulus route."""
+    each point on the direct series in u or on Pfaff's series in
+    w = u/(u-1), whichever argument is smaller."""
+    omu = 1.0 - u
     w = np.where(omu != 0.0, -u / omu, np.inf)
-
-    r_u = np.abs(u)
-    r_v = np.abs(omu)
-    r_w = np.abs(w)
-    with np.errstate(divide="ignore", over="ignore"):
-        r_t = np.where(r_v > 0.0, 1.0 / r_v, np.inf)
-    # route codes: 0 direct, 1 connection, 2 Pfaff, 3 Pfaff+connection
-    moduli = np.stack([r_u, r_v, r_w, r_t], axis=0)
-    route = np.argmin(moduli, axis=0)
-
-    m0 = route == 0
-    if np.any(m0):
-        out[np.ix_(rows, m0)] = _series_sum(a, b, c, u[m0])
-    m1 = route == 1
-    if np.any(m1):
-        out[np.ix_(rows, m1)] = _connection_sum(a, b, c, omu[m1],
-                                                log_omu[m1])
-    m2 = route == 2
-    if np.any(m2):
-        pf = np.exp(-_outer(a, log_omu[m2]))
-        series = _series_sum(a, c - b, c, w[m2])
-        out[np.ix_(rows, m2)] = pf * series
-    m3 = route == 3
-    if np.any(m3):
-        # 2F1(a, c-b; c; w) continued near w = 1; note 1-w = 1/(1-u)
-        pf = np.exp(-_outer(a, log_omu[m3]))
-        one_minus_w = 1.0 / omu[m3]
-        series = _connection_sum(a, c - b, c, one_minus_w, -log_omu[m3])
-        out[np.ix_(rows, m3)] = pf * series
+    r_u, r_w = np.abs(u), np.abs(w)
+    direct = r_u <= r_w
+    refused = ~(np.minimum(r_u, r_w) <= SERIES_RADIUS)
+    if refused.any():
+        raise PreconditionViolation(
+            f"2F1 argument u = {u[refused][0]} has min(|u|, |u/(u-1)|) "
+            f"above {SERIES_RADIUS}")
+    if direct.any():
+        out[np.ix_(rows, direct)] = _series_sum(a, b, c, u[direct])
+    pfaff = ~direct
+    if pfaff.any():
+        # 2F1(a, b; c; u) = (1-u)^(-a) 2F1(a, c-b; c; w)
+        pf = np.exp(-_outer(a, np.log(omu[pfaff])))
+        series = _series_sum(a, c - b, c, w[pfaff])
+        out[np.ix_(rows, pfaff)] = pf * series
 
 
-def hyp2f1_grid(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> np.ndarray:
+def hyp2f1_grid(a, b, c, u) -> np.ndarray:
     """Gauss 2F1(a, b; c; u) over an array of arguments u, for one or many
     parameter sets.
 
@@ -312,17 +282,11 @@ def hyp2f1_grid(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> np.nda
         array u; vectors of a common length nk give nk of them, row i with
         parameters (a[i], b[i], c[i]).
     u : array_like of complex
-        Arguments.  The route of each point (direct series, u -> 1-u
-        connection, Pfaff, Pfaff plus connection) depends on u alone and is
-        chosen once for all rows.
-    one_minus_u : array_like of complex, optional
-        Precomputed 1-u; pass it when u is exponentially close to 1 so the
-        subtraction does not lose digits.
-    log_one_minus_u : array_like of complex, optional
-        Analytically continued log(1-u) along the caller's path.  Defaults
-        to the principal branch.  All powers of (1-u) are taken on this
-        branch, which is what makes the result single-valued along spatial
-        grids whose u-image winds around u = 1.
+        Arguments.  Each point takes the direct series in u or Pfaff's
+        series in w = u/(u-1), whichever argument is smaller; the route
+        depends on u alone and is chosen once for all rows.  A row that
+        does not terminate needs min(|u|, |w|) <= SERIES_RADIUS at every
+        point; powers of 1-u are taken on the principal branch.
 
     Returns
     -------
@@ -336,29 +300,22 @@ def hyp2f1_grid(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> np.nda
     PoleError
         c a non-positive integer, in any row, not masked by earlier series
         termination of that row.
+    PreconditionViolation
+        A non-terminating row and a point with min(|u|, |w|) above
+        SERIES_RADIUS; the message names the first such u.
     NonConvergence
-        Iteration cap hit (pathological arguments only).
+        Iteration cap hit (pathological parameters only).
     """
     scalar = all(np.ndim(p) == 0 for p in (a, b, c))
     a, b, c = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(p, dtype=complex)) for p in (a, b, c)))
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    if one_minus_u is None:
-        omu = 1.0 - u
-    else:
-        omu = np.atleast_1d(np.asarray(one_minus_u, dtype=complex))
-    if log_one_minus_u is None:
-        log_omu = np.log(omu)
-    else:
-        log_omu = np.atleast_1d(np.asarray(log_one_minus_u, dtype=complex))
 
     out = np.empty((len(a), len(u)), dtype=complex)
     general = np.ones(len(a), dtype=bool)
     for r in range(len(a)):
         ar, br, cr = complex(a[r]), complex(b[r]), complex(c[r])
-        na = _nonpositive_int(ar)
-        nb = _nonpositive_int(br)
-        nc = _nonpositive_int(cr)
+        na, nb, nc = map(_nonpositive_int, (ar, br, cr))
         if na is None and nb is None:
             if nc is not None:
                 raise PoleError(nc, cr)
@@ -370,16 +327,10 @@ def hyp2f1_grid(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> np.nda
         out[r] = _terminating_sum(ar, br, cr, u, degree)
         general[r] = False
     if general.any():
-        _general_rows(a[general], b[general], c[general], u, omu, log_omu,
-                      out, general)
+        _general_rows(a[general], b[general], c[general], u, out, general)
     return out[0] if scalar else out
 
 
-def hyp2f1(a, b, c, u, *, one_minus_u=None, log_one_minus_u=None) -> complex:
+def hyp2f1(a, b, c, u) -> complex:
     """Scalar Gauss hypergeometric function 2F1(a, b; c; u)."""
-    kw = {}
-    if one_minus_u is not None:
-        kw["one_minus_u"] = np.array([one_minus_u], dtype=complex)
-    if log_one_minus_u is not None:
-        kw["log_one_minus_u"] = np.array([log_one_minus_u], dtype=complex)
-    return complex(hyp2f1_grid(a, b, c, np.array([u], dtype=complex), **kw)[0])
+    return complex(hyp2f1_grid(a, b, c, np.array([u], dtype=complex))[0])

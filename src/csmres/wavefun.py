@@ -7,11 +7,11 @@ The scattering solution along the rotated coordinate x' = x e^{i theta} is
     a = -ik/beta - s,  b = -ik/beta + s + 1,  c = -ik/beta + 1,
 
 with s the potential index from `model`.  This module evaluates it on real-x
-grids with analytically continued branches (the u-image spirals around u = 1
-at large |x|), provides the asymptotic plane-wave coefficients, the Siegert
-residual and its Newton root-finder, the bilinear (c-product) Gamow norm
-with closed-form tail corrections, and the convergent/divergent region
-classification.
+grids, at x < 0 away from the origin through the mirror identity of the even
+barrier (the u-image there spirals around u = 1), provides the asymptotic
+plane-wave coefficients, the Siegert residual and its Newton root-finder,
+the bilinear (c-product) Gamow norm with closed-form tail corrections, and
+the convergent/divergent region classification.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 from .errors import NonConvergence, NonNormalizable, \
     PreconditionViolation, SingularCoordinate
 from .model import ModelParams, derived_quantities, resonance_energy
-from .specfun import complex_gamma, hyp2f1_grid, reciprocal_gamma
+from .specfun import SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
+    reciprocal_gamma
 
 LN4 = 2.0 * math.log(2.0)
 
@@ -71,61 +72,69 @@ def default_grid(beta: float = 1.0, x_max: float | None = None,
     return np.linspace(-x_max, x_max, n_points)
 
 
-def _split_by_sign(z: np.ndarray):
-    """Stable u, 1-u, and continued logs for u = 1/(1 + e^{2z})."""
-    right = z.real >= 0.0
-    t = np.exp(np.where(right, -2.0 * z, 2.0 * z))
-    if np.any(t == 0.0):
-        raise SingularCoordinate("tanh argument saturates: 1 - xi^2 underflows")
-    log1pt = np.log1p(t)
-    frac = t / (1.0 + t)
-    inv = 1.0 / (1.0 + t)
-    u = np.where(right, frac, inv)
-    omu = np.where(right, inv, frac)
-    log_u = np.where(right, -2.0 * z - log1pt, -log1pt)
-    log_omu = np.where(right, -log1pt, 2.0 * z - log1pt)
-    return u, omu, log_u, log_omu
-
-
 def raw_psi(k, s: complex, beta: float, theta: float,
             x: np.ndarray) -> np.ndarray:
     """Scaled solution on a real-x grid, continuous analytic branch.
 
     ``k`` is one wavenumber (result of shape (len(x),)) or a 1-D array of
-    them (result (len(k), len(x)), row i at k[i]).  The coordinate map,
-    its continued logarithms and the 2F1 routes depend on x alone and are
-    computed once per call; all rows go through one batched
-    ``hyp2f1_grid`` call.  ``theta`` may be negative (used for
-    biorthogonal partners); the formula is the same with x' = x e^{i theta}.
+    them (result (len(k), len(x)), row i at k[i]).  Every point is
+    evaluated from y = |x|: the prefactor (1 - xi^2)^p is even in x, and
+    x >= 0 takes the 2F1 at u = t/(1+t), t = e^{-2 beta y e^{i theta}},
+    where min(|u|, |u/(u-1)|) <= 1/2 for theta < pi/4.  A point x < 0 in
+    the band |u(x)| = |1/(1+t)| <= SERIES_RADIUS is evaluated in place;
+    every other x < 0 comes from the mirror identity of the even barrier,
+
+        psi(k, -y) = R psi(k, y) + T 4^{-ik/beta} psi(-k, y),
+
+    with (R, T) the asymptotic gamma ratios.  The band keeps the points
+    near x = 0, where the two terms cancel, off the identity.  All rows go
+    through one batched ``hyp2f1_grid`` call, plus one at -k for the
+    mirrored points.  ``theta`` may be negative (used for biorthogonal
+    partners); the formula is the same with x' = x e^{i theta}.
 
     Raises
     ------
     PreconditionViolation
-        If the gamma or 2F1 kernels overflow, or a value is not finite,
-        as happens for large |k| (|k| = 150 at theta 0.3 on |x| <= 12).
+        If the gamma or 2F1 kernels overflow, a 2F1 series cancels to
+        fewer than 8 digits, or a value is not finite, as happens for large
+        |k| (the series from |k| near 40 at theta 0.3, the gamma ratios at
+        |k| = 300).
+    PoleError
+        At k = 0, where the Jost pair is degenerate, if a point is mirrored.
     """
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=complex)
-    z = beta * x * cmath.exp(1j * theta)
-    u, omu, log_u, log_omu = _split_by_sign(z)
+    z = beta * np.abs(x) * cmath.exp(1j * theta)
+    t = np.exp(-2.0 * z)
+    if np.any(t == 0.0):
+        raise SingularCoordinate("tanh argument saturates: 1 - xi^2 underflows")
+    log1pt = np.log1p(t)
+    u = np.where(x >= 0.0, t / (1.0 + t), 1.0 / (1.0 + t))
+    mirror = (x < 0.0) & (np.abs(u) > SERIES_RADIUS)
+    u[mirror] = t[mirror] / (1.0 + t[mirror])
+    # (1 - xi^2)^p = exp(p (ln 4 + log u + log(1-u))), continued branch
+    log_pref = LN4 + (-2.0 * z - log1pt) - log1pt
     p = -1j * k / (2.0 * beta)
     kb = 1j * k / beta
-    a = -kb - s
-    b = -kb + s + 1.0
-    c = -kb + 1.0
     try:
+        if mirror.any():
+            # the gamma ratios before the series: they fail faster
+            refl, trans = np.array(
+                [_mirror_coeffs(kj, s, beta) for kj in map(complex, k.flat)]
+            ).T.reshape((2,) + k.shape + (1,))
         with np.errstate(over="ignore", invalid="ignore"):
-            # (1 - xi^2)^p = exp(p (ln 4 + log u + log(1-u))), continued
-            # branch
-            pref = np.exp(np.multiply.outer(p, LN4 + log_u + log_omu))
+            pref = np.exp(np.multiply.outer(p, log_pref))
             # a named right operand: numpy may evaluate pref * (temporary)
             # as temporary * pref, which rounds differently
-            f = hyp2f1_grid(a, b, c, u, one_minus_u=omu,
-                            log_one_minus_u=log_omu)
+            f = hyp2f1_grid(-kb - s, -kb + s + 1.0, -kb + 1.0, u)
             psi = pref * f
+            if mirror.any():
+                f = hyp2f1_grid(kb - s, kb + s + 1.0, kb + 1.0, u[mirror])
+                minus = np.exp(np.multiply.outer(-p, log_pref[mirror])) * f
+                plus = psi[..., mirror]
+                psi[..., mirror] = refl * plus + trans * minus
     except (OverflowError, PreconditionViolation) as exc:
-        raise PreconditionViolation(
-            f"raw_psi kernels overflow at k = {k}") from exc
+        raise PreconditionViolation(f"raw_psi at k = {k}: {exc}") from exc
     if not np.isfinite(psi).all():
         raise PreconditionViolation(f"raw_psi is not finite at k = {k}")
     return psi
@@ -168,6 +177,13 @@ def _gamma_coeffs(k: complex, s: complex, beta: float) -> tuple:
 def _amplitude(k: complex, beta: float) -> complex:
     """4^{-ik/2beta}, the common amplitude of the asymptotic plane waves."""
     return cmath.exp(-1j * k * LN4 / (2.0 * beta))
+
+
+def _mirror_coeffs(k: complex, s: complex, beta: float) -> tuple:
+    """(R, T 4^{-ik/beta}), so that psi(k, -y) = R psi(k, y)
+    + T 4^{-ik/beta} psi(-k, y)."""
+    refl, trans = _gamma_coeffs(k, s, beta)
+    return refl, trans * _amplitude(k, beta) ** 2
 
 
 def asymptotic_coefficients(params: ModelParams, k: complex) -> AsymptoticCoefficients:

@@ -12,7 +12,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from csmres.binbasis import (
-    bin_energy,
     binned_state,
     degeneracy_diagnostics,
     limit_exchange_entries,
@@ -24,6 +23,7 @@ from csmres.eploop import LoopSpec, case_asymptotic_phase, fit_puiseux, \
     run_berry_loop
 from csmres.model import (
     ModelParams,
+    bin_energy,
     branch_point_coupling,
     contact_coupling_root,
     critical_angle,

@@ -21,7 +21,6 @@ from csmres.binbasis import (
     _kronrod_rule,
     _kronrod_series,
     _tail_product,
-    bin_energy,
     binned_state,
     degeneracy_diagnostics,
     ep_ray,
@@ -35,7 +34,7 @@ from csmres.binbasis import (
     unit_diagonal_state,
 )
 from csmres.errors import EmptyRange, QuadratureError
-from csmres.model import ModelParams, branch_point_coupling, \
+from csmres.model import ModelParams, bin_energy, branch_point_coupling, \
     derived_quantities
 from csmres.wavefun import _gamma_coeffs, raw_psi
 

@@ -117,6 +117,34 @@ class TestExitCodes:
         assert err["error"] == "PreconditionViolation"
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_overlap_fails_before_the_real_axis_bins(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import csmres.binbasis as binbasis
+
+        built = []
+        original = binbasis.binned_state
+
+        def counting(params, grid, n, x, *args, **kwargs):
+            built.append(grid.hermitian)
+            return original(params, grid, n, x, *args, **kwargs)
+
+        monkeypatch.setattr(binbasis, "binned_state", counting)
+        cfg = write_config(tmp_path, {"theta": 2e-3})
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "overlap"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "PreconditionViolation"
+        assert True not in built
+
+    def test_wavefunction_at_zero_k_is_3(self, tmp_path, capsys):
+        # the Jost pair is degenerate at k = 0, and the default grid has
+        # points beyond the in-place band
+        cfg = write_config(tmp_path, {"wavefunction": {"k": 0.0}})
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "wavefunction"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "PoleError"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_integral_float_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"spectrum": {"n_max": 2.0}})
         assert main(["--config", cfg, "--out", str(tmp_path),

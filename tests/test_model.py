@@ -152,9 +152,33 @@ class TestLambdaWindow:
             assert abs(math.tan(2 * th) * rb.E_bp.real + rb.E_bp.imag) < 1e-10
 
     def test_both_lambda0_plus_forms_agree(self):
+        # lambda0_plus is lambda_bp; the window form (1 + cos 2t)/sin^2 2t
+        # gives the same value
         for th in np.linspace(0.01, math.pi / 4 - 0.01, 1000):
             rb = lambda_window(th)
-            assert abs(rb.lambda0_plus - rb.lambda_bp) < 1e-14 * rb.lambda_bp
+            window = 0.25 * (1.0 + math.cos(2 * th)) / math.sin(2 * th) ** 2
+            assert rb.lambda0_plus == rb.lambda_bp
+            assert abs(window - rb.lambda_bp) < 1e-14 * rb.lambda_bp
+
+    @pytest.mark.parametrize("theta", [0.02, 1e-3, 1e-8])
+    def test_bounds_match_mpmath(self, theta):
+        # the closed forms as written, at 50 digits; lambda1_minus cancels
+        # in them at small theta (0 instead of 0.125 at 1e-8 in doubles)
+        import mpmath as mp
+
+        with mp.workdps(50):
+            th = mp.mpf(theta)
+            s2, c = mp.sin(2 * th) ** 2, mp.cos(2 * th)
+            t2 = mp.tan(2 * th) ** 2
+            head = (9 + 5 * t2) / t2
+            root = mp.sqrt(head**2 - (9 + 25 * t2) / t2)
+            expect = [(1 - c) / s2 / 4, (1 + c) / s2 / 4,
+                      (head - root) / 4, (head + root) / 4]
+        rb = lambda_window(theta)
+        got = [rb.lambda0_minus, rb.lambda0_plus, rb.lambda1_minus,
+               rb.lambda1_plus]
+        for g, e in zip(got, expect):
+            assert abs(g - float(e)) <= 1e-14 * float(e)
 
     def test_theta_to_quarter_pi_limit(self):
         rb = lambda_window(math.pi / 4 - 1e-9)

@@ -2,6 +2,7 @@
 path."""
 
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,18 @@ def test_import_does_not_load_scipy(fresh_python, module):
                         "print('scipy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_berry_does_not_load_binbasis(fresh_python, tmp_path):
+    # the Puiseux fit needs only the closed-form bin energy of ``model``
+    config = Path(__file__).parent / "data" / "golden" / "config.json"
+    done = fresh_python(
+        "-c", "import sys; from csmres.cli import main; "
+        f"code = main(['--config', {str(config)!r}, '--out', "
+        f"{str(tmp_path)!r}, 'berry']); "
+        "print(code, 'csmres.binbasis' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 False"
 
 
 def test_every_export_is_its_home_modules_object():

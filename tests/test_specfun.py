@@ -6,12 +6,14 @@ frozen here; the shipped code never depends on it.
 
 import cmath
 import re
+import time
 
 import numpy as np
 import pytest
 
 from csmres.errors import PoleError, PreconditionViolation
-from csmres.specfun import complex_gamma, hyp2f1, hyp2f1_grid, reciprocal_gamma
+from csmres.specfun import SERIES_RADIUS, complex_gamma, hyp2f1, hyp2f1_grid, \
+    reciprocal_gamma
 
 SQRT_PI = 1.7724538509055160273
 
@@ -23,11 +25,12 @@ GAMMA_GOLDEN = [
     (0.5 - 0.5j, 0.8181639995417473 + 0.7633138287139826j),
 ]
 
-# (a, b, c, u, 2F1(a,b;c;u)) golden tuples on the contract domain
+# (a, b, c, u, 2F1(a,b;c;u)) golden tuples on the contract domain; the
+# first and the last two sit at |u| = 0.79, |u/(u-1)| = 0.79 and u = -3 + i
 HYP_GOLDEN = [
     ((0.751 + 2.383j), (1.654 - 1.649j), (1.11 + 2.241j),
-     (1.00000032534309 - 1.3565460133104815e-07j),
-     (5537017.477314524 + 52379.228044482225j)),
+     (0.6932902238933946 + 0.37874617549732037j),
+     (9.796707818665956 + 5.8990018303956075j)),
     ((1.782 - 0.192j), (-1.182 - 1.329j), (0.988 - 0.33j),
      (0.46242887424126394 - 0.016256591892054497j),
      (-0.1585394665675074 - 0.6175169297546022j)),
@@ -41,11 +44,11 @@ HYP_GOLDEN = [
      (-1.6069018017830442e-06 - 7.735424134957767e-06j),
      (0.9999911224452184 + 1.5619262650960667e-05j)),
     ((-1.394 + 2.282j), (0.059 + 2.083j), (2.027 + 1.451j),
-     (0.9999988558051554 - 6.693580566430562e-07j),
-     (0.015509895396602776 - 0.18513137001622165j)),
+     (-0.2913032769246944 - 1.5945894641858214j),
+     (2.2084194943746573 + 14.542462036120643j)),
     ((0.047 + 2.228j), (-0.832 + 0.589j), (0.46 - 0.674j),
-     (0.9989153426479446 + 0.0014784410967159708j),
-     (1.396185291088044 - 1.8025997154079119j)),
+     (-3.0 + 1.0j),
+     (8.783284635444952 + 10.537724419055879j)),
     ((1.898 - 0.723j), (2.872 + 0.54j), (1.934 + 0.828j),
      (0.0011081409327587726 - 0.001502000374623087j),
      (1.0002610476020966 - 0.0052642805138042635j)),
@@ -53,10 +56,15 @@ HYP_GOLDEN = [
 
 
 def _contract_domain_u(rng):
-    """Random u on the image of u = (1 - tanh(beta x e^{i theta}))/2."""
-    x = rng.uniform(-9.0, 9.0)
-    theta = rng.uniform(0.05, 0.7)
-    return complex(1.0 / (1.0 + np.exp(2.0 * x * np.exp(1j * theta))))
+    """Random u on the image of u = (1 - tanh(beta x e^{i theta}))/2, where
+    min(|u|, |u/(u-1)|) <= SERIES_RADIUS: all of x >= 0 and the band of
+    x < 0 next to 0."""
+    while True:
+        x = rng.uniform(-9.0, 9.0)
+        theta = rng.uniform(0.05, 0.7)
+        u = complex(1.0 / (1.0 + np.exp(2.0 * x * np.exp(1j * theta))))
+        if min(abs(u), abs(u / (u - 1.0))) <= SERIES_RADIUS:
+            return u
 
 
 class TestComplexGamma:
@@ -157,30 +165,30 @@ class TestHyp2f1:
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
     def test_continuity_across_switch_radii(self):
-        # route switches happen where two effective-argument moduli tie;
-        # |u| = |1-u| ties on Re u = 1/2
-        for im in (-0.3, 0.0, 0.25):
-            u_lo = complex(0.5 - 1e-8, im)
-            u_hi = complex(0.5 + 1e-8, im)
+        # the direct and Pfaff routes switch where |u| = |u/(u-1)|, on the
+        # circle |1-u| = 1
+        for phi in (-0.7, 0.2, 0.6):
+            u_lo = 1.0 - (1.0 - 1e-8) * cmath.exp(1j * phi)
+            u_hi = 1.0 - (1.0 + 1e-8) * cmath.exp(1j * phi)
             a, b, c = 0.8 - 1.1j, -0.6 + 0.4j, 1.2 + 0.5j
             f_lo = hyp2f1(a, b, c, u_lo)
             f_hi = hyp2f1(a, b, c, u_hi)
             assert abs(f_lo - f_hi) < 1e-7 * abs(f_lo)
 
-    def test_degenerate_connection_regularization(self):
-        # c - a - b exactly an integer: the u->1-u formula is regularized
+    @pytest.mark.parametrize("u", [
+        cmath.exp(1j * cmath.pi / 3), cmath.exp(-1j * cmath.pi / 3),
+        0.93 + 0.02j, 1.0 + 1e-7j])
+    def test_outside_the_series_region_raises(self, u):
+        # every route modulus is 1 at e^{+-i pi/3}; the parameters at
+        # 0.93 + 0.02j have integer c - a - b.  The refusal comes before
+        # any series term, not after the 100 000-term cap
         a, b = 0.7 - 0.9j, 1.1 + 0.9j
-        c = a + b + 1.0
-        u = 0.93 + 0.02j
-        got = hyp2f1(a, b, c, u)
-        # oracle-free cross-check: Euler transformation maps to the same
-        # degenerate structure, direct series from the other side
-        ref = hyp2f1(a, b, c, 0.49 + 0.0j)
-        assert np.isfinite(got.real) and np.isfinite(got.imag)
-        # continuity against a nearby non-degenerate parameter set
-        near = hyp2f1(a, b, c + 1e-7, u)
-        assert abs(got - near) < 1e-5 * abs(got)
-        del ref
+        start = time.perf_counter()
+        with pytest.raises(PreconditionViolation, match=re.escape(str(u))):
+            hyp2f1(a, b, a + b + 1.0, u)
+        assert time.perf_counter() - start < 0.5
+        # a terminating row needs no route
+        assert abs(hyp2f1(-1.0, b, 1.5, u) - (1.0 - b / 1.5 * u)) < 1e-14
 
     def test_grid_matches_scalar(self):
         # every series stops per point, so a grid entry is bitwise the
@@ -205,11 +213,11 @@ class TestHyp2f1:
 
     def test_parameter_rows_match_single_calls(self):
         # one batched call over parameter rows: generic, terminating
-        # (a = -2), terminating before a c pole, degenerate c-a-b = 1, and
-        # rows only on the connection or Pfaff routes near u = 1
+        # (a = -2), terminating before a c pole and integer c-a-b = 1, at
+        # points that include both edges of the series region
         rng = np.random.default_rng(33)
         us = np.array([_contract_domain_u(rng) for _ in range(200)]
-                      + [0.999 + 0.001j, 1.0 + 1e-7j, 3.0 - 2.0j])
+                      + [0.79 * cmath.exp(0.5j), -3.0 + 1.0j])
         a0, b0 = 0.7 - 0.9j, 1.1 + 0.9j
         rows = [(1.3 - 0.8j, -0.4 + 1.6j, 1.1 + 0.3j),
                 (-2.0, 0.6 + 1.2j, 1.4 - 0.3j),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
-from csmres.errors import NonNormalizable, PreconditionViolation
+from csmres.errors import CsmError, NonNormalizable, PreconditionViolation
 from csmres.model import (
     ModelParams,
     branch_point,
@@ -19,7 +19,7 @@ from csmres.model import (
     resonance_energy,
 )
 from csmres.binbasis import ep_ray, spatial_grid
-from csmres.specfun import complex_gamma
+from csmres.specfun import SERIES_RADIUS, complex_gamma
 from csmres.wavefun import (
     RegionLabel,
     _amplitude,
@@ -246,6 +246,67 @@ class TestJostPairIdentities:
                 <= 1e-14 * np.max(np.abs(minus))
 
 
+class TestMirroredRawPsi:
+    """x < 0: in place in the band |u| <= SERIES_RADIUS, by the mirror
+    identity beyond it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=st.floats(0.05, 0.75), on_ray=st.booleans(),
+           partner=st.booleans(), lam=st.floats(0.3, 3.0),
+           k_re=st.floats(0.2, 4.0), k_im=st.floats(-1.0, 0.0),
+           node=st.integers(0, 4), offset=st.floats(1e-6, 1e-2),
+           phase=st.floats(0.0, 2.0 * math.pi),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=4,
+                              max_size=4))
+    def test_negative_x_matches_mpmath(self, theta, on_ray, partner, lam,
+                                       k_re, k_im, node, offset, phase,
+                                       fractions):
+        # the scan k ranges at real lam, or EP-ray nodes as binned_state
+        # evaluates them (the partner at conjugate k and lam and -theta)
+        k = complex(k_re, k_im)
+        if on_ray:
+            lam = branch_point_coupling(theta) + offset * cmath.exp(1j * phase)
+            p = ModelParams(lam=lam, theta=theta)
+            k = complex(ep_ray(p, (-2.0, -1.0, 0.0, 1.0, 2.0)).nodes[node])
+            if partner:
+                k, lam, theta = k.conjugate(), lam.conjugate(), -theta
+        s = _index(lam)
+        # principal branches (the oracle's) hold while |x| sin|theta| <
+        # pi/2; points on both sides of the band edge and near x = 0,
+        # where the two mirror terms cancel
+        y_max = min(30.0, 0.9 * math.pi / (2.0 * math.sin(abs(theta))))
+        y = np.linspace(0.0, y_max, 2001)
+        band = np.abs(1.0 / (1.0 + np.exp(-2.0 * y * cmath.exp(1j * theta)))) \
+            <= SERIES_RADIUS
+        edge = np.flatnonzero(~band)[0]
+        x = -np.concatenate([y[[edge - 1, edge]], [0.08],
+                             y_max * np.array(fractions)])
+        psi = raw_psi(k, s, 1.0, theta, x)
+        worst = max(abs(v - psi_oracle(xi, k, s, theta)) / abs(v)
+                    for xi, v in zip(x, psi))
+        assert -math.log10(worst) >= 12.0
+
+    def test_band_avoids_the_mirror_cancellation(self):
+        # near x = 0 the two mirror terms cancel: mirroring every x < 0 here
+        # keeps 12.1 digits at x = -0.15, the band 13.0 at worst
+        theta, k = 0.5835446288273954, 0.22311220047590596 - 0.9227558969952958j
+        s = _index(2.9422793197687676)
+        x = -np.linspace(0.05, 1.2, 24)
+        psi = raw_psi(k, s, 1.0, theta, x)
+        worst = max(abs(v - psi_oracle(xi, k, s, theta)) / abs(v)
+                    for xi, v in zip(x, psi))
+        assert -math.log10(worst) >= 12.5
+
+    def test_zero_k_with_mirrored_points_raises(self):
+        # the Jost pair psi(k), psi(-k) is degenerate at k = 0; the band
+        # alone needs no mirror
+        s = _index(1.0)
+        with pytest.raises(CsmError):
+            raw_psi(0.0, s, 1.0, 0.3, default_grid(1.0))
+        near = raw_psi(0.0, s, 1.0, 0.3, np.linspace(-0.5, 0.5, 11))
+        assert np.isfinite(near).all()
+
+
 class TestRawPsiRange:
     """Past the kernels' range raw_psi raises a typed error, not NaN."""
 
@@ -253,8 +314,8 @@ class TestRawPsiRange:
     x = default_grid(1.0, None, 65)
 
     @pytest.mark.parametrize("k, what", [
-        (150.0, "not finite"),      # the 2F1 connection power overflows
-        (300.0, "kernels overflow"),  # math range error in complex_gamma
+        (150.0, "cancel"),       # the 2F1 series terms cancel at u = 1/2
+        (300.0, "float range"),  # Gamma(300i) leaves it
     ])
     def test_large_k_raises(self, k, what):
         s = derived_quantities(self.p).s
