@@ -52,9 +52,8 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .errors import EmptyRange, NonNormalizable, QuadratureError
 from .model import ModelParams, bin_energy, branch_point, \
     derived_quantities, resonance_energy
+from .specfun import _SQRT_2PI
 from .wavefun import _amplitude, _gamma_coeffs, raw_psi, simpson
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _log = logging.getLogger(__name__)
 
@@ -507,7 +506,7 @@ class _Continuum:
         out = np.empty((3, len(ks)), dtype=complex)
         for j, k in enumerate(ks):
             refl, trans = _gamma_coeffs(complex(k), self.s, self.beta)
-            lead = self.jac * _amplitude(complex(k), self.beta) / SQRT_2PI
+            lead = self.jac * _amplitude(complex(k), self.beta) / _SQRT_2PI
             if not self.channel:
                 lead /= trans
             out[:, j] = lead, lead * refl, lead * trans
@@ -826,7 +825,7 @@ def limit_exchange_entries(params: ModelParams, lam_seq,
     # boundary continuum solution at the branch point
     s_bp = derived_quantities(params.with_lam(lam_bp)).s
     phi_bp = cmath.exp(0.5j * params.theta) \
-        * raw_psi(k_bp, s_bp, params.beta, params.theta, x) / SQRT_2PI
+        * raw_psi(k_bp, s_bp, params.beta, params.theta, x) / _SQRT_2PI
     interior = []
     limits = []
     for lam in lam_seq:

@@ -45,8 +45,8 @@ class LoopSpec:
     starting angle (None selects the boundary crossing where the lower
     sheet meets the rotated continuum, the natural Fig.-4 start);
     ``alphas`` are the dimensionless node coefficients of the bin ray;
-    ``x_ref`` is the phase-readout coordinate (None -> 10/beta);
-    ``orientation`` +1/-1 sets the loop direction.
+    ``orientation`` +1/-1 sets the loop direction.  The phase readout is
+    taken at x = 10/beta (``_readout_zeta``).
     """
 
     radius: float
@@ -54,7 +54,6 @@ class LoopSpec:
     n_steps: int = 256
     start_phase: float | None = None
     alphas: tuple = (-1.0, 0.0, 1.0)
-    x_ref: float | None = None
     orientation: int = 1
 
     def __post_init__(self):
@@ -90,8 +89,9 @@ class LoopTrace:
     """Path-ordered record of one loop run.
 
     Arrays are indexed by step; ``accumulated`` is the running product of
-    connection factors, ``connection_phis`` the bisected crossing angles
-    at which a factor i was applied, ``boundary_phis`` the geometric A/B
+    connection factors, ``connection_phis`` the step angles at which one
+    more factor was applied (the node just past each sign change of the
+    sheet gap, see ``run_berry_loop``), ``boundary_phis`` the geometric A/B
     crossings of the coupling circle per 2 pi.
     """
 
@@ -232,7 +232,7 @@ def _start_phase(params: ModelParams, spec: LoopSpec, crossings) -> float:
 
 def _readout_zeta(params: ModelParams, spec: LoopSpec,
                   direction: int = 1) -> complex:
-    """Exponent zeta of the asymptotic readout at direction * x_ref.
+    """Exponent zeta of the asymptotic readout at x = direction * 10/beta.
 
     Raises
     ------
@@ -240,8 +240,7 @@ def _readout_zeta(params: ModelParams, spec: LoopSpec,
         If the Taylor-regime bound |zeta alpha' sqrt(R)| < 0.1 fails.
     """
     beta = params.beta
-    x_ref = spec.x_ref if spec.x_ref is not None else 10.0 / beta
-    xp = direction * x_ref * cmath.exp(1j * params.theta)
+    xp = direction * (10.0 / beta) * cmath.exp(1j * params.theta)
     zeta = -1j * LN4 / (2.0 * beta) + 1j * direction * xp
     amax = max(abs(spec.alphas[0]), abs(spec.alphas[-1]))
     bound = abs(zeta) * amax * math.sqrt(spec.radius)
@@ -294,6 +293,12 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     ratios and the accumulated connection factors, and the node-spacing
     identity check.
 
+    The connection factors are read at the step nodes: the tracked sheet
+    E_bp + alpha_e r meets the rotated continuum ray where
+    Im(E e^{2 i theta}) changes sign, and the accumulated factor is
+    multiplied by i (-i for orientation -1) at the node past each change.
+    The crossing itself is not located between the nodes.
+
     Raises
     ------
     PreconditionViolation
@@ -308,8 +313,6 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     # trace record and the default start)
     crossings = boundary_crossings(params, spec.radius)
     phi0 = _start_phase(params, spec, crossings)
-    total = spec.windings * spec.n_steps
-    dphi = spec.dphi
     phis, lam, rs, read = _loop_readout(params, spec, zeta, phi0,
                                         spec.windings)
 
@@ -323,36 +326,24 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
 
     regions = tuple(classify_region(params, l).value for l in lam)
 
-    # connection factors: the tracked sheet E_bp + alpha_e r(phi) meets the
-    # rotated continuum ray once per 2 pi; bisect Im(E e^{2 i theta}) and
-    # multiply the accumulated factor by i there
-    rot = cmath.exp(2j * params.theta)
-
-    def sheet_gap(j, frac=0.0):
-        # r continued inside step j by the half-angle rule
-        r_loc = rs[j] * cmath.exp(0.5j * dphi * frac)
-        return ((e_bp + alpha_e * r_loc) * rot).imag
-
-    connection_phis = []
-    accumulated = np.empty(total + 1, dtype=complex)
-    acc = 1.0 + 0.0j
-    accumulated[0] = acc
-    for j in range(total):
-        g0 = sheet_gap(j)
-        g1 = sheet_gap(j, 1.0)
-        if (g0 < 0.0) != (g1 < 0.0):
-            frac = _bisect_zero(lambda t: sheet_gap(j, t), 0.0, 1.0,
-                                tol=1e-10 / abs(dphi))
-            connection_phis.append(float(phis[j] + dphi * frac))
-            acc *= 1j if spec.orientation > 0 else -1j
-        accumulated[j + 1] = acc
+    # connection factors: the tracked sheet meets the rotated continuum ray
+    # where Im(E e^{2 i theta}) changes sign between two step nodes
+    gap = ((e_bp + alpha_e * rs) * cmath.exp(2j * params.theta)).imag
+    change = (gap[:-1] < 0.0) != (gap[1:] < 0.0)
+    # one product per change, not a power: berry.csv prints the signed
+    # zeros, and 1j * 1j * 1j * 1j is (1 - 0j) where 1j ** 4 is (1 + 0j)
+    factors = [1.0 + 0.0j]
+    for _ in range(np.count_nonzero(change)):
+        factors.append(factors[-1] * (1j if spec.orientation > 0 else -1j))
+    accumulated = np.array(factors)[np.concatenate(([0], np.cumsum(change)))]
+    connection_phis = tuple(phis[1:][change].tolist())
 
     trace = LoopTrace(
         phi=phis, lam=lam,
         e_plus=e_bp + alpha_e * rs, e_minus=e_bp - alpha_e * rs,
         region=regions, readout=read, unwrapped_phase=unwrapped,
         accumulated=accumulated,
-        connection_phis=tuple(connection_phis),
+        connection_phis=connection_phis,
         boundary_phis=tuple(crossings),
     )
 
@@ -365,8 +356,8 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
         for wnd in range(1, spec.windings + 1))
     d_alpha = spec.alphas[-1] - spec.alphas[0]
     dk_defect = max(
-        abs((k_bp + spec.alphas[-1] * rs[j]) - (k_bp + spec.alphas[0] * rs[j])
-            - d_alpha * rs[j]) for j in range(total + 1))
+        abs((k_bp + spec.alphas[-1] * r) - (k_bp + spec.alphas[0] * r)
+            - d_alpha * r) for r in rs)
     verdicts = {
         "ratio_2pi": ratios.get(1),
         "overlap_4pi": ratios.get(2),

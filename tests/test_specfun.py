@@ -5,11 +5,14 @@ frozen here; the shipped code never depends on it.
 """
 
 import cmath
+import math
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csmres.errors import PoleError, PreconditionViolation
 from csmres.specfun import SERIES_RADIUS, complex_gamma, hyp2f1, hyp2f1_grid, \
@@ -244,3 +247,92 @@ class TestHyp2f1:
         # terminates at degree 1 before the c = -2 pole matters
         got = hyp2f1(-1.0, 1.5, -2.0, 0.3)
         assert abs(got - (1.0 - 1.5 / -2.0 * 0.3)) < 1e-14
+
+
+def _psi_rows(k: complex, lam: float) -> list:
+    """The (a, b, c) rows ``raw_psi`` sums at beta = 1, at k and at -k."""
+    s = 0.5 * (-1.0 + cmath.sqrt(1.0 - 8.0 * lam))
+    return [(-kb - s, -kb + s + 1.0, -kb + 1.0) for kb in (1j * k, -1j * k)]
+
+
+def _accepted_u(rho: float, phase: float, pfaff: bool) -> complex:
+    """u with |u| = rho (direct route) or |u/(u-1)| = rho (Pfaff route)."""
+    z = rho * cmath.exp(1j * phase)
+    return z / (z - 1.0) if pfaff else z
+
+
+def _series_peak(a: complex, b: complex, c: complex, x: complex) -> float:
+    """Largest |term| of the 2F1 power series in x, at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a, b, c, x = map(mp.mpc, (a, b, c, x))
+        term, peak, n = mp.mpc(1), mp.mpf(1), 0
+        # past n = |a| + |b| + |c| and 17 orders below the peak: the term
+        # ratio tends to |x| < 1, so no later term comes back up
+        while n <= abs(a) + abs(b) + abs(c) or abs(term) > 1e-17 * peak:
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
+            peak = max(peak, abs(term))
+            n += 1
+        return float(peak)
+
+
+class TestAgainstMpmath:
+    """The gamma and 2F1 kernels against mpmath over their stated domains."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(re_z=st.floats(-50.0, 50.0), im_z=st.floats(-50.0, 50.0))
+    def test_complex_gamma_relative_error(self, re_z, im_z):
+        import mpmath as mp
+
+        z = complex(re_z, im_z)
+        # nearer a pole the reflection's sin(pi z) loses digits
+        assume(abs(z) <= 50.0)
+        assume(min(abs(z - n) for n in range(-50, 1)) >= 0.01)
+        with mp.workdps(30):
+            expect = complex(mp.gamma(mp.mpc(re_z, im_z)))
+        assert abs(complex_gamma(z) - expect) <= 1e-12 * abs(expect)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(k_re=st.floats(0.2, 4.0), k_im=st.floats(-1.0, 0.0),
+           lam=st.floats(0.3, 3.0), rho=st.floats(0.0, SERIES_RADIUS - 1e-12),
+           phase=st.floats(-math.pi, math.pi), pfaff=st.booleans())
+    def test_hyp2f1_grid_on_the_accepted_region(self, k_re, k_im, lam, rho,
+                                                phase, pfaff):
+        # raw_psi's parameter rows at both routes, across the switch
+        # |1 - u| = 1
+        import mpmath as mp
+
+        u = _accepted_u(rho, phase, pfaff)
+        rows = _psi_rows(complex(k_re, k_im), lam)
+        a, b, c = (np.array(col) for col in zip(*rows))
+        got = hyp2f1_grid(a, b, c, np.array([u]))[:, 0]
+        with mp.workdps(30):
+            for g, row in zip(got, rows):
+                expect = complex(mp.hyp2f1(*map(mp.mpc, row), mp.mpc(u)))
+                assert abs(g - expect) <= 1e-12 * abs(expect), (row, u)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.floats(10.0, 60.0), lam=st.floats(0.3, 3.0),
+           rho=st.floats(0.5, SERIES_RADIUS - 1e-12),
+           way=st.sampled_from([(0.0, False), (1.5, True), (2.5, True)]))
+    def test_cancellation_verdict(self, k, lam, rho, way):
+        # raw_psi rows along three directions of u on which log(peak/|sum|)
+        # grows about linearly in k, so the draws of k sweep the ratio
+        # through the threshold.  The kernel sums the series in the smaller
+        # argument: u itself, or w = u/(u-1) with parameters (a, c-b, c)
+        import mpmath as mp
+
+        u = _accepted_u(rho, *way)
+        w = u / (u - 1.0)
+        a, b, c = _psi_rows(complex(k), lam)[0]
+        series = (a, b, c, u) if abs(u) <= abs(w) else (a, c - b, c, w)
+        with mp.workdps(30):
+            total = float(abs(mp.hyp2f1(*map(mp.mpc, series))))
+        ratio = _series_peak(*series) / total
+        assume(not 1e7 <= ratio <= 1e9)
+        if ratio > 1e9:
+            with pytest.raises(PreconditionViolation, match="cancel"):
+                hyp2f1_grid(a, b, c, np.array([u]))
+        else:
+            hyp2f1_grid(a, b, c, np.array([u]))
