@@ -33,22 +33,20 @@ _EXPORTS = {
     "specfun": ("complex_gamma", "hyp2f1", "hyp2f1_grid", "reciprocal_gamma"),
     "wavefun": (
         "AsymptoticCoefficients", "RegionLabel", "WaveField",
-        "asymptotic_coefficients", "asymptotic_values",
-        "classification_functional", "classify_region", "default_grid",
-        "eval_wavefunction", "find_resonance_k", "gamow_cnorm",
-        "normalize_gamow", "raw_psi", "siegert_residual",
+        "asymptotic_coefficients", "classification_functional",
+        "classify_region", "default_grid", "eval_wavefunction",
+        "find_resonance_k", "gamow_cnorm", "normalize_gamow", "raw_psi",
+        "siegert_residual",
     ),
     "binbasis": (
         "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix", "Side",
         "TailTerm", "binned_state", "degeneracy_diagnostics", "ep_ray",
-        "limit_exchange_entries", "overlap_matrix", "plane_wave_bin",
-        "product_entry", "real_axis", "resonance_state", "spatial_grid",
-        "unit_diagonal_state",
+        "limit_exchange_entries", "overlap_matrix", "product_entry",
+        "real_axis", "resonance_state", "spatial_grid", "unit_diagonal_state",
     ),
     "eploop": (
         "LoopSpec", "LoopTrace", "PuiseuxFit", "boundary_crossings",
         "case_asymptotic_phase", "fit_puiseux", "run_berry_loop",
-        "trace_resonance",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -88,10 +88,6 @@ class BinGrid:
     def n_bins(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
 
 def real_axis(k_min: float, k_max: float, n_bins: int) -> BinGrid:
     """Uniform real-axis partition of [k_min, k_max] (Hermitian
@@ -112,26 +108,14 @@ def real_axis(k_min: float, k_max: float, n_bins: int) -> BinGrid:
     return BinGrid(nodes=nodes, hermitian=True)
 
 
-def ep_ray(params: ModelParams, alphas=(-1.0, 0.0, 1.0)) -> BinGrid:
-    """EP-adapted partition: nodes k_bp + alpha' sqrt(lam - lam_bp), with
-    lam the coupling of ``params``.
-
-    Raises
-    ------
-    ValueError
-        If the alphas are not strictly increasing.
-    EmptyRange
-        If there are fewer than two alphas.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(np.diff(alphas) <= 0.0):
-        raise ValueError("alphas must be strictly increasing")
-    if len(alphas) < 2:
-        raise EmptyRange("EP contour needs at least two nodes")
+def ep_ray(params: ModelParams) -> BinGrid:
+    """EP-adapted partition: the two bins between the nodes
+    k_bp + alpha' sqrt(lam - lam_bp), alpha' = -1, 0, 1, with lam the
+    coupling of ``params``."""
     lam_bp, _, k_bp = branch_point(params)
     root = cmath.sqrt(complex(params.lam) - lam_bp)
-    return BinGrid(nodes=(k_bp + alphas * root).astype(complex),
-                   hermitian=False)
+    nodes = k_bp + np.array([-1.0, 0.0, 1.0]) * root
+    return BinGrid(nodes=nodes.astype(complex), hermitian=False)
 
 
 # ---------------------------------------------------------------------------
@@ -634,26 +618,9 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         left=right.conj() if grid.hermitian else side(2), h=side(1))
 
 
-def plane_wave_bin(x: np.ndarray, ka: float, kb: float) -> np.ndarray:
-    """Free-particle binned state by the direct integral.
-
-    (1/sqrt(dk)) (e^{i kb x} - e^{i ka x}) / (i x), with the x -> 0 limit
-    sqrt(dk); falls off like 1/x.
-    """
-    x = np.asarray(x, dtype=float)
-    dk = kb - ka
-    out = np.empty(x.shape, dtype=complex)
-    small = np.abs(x) < 1e-12
-    xs = x[~small]
-    out[~small] = (np.exp(1j * kb * xs) - np.exp(1j * ka * xs)) \
-        / (1j * xs) / math.sqrt(dk)
-    out[small] = math.sqrt(dk)
-    return out
-
-
-def resonance_state(params: ModelParams, x: np.ndarray,
-                    n: int = 0) -> BasisState:
-    """Resonance Gamow state as a basis state (left state = itself).
+def resonance_state(params: ModelParams, x: np.ndarray) -> BasisState:
+    """The n = 0 resonance Gamow state as a basis state (left state =
+    itself).
 
     Divided by the regularized conjugate L2 norm (unit probability mass),
     so that the bilinear diagonal exposes self-orthogonality;
@@ -667,7 +634,7 @@ def resonance_state(params: ModelParams, x: np.ndarray,
         If the resonance tail does not decay at this angle.
     """
     x_cut = _cutoff(x)
-    pole = resonance_energy(params, n)
+    pole = resonance_energy(params, 0)
     q = 1j * pole.k * cmath.exp(1j * params.theta)
     if q.real >= 0.0:
         raise NonNormalizable("resonance tail does not decay at this angle")
@@ -683,7 +650,7 @@ def resonance_state(params: ModelParams, x: np.ndarray,
     right = Side(v, (TailTerm(coef=cp, rate=q),), (TailTerm(coef=cm, rate=q),))
     h = Side(e * v, (TailTerm(coef=e * cp, rate=q),),
              (TailTerm(coef=e * cm, rate=q),))
-    return BasisState(name=f"res[{n}]", energy=e, right=right, left=right,
+    return BasisState(name="res[0]", energy=e, right=right, left=right,
                       h=h)
 
 
@@ -761,10 +728,10 @@ class DegeneracyPoint:
     matrix: OverlapMatrix
 
 
-def _ep_states(params: ModelParams, lam: complex, alphas, x: np.ndarray):
+def _ep_states(params: ModelParams, lam: complex, x: np.ndarray):
     """L2-normalized resonance and unit-diagonal channel bins on the EP ray."""
     p = params.with_lam(lam)
-    grid = ep_ray(p, alphas)
+    grid = ep_ray(p)
     res = resonance_state(p, x)
     bins = [
         unit_diagonal_state(
@@ -773,22 +740,20 @@ def _ep_states(params: ModelParams, lam: complex, alphas, x: np.ndarray):
     return res, bins
 
 
-def degeneracy_diagnostics(params: ModelParams, lam_seq,
-                           alphas=(-1.0, 0.0, 1.0),
-                           x: np.ndarray | None = None):
+def degeneracy_diagnostics(params: ModelParams, lam_seq):
     """Overlap-matrix conditioning of {resonance} + {straddling bins}.
 
     For each coupling in ``lam_seq`` (inside region A, approaching the
     branch point) the bilinear overlap matrix of the L2-normalized
     resonance with the EP-adapted bins is assembled and its smallest
     singular value and condition number recorded.  sigma_min collapses
-    toward 0 as the eigenvector coalesces with the continuum.
+    toward 0 as the eigenvector coalesces with the continuum.  The states
+    live on ``spatial_grid(params.beta)``.
     """
-    if x is None:
-        x = spatial_grid(params.beta)
+    x = spatial_grid(params.beta)
     out = []
     for lam in lam_seq:
-        res, bins = _ep_states(params, lam, alphas, x)
+        res, bins = _ep_states(params, lam, x)
         states = [res] + bins
         s_mat = overlap_matrix(states, states, x)
         svals = np.linalg.svd(s_mat.matrix, compute_uv=False)
@@ -801,9 +766,7 @@ def degeneracy_diagnostics(params: ModelParams, lam_seq,
     return out
 
 
-def limit_exchange_entries(params: ModelParams, lam_seq,
-                           alphas=(-1.0, 0.0, 1.0),
-                           x: np.ndarray | None = None):
+def limit_exchange_entries(params: ModelParams, lam_seq):
     """Both orders of the coupling limit in the resonance-bin product.
 
     Returns (interior_entries, limit_entries): the first list holds, for
@@ -817,10 +780,9 @@ def limit_exchange_entries(params: ModelParams, lam_seq,
     Simpson, no tail continuation): the boundary solution is not
     square-integrable and its full product with a bin carries the smeared
     delta-function divergence, so the fixed-box value is the meaningful
-    one.
+    one.  The states live on ``spatial_grid(params.beta)``.
     """
-    if x is None:
-        x = spatial_grid(params.beta)
+    x = spatial_grid(params.beta)
     lam_bp, _, k_bp = branch_point(params)
     # boundary continuum solution at the branch point
     s_bp = derived_quantities(params.with_lam(lam_bp)).s
@@ -829,7 +791,7 @@ def limit_exchange_entries(params: ModelParams, lam_seq,
     interior = []
     limits = []
     for lam in lam_seq:
-        res, bins = _ep_states(params, lam, alphas, x)
+        res, bins = _ep_states(params, lam, x)
         interior.append(max(abs(product_entry(res, b, x)) for b in bins))
         limits.append(max(abs(complex(simpson(phi_bp * b.right.values,
                                               x=x)))

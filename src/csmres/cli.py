@@ -80,27 +80,44 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _number(value):
+    """A JSON number as given; strings and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
+def _real(value) -> float:
+    return float(_number(value))
+
+
 def _complex(value) -> complex:
     """A complex number given as {"re": .., "im": ..} or as a real."""
     if isinstance(value, dict):
-        return complex(float(value.get("re", 0.0)),
-                       float(value.get("im", 0.0)))
-    return complex(float(value), 0.0)
+        if not set(value) <= {"re", "im"}:
+            raise ValueError(
+                f"complex keys must be re and im, got {sorted(value)}")
+        return complex(_real(value.get("re", 0.0)),
+                       _real(value.get("im", 0.0)))
+    return complex(_real(value), 0.0)
 
 
 def _integer(value) -> int:
     """An integer; a float must be integral (3.0 is 3, 1.9 is an error)."""
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_number(value), float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 def _floats(value) -> list:
-    return [float(v) for v in value]
+    """A JSON array of numbers."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not an array")
+    return [_real(v) for v in value]
 
 
 def _optional_float(value):
-    return None if value is None else float(value)
+    return None if value is None else _real(value)
 
 
 def _read_block(cfg: dict, name: str | None, **fields) -> list:
@@ -123,15 +140,10 @@ def _read_block(cfg: dict, name: str | None, **fields) -> list:
 
 
 def _params_from(cfg: dict) -> ModelParams:
-    m, hbar, beta = _read_block(cfg, "units", m=(float, 1.0),
-                                hbar=(float, 1.0), beta=(float, 1.0))
-    theta, lam = _read_block(cfg, None, theta=(float, 0.3),
+    m, hbar, beta = _read_block(cfg, "units", m=(_real, 1.0),
+                                hbar=(_real, 1.0), beta=(_real, 1.0))
+    theta, lam = _read_block(cfg, None, theta=(_real, 0.3),
                              lam=(_complex, 1.0))
-    if not 0.0 < theta < math.pi / 4.0:
-        raise ConfigError(
-            f"theta = {theta:g} outside the admissible range (0, pi/4)")
-    if min(m, hbar, beta) <= 0.0:
-        raise ConfigError("units m, hbar, beta must all be positive")
     try:
         return ModelParams(lam=lam, theta=theta, m=m, hbar=hbar, beta=beta)
     except ValueError as exc:
@@ -171,8 +183,8 @@ def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
 def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
     t_lo, t_hi, n_pts = _read_block(
-        cfg, "regions", theta_min=(float, 0.02),
-        theta_max=(float, math.pi / 4.0 - 1e-3), n_points=(_integer, 64))
+        cfg, "regions", theta_min=(_real, 0.02),
+        theta_max=(_real, math.pi / 4.0 - 1e-3), n_points=(_integer, 64))
     if not (0.0 < t_lo < t_hi < math.pi / 4.0):
         raise ConfigError("regions grid must satisfy 0 < min < max < pi/4")
     if n_pts < 2:
@@ -209,8 +221,8 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
 
     params = _params_from(cfg)
     k_min, k_max, n_bins, deltas = _read_block(
-        cfg, "overlap", k_min=(float, 0.5), k_max=(float, 3.5),
-        n_bins=(_integer, 6), deltas=(_floats, (1e-2, 1e-3, 1e-4)))
+        cfg, "overlap", k_min=(_real, 0.5), k_max=(_real, 3.5),
+        n_bins=(_integer, 6), deltas=(_floats, [1e-2, 1e-3, 1e-4]))
     if k_min <= 0.0 or k_max <= k_min:
         raise ConfigError("overlap bins need 0 < k_min < k_max")
     if n_bins < 1:
@@ -255,7 +267,7 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
 
     params = _params_from(cfg)
     radius_rel, windings, n_steps = _read_block(
-        cfg, "berry", radius_rel=(float, 1e-5), windings=(_integer, 4),
+        cfg, "berry", radius_rel=(_real, 1e-5), windings=(_integer, 4),
         n_steps=(_integer, 256))
     lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
                                    params.beta)

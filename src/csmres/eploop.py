@@ -9,10 +9,10 @@ function carries an extra half-order from the 1/sqrt(dk) normalization
 the transported state returns to itself only after 8 pi (branch order 4),
 acquiring a factor i per 2 pi and a minus sign per 4 pi.
 
-This module provides the sheet-continuation tracer, the Puiseux (leading
-square-root) fit of the bin energy, the loop driver with its region
-bookkeeping and connection factors, and the per-direction asymptotic
-phase-factor extraction.
+This module provides the Puiseux (leading square-root) fit of the bin
+energy, the loop driver with its sheet continuation, region bookkeeping and
+connection factors, and the per-direction asymptotic phase-factor
+extraction.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from .model import ModelParams, _bisect_zero, bin_energy, branch_point, \
     resonance_energy
 from .wavefun import LN4, classification_functional, classify_region
 
-# upper straddling bin [k_bp, k_bp + _UPPER_ALPHA sqrt(t)] of the Puiseux fit
-_UPPER_ALPHA = 1.0
 # scan points per 2 pi of the boundary-crossing search
 _N_SCAN = 720
+# log-spaced couplings of the Puiseux fit
+_N_FIT = 25
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,15 @@ class LoopSpec:
     ``windings`` counts full 2 pi turns; ``start_phase`` picks the
     starting angle (None selects the boundary crossing where the lower
     sheet meets the rotated continuum, the natural Fig.-4 start);
-    ``alphas`` are the dimensionless node coefficients of the bin ray;
-    ``orientation`` +1/-1 sets the loop direction.  The phase readout is
-    taken at x = 10/beta (``_readout_zeta``).
+    ``orientation`` +1/-1 sets the loop direction.  The readout bin has
+    the nodes k_bp -+ sqrt(lam - lam_bp), and its phase is taken at
+    x = 10/beta (``_readout_zeta``).
     """
 
     radius: float
     windings: int = 4
     n_steps: int = 256
     start_phase: float | None = None
-    alphas: tuple = (-1.0, 0.0, 1.0)
     orientation: int = 1
 
     def __post_init__(self):
@@ -65,9 +64,6 @@ class LoopSpec:
             raise ValueError("windings must be at least 1")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if len(self.alphas) < 2 or any(
-                b <= a for a, b in zip(self.alphas, self.alphas[1:])):
-            raise ValueError("alphas must be strictly increasing, >= 2 nodes")
 
     @property
     def dphi(self) -> float:
@@ -91,8 +87,7 @@ class LoopTrace:
     Arrays are indexed by step; ``accumulated`` is the running product of
     connection factors, ``connection_phis`` the step angles at which one
     more factor was applied (the node just past each sign change of the
-    sheet gap, see ``run_berry_loop``), ``boundary_phis`` the geometric A/B
-    crossings of the coupling circle per 2 pi.
+    sheet gap, see ``run_berry_loop``).
     """
 
     phi: np.ndarray
@@ -104,7 +99,6 @@ class LoopTrace:
     unwrapped_phase: np.ndarray
     accumulated: np.ndarray
     connection_phis: tuple
-    boundary_phis: tuple
 
 
 def _nearest_root(target: complex, prev: complex) -> complex:
@@ -136,40 +130,19 @@ def _sheet_slope(params: ModelParams, k_bp: complex) -> complex:
     return params.hbar**2 * k_bp / (2.0 * params.m)
 
 
-def trace_resonance(params: ModelParams, lam_path) -> np.ndarray:
-    """Continue the sheet pair E_pm along a coupling path.
-
-    Returns an array of shape (len(path), 2) with the E_plus and E_minus
-    sheets, branch-continued by nearest-root selection from the first
-    point (principal root there).  A closed path that does not enclose
-    lam_bp returns to its start; one that encircles it once swaps the
-    sheets.
-
-    Raises
-    ------
-    BranchCollision
-        If a path step is comparable to the local sheet separation.
-    """
-    lam_bp, e_bp, k_bp = branch_point(params)
-    alpha = _sheet_slope(params, k_bp)
-    rs = _continued_roots(np.asarray(lam_path, dtype=complex) - lam_bp)
-    return np.stack([e_bp + alpha * rs, e_bp - alpha * rs], axis=1)
-
-
-def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4),
-                n_samples: int = 25) -> PuiseuxFit:
+def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4)) -> PuiseuxFit:
     """Fit the leading square-root behavior of the straddling-bin energy.
 
     Samples the bin-averaged energy of the upper straddling bin
-    [k_bp, k_bp + sqrt(t)] at couplings lam_bp + t with t log-spaced over
-    ``r_window`` (given relative to lam_bp), regresses log|E - E_bp|
+    [k_bp, k_bp + sqrt(t)] at _N_FIT couplings lam_bp + t with t
+    log-spaced over ``r_window`` (given relative to lam_bp), regresses log|E - E_bp|
     against log t for the exponent, and extracts alpha from the
     fixed-exponent-1/2 least squares.
 
     Raises
     ------
     IllConditionedFit
-        If the window is too narrow or holds fewer than 3 samples.
+        If the window spans less than a factor 2.
     PreconditionViolation
         If the window leaves (1e-8, 1e-2) relative to lam_bp.
     """
@@ -177,12 +150,12 @@ def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4),
     if not (1e-8 <= lo < hi <= 1e-2):
         raise PreconditionViolation(
             f"fit window ({lo:g}, {hi:g}) outside (1e-8, 1e-2) of lam_bp")
-    if n_samples < 3 or hi / lo < 2.0:
-        raise IllConditionedFit("need >= 3 samples spanning a factor >= 2")
+    if hi / lo < 2.0:
+        raise IllConditionedFit("the fit window must span a factor >= 2")
     lam_bp, e_bp, k_bp = branch_point(params)
-    ts = np.geomspace(lo * lam_bp, hi * lam_bp, n_samples)
+    ts = np.geomspace(lo * lam_bp, hi * lam_bp, _N_FIT)
     ys = np.array([
-        bin_energy(params, k_bp, k_bp + _UPPER_ALPHA * math.sqrt(t))
+        bin_energy(params, k_bp, k_bp + math.sqrt(t))
         - e_bp for t in ts])
     logt = np.log(ts)
     logy = np.log(np.abs(ys))
@@ -237,13 +210,13 @@ def _readout_zeta(params: ModelParams, spec: LoopSpec,
     Raises
     ------
     PreconditionViolation
-        If the Taylor-regime bound |zeta alpha' sqrt(R)| < 0.1 fails.
+        If the Taylor-regime bound |zeta alpha' sqrt(R)| < 0.1 fails, with
+        alpha' = 1 the outer node coefficient of the readout bin.
     """
     beta = params.beta
     xp = direction * (10.0 / beta) * cmath.exp(1j * params.theta)
     zeta = -1j * LN4 / (2.0 * beta) + 1j * direction * xp
-    amax = max(abs(spec.alphas[0]), abs(spec.alphas[-1]))
-    bound = abs(zeta) * amax * math.sqrt(spec.radius)
+    bound = abs(zeta) * math.sqrt(spec.radius)
     if bound >= 0.1:
         raise PreconditionViolation(
             f"Taylor-regime bound violated: |zeta alpha' sqrt(R)| = "
@@ -251,16 +224,16 @@ def _readout_zeta(params: ModelParams, spec: LoopSpec,
     return zeta
 
 
-def _readout(zeta: complex, k_bp: complex, alphas, r: complex,
+def _readout(zeta: complex, k_bp: complex, r: complex,
              w: complex) -> complex:
-    """Exact asymptotic binned value across the outer node pair.
+    """Exact asymptotic binned value across the nodes k_bp -+ r.
 
     I = (e^{zeta k_up} - e^{zeta k_dn}) / (zeta sqrt(dk)) with the
-    branch-continued root w = sqrt(dk); for a symmetric node pair the
-    bracket flips sign exactly under phi -> phi + 2 pi.
+    branch-continued root w = sqrt(dk), dk = 2 r; the symmetric node pair
+    makes the bracket flip sign exactly under phi -> phi + 2 pi.
     """
-    k_dn = k_bp + alphas[0] * r
-    k_up = k_bp + alphas[-1] * r
+    k_dn = k_bp - r
+    k_up = k_bp + r
     return (cmath.exp(zeta * k_up) - cmath.exp(zeta * k_dn)) / (zeta * w)
 
 
@@ -270,15 +243,14 @@ def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
 
     Returns (phis, lam, rs, read): the step angles, the couplings, the
     continued roots r = sqrt(lam - lam_bp) and the readout at each step,
-    whose node-spacing root w = sqrt((alpha'_max - alpha'_min) r) is
-    continued along with r.
+    whose node-spacing root w = sqrt(2 r) is continued along with r.
     """
     lam_bp, _, k_bp = branch_point(params)
     phis = phi0 + spec.dphi * np.arange(windings * spec.n_steps + 1)
     lam = np.array([lam_bp + spec.radius * cmath.exp(1j * p) for p in phis])
     rs = _continued_roots(lam - lam_bp)
-    ws = _continued_roots((spec.alphas[-1] - spec.alphas[0]) * rs)
-    read = np.array([_readout(zeta, k_bp, spec.alphas, r, w)
+    ws = _continued_roots(2.0 * rs)
+    read = np.array([_readout(zeta, k_bp, r, w)
                      for r, w in zip(rs, ws)])
     return phis, lam, rs, read
 
@@ -289,9 +261,8 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     Returns (LoopTrace, verdicts).  The verdicts dict holds the per-2pi
     ratios of the transported asymptotic readout, the 4 pi and 8 pi
     overlaps, the monodromy order (smallest number of turns returning the
-    state, None if not reached), the consistency between the readout
-    ratios and the accumulated connection factors, and the node-spacing
-    identity check.
+    state, None if not reached) and the consistency between the readout
+    ratios and the accumulated connection factors.
 
     The connection factors are read at the step nodes: the tracked sheet
     E_bp + alpha_e r meets the rotated continuum ray where
@@ -309,8 +280,7 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     zeta = _readout_zeta(params, spec)
     _, e_bp, k_bp = branch_point(params)
     alpha_e = _sheet_slope(params, k_bp)
-    # geometric A/B crossings of the coupling circle (per 2 pi, for the
-    # trace record and the default start)
+    # geometric A/B crossings of the coupling circle, for the default start
     crossings = boundary_crossings(params, spec.radius)
     phi0 = _start_phase(params, spec, crossings)
     phis, lam, rs, read = _loop_readout(params, spec, zeta, phi0,
@@ -344,7 +314,6 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
         region=regions, readout=read, unwrapped_phase=unwrapped,
         accumulated=accumulated,
         connection_phis=connection_phis,
-        boundary_phis=tuple(crossings),
     )
 
     ratios = {wnd: complex(read[wnd * spec.n_steps] / read[0])
@@ -354,17 +323,12 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     consistency = max(
         abs(ratios[wnd] - accumulated[wnd * spec.n_steps])
         for wnd in range(1, spec.windings + 1))
-    d_alpha = spec.alphas[-1] - spec.alphas[0]
-    dk_defect = max(
-        abs((k_bp + spec.alphas[-1] * r) - (k_bp + spec.alphas[0] * r)
-            - d_alpha * r) for r in rs)
     verdicts = {
         "ratio_2pi": ratios.get(1),
         "overlap_4pi": ratios.get(2),
         "overlap_8pi": ratios.get(4),
         "monodromy_order": monodromy,
         "connection_consistency": float(consistency),
-        "delta_k_defect": float(dk_defect),
     }
     return trace, verdicts
 

@@ -44,10 +44,12 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.m > 0 and self.hbar > 0 and self.beta > 0):
-            raise ValueError("m, hbar, beta must be positive")
+        for name in ("m", "hbar", "beta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)} must be positive")
         if not (0.0 < self.theta < math.pi / 4):
-            raise ValueError("theta must satisfy 0 < theta < pi/4")
+            raise ValueError(f"theta = {self.theta} outside (0, pi/4)")
 
     @property
     def energy_scale(self) -> float:
@@ -70,20 +72,12 @@ class DerivedQuantities:
 
     g: complex
     s: complex
-    m: float
-    hbar: float
-    beta: float
-
-    def kappa_of_energy(self, energy: complex) -> complex:
-        """kappa = sqrt(-2 m E) / (beta hbar), principal branch."""
-        return cmath.sqrt(-2.0 * self.m * energy) / (self.beta * self.hbar)
 
 
 def derived_quantities(params: ModelParams) -> DerivedQuantities:
     g = 8.0 * params.m * complex(params.lam) / (params.beta * params.hbar) ** 2
     s = 0.5 * (-1.0 + cmath.sqrt(1.0 - g))
-    return DerivedQuantities(g=g, s=s, m=params.m, hbar=params.hbar,
-                             beta=params.beta)
+    return DerivedQuantities(g=g, s=s)
 
 
 @dataclass(frozen=True)

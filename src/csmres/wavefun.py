@@ -193,52 +193,31 @@ def asymptotic_coefficients(params: ModelParams, k: complex) -> AsymptoticCoeffi
     return AsymptoticCoefficients(refl=refl, trans_like=trans)
 
 
-def asymptotic_values(params: ModelParams, k: complex,
-                      x: np.ndarray) -> np.ndarray:
-    """Leading asymptotic form with full coefficients on a grid."""
-    x = np.asarray(x, dtype=float)
-    coeffs = asymptotic_coefficients(params, k)
-    phase = cmath.exp(1j * params.theta)
-    amp = _amplitude(k, params.beta)
-    out = np.empty(x.shape, dtype=complex)
-    pos = x >= 0.0
-    out[pos] = amp * np.exp(1j * k * phase * x[pos])
-    xm = x[~pos]
-    out[~pos] = amp * (coeffs.refl * np.exp(-1j * k * phase * xm)
-                       + coeffs.trans_like * np.exp(1j * k * phase * xm))
-    return out
-
-
 def siegert_residual(params: ModelParams, k: complex) -> complex:
     """Residual whose zeros in k are the purely outgoing wavenumbers."""
     return asymptotic_coefficients(params, k).trans_like
 
 
-def find_resonance_k(params: ModelParams, k0: complex,
-                     step: float = 1e-7, max_iter: int = 100,
-                     tol: float = 1e-12) -> complex:
+def find_resonance_k(params: ModelParams, k0: complex) -> complex:
     """Complex Newton iteration on the Siegert residual.
 
-    Numerical derivative with the given step; converges when |dk| < tol.
+    Forward-difference derivative with step 1e-7; converges when
+    |dk| < 1e-12.
 
     Raises
     ------
-    ValueError
-        If max_iter < 1.
     NonConvergence
-        If the iteration cap is reached.
+        After 100 steps without convergence.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     k = complex(k0)
-    for _ in range(max_iter):
+    for _ in range(100):
         f = siegert_residual(params, k)
-        df = (siegert_residual(params, k + step) - f) / step
+        df = (siegert_residual(params, k + 1e-7) - f) / 1e-7
         if df == 0.0:
             raise NonConvergence("Siegert Newton", {"k": k, "residual": f})
         dk = f / df
         k = k - dk
-        if abs(dk) < tol:
+        if abs(dk) < 1e-12:
             return k
     raise NonConvergence("Siegert Newton", {"k": k, "last_step": abs(dk)})
 

@@ -26,7 +26,6 @@ from csmres.binbasis import (
     ep_ray,
     limit_exchange_entries,
     overlap_matrix,
-    plane_wave_bin,
     product_entry,
     real_axis,
     resonance_state,
@@ -41,31 +40,47 @@ from csmres.wavefun import _gamma_coeffs, raw_psi
 LN2 = math.log(2.0)
 
 
+def plane_wave_bin(x: np.ndarray, ka: float, kb: float) -> np.ndarray:
+    """Free-particle binned state by the direct integral, the free-limit
+    oracle of ``binned_state``.
+
+    (1/sqrt(dk)) (e^{i kb x} - e^{i ka x}) / (i x), with the x -> 0 limit
+    sqrt(dk); falls off like 1/x.
+    """
+    x = np.asarray(x, dtype=float)
+    dk = kb - ka
+    out = np.empty(x.shape, dtype=complex)
+    small = np.abs(x) < 1e-12
+    xs = x[~small]
+    out[~small] = (np.exp(1j * kb * xs) - np.exp(1j * ka * xs)) \
+        / (1j * xs) / math.sqrt(dk)
+    out[small] = math.sqrt(dk)
+    return out
+
+
 class TestGrids:
     def test_uniform_real_partition(self):
         grid = real_axis(0.5, 3.5, 6)
         assert grid.hermitian and grid.n_bins == 6
         assert np.allclose(grid.nodes, np.linspace(0.5, 3.5, 7))
-        assert np.allclose(grid.widths, 0.5)
+        assert np.allclose(np.diff(grid.nodes), 0.5)
 
     def test_empty_partition_raises(self):
-        p = ModelParams(lam=1.0, theta=0.3)
         with pytest.raises(EmptyRange):
             real_axis(0.5, 3.5, 0)
-        with pytest.raises(EmptyRange):
-            ep_ray(p.with_lam(0.5 + 0.01j), alphas=(0.0,))
 
     def test_ep_ray_substitution(self):
-        # nodes k_bp + alpha' sqrt(lam - lam_bp), principal root:
-        # offset 1e-4 e^{i pi/3} -> step 1e-2 e^{i pi/6}
+        # nodes k_bp + alpha' sqrt(lam - lam_bp), alpha' = -1, 0, 1,
+        # principal root: offset 1e-4 e^{i pi/3} -> step 1e-2 e^{i pi/6}
         th = math.pi / 6
         p = ModelParams(lam=1.0, theta=th)
         lbp = branch_point_coupling(th)
         lam = lbp + 1e-4 * cmath.exp(1j * math.pi / 3)
-        grid = ep_ray(p.with_lam(lam), alphas=(0.0, 1.0, 2.0))
+        grid = ep_ray(p.with_lam(lam))
+        assert not grid.hermitian and grid.n_bins == 2
         k_bp = cmath.exp(-1j * th)
         step = 1e-2 * cmath.exp(1j * math.pi / 6)
-        for n, a in enumerate((0.0, 1.0, 2.0)):
+        for n, a in enumerate((-1.0, 0.0, 1.0)):
             assert abs(grid.nodes[n] - (k_bp + a * step)) < 1e-14
 
     def test_grid_and_state_fields(self):
@@ -73,11 +88,6 @@ class TestGrids:
         assert [f.name for f in fields(BinGrid)] == ["nodes", "hermitian"]
         assert [f.name for f in fields(BasisState)] == [
             "name", "energy", "right", "left", "h"]
-
-    def test_alpha_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ep_ray(ModelParams(lam=0.5 + 0.01j, theta=0.3),
-                   alphas=(1.0, 0.0))
 
 
 class TestTailIntegral:

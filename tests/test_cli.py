@@ -68,6 +68,16 @@ class TestExitCodes:
         ("overlap", {"overlap": {"k_max": math.inf}}),
         ("overlap", {"units": {"m": math.inf}}),
         ("wavefunction", {"wavefunction": {"x_max": -5.0}}),
+        # a list is a JSON array of numbers, a complex value a number or an
+        # object with only re and im; strings and booleans are not numbers
+        ("overlap", {"overlap": {"deltas": "12"}}),
+        ("overlap", {"overlap": {"deltas": [1e-2, "1e-3"]}}),
+        ("spectrum", {"lam": {"re": 1.5, "img": 3}}),
+        ("spectrum", {"lam": {"re": "1.5"}}),
+        ("spectrum", {"lam": "2"}),
+        ("spectrum", {"units": {"m": True}}),
+        ("berry", {"berry": {"windings": True}}),
+        ("wavefunction", {"wavefunction": {"x_max": "8"}}),
     ])
     def test_malformed_block_is_2(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
@@ -75,6 +85,20 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("payload, named", [
+        ({"theta": 0.9}, "theta = 0.9"),
+        ({"units": {"beta": -1}}, "beta = -1"),
+    ])
+    def test_model_params_out_of_range_is_2(self, tmp_path, capsys, payload,
+                                            named):
+        # ModelParams holds the one check, and its message names the value
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "spectrum"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert named in err["message"]
 
     def test_overflowing_number_is_2(self, tmp_path, capsys):
         # 1e400 parses to inf

@@ -9,11 +9,11 @@ import pytest
 from csmres.eploop import (
     LoopSpec,
     PuiseuxFit,
+    _continued_roots,
     boundary_crossings,
     case_asymptotic_phase,
     fit_puiseux,
     run_berry_loop,
-    trace_resonance,
 )
 from csmres.errors import BranchCollision, PreconditionViolation
 from csmres.model import ModelParams, branch_point_coupling
@@ -23,32 +23,35 @@ LBP = branch_point_coupling(TH)
 P = ModelParams(lam=1.0, theta=TH)
 
 
-def circle(center, radius, n=257, turns=1.0):
-    phis = np.linspace(0.0, turns * 2.0 * math.pi, int(n * turns) + 1)
+def circle(center, radius, n=257):
+    phis = np.linspace(0.0, 2.0 * math.pi, n + 1)
     return center + radius * np.exp(1j * phis)
 
 
 class TestTraceResonance:
+    # the sheets E_bp +- alpha_e sqrt(lam - lam_bp) of the Berry loop,
+    # continued by nearest-root selection along the coupling path
     def test_loop_not_enclosing_closes(self):
-        es = trace_resonance(P, circle(LBP + 0.01, 1e-3))
-        assert abs(es[-1, 0] - es[0, 0]) < 1e-10
-        assert abs(es[-1, 1] - es[0, 1]) < 1e-10
+        rs = _continued_roots(circle(LBP + 0.01, 1e-3) - LBP)
+        assert abs(rs[-1] - rs[0]) < 1e-10
 
     def test_enclosing_loop_swaps_sheets(self):
-        es = trace_resonance(P, circle(LBP, 1e-3))
-        assert abs(es[-1, 0] - es[0, 1]) < 1e-12
-        assert abs(es[-1, 1] - es[0, 0]) < 1e-12
-        assert abs(es[-1, 0] - es[0, 0]) > 1e-3
+        spec = LoopSpec(radius=1e-5 * LBP, windings=1)
+        trace, _ = run_berry_loop(P, spec)
+        assert abs(trace.e_plus[-1] - trace.e_minus[0]) < 1e-12
+        assert abs(trace.e_minus[-1] - trace.e_plus[0]) < 1e-12
+        assert abs(trace.e_plus[-1] - trace.e_plus[0]) > 1e-3
 
     def test_double_loop_closes(self):
-        es = trace_resonance(P, circle(LBP, 1e-3, turns=2.0))
-        assert abs(es[-1, 0] - es[0, 0]) < 1e-8
+        spec = LoopSpec(radius=1e-5 * LBP, windings=2)
+        trace, _ = run_berry_loop(P, spec)
+        assert abs(trace.e_plus[-1] - trace.e_plus[0]) < 1e-8
+        assert abs(trace.e_minus[-1] - trace.e_minus[0]) < 1e-8
 
     def test_coarse_path_raises(self):
         # two-point jump across the branch point is ambiguous
-        path = [LBP + 1e-3, LBP - 1e-3 + 1e-9j]
         with pytest.raises(BranchCollision):
-            trace_resonance(P, path)
+            _continued_roots([1e-3, -1e-3 + 1e-9j])
 
 
 class TestFitPuiseux:
@@ -107,9 +110,6 @@ class TestBerryLoop:
         # one connection per 2 pi turn
         assert len(self.trace.connection_phis) == self.spec.windings
 
-    def test_node_spacing_identity(self):
-        assert self.verdicts["delta_k_defect"] < 1e-14
-
     def test_starts_on_boundary_and_alternates(self):
         assert self.trace.region[0] == "ScatteringBoundary"
         interior = [r for r in self.trace.region if r != "ScatteringBoundary"]
@@ -163,8 +163,6 @@ class TestBerryLoop:
             LoopSpec(radius=-1.0)
         with pytest.raises(ValueError):
             LoopSpec(radius=1e-5, n_steps=16)
-        with pytest.raises(ValueError):
-            LoopSpec(radius=1e-5, alphas=(1.0, 0.0))
 
 
 class TestCaseAsymptoticPhase:

@@ -77,7 +77,8 @@ class TestResonanceEnergy:
             p = ModelParams(lam=2.3, theta=0.35)
             dq = derived_quantities(p)
             r = resonance_energy(p, n)
-            kappa = dq.kappa_of_energy(r.energy)
+            # kappa = sqrt(-2 m E) / (beta hbar), principal branch
+            kappa = cmath.sqrt(-2.0 * p.m * r.energy) / (p.beta * p.hbar)
             assert abs(kappa - (dq.s + n + 1.0)) < 1e-12
             # branch-free restatement: kappa - s = -n with kappa -> -kappa
             # and s -> -1-s

@@ -18,14 +18,13 @@ from csmres.model import (
     lambda_window,
     resonance_energy,
 )
-from csmres.binbasis import ep_ray, spatial_grid
+from csmres.binbasis import spatial_grid
 from csmres.specfun import SERIES_RADIUS, complex_gamma
 from csmres.wavefun import (
     RegionLabel,
     _amplitude,
     _gamma_coeffs,
     asymptotic_coefficients,
-    asymptotic_values,
     classify_region,
     default_grid,
     eval_wavefunction,
@@ -38,6 +37,31 @@ from csmres.wavefun import (
 )
 
 SQRT7 = math.sqrt(7.0)
+
+
+def asymptotic_values(params, k, x):
+    """Leading asymptotic form of the scaled solution with its full
+    gamma-ratio coefficients on a grid, the far-field oracle of
+    ``eval_wavefunction``."""
+    x = np.asarray(x, dtype=float)
+    coeffs = asymptotic_coefficients(params, k)
+    phase = cmath.exp(1j * params.theta)
+    amp = _amplitude(k, params.beta)
+    out = np.empty(x.shape, dtype=complex)
+    pos = x >= 0.0
+    out[pos] = amp * np.exp(1j * k * phase * x[pos])
+    xm = x[~pos]
+    out[~pos] = amp * (coeffs.refl * np.exp(-1j * k * phase * xm)
+                       + coeffs.trans_like * np.exp(1j * k * phase * xm))
+    return out
+
+
+def ray_nodes(params):
+    """Five EP-ray nodes k_bp + alpha' sqrt(lam - lam_bp), alpha' = -2..2,
+    two beyond each end of the ``ep_ray`` bins."""
+    lam_bp, _, k_bp = branch_point(params)
+    root = cmath.sqrt(complex(params.lam) - lam_bp)
+    return k_bp + np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * root
 
 
 def ode_residual(params, k, field):
@@ -161,7 +185,7 @@ def _k_rows(case):
     th = math.pi / 6
     lam = branch_point_coupling(th) + 1e-3
     p = ModelParams(lam=lam, theta=th)
-    nodes = ep_ray(p, (-2.0, -1.0, 0.0, 1.0, 2.0)).nodes
+    nodes = ray_nodes(p)
     if case == "ep+":
         return nodes, derived_quantities(p).s, th
     return np.conj(nodes), derived_quantities(p.with_lam(np.conj(lam))).s, -th
@@ -267,7 +291,7 @@ class TestMirroredRawPsi:
         if on_ray:
             lam = branch_point_coupling(theta) + offset * cmath.exp(1j * phase)
             p = ModelParams(lam=lam, theta=theta)
-            k = complex(ep_ray(p, (-2.0, -1.0, 0.0, 1.0, 2.0)).nodes[node])
+            k = complex(ray_nodes(p)[node])
             if partner:
                 k, lam, theta = k.conjugate(), lam.conjugate(), -theta
         s = _index(lam)
@@ -338,11 +362,6 @@ class TestSiegert:
         assert abs(k - (SQRT7 / 2.0 - 0.5j)) < 1e-8
         e = (k**2) / 2.0
         assert abs(e - resonance_energy(p, 0).energy) < 1e-8
-
-    def test_no_iterations_is_a_value_error(self):
-        p = ModelParams(lam=1.0, theta=0.3)
-        with pytest.raises(ValueError, match="max_iter"):
-            find_resonance_k(p, 0.8 - 0.4j, max_iter=0)
 
     def test_anti_resonance_first_quadrant(self):
         # outgoing-at-minus-infinity condition: zeros of the residual at -k;
