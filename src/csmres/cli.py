@@ -4,8 +4,17 @@ Subcommands: ``spectrum`` (closed-form resonance ladder), ``regions``
 (coupling-window curves on a theta grid), ``overlap`` (bin-basis overlap
 and Hamiltonian matrices plus degeneracy diagnostics), ``berry``
 (Puiseux fit and branch-point loop verdicts), and ``wavefunction``
-(grid dump of the scaled solution).  All numbers are emitted with 17
-significant digits; identical configs produce byte-identical files.
+(grid dump of the scaled solution).  Identical configs produce
+byte-identical files.
+
+Serialization: every number is written with 17 significant digits by
+``%.17g``, one format per table column (one C-level ``%`` operation over
+the whole column), and the CSV and JSON files of a table are filled from
+that same text, each by one ``%`` template per table.  A JSON file holds
+exactly the bytes of the stdlib's ``json.dump(payload, indent=2,
+sort_keys=True)`` plus a newline, where each number is a string of its
+17-digit text, each complex number an object {"im", "re"}, and labels are
+escaped as ``ensure_ascii`` does.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ import json
 import math
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -29,32 +40,86 @@ from .model import (
 
 _CSV_VERSION = "v1"
 
-
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
-def _jnum(v):
-    """JSON payload value with controlled 17-significant-digit text."""
-    if isinstance(v, complex):
-        return {"re": _fmt(v.real), "im": _fmt(v.imag)}
-    if isinstance(v, float):
-        return _fmt(v)
-    return v
+# Largest count (grid points, bins, levels, loop steps) a config may ask
+# for: far above every benchmark size (16 385 grid points, 4 x 1024 loop
+# steps), and refused before any array of that length is allocated.
+_MAX_COUNT = 2 ** 20
 
 
-def _write_csv(path: str, workflow: str, header, rows) -> None:
-    lines = [f"# csmres {workflow} {_CSV_VERSION}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _texts(values) -> list:
+    """The 17-significant-digit text of each real value, from one format."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _parts(values) -> dict:
+    """Text columns ``re`` and ``im`` of complex values."""
+    values = np.asarray(values, dtype=complex)
+    return {"re": _texts(values.real), "im": _texts(values.imag)}
+
+
+class _Json(list):
+    """A column whose cells are JSON text already (escaped labels,
+    integers); a plain list column holds number text, which JSON quotes."""
+
+
+class _Records(dict):
+    """A JSON array of records: record i holds cell i of each column.
+
+    A field is a column, or a dict of fields (a nested object).
+    """
+
+
+def _fill(template: str, columns: list, sep: str = "") -> str:
+    """One copy of ``template`` per row of ``columns``, joined by ``sep``,
+    its ``%s`` placeholders filled from the row's cells in order."""
+    rows = sep.join([template] * len(columns[0]))
+    return rows % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _record(fields: dict, ind: str) -> tuple:
+    """The template of one record at indent ``ind`` and its columns in
+    placeholder order."""
+    lines, columns = [], []
+    for key in sorted(fields):
+        value = fields[key]
+        if isinstance(value, dict):
+            text, nested = _record(value, ind + "  ")
+            columns += nested
+        else:
+            text = "%s" if isinstance(value, _Json) else '"%s"'
+            columns.append(value)
+        # the key is template text, where a literal % is written %%
+        lines.append(f"{ind}  {_escape(key).replace('%', '%%')}: {text}")
+    return "{\n" + ",\n".join(lines) + f"\n{ind}}}", columns
+
+
+def _encode(value, ind: str, out: list) -> None:
+    """Append the JSON text of ``value`` at indent ``ind`` to ``out``.
+
+    A float is written as the string of its 17-digit text and a complex
+    number as {"re": .., "im": ..}; otherwise the text is that of
+    ``json.dump(value, indent=2, sort_keys=True)``.
+    """
+    if isinstance(value, _Records):
+        template, columns = _record(value, ind + "  ")
+        records = _fill(template, columns, f",\n{ind}  ")
+        out.append(f"[\n{ind}  {records}\n{ind}]" if records else "[]")
+    elif isinstance(value, complex):
+        _encode({"re": value.real, "im": value.imag}, ind, out)
+    elif isinstance(value, float):
+        out.append('"%s"' % _texts([value])[0])
+    elif isinstance(value, (dict, list)) and value:
+        is_dict = isinstance(value, dict)
+        items = ([(_escape(key) + ": ", value[key]) for key in sorted(value)]
+                 if is_dict else [("", item) for item in value])
+        out.append("{" if is_dict else "[")
+        for i, (head, item) in enumerate(items):
+            out.append(("\n" if i == 0 else ",\n") + ind + "  " + head)
+            _encode(item, ind + "  ", out)
+        out.append("\n" + ind + ("}" if is_dict else "]"))
+    else:
+        out.append(json.dumps(value))
 
 
 def _finite(text: str) -> float:
@@ -106,6 +171,8 @@ def _integer(value) -> int:
     """An integer; a float must be integral (3.0 is 3, 1.9 is an error)."""
     if isinstance(_number(value), float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{value!r} is above the limit {_MAX_COUNT}")
     return int(value)
 
 
@@ -150,14 +217,22 @@ def _params_from(cfg: dict) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _emit(out_dir: str, name: str, fmt: str, workflow: str, header, rows,
-          payload) -> None:
+def _emit(out_dir: str, name: str, fmt: str, columns: dict,
+          payload=None) -> None:
+    """Write ``name``.csv from the text ``columns`` and, given a payload,
+    ``name``.json."""
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("csv", "both"):
-        _write_csv(os.path.join(out_dir, f"{name}.csv"),
-                   workflow, header, rows)
-    if fmt in ("json", "both"):
-        _write_json(os.path.join(out_dir, f"{name}.json"), payload)
+        row = ",".join(["%s"] * len(columns)) + "\n"
+        with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+            fh.write(f"# csmres {name} {_CSV_VERSION}\n{','.join(columns)}\n")
+            fh.write(_fill(row, list(columns.values())))
+    if payload is not None and fmt in ("json", "both"):
+        out = []
+        _encode(payload, "", out)
+        with open(os.path.join(out_dir, f"{name}.json"), "w",
+                  newline="") as fh:
+            fh.writelines(out + ["\n"])
 
 
 def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -165,19 +240,18 @@ def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
     n_max, = _read_block(cfg, "spectrum", n_max=(_integer, 3))
     if n_max < 0:
         raise ConfigError("spectrum.n_max must be >= 0")
-    rows = []
-    entries = []
-    for n in range(n_max + 1):
-        pole = resonance_energy(params, n)
-        ca = critical_angle(params, n)
-        rows.append([str(n), _fmt(pole.energy.real), _fmt(pole.energy.imag),
-                     _fmt(ca.corrected)])
-        entries.append({"n": n, "energy": _jnum(pole.energy),
-                        "k": _jnum(pole.k), "width": _jnum(pole.width),
-                        "theta_n": _jnum(ca.corrected)})
-    _emit(out_dir, "spectrum", fmt, "spectrum",
-          ["n", "re_E", "im_E", "theta_n"], rows,
-          {"workflow": "spectrum", "levels": entries})
+    levels = range(n_max + 1)
+    poles = [resonance_energy(params, n) for n in levels]
+    energy = _parts([pole.energy for pole in poles])
+    theta_n = _texts([critical_angle(params, n).corrected for n in levels])
+    ns = _Json(map(str, levels))
+    _emit(out_dir, "spectrum", fmt,
+          {"n": ns, "re_E": energy["re"], "im_E": energy["im"],
+           "theta_n": theta_n},
+          {"workflow": "spectrum", "levels": _Records(
+              n=ns, energy=energy, k=_parts([pole.k for pole in poles]),
+              width=_texts([pole.width for pole in poles]),
+              theta_n=theta_n)})
 
 
 def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -189,30 +263,29 @@ def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
         raise ConfigError("regions grid must satisfy 0 < min < max < pi/4")
     if n_pts < 2:
         raise ConfigError("regions.n_points must be >= 2")
-    rows = []
-    entries = []
-    for th in np.linspace(t_lo, t_hi, n_pts):
-        rb = lambda_window(float(th), params.m, params.hbar, params.beta)
-        rows.append([_fmt(th), _fmt(rb.lambda0_minus), _fmt(rb.lambda0_plus),
-                     _fmt(rb.lambda1_minus), _fmt(rb.lambda1_plus),
-                     _fmt(rb.lambda_bp)])
-        entries.append({"theta": _fmt(th), "l0m": _fmt(rb.lambda0_minus),
-                        "l0p": _fmt(rb.lambda0_plus),
-                        "l1m": _fmt(rb.lambda1_minus),
-                        "l1p": _fmt(rb.lambda1_plus),
-                        "lbp": _fmt(rb.lambda_bp)})
-    _emit(out_dir, "regions", fmt, "regions",
-          ["theta", "l0m", "l0p", "l1m", "l1p", "lbp"], rows,
-          {"workflow": "regions", "curves": entries})
+    thetas = np.linspace(t_lo, t_hi, n_pts)
+    bounds = [lambda_window(float(th), params.m, params.hbar, params.beta)
+              for th in thetas]
+    values = [thetas] + [[getattr(b, field) for b in bounds] for field in (
+        "lambda0_minus", "lambda0_plus", "lambda1_minus", "lambda1_plus",
+        "lambda_bp")]
+    columns = dict(zip(("theta", "l0m", "l0p", "l1m", "l1p", "lbp"),
+                       map(_texts, values)))
+    _emit(out_dir, "regions", fmt, columns,
+          {"workflow": "regions", "curves": _Records(columns)})
 
 
-def _matrix_rows(om) -> list:
-    rows = []
-    for i, rl in enumerate(om.row_labels):
-        for j, cl in enumerate(om.col_labels):
-            z = om.matrix[i, j]
-            rows.append([rl, cl, _fmt(z.real), _fmt(z.imag)])
-    return rows
+def _entries(om) -> dict:
+    """Row-major columns row, col, re and im of a labelled matrix."""
+    n_rows, n_cols = om.matrix.shape
+    return {"row": [label for label in om.row_labels for _ in range(n_cols)],
+            "col": list(om.col_labels) * n_rows, **_parts(om.matrix)}
+
+
+def _labelled(entries: dict) -> _Records:
+    """JSON records of matrix entries, with the labels escaped."""
+    return _Records(entries, row=_Json(map(_escape, entries["row"])),
+                    col=_Json(map(_escape, entries["col"])))
 
 
 def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -239,27 +312,18 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     x = spatial_grid(params.beta)
     grid = real_axis(k_min, k_max, n_bins)
     bins = [binned_state(params, grid, j, x) for j in range(n_bins)]
-    s_mat = overlap_matrix(bins, bins, x)
-    h_mat = overlap_matrix(bins, bins, x, apply_h=True)
+    s = _entries(overlap_matrix(bins, bins, x))
+    h = _entries(overlap_matrix(bins, bins, x, apply_h=True))
 
-    header = ["matrix", "row", "col", "re", "im"]
-    rows = [["S"] + r for r in _matrix_rows(s_mat)] \
-        + [["H"] + r for r in _matrix_rows(h_mat)]
-    diag_rows = [[_fmt(d), _fmt(pt.sigma_min), _fmt(pt.cond)]
-                 for d, pt in zip(deltas, points)]
-    payload = {
-        "workflow": "overlap",
-        "overlap": [{"row": r[1], "col": r[2], "re": r[3], "im": r[4]}
-                    for r in rows if r[0] == "S"],
-        "hamiltonian": [{"row": r[1], "col": r[2], "re": r[3], "im": r[4]}
-                        for r in rows if r[0] == "H"],
-        "degeneracy": [{"delta": r[0], "sigma_min": r[1], "cond": r[2]}
-                       for r in diag_rows],
-    }
-    _emit(out_dir, "overlap", fmt, "overlap", header, rows, payload)
-    if fmt in ("csv", "both"):
-        _write_csv(os.path.join(out_dir, "degeneracy.csv"), "degeneracy",
-                   ["delta", "sigma_min", "cond"], diag_rows)
+    columns = {"matrix": ["S"] * len(s["re"]) + ["H"] * len(h["re"])}
+    columns.update((key, s[key] + h[key]) for key in s)
+    diag = {"delta": _texts(deltas),
+            "sigma_min": _texts([pt.sigma_min for pt in points]),
+            "cond": _texts([pt.cond for pt in points])}
+    _emit(out_dir, "overlap", fmt, columns,
+          {"workflow": "overlap", "overlap": _labelled(s),
+           "hamiltonian": _labelled(h), "degeneracy": _Records(diag)})
+    _emit(out_dir, "degeneracy", fmt, diag)
 
 
 def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -269,6 +333,9 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     radius_rel, windings, n_steps = _read_block(
         cfg, "berry", radius_rel=(_real, 1e-5), windings=(_integer, 4),
         n_steps=(_integer, 256))
+    if windings * n_steps > _MAX_COUNT:
+        raise ConfigError(
+            f"berry.windings * berry.n_steps must be <= {_MAX_COUNT}")
     lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
                                    params.beta)
     try:
@@ -282,32 +349,18 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     trace, verdicts = run_berry_loop(params, spec)
     fit = fit_puiseux(params)
 
-    header = ["phi", "re_lambda", "im_lambda", "re_E_plus", "im_E_plus",
-              "re_E_minus", "im_E_minus", "region", "re_factor", "im_factor",
-              "unwrapped_phase"]
-    rows = []
-    for j in range(len(trace.phi)):
-        rows.append([
-            _fmt(trace.phi[j]),
-            _fmt(trace.lam[j].real), _fmt(trace.lam[j].imag),
-            _fmt(trace.e_plus[j].real), _fmt(trace.e_plus[j].imag),
-            _fmt(trace.e_minus[j].real), _fmt(trace.e_minus[j].imag),
-            trace.region[j],
-            _fmt(trace.accumulated[j].real), _fmt(trace.accumulated[j].imag),
-            _fmt(trace.unwrapped_phase[j]),
-        ])
-    payload = {
-        "workflow": "berry",
-        "exponent": _jnum(fit.exponent),
-        "alpha": _jnum(fit.alpha),
-        "fit_residual": _jnum(fit.residual),
-        "ratio_2pi": _jnum(verdicts["ratio_2pi"]),
-        "overlap_4pi": _jnum(verdicts["overlap_4pi"]),
-        "overlap_8pi": _jnum(verdicts["overlap_8pi"]),
-        "monodromy_order": verdicts["monodromy_order"],
-        "connection_consistency": _jnum(verdicts["connection_consistency"]),
-    }
-    _emit(out_dir, "berry", fmt, "berry", header, rows, payload)
+    lam, e_plus, e_minus, factor = map(_parts, (
+        trace.lam, trace.e_plus, trace.e_minus, trace.accumulated))
+    columns = {
+        "phi": _texts(trace.phi), "re_lambda": lam["re"],
+        "im_lambda": lam["im"], "re_E_plus": e_plus["re"],
+        "im_E_plus": e_plus["im"], "re_E_minus": e_minus["re"],
+        "im_E_minus": e_minus["im"], "region": list(trace.region),
+        "re_factor": factor["re"], "im_factor": factor["im"],
+        "unwrapped_phase": _texts(trace.unwrapped_phase)}
+    _emit(out_dir, "berry", fmt, columns,
+          {"workflow": "berry", "exponent": fit.exponent, "alpha": fit.alpha,
+           "fit_residual": fit.residual, **verdicts})
 
 
 def cmd_wavefunction(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -323,19 +376,12 @@ def cmd_wavefunction(cfg: dict, out_dir: str, fmt: str) -> None:
         raise ConfigError("wavefunction.x_max must be > 0")
     grid = default_grid(params.beta, x_max, n_points)
     field = eval_wavefunction(params, k, grid)
-    rows = [[_fmt(xv), _fmt(pv.real), _fmt(pv.imag)]
-            for xv, pv in zip(field.grid, field.values)]
-    payload = {
-        "workflow": "wavefunction",
-        "k": _jnum(k),
-        "lam": _jnum(complex(params.lam)),
-        "theta": _jnum(params.theta),
-        "tail_plus": _jnum(field.tail[0]),
-        "tail_minus": _jnum(field.tail[1]),
-        "samples": [{"x": r[0], "re": r[1], "im": r[2]} for r in rows],
-    }
-    _emit(out_dir, "wavefunction", fmt, "wavefunction",
-          ["x", "re_psi", "im_psi"], rows, payload)
+    x, psi = _texts(field.grid), _parts(field.values)
+    _emit(out_dir, "wavefunction", fmt,
+          {"x": x, "re_psi": psi["re"], "im_psi": psi["im"]},
+          {"workflow": "wavefunction", "k": k, "lam": complex(params.lam),
+           "theta": params.theta, "tail_plus": field.tail[0],
+           "tail_minus": field.tail[1], "samples": _Records(x=x, **psi)})
 
 
 _COMMANDS = {

@@ -169,6 +169,33 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "PoleError"
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, key", [
+        ("spectrum", "n_max"),
+        ("regions", "n_points"),
+        ("overlap", "n_bins"),
+        ("berry", "windings"),
+        ("berry", "n_steps"),
+        ("wavefunction", "n_points"),
+    ])
+    def test_oversized_count_is_2(self, tmp_path, capsys, command, key):
+        # refused while the config is read: n_max 1e15 used to loop without
+        # end, the others to die allocating their arrays
+        cfg = write_config(tmp_path, {command: {key: 1e15}})
+        assert main(["--config", cfg, "--out", str(tmp_path), command]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{command}.{key}" in err["message"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_oversized_berry_loop_is_2(self, tmp_path, capsys):
+        # each count is below the limit, their product of steps is not
+        cfg = write_config(tmp_path, {"berry": {"windings": 2 ** 10,
+                                                "n_steps": 2 ** 11}})
+        assert main(["--config", cfg, "--out", str(tmp_path), "berry"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "berry.windings * berry.n_steps" in err["message"]
+
     def test_integral_float_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"spectrum": {"n_max": 2.0}})
         assert main(["--config", cfg, "--out", str(tmp_path),

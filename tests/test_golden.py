@@ -2,7 +2,9 @@
 
 ``tests/data/golden`` holds the files each workflow wrote for the small
 config stored next to them (overlap with two real-axis bins and one delta,
-defaults elsewhere).  Any change to a printed digit fails here.
+defaults elsewhere).  Any change to a printed digit fails here.  With
+``--format csv`` or ``--format json`` a workflow writes only the files of
+that kind, each with the same bytes.
 """
 
 import json
@@ -25,13 +27,16 @@ OUTPUTS = {
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_matches_golden_bytes(tmp_path, command):
-    assert main(["--config", str(GOLDEN / "config.json"),
-                 "--out", str(tmp_path), command]) == 0
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == sorted(OUTPUTS[command])
-    for name in OUTPUTS[command]:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), \
-            name
+    for fmt in ("both", "csv", "json"):
+        out = tmp_path / fmt
+        assert main(["--config", str(GOLDEN / "config.json"),
+                     "--out", str(out), "--format", fmt, command]) == 0
+        expected = sorted(name for name in OUTPUTS[command]
+                          if fmt == "both" or name.endswith("." + fmt))
+        assert sorted(p.name for p in out.iterdir()) == expected, fmt
+        for name in expected:
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), \
+                (fmt, name)
 
 
 def test_workflows_need_no_scipy(tmp_path, fresh_python):

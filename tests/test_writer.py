@@ -1,0 +1,198 @@
+"""The CLI's columnar writer against the per-cell writer it replaced.
+
+``_fmt``, ``_jnum``, ``_write_csv`` and ``_write_json`` below are that
+writer: one ``.17g`` format per cell and the stdlib's indented
+``json.dump``.  They are the oracle for the text of a column, for the JSON
+text of a payload, and for the bytes of whole workflows at benchmark size,
+where golden files would be too large to commit.
+"""
+
+import json
+import math
+
+from hypothesis import example, given, strategies as st
+
+from csmres.cli import _Json, _Records, _encode, _escape, _texts, main
+from csmres.eploop import LoopSpec, fit_puiseux, run_berry_loop
+from csmres.model import ModelParams, branch_point_coupling
+from csmres.wavefun import default_grid, eval_wavefunction
+
+DOUBLE_MAX = 1.7976931348623157e308
+
+
+def _fmt(v) -> str:
+    return f"{float(v):.17g}"
+
+
+def _jnum(v):
+    """JSON payload value with controlled 17-significant-digit text."""
+    if isinstance(v, complex):
+        return {"re": _fmt(v.real), "im": _fmt(v.imag)}
+    if isinstance(v, float):
+        return _fmt(v)
+    return v
+
+
+def _write_csv(path, workflow: str, header, rows) -> None:
+    lines = [f"# csmres {workflow} v1", ",".join(header)]
+    for row in rows:
+        lines.append(",".join(row))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _n_records(fields: dict) -> int:
+    column = next(iter(fields.values()))
+    return _n_records(column) if isinstance(column, dict) else len(column)
+
+
+def _record_at(fields: dict, i: int) -> dict:
+    return {key: _record_at(col, i) if isinstance(col, dict)
+            else json.loads(col[i]) if isinstance(col, _Json) else col[i]
+            for key, col in fields.items()}
+
+
+def _per_cell(value):
+    """The payload the per-cell writer took for a payload of the CLI's:
+    records as a list of dicts, floats and complex numbers as text."""
+    if isinstance(value, _Records):
+        return [_record_at(value, i) for i in range(_n_records(value))]
+    if isinstance(value, dict):
+        return {key: _per_cell(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_per_cell(item) for item in value]
+    return _jnum(value)
+
+
+def _columns(n: int):
+    """Record fields of ``n`` records: number text, escaped labels and
+    integers, some nested in objects."""
+    def cells(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    column = st.one_of(
+        cells(st.floats()).map(_texts),
+        cells(st.text()).map(lambda labels: _Json(map(_escape, labels))),
+        cells(st.integers()).map(lambda ints: _Json(map(str, ints))))
+    return st.dictionaries(st.text(max_size=4), st.recursive(
+        column, lambda inner: st.dictionaries(st.text(max_size=4), inner,
+                                              min_size=1, max_size=3),
+        max_leaves=4), min_size=1, max_size=4)
+
+
+RECORDS = st.integers(0, 5).flatmap(_columns).map(_Records)
+PAYLOADS = st.dictionaries(st.text(max_size=6), st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
+              st.floats(), st.complex_numbers(), RECORDS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8), max_size=5)
+
+
+@given(st.lists(st.floats(), max_size=40))
+@example([-0.0, 0.0, 5e-324, -2.2250738585072009e-308, DOUBLE_MAX,
+          -DOUBLE_MAX, math.inf, -math.inf, math.nan, 0.1, 1e16, 123456789.0])
+def test_column_text_is_the_per_cell_format(values):
+    assert _texts(values) == [f"{v:.17g}" for v in values]
+
+
+@given(PAYLOADS)
+@example({"labels": _Records({"row": _Json(map(_escape, ['"%s"', "\\\x00é"])),
+                              "100%": ["1", "-0"]}),
+          "empty": _Records(re=[]), "order": None, "n": 4,
+          "nested": {"": {}, "list": []}})
+def test_json_text_is_the_stdlib_encoders(payload):
+    out = []
+    _encode(payload, "", out)
+    assert "".join(out) == json.dumps(_per_cell(payload), indent=2,
+                                      sort_keys=True)
+
+
+def _cli(tmp_path, command: str, config: dict):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "cli"),
+                 command]) == 0
+    return tmp_path / "cli"
+
+
+def _assert_same_files(new, old, names):
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def test_bench_size_wavefunction_matches_the_per_cell_writer(tmp_path):
+    k, theta = complex(1.5, -0.4), 0.4
+    new = _cli(tmp_path, "wavefunction", {
+        "theta": theta, "wavefunction": {
+            "k": {"re": k.real, "im": k.imag}, "x_max": 20.0,
+            "n_points": 16385}})
+
+    params = ModelParams(lam=1.0, theta=theta)
+    field = eval_wavefunction(params, k, default_grid(1.0, 20.0, 16385))
+    rows = [[_fmt(xv), _fmt(pv.real), _fmt(pv.imag)]
+            for xv, pv in zip(field.grid, field.values)]
+    old = tmp_path / "old"
+    old.mkdir()
+    _write_csv(old / "wavefunction.csv", "wavefunction",
+               ["x", "re_psi", "im_psi"], rows)
+    _write_json(old / "wavefunction.json", {
+        "workflow": "wavefunction",
+        "k": _jnum(k),
+        "lam": _jnum(complex(params.lam)),
+        "theta": _jnum(params.theta),
+        "tail_plus": _jnum(field.tail[0]),
+        "tail_minus": _jnum(field.tail[1]),
+        "samples": [{"x": r[0], "re": r[1], "im": r[2]} for r in rows],
+    })
+    _assert_same_files(new, old, ("wavefunction.csv", "wavefunction.json"))
+
+
+def test_bench_size_berry_loop_matches_the_per_cell_writer(tmp_path):
+    theta, radius_rel, windings, n_steps = 0.4, 1e-5, 4, 1024
+    new = _cli(tmp_path, "berry", {
+        "theta": theta, "berry": {"radius_rel": radius_rel,
+                                  "windings": windings, "n_steps": n_steps}})
+
+    params = ModelParams(lam=1.0, theta=theta)
+    lam_bp = branch_point_coupling(theta, 1.0, 1.0, 1.0)
+    trace, verdicts = run_berry_loop(params, LoopSpec(
+        radius=radius_rel * lam_bp, windings=windings, n_steps=n_steps))
+    fit = fit_puiseux(params)
+    rows = []
+    for j in range(len(trace.phi)):
+        rows.append([
+            _fmt(trace.phi[j]),
+            _fmt(trace.lam[j].real), _fmt(trace.lam[j].imag),
+            _fmt(trace.e_plus[j].real), _fmt(trace.e_plus[j].imag),
+            _fmt(trace.e_minus[j].real), _fmt(trace.e_minus[j].imag),
+            trace.region[j],
+            _fmt(trace.accumulated[j].real), _fmt(trace.accumulated[j].imag),
+            _fmt(trace.unwrapped_phase[j]),
+        ])
+    assert len(rows) == windings * n_steps + 1
+    old = tmp_path / "old"
+    old.mkdir()
+    _write_csv(old / "berry.csv", "berry",
+               ["phi", "re_lambda", "im_lambda", "re_E_plus", "im_E_plus",
+                "re_E_minus", "im_E_minus", "region", "re_factor",
+                "im_factor", "unwrapped_phase"], rows)
+    _write_json(old / "berry.json", {
+        "workflow": "berry",
+        "exponent": _jnum(fit.exponent),
+        "alpha": _jnum(fit.alpha),
+        "fit_residual": _jnum(fit.residual),
+        "ratio_2pi": _jnum(verdicts["ratio_2pi"]),
+        "overlap_4pi": _jnum(verdicts["overlap_4pi"]),
+        "overlap_8pi": _jnum(verdicts["overlap_8pi"]),
+        "monodromy_order": verdicts["monodromy_order"],
+        "connection_consistency": _jnum(verdicts["connection_consistency"]),
+    })
+    _assert_same_files(new, old, ("berry.csv", "berry.json"))
