@@ -44,6 +44,11 @@ _CSV_VERSION = "v1"
 # for: far above every benchmark size (16 385 grid points, 4 x 1024 loop
 # steps), and refused before any array of that length is allocated.
 _MAX_COUNT = 2 ** 20
+# Largest overlap sizes: the S and H matrices grow with the square of the
+# bin count and every delta is one more degeneracy diagnostic, so each
+# limit keeps one default-grid overlap run to about a minute.
+_MAX_BINS = 144
+_MAX_DELTAS = 256
 
 
 def _texts(values) -> list:
@@ -298,8 +303,11 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
         n_bins=(_integer, 6), deltas=(_floats, [1e-2, 1e-3, 1e-4]))
     if k_min <= 0.0 or k_max <= k_min:
         raise ConfigError("overlap bins need 0 < k_min < k_max")
-    if n_bins < 1:
-        raise ConfigError("overlap.n_bins must be >= 1")
+    if not 1 <= n_bins <= _MAX_BINS:
+        raise ConfigError(f"overlap.n_bins must be in [1, {_MAX_BINS}]")
+    if len(deltas) > _MAX_DELTAS:
+        raise ConfigError(
+            f"overlap.deltas must hold at most {_MAX_DELTAS} values")
     if any(d <= 0.0 for d in deltas):
         raise ConfigError("overlap.deltas must be positive")
 

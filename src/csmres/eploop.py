@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import BranchCollision, IllConditionedFit, PreconditionViolation, \
     StepTooCoarse
-from .model import ModelParams, _bisect_zero, bin_energy, branch_point, \
-    resonance_energy
+from .model import ModelParams, _bisect_zero, _csqrt, bin_energy, \
+    branch_point, resonance_energy
 from .wavefun import LN4, classification_functional, classify_region
 
 # scan points per 2 pi of the boundary-crossing search
@@ -101,27 +101,42 @@ class LoopTrace:
     connection_phis: tuple
 
 
-def _nearest_root(target: complex, prev: complex) -> complex:
-    """Square root of target on the sheet continuous with prev."""
-    c = cmath.sqrt(target)
-    pick = c if abs(c - prev) <= abs(-c - prev) else -c
-    if abs(c) > 0.0 and abs(pick - prev) > 0.9 * abs(c):
-        raise BranchCollision(
-            f"sheet continuation ambiguous: step {abs(pick - prev):.3e} "
-            f"vs sheet separation {2.0 * abs(c):.3e}")
-    return pick
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| of each element, rounded as ``abs`` of a Python complex."""
+    return np.hypot(z.real, z.imag)
 
 
 def _continued_roots(targets) -> np.ndarray:
     """Square roots along a path, continued from the principal first root.
 
-    Every later root is the one nearest its predecessor (``_nearest_root``),
-    which keeps the path on one sheet.
+    Every later root is the sign of the principal root c_j nearest its
+    predecessor, which keeps the path on one sheet: root j keeps the sign
+    of root j-1 when |c_j - c_{j-1}| <= |c_j + c_{j-1}| and flips it
+    otherwise, a running product of signs.  ``targets`` is a 1-D array; all
+    principal roots come from one ``model._csqrt`` call (bit for bit
+    ``cmath.sqrt``) and the distances from ``np.hypot`` on real and
+    imaginary parts, which rounds as ``abs`` of a Python complex does where
+    ``np.abs`` of a complex array does not, so the result has the bits of
+    the root-by-root continuation.
+
+    Raises
+    ------
+    BranchCollision
+        If a root lies farther than 0.9 |c_j| from its predecessor: the two
+        sheets are then too close to tell apart at that step.
     """
-    roots = np.empty(len(targets), dtype=complex)
-    roots[0] = cmath.sqrt(targets[0])
-    for j in range(1, len(targets)):
-        roots[j] = _nearest_root(targets[j], roots[j - 1])
+    c = _csqrt(np.asarray(targets, dtype=complex))
+    near = _abs(c[1:] - c[:-1]) <= _abs(c[1:] + c[:-1])
+    sign = np.cumprod(np.concatenate(([1], np.where(near, 1, -1))))
+    # a zero root is taken as it is, with the signs of its zeros
+    roots = np.where((sign > 0) | (c == 0.0), c, -c)
+    step, size = _abs(np.diff(roots)), _abs(c[1:])
+    far = np.flatnonzero((size > 0.0) & (step > 0.9 * size))
+    if far.size:
+        j = far[0]
+        raise BranchCollision(
+            f"sheet continuation ambiguous: step {step[j]:.3e} "
+            f"vs sheet separation {2.0 * size[j]:.3e}")
     return roots
 
 
@@ -171,7 +186,11 @@ def boundary_crossings(params: ModelParams, radius: float) -> list:
     """Angles in [0, 2 pi) where the coupling circle meets the boundary.
 
     Scans the sign of the region-classification functional along
-    lam_bp + R e^{i phi} and bisects each change to 1e-10.
+    lam_bp + R e^{i phi}, at all _N_SCAN + 1 scan angles in one call on an
+    array of couplings, and bisects each change to 1e-10 with scalar
+    calls.  The functional is written on real and imaginary parts, so an
+    array element has the bits of the scalar value at its angle, and the
+    scan brackets the changes a point-by-point scan would.
     """
     lam_bp, _, _ = branch_point(params)
 
@@ -180,12 +199,10 @@ def boundary_crossings(params: ModelParams, radius: float) -> list:
             params, lam_bp + radius * cmath.exp(1j * phi))
 
     grid = np.linspace(0.0, 2.0 * math.pi, _N_SCAN + 1)
-    vals = np.array([f(p) for p in grid])
-    out = []
-    for i in range(_N_SCAN):
-        if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            out.append(_bisect_zero(f, grid[i], grid[i + 1]))
-    return out
+    negative = classification_functional(
+        params, lam_bp + radius * np.exp(1j * grid)) < 0.0
+    return [_bisect_zero(f, grid[i], grid[i + 1])
+            for i in np.flatnonzero(negative[:-1] != negative[1:])]
 
 
 def _start_phase(params: ModelParams, spec: LoopSpec, crossings) -> float:
@@ -247,7 +264,7 @@ def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
     """
     lam_bp, _, k_bp = branch_point(params)
     phis = phi0 + spec.dphi * np.arange(windings * spec.n_steps + 1)
-    lam = np.array([lam_bp + spec.radius * cmath.exp(1j * p) for p in phis])
+    lam = lam_bp + spec.radius * np.exp(1j * phis)
     rs = _continued_roots(lam - lam_bp)
     ws = _continued_roots(2.0 * rs)
     read = np.array([_readout(zeta, k_bp, r, w)
@@ -294,7 +311,7 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
             f"max readout phase jump {np.max(np.abs(jumps)):.3f} > pi/4")
     unwrapped = np.concatenate(([angles[0]], angles[0] + np.cumsum(jumps)))
 
-    regions = tuple(classify_region(params, l).value for l in lam)
+    regions = tuple(label.value for label in classify_region(params, lam))
 
     # connection factors: the tracked sheet meets the rotated continuum ray
     # where Im(E e^{2 i theta}) changes sign between two step nodes

@@ -14,6 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateIndex, NonConvergence, PreconditionViolation, \
     UndefinedAngle
 
@@ -74,8 +76,91 @@ class DerivedQuantities:
     s: complex
 
 
+def _times(x, re, im):
+    """Parts of x (re + i im) for a real x, rounded as CPython rounds a
+    float times a complex: the float is taken as x + 0i."""
+    return x * re - 0.0 * im, x * im + 0.0 * re
+
+
+def _over(re, im, x):
+    """Parts of (re + i im) / x for a real x > 0, rounded as CPython
+    rounds a complex over a float (Smith's quotient by x + 0i)."""
+    return (re + im * 0.0) / x, (im - re * 0.0) / x
+
+
+def _csqrt(z: np.ndarray) -> np.ndarray:
+    """``cmath.sqrt`` of each element of a complex array, bit for bit
+    unless a part of the root underflows to a subnormal float.
+
+    ``np.sqrt`` rounds as ``cmath.sqrt`` does except on the imaginary
+    axis, where cmath takes the real part 2 sqrt(|y|/8) and the imaginary
+    part |y| / (2 Re) with the sign of y; those elements are redone so.
+    """
+    root = np.sqrt(z)
+    axis = (z.real == 0.0) & (z.imag != 0.0)
+    if axis.any():
+        y = z.imag[axis]
+        re = 2.0 * np.sqrt(np.abs(y) / 8.0)
+        root.real[axis] = re
+        root.imag[axis] = np.copysign(np.abs(y) / (2.0 * re), y)
+    return root
+
+
+def _sqrt(re, im):
+    """Parts of the principal square root: cmath.sqrt of a scalar,
+    ``_csqrt`` of arrays."""
+    if isinstance(re, np.ndarray):
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        root = _csqrt(z)
+    else:
+        root = cmath.sqrt(complex(re, im))
+    return root.real, root.imag
+
+
+def _index(params: ModelParams, lam) -> tuple:
+    """Parts of g = 8 m lam / (beta hbar)^2 at a complex coupling or a
+    complex array of them."""
+    return _over(*_times(8.0 * params.m, lam.real, lam.imag),
+                 (params.beta * params.hbar) ** 2)
+
+
+def _pole(params: ModelParams, lam, n: int) -> tuple:
+    """Parts ((Re E_n, Im E_n), (Re k_n, Im k_n)) of the closed form at a
+    coupling or a 1-D numpy array of them; the one place g, E_n and k_n
+    are derived (``resonance_energy``).
+
+    Every step is written on real and imaginary parts, with the operations
+    CPython's complex arithmetic performs, so that an array element has
+    the bits of the scalar result: numpy's complex product, quotient and
+    ``abs`` round differently.
+
+    Raises
+    ------
+    DegenerateIndex
+        When g = 1 within 1e-12 at any coupling (the index s degenerates).
+    """
+    array = isinstance(lam, np.ndarray)
+    lam = np.asarray(lam, dtype=complex) if array else complex(lam)
+    gr, gi = _index(params, lam)
+    # |g - 1|: np.hypot rounds as abs of a Python complex
+    near = (np.hypot(gr - 1.0, gi) if array else abs(complex(gr - 1.0, gi))) \
+        < _G_DEGENERATE_TOL
+    if near.any() if array else near:
+        j = np.argmax(near)
+        g = complex(np.ravel(gr)[j], np.ravel(gi)[j])
+        raise DegenerateIndex(f"g = {g} within tolerance of 1")
+    rr, ri = _sqrt(gr - 1.0, gi)
+    # x = sqrt(g - 1) - (2n + 1) i; CPython's x ** 2 is 1 * (x * x)
+    xi = ri - (2 * n + 1)
+    sq = _times(1.0, rr * rr - xi * xi, rr * xi + xi * rr)
+    energy = _times(params.energy_scale, *sq)
+    k = _over(*_sqrt(*_times(2.0 * params.m, *energy)), params.hbar)
+    return energy, k
+
+
 def derived_quantities(params: ModelParams) -> DerivedQuantities:
-    g = 8.0 * params.m * complex(params.lam) / (params.beta * params.hbar) ** 2
+    g = complex(*_index(params, complex(params.lam)))
     s = 0.5 * (-1.0 + cmath.sqrt(1.0 - g))
     return DerivedQuantities(g=g, s=s)
 
@@ -110,13 +195,9 @@ def resonance_energy(params: ModelParams, n: int) -> ResonancePole:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    dq = derived_quantities(params)
-    if abs(dq.g - 1.0) < _G_DEGENERATE_TOL:
-        raise DegenerateIndex(f"g = {dq.g} within tolerance of 1")
-    root = cmath.sqrt(dq.g - 1.0)
-    energy = params.energy_scale * (root - 1j * (2 * n + 1)) ** 2
-    k = cmath.sqrt(2.0 * params.m * energy) / params.hbar
-    return ResonancePole(n=n, energy=energy, k=k, width=-2.0 * energy.imag)
+    energy, k = _pole(params, params.lam, n)
+    return ResonancePole(n=n, energy=complex(*energy), k=complex(*k),
+                         width=-2.0 * energy[1])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonConvergence, NonNormalizable, \
     PreconditionViolation, SingularCoordinate
-from .model import ModelParams, derived_quantities, resonance_energy
+from .model import ModelParams, _pole, derived_quantities
 from .specfun import SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
     reciprocal_gamma
 
@@ -223,25 +223,46 @@ def find_resonance_k(params: ModelParams, k0: complex) -> complex:
 
 
 def classification_functional(params: ModelParams,
-                              lam: complex | None = None) -> float:
+                              lam: complex | np.ndarray | None = None):
     """Re[i k_0(lam) e^{i theta}], whose sign classifies the n = 0 tail
-    (``classify_region``)."""
-    p = params if lam is None else params.with_lam(lam)
-    k0 = resonance_energy(p, 0).k
-    return (1j * k0 * cmath.exp(1j * p.theta)).real
+    (``classify_region``).
+
+    ``lam`` is one coupling (default: that of ``params``), giving a float,
+    or a 1-D numpy array of them, giving an array; the Berry loop
+    evaluates all its nodes in one call.  The arithmetic is written on
+    real and imaginary parts (``model._pole``) as CPython's complex
+    arithmetic does it, because numpy's complex product and quotient round
+    differently.  An array element then has the bits of the scalar
+    result, and the bisection of ``eploop.boundary_crossings``, whose last
+    halvings are decided by rounding-level values of f, finds the same
+    angles either way.
+    """
+    _, (kr, ki) = _pole(params, params.lam if lam is None else lam, 0)
+    turn = cmath.exp(1j * params.theta)
+    # i k_0 = (0 Re k_0 - Im k_0) + i (0 Im k_0 + Re k_0), as CPython has it
+    return (0.0 * kr - ki) * turn.real - (0.0 * ki + kr) * turn.imag
 
 
-def classify_region(params: ModelParams, lam: complex | None = None) -> RegionLabel:
+_LABELS = (RegionLabel.ConvergentA, RegionLabel.DivergentB,
+           RegionLabel.ScatteringBoundary)
+
+
+def classify_region(params: ModelParams,
+                    lam: complex | np.ndarray | None = None):
     """Convergence class of the n = 0 Gamow tail at the given coupling.
 
     Sign of f = Re[i k_0(lam) e^{i theta}]: negative -> ConvergentA
     (square-integrable pseudo-bound state), positive -> DivergentB, within
-    1e-12 of zero -> ScatteringBoundary.
+    1e-12 of zero -> ScatteringBoundary.  For a 1-D numpy array of
+    couplings the result is a list of the ``RegionLabel`` members (shared,
+    not a new object per coupling), from one ``classification_functional``
+    call on the array.  That call is written on real and imaginary parts,
+    so each coupling gets the label of its scalar call.
     """
     f = classification_functional(params, lam)
-    if abs(f) <= 1e-12:
-        return RegionLabel.ScatteringBoundary
-    return RegionLabel.ConvergentA if f < 0.0 else RegionLabel.DivergentB
+    index = np.where(np.abs(f) <= 1e-12, 2, np.where(f < 0.0, 0, 1))
+    labels = [_LABELS[i] for i in np.ravel(index).tolist()]
+    return labels if np.ndim(f) else labels[0]
 
 
 def simpson(y, x):

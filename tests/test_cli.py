@@ -2,10 +2,11 @@
 
 import json
 import math
+import time
 
 import pytest
 
-from csmres.cli import main
+from csmres.cli import _MAX_BINS, _MAX_DELTAS, main
 
 
 def run(tmp_path, *argv):
@@ -195,6 +196,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "berry.windings * berry.n_steps" in err["message"]
+
+    @pytest.mark.parametrize("block, key", [
+        ({"n_bins": _MAX_BINS + 1}, "overlap.n_bins"),
+        ({"deltas": [1e-3] * (_MAX_DELTAS + 1)}, "overlap.deltas"),
+    ])
+    def test_oversized_overlap_is_2(self, tmp_path, capsys, block, key):
+        # below the count ceiling, but hours of bins or deltas: refused
+        # before any bin or diagnostic is built
+        cfg = write_config(tmp_path, {"overlap": block})
+        start = time.perf_counter()
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "overlap"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_integral_float_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"spectrum": {"n_max": 2.0}})

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csmres.eploop import (
     LoopSpec,
@@ -26,6 +28,62 @@ P = ModelParams(lam=1.0, theta=TH)
 def circle(center, radius, n=257):
     phis = np.linspace(0.0, 2.0 * math.pi, n + 1)
     return center + radius * np.exp(1j * phis)
+
+
+def nearest_root(target, prev):
+    """Square root of target on the sheet continuous with prev."""
+    c = cmath.sqrt(target)
+    pick = c if abs(c - prev) <= abs(-c - prev) else -c
+    if abs(c) > 0.0 and abs(pick - prev) > 0.9 * abs(c):
+        raise BranchCollision(
+            f"sheet continuation ambiguous: step {abs(pick - prev):.3e} "
+            f"vs sheet separation {2.0 * abs(c):.3e}")
+    return pick
+
+
+def continued_roots_oracle(targets):
+    """The root-by-root continuation: each root the one nearest its
+    predecessor."""
+    roots = np.empty(len(targets), dtype=complex)
+    roots[0] = cmath.sqrt(targets[0])
+    for j in range(1, len(targets)):
+        roots[j] = nearest_root(targets[j], roots[j - 1])
+    return roots
+
+
+def outcome(continue_roots, targets):
+    """The roots as bytes, or the BranchCollision message."""
+    try:
+        return continue_roots(targets).tobytes()
+    except BranchCollision as exc:
+        return str(exc)
+
+
+class TestContinuedRoots:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scale=st.floats(-8.0, 2.0), alpha=st.floats(0.0, 2.0 * math.pi),
+           ratio=st.floats(0.05, 3.0), turns=st.floats(0.2, 3.0),
+           phi0=st.floats(0.0, 2.0 * math.pi), n=st.integers(2, 600))
+    # enclosing (ratio > 1) and not, fine and too coarse to follow
+    @example(scale=0.0, alpha=1.0, ratio=2.0, turns=2.0, phi0=0.5, n=400)
+    @example(scale=-3.0, alpha=2.0, ratio=0.5, turns=1.0, phi0=0.0, n=64)
+    @example(scale=0.0, alpha=1.0, ratio=2.0, turns=2.0, phi0=0.5, n=3)
+    def test_matches_root_by_root_continuation(self, scale, alpha, ratio,
+                                               turns, phi0, n):
+        center = 10.0 ** scale * cmath.exp(1j * alpha)
+        phis = phi0 + 2.0 * math.pi * turns * np.linspace(0.0, 1.0, n)
+        targets = center + ratio * abs(center) * np.exp(1j * phis)
+        assert outcome(_continued_roots, targets) \
+            == outcome(continued_roots_oracle, targets)
+
+    def test_path_ending_at_the_branch_point(self):
+        # half a turn round the origin flips the principal root's sign, so
+        # the continued sign is -1 when the path reaches the zero target
+        targets = np.append(np.exp(1j * np.linspace(0.0, 1.5 * math.pi,
+                                                    200)), 0.0)
+        roots = _continued_roots(targets)
+        assert roots.tobytes() == continued_roots_oracle(targets).tobytes()
+        assert roots[-2] == -cmath.sqrt(targets[-2])
 
 
 class TestTraceResonance:

@@ -14,6 +14,7 @@ from csmres.model import (
     CriticalAngle,
     ModelParams,
     _bisect_zero,
+    _csqrt,
     branch_point,
     branch_point_coupling,
     contact_coupling_root,
@@ -239,3 +240,20 @@ class TestBranchPoint:
     def test_coupling_does_not_enter(self):
         p = ModelParams(lam=1.0, theta=0.3)
         assert branch_point(p) == branch_point(p.with_lam(2.0 - 0.5j))
+
+
+# parts whose roots stay normal floats, signed zeros included
+_PARTS = st.one_of(
+    st.floats(-1e150, 1e150).filter(lambda v: v == 0.0 or abs(v) > 1e-150),
+    st.sampled_from([0.0, -0.0]))
+
+
+class TestArraySquareRoot:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parts=st.lists(st.tuples(_PARTS, _PARTS), min_size=1,
+                          max_size=20))
+    def test_matches_cmath_bit_for_bit(self, parts):
+        # np.sqrt alone rounds otherwise on the imaginary axis (Re z = 0)
+        z = np.array([complex(re, im) for re, im in parts])
+        expect = np.array([cmath.sqrt(complex(re, im)) for re, im in parts])
+        assert _csqrt(z).tobytes() == expect.tobytes()

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
-from csmres.errors import CsmError, NonNormalizable, PreconditionViolation
+from csmres.errors import CsmError, DegenerateIndex, NonNormalizable, \
+    PreconditionViolation
 from csmres.model import (
     ModelParams,
     branch_point,
@@ -25,6 +26,7 @@ from csmres.wavefun import (
     _amplitude,
     _gamma_coeffs,
     asymptotic_coefficients,
+    classification_functional,
     classify_region,
     default_grid,
     eval_wavefunction,
@@ -509,3 +511,108 @@ class TestClassifyRegion:
         mid = len(f1.grid) // 2
         ratio = f1.values[mid] / f2.values[mid]
         assert np.max(np.abs(f1.values - ratio * f2.values)) < 1e-12
+
+
+def k0_closed_form(p, lam):
+    """k_0 in CPython complex arithmetic, step for step the closed form of
+    ``resonance_energy`` before it was written on real and imaginary
+    parts."""
+    g = 8.0 * p.m * complex(lam) / (p.beta * p.hbar) ** 2
+    root = cmath.sqrt(g - 1.0)
+    energy = p.energy_scale * (root - 1j) ** 2
+    return cmath.sqrt(2.0 * p.m * energy) / p.hbar
+
+
+def functional_oracle(p, lam):
+    """The per-coupling classification: a new parameter set per coupling,
+    k_0 from ``resonance_energy``."""
+    q = p.with_lam(lam)
+    return (1j * resonance_energy(q, 0).k * cmath.exp(1j * q.theta)).real
+
+
+def label_oracle(p, lam):
+    f = functional_oracle(p, lam)
+    if abs(f) <= 1e-12:
+        return RegionLabel.ScatteringBoundary
+    return RegionLabel.ConvergentA if f < 0.0 else RegionLabel.DivergentB
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+units = st.floats(0.3, 3.0)
+# couplings lam_bp (1 + 10^u e^{i phi}): both sides of the boundary circle
+offsets = st.tuples(st.floats(-14.0, -1.0), st.floats(0.0, 2.0 * math.pi))
+
+
+class TestArrayClassification:
+    """The array form against the per-coupling scalar path, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(theta=st.floats(0.01, 0.78), m=units, hbar=units, beta=units,
+           offsets=st.lists(offsets, min_size=1, max_size=12))
+    def test_functional_and_labels_match_scalar_path(self, theta, m, hbar,
+                                                     beta, offsets):
+        p = ModelParams(lam=1.0, theta=theta, m=m, hbar=hbar, beta=beta)
+        lbp = branch_point_coupling(theta, m, hbar, beta)
+        lams = [lbp, lbp * 1.5, lbp * 0.7] + [
+            lbp + lbp * 10.0 ** u * cmath.exp(1j * phi) for u, phi in offsets]
+        scalar = [functional_oracle(p, lam) for lam in lams]
+        for lam, f in zip(lams, scalar):
+            q = p.with_lam(lam)
+            assert bits(resonance_energy(q, 0).k.real) \
+                == bits(k0_closed_form(q, lam).real)
+            assert bits(resonance_energy(q, 0).k.imag) \
+                == bits(k0_closed_form(q, lam).imag)
+            assert bits(classification_functional(p, lam)) == bits(f)
+        assert bits(classification_functional(p, np.array(lams))) \
+            == bits(scalar)
+        labels = classify_region(p, np.array(lams))
+        assert labels == [label_oracle(p, lam) for lam in lams]
+        assert labels[0] is RegionLabel.ScatteringBoundary
+        assert all(isinstance(label, RegionLabel) for label in labels)
+
+    def test_boundary_within_tolerance(self):
+        # f within 1e-12 of zero on both sides of lam_bp, and just beyond
+        p = ModelParams(lam=1.0, theta=0.4)
+        lbp = branch_point_coupling(0.4)
+        lams = np.array([lbp * (1.0 + d) for d in
+                         (-1e-9, -1e-13, 0.0, 1e-13, 1e-9)])
+        f = classification_functional(p, lams)
+        assert np.abs(f[1:4]).max() <= 1e-12 < np.abs(f[[0, 4]]).min()
+        assert classify_region(p, lams) == [
+            label_oracle(p, lam) for lam in lams]
+        assert classify_region(p, lams)[1:4] == \
+            [RegionLabel.ScatteringBoundary] * 3
+
+    @pytest.mark.parametrize("rel", [0.0, 5e-13, -5e-13])
+    def test_degenerate_index_raises(self, rel):
+        # g = 8 m lam / (beta hbar)^2 within 1e-12 of 1, in an array of
+        # otherwise regular couplings
+        p = ModelParams(lam=1.0, theta=0.4, m=1.7, hbar=0.6, beta=2.2)
+        lam = p.energy_scale * (1.0 + rel)
+        lbp = branch_point_coupling(0.4, 1.7, 0.6, 2.2)
+        with pytest.raises(DegenerateIndex):
+            classify_region(p, np.array([lbp, lam, 2.0 * lbp]))
+        with pytest.raises(DegenerateIndex):
+            classify_region(p, lam)
+        with pytest.raises(DegenerateIndex):
+            resonance_energy(p.with_lam(lam), 0)
+
+    def test_real_array_and_imaginary_axis(self):
+        # float couplings, -0.0 imaginary parts and a sqrt(g - 1) on the
+        # imaginary axis (Re g = 1), where np.sqrt alone rounds otherwise;
+        # units of powers of 2 make g = 1 exact at lam = energy_scale
+        p = ModelParams(lam=1.0, theta=0.3, m=2.0, hbar=0.5, beta=4.0)
+        es = p.energy_scale
+        lams = [0.5 * es, 3.0 * es, complex(3.0 * es, -0.0),
+                complex(0.5 * es, -0.0), complex(es, 0.37 * es),
+                complex(es, -2.1 * es)]
+        scalar = [functional_oracle(p, lam) for lam in lams]
+        for lam, f in zip(lams, scalar):
+            assert bits(classification_functional(p, lam)) == bits(f)
+        assert bits(classification_functional(p, np.array(lams))) \
+            == bits(scalar)
+        reals = np.array([0.5 * es, 3.0 * es])
+        assert bits(classification_functional(p, reals)) == bits(scalar[:2])

@@ -8,14 +8,19 @@ Each SRC is the directory that holds the ``csmres`` package (``src`` of a
 checkout).  For each tree a fresh interpreter, with only that SRC on
 ``PYTHONPATH``, runs all five workflows twice: with the golden config of
 ``tests/data/golden`` and with a config of the benchmark's sizes (6 bins
-and 3 deltas, a 4 x 1024-step loop, a 16 385-point wave function).  Every
-written file is then compared byte for byte.  Prints the first differing
-byte of each file that differs and exits 1 if any does, else exits 0.
+and 3 deltas, a 4 x 1024-step loop, a 16 385-point wave function).  It
+also runs ``berry`` alone at three more angles (``BERRY_THETAS``), since
+the bisected boundary crossings that fix the loop's start depend on the
+angle down to the last bits.  Every written file is then compared byte
+for byte.  Prints the first differing byte of each file that differs and
+exits 1 if any does, else exits 0.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,8 +40,24 @@ BENCH_CONFIG = {
     "wavefunction": {"k": {"re": 1.5, "im": -0.4}, "x_max": 20.0,
                      "n_points": 16385},
 }
+# Angles of the berry-only cases, spread over (0, pi/4).
+BERRY_THETAS = (0.06, 0.4, 0.74)
 
-# runs in the fresh interpreter: argv is SRC, then (config, out) pairs
+
+def berry_config(theta: float) -> dict:
+    """A 4 x 1024-step loop at ``theta`` (unit m, hbar, beta), its radius
+    half the largest the readout's Taylor-regime bound accepts:
+    |zeta| sqrt(R) < 0.1 with |zeta| = |10 e^{i theta} - ln 2| and
+    R = radius_rel lam_bp, lam_bp = 1 / (8 sin^2 theta)."""
+    lam_bp = 1.0 / (8.0 * math.sin(theta) ** 2)
+    zeta = abs(10.0 * cmath.exp(1j * theta) - math.log(2.0))
+    return {"theta": theta, "lam": 1.3,
+            "berry": {"radius_rel": 0.5 * (0.1 / zeta) ** 2 / lam_bp,
+                      "windings": 4, "n_steps": 1024}}
+
+
+# runs in the fresh interpreter: argv is SRC, then (config, out, commands)
+# triples, the commands joined by commas
 _CHILD = """
 import sys
 from pathlib import Path
@@ -45,19 +66,20 @@ from csmres.cli import main
 src, *runs = sys.argv[1:]
 if Path(src).resolve() not in Path(csmres.__file__).resolve().parents:
     sys.exit(f"csmres imported from {csmres.__file__}, not from {src}")
-for config, out in zip(runs[::2], runs[1::2]):
-    for command in COMMANDS:
+for config, out, commands in zip(runs[::3], runs[1::3], runs[2::3]):
+    for command in commands.split(","):
         code = main(["--config", config, "--out", f"{out}/{command}", command])
         if code:
             sys.exit(f"{command} with {config} exited {code}")
-""".replace("COMMANDS", repr(COMMANDS))
+"""
 
 
 def write_outputs(src: Path, configs: dict, out: Path) -> None:
-    """Run every workflow from ``src`` once per config into ``out/<case>``."""
+    """Run the workflows of each case from ``src`` into ``out/<case>``;
+    ``configs`` maps a case to its (config path, commands)."""
     runs = []
-    for case, config in configs.items():
-        runs += [str(config), str(out / case)]
+    for case, (config, commands) in configs.items():
+        runs += [str(config), str(out / case), ",".join(commands)]
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", _CHILD, str(src), *runs], env=env,
                    check=True)
@@ -97,9 +119,14 @@ def main(argv: list) -> int:
     old_src, new_src = (Path(a).resolve() for a in argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        bench = work / "bench-config.json"
-        bench.write_text(json.dumps(BENCH_CONFIG))
-        configs = {"golden": GOLDEN_CONFIG, "bench": bench}
+        configs = {"golden": (GOLDEN_CONFIG, COMMANDS)}
+        cases = {"bench": (BENCH_CONFIG, COMMANDS)}
+        cases.update((f"berry-theta{theta}", (berry_config(theta), ["berry"]))
+                     for theta in BERRY_THETAS)
+        for case, (config, commands) in cases.items():
+            path = work / f"{case}-config.json"
+            path.write_text(json.dumps(config))
+            configs[case] = (path, commands)
         write_outputs(old_src, configs, work / "old")
         write_outputs(new_src, configs, work / "new")
         return 1 if compare(work / "old", work / "new") else 0
