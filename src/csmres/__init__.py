@@ -3,7 +3,7 @@ sech-squared barrier.
 
 The package is organized in layers: ``specfun`` (complex gamma and Gauss
 hypergeometric kernels), ``model`` (closed-form spectral data), ``wavefun``
-(scaled wave functions, Siegert roots, norms, region classification),
+(scaled wave functions, Siegert roots, region classification),
 ``binbasis`` (momentum-bin discretization and overlap machinery),
 ``eploop`` (branch-point continuation and loop verdicts), and ``cli``
 (deterministic file emission).
@@ -35,12 +35,11 @@ _EXPORTS = {
         "AsymptoticCoefficients", "RegionLabel", "WaveField",
         "asymptotic_coefficients", "classification_functional",
         "classify_region", "default_grid", "eval_wavefunction",
-        "find_resonance_k", "gamow_cnorm", "normalize_gamow", "raw_psi",
-        "siegert_residual",
+        "find_resonance_k", "raw_psi", "siegert_residual",
     ),
     "binbasis": (
         "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix", "Side",
-        "TailTerm", "binned_state", "degeneracy_diagnostics", "ep_ray",
+        "SpatialGrid", "TailTerm", "binned_state", "degeneracy_diagnostics", "ep_ray",
         "limit_exchange_entries", "overlap_matrix", "product_entry",
         "real_axis", "resonance_state", "spatial_grid", "unit_diagonal_state",
     ),

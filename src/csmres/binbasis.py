@@ -21,10 +21,12 @@ and every right state, H applied to it and left partner is a weighted sum
 of those samples.
 
 All overlap and Hamiltonian entries combine Simpson quadrature on a finite
-grid, |x| <= X, with the exact tails beyond it.  There the resonance is
-c e^{q y} and every asymptotic component of a bin is the integral over the
-bin of c(k) e^{zeta k y} dk, with c(k) held as its Legendre series from
-the gamma-ratio samples the bin quadrature takes at its Kronrod nodes.  Every
+grid, |x| <= X, with the exact tails beyond it; one ``SpatialGrid`` holds
+the grid, its cut X, its half grid and the Simpson rule.  Beyond X the
+resonance is c e^{q y} and every asymptotic component of a bin is the
+integral over the bin of c(k) e^{zeta k y} dk, with c(k) held as its
+Legendre series from the gamma-ratio samples the bin quadrature takes at
+its Kronrod nodes.  Every
 y-integral of a product is the Abel (Zel'dovich) value -e^{QX}/Q, which
 also continues non-decaying products; in k it leaves one Cauchy integral
 of c(k) e^{zeta k X} / (k - z) per point or node of the other factor.
@@ -53,7 +55,7 @@ from .errors import EmptyRange, NonNormalizable, QuadratureError
 from .model import ModelParams, bin_energy, branch_point, \
     derived_quantities, resonance_energy
 from .specfun import _SQRT_2PI
-from .wavefun import _amplitude, _gamma_coeffs, raw_psi, simpson
+from .wavefun import _amplitude, _gamma_coeffs, raw_psi
 
 _log = logging.getLogger(__name__)
 
@@ -280,36 +282,64 @@ class BasisState:
     h: Side
 
 
+@dataclass(frozen=True, eq=False)
+class SpatialGrid:
+    """The overlap grid: the points ``x``, mirror-symmetric, the tail cut
+    X = x[-1] (``cut``), the distinct |x| (``y``) with the index ``at``
+    that gathers them back onto x, and the composite Simpson rule on x.
+
+    ``rule`` holds the four coefficient arrays of the non-uniform
+    three-point rule on consecutive pairs of intervals h0, h1:
+    (h0 + h1) / 6 and the sample weights 2 - h1/h0, (h0 + h1)^2 / (h0 h1)
+    and 2 - h0/h1, each computed as scipy computes it.  Built once by
+    ``spatial_grid``; the arrays are read-only.
+    """
+
+    x: np.ndarray
+    cut: float
+    y: np.ndarray
+    at: np.ndarray
+    rule: tuple
+
+    def integral(self, f: np.ndarray):
+        """Simpson integral of samples ``f`` on x: the floating-point
+        operations, in order, of scipy's Simpson integral of f on x (an odd
+        number of points); a numpy scalar of f's type."""
+        a, w0, w1, w2 = self.rule
+        return np.sum(a * (f[0:-2:2] * w0 + f[1:-1:2] * w1 + f[2::2] * w2))
+
+
 def spatial_grid(beta: float = 1.0, x_max: float | None = None,
-                 n_points: int = 8001) -> np.ndarray:
+                 n_points: int = 8001) -> SpatialGrid:
     """Default overlap grid: X = 40/beta, step 0.01/beta.
 
     The grid is exactly mirror-symmetric, ``x == -x[::-1]`` holds in
     floating point (each linspace point moves by at most 1 ulp of X), so
-    its |x| take (n_points + 1) / 2 distinct values.
-    """
-    if x_max is None:
-        x_max = 40.0 / beta
-    x = np.linspace(-x_max, x_max, n_points)
-    return 0.5 * (x - x[::-1])
-
-
-def _cutoff(x: np.ndarray) -> float:
-    """Tail cut X of a grid spanning [-X, X].
-
-    Both tails start at |x| = X, so a grid whose ends are not mirror
-    images would cut one tail short or count part of it twice.
+    its |x| take (n_points + 1) / 2 distinct values.  Both tails start at
+    |x| = X, and the Simpson rule needs an odd number of points.
 
     Raises
     ------
     ValueError
-        If x[0] != -x[-1] or x[-1] <= 0.
+        If n_points is even or below 3, or x_max is not positive.
     """
-    x_cut = float(x[-1])
-    if not (x_cut > 0.0 and float(x[0]) == -x_cut):
-        raise ValueError(
-            f"grid must span [-X, X] with X > 0, got [{x[0]}, {x[-1]}]")
-    return x_cut
+    if x_max is None:
+        x_max = 40.0 / beta
+    if n_points < 3 or n_points % 2 == 0 or not x_max > 0.0:
+        raise ValueError(f"spatial grid needs an odd n_points >= 3 and "
+                         f"x_max > 0, got {n_points} and {x_max}")
+    x = np.linspace(-x_max, x_max, n_points)
+    x = 0.5 * (x - x[::-1])
+    y, at = np.unique(np.abs(x), return_inverse=True)
+    h = np.diff(x)
+    h0, h1 = h[0:-1:2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    rule = (hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)),
+            2.0 - ratio)
+    for a in (x, y, at) + rule:
+        a.setflags(write=False)
+    return SpatialGrid(x=x, cut=float(x[-1]), y=y, at=at, rule=rule)
 
 
 @functools.cache
@@ -516,7 +546,8 @@ class _Continuum:
 
 
 def binned_state(params: ModelParams, grid: BinGrid, n: int,
-                 x: np.ndarray, normalization: str = "delta") -> BasisState:
+                 space: SpatialGrid,
+                 normalization: str = "delta") -> BasisState:
     """Construct binned state n with its biorthogonal left partner.
 
     Real-axis grids use the unrotated solutions with conjugated left
@@ -533,10 +564,10 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
 
     The bin integral is adaptive embedded Gauss-Kronrod in k (see
     ``_gk_integral``), started from the phase e^{ikx} turns across the bin
-    on this grid: the default 6-bin real-axis partition starts, and
+    on the spatial grid: the default 6-bin real-axis partition starts, and
     settles, at K33, an EP-ray bin near the branch point at K17.  Each
     level samples the Jost pair psi(k, y), psi(-k, y) on the distinct
-    y = |x| of the grid only (half of a mirror-symmetric grid), with
+    y = |x| of the grid only (``space.y``, half of the grid), with
     ``raw_psi`` on blocks of up to _K_BLOCK k-values; on real-axis grids
     with real lam psi(-k) is the conjugate of psi(k) and costs nothing.
     The reflection identity of the even barrier puts every per-node
@@ -556,7 +587,7 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     Raises
     ------
     ValueError
-        For an unknown normalization or a grid not spanning [-X, X].
+        For an unknown normalization.
     QuadratureError
         If the Gauss-Kronrod ladder does not settle.
     """
@@ -564,12 +595,10 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         raise ValueError(f"unknown normalization {normalization!r}")
     if not 0 <= n < grid.n_bins:
         raise IndexError(f"bin index {n} out of range")
-    x_max = _cutoff(x)
     ka, kb = (complex(k) for k in grid.nodes[n:n + 2])
     inv_sqrt_dk = 1.0 / np.sqrt(np.complex128(kb - ka))
     cont = _Continuum(params, 0.0 if grid.hermitian else params.theta,
                       channel=normalization == "channel")
-    y, at = np.unique(np.abs(x), return_inverse=True)
     # conj psi(k, s) = psi(-k, conj s), and conj s is s or -1 - s (the
     # same solution) only for real lam
     conjugate = grid.hermitian and complex(params.lam).imag == 0.0
@@ -596,10 +625,10 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
             v0, v1, v2 = c_minus * scale
             rows += [(zero, v0), (v2, v1)]
             series.append(c_minus)
-        return cont.jost_pair(ks, y, conjugate), np.array(rows), \
+        return cont.jost_pair(ks, space.y, conjugate), np.array(rows), \
             np.concatenate(series)
 
-    integ, coef = _gk_integral(sample, ka, kb, x_max)
+    integ, coef = _gk_integral(sample, ka, kb, space.cut)
     zetas = cont.zetas * 2 + tuple(-r for r in cont.zetas)
     terms = [TailTerm(coef=inv_sqrt_dk * a, rate=r, seg=(ka, kb))
              for a, r in zip(coef, zetas)]
@@ -609,8 +638,8 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         # component beyond X and its reflected and transmitted ones
         # beyond -X
         pos, neg = inv_sqrt_dk * integ[2 * j:2 * j + 2]
-        return Side(np.where(x >= 0.0, pos[at], neg[at]), (terms[3 * j],),
-                    (terms[3 * j + 1], terms[3 * j + 2]))
+        return Side(np.where(space.x >= 0.0, pos[space.at], neg[space.at]),
+                    (terms[3 * j],), (terms[3 * j + 1], terms[3 * j + 2]))
 
     right = side(0)
     return BasisState(
@@ -618,7 +647,7 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         left=right.conj() if grid.hermitian else side(2), h=side(1))
 
 
-def resonance_state(params: ModelParams, x: np.ndarray) -> BasisState:
+def resonance_state(params: ModelParams, space: SpatialGrid) -> BasisState:
     """The n = 0 resonance Gamow state as a basis state (left state =
     itself).
 
@@ -628,24 +657,21 @@ def resonance_state(params: ModelParams, x: np.ndarray) -> BasisState:
 
     Raises
     ------
-    ValueError
-        For a grid not spanning [-X, X].
     NonNormalizable
         If the resonance tail does not decay at this angle.
     """
-    x_cut = _cutoff(x)
     pole = resonance_energy(params, 0)
     q = 1j * pole.k * cmath.exp(1j * params.theta)
     if q.real >= 0.0:
         raise NonNormalizable("resonance tail does not decay at this angle")
     v = raw_psi(pole.k, derived_quantities(params).s, params.beta,
-                params.theta, x)
-    interior = float(simpson(np.abs(v) ** 2, x=x))
+                params.theta, space.x)
+    interior = float(space.integral(np.abs(v) ** 2))
     tail = (abs(v[-1]) ** 2 + abs(v[0]) ** 2) / (-2.0 * q.real)
     scale = 1.0 / math.sqrt(interior + tail)
     v = v * scale
-    cp = v[-1] * cmath.exp(-q * x_cut)
-    cm = v[0] * cmath.exp(-q * x_cut)
+    cp = v[-1] * cmath.exp(-q * space.cut)
+    cm = v[0] * cmath.exp(-q * space.cut)
     e = pole.energy
     right = Side(v, (TailTerm(coef=cp, rate=q),), (TailTerm(coef=cm, rate=q),))
     h = Side(e * v, (TailTerm(coef=e * cp, rate=q),),
@@ -666,35 +692,30 @@ class OverlapMatrix:
     col_labels: tuple
 
 
-def product_entry(left: BasisState, right: BasisState, x: np.ndarray,
+def product_entry(left: BasisState, right: BasisState, space: SpatialGrid,
                   apply_h: bool = False) -> complex:
     """c-product of a left state with a right state (or H right state).
 
-    Simpson on the grid plus the exact products (``_tail_product``) of
-    every pair of tail terms on each side, both cut at |x| = X.
-
-    Raises
-    ------
-    ValueError
-        If the grid does not span [-X, X].
+    Simpson on the grid (``SpatialGrid.integral``) plus the exact products
+    (``_tail_product``) of every pair of tail terms on each side, both cut
+    at |x| = X.
     """
     bra, ket = left.left, right.h if apply_h else right.right
-    x_cut = _cutoff(x)
-    interior = complex(simpson(bra.values * ket.values, x=x))
-    tails = sum(_tail_product(a, b, x_cut)
+    interior = complex(space.integral(bra.values * ket.values))
+    tails = sum(_tail_product(a, b, space.cut)
                 for side_l, side_r in ((bra.plus, ket.plus),
                                        (bra.minus, ket.minus))
                 for a in side_l for b in side_r)
     return interior + tails
 
 
-def overlap_matrix(left_states, right_states, x: np.ndarray,
+def overlap_matrix(left_states, right_states, space: SpatialGrid,
                    apply_h: bool = False) -> OverlapMatrix:
     """Assemble the dense matrix of c-products (or Hamiltonian products)."""
     mat = np.empty((len(left_states), len(right_states)), dtype=complex)
     for i, ls in enumerate(left_states):
         for j, rs in enumerate(right_states):
-            mat[i, j] = product_entry(ls, rs, x, apply_h=apply_h)
+            mat[i, j] = product_entry(ls, rs, space, apply_h=apply_h)
     return OverlapMatrix(
         matrix=mat,
         row_labels=tuple(s.name for s in left_states),
@@ -702,14 +723,14 @@ def overlap_matrix(left_states, right_states, x: np.ndarray,
     )
 
 
-def unit_diagonal_state(state: BasisState, x: np.ndarray) -> BasisState:
+def unit_diagonal_state(state: BasisState, space: SpatialGrid) -> BasisState:
     """Rescale a state so its bilinear self-product equals 1.
 
     Both sides are divided by the principal root of the diagonal entry;
     the rescale is impossible (and meaningless) for self-orthogonal
     states, where the diagonal vanishes.
     """
-    d = product_entry(state, state, x)
+    d = product_entry(state, state, space)
     if abs(d) < 1e-300:
         raise NonNormalizable("state is self-orthogonal; cannot rescale")
     inv = 1.0 / np.sqrt(np.complex128(d))
@@ -728,14 +749,14 @@ class DegeneracyPoint:
     matrix: OverlapMatrix
 
 
-def _ep_states(params: ModelParams, lam: complex, x: np.ndarray):
+def _ep_states(params: ModelParams, lam: complex, space: SpatialGrid):
     """L2-normalized resonance and unit-diagonal channel bins on the EP ray."""
     p = params.with_lam(lam)
     grid = ep_ray(p)
-    res = resonance_state(p, x)
+    res = resonance_state(p, space)
     bins = [
         unit_diagonal_state(
-            binned_state(p, grid, j, x, normalization="channel"), x)
+            binned_state(p, grid, j, space, normalization="channel"), space)
         for j in range(grid.n_bins)]
     return res, bins
 
@@ -747,15 +768,19 @@ def degeneracy_diagnostics(params: ModelParams, lam_seq):
     branch point) the bilinear overlap matrix of the L2-normalized
     resonance with the EP-adapted bins is assembled and its smallest
     singular value and condition number recorded.  sigma_min collapses
-    toward 0 as the eigenvector coalesces with the continuum.  The states
-    live on ``spatial_grid(params.beta)``.
+    toward 0 as the eigenvector coalesces with the continuum.  The bins are
+    c-orthogonal to the resonance, so sigma_min is |(psi|psi)|, the
+    c-norm of the L2-normalized resonance, which is its phase rigidity
+    |(psi|psi)| / <psi|psi>; at theta 0.3 and 1e-4 <= lam - lam_bp
+    <= 1e-1 the two agree to 2e-16 relative.  The states live on
+    ``spatial_grid(params.beta)``.
     """
-    x = spatial_grid(params.beta)
+    space = spatial_grid(params.beta)
     out = []
     for lam in lam_seq:
-        res, bins = _ep_states(params, lam, x)
+        res, bins = _ep_states(params, lam, space)
         states = [res] + bins
-        s_mat = overlap_matrix(states, states, x)
+        s_mat = overlap_matrix(states, states, space)
         svals = np.linalg.svd(s_mat.matrix, compute_uv=False)
         out.append(DegeneracyPoint(
             lam=complex(lam),
@@ -782,18 +807,17 @@ def limit_exchange_entries(params: ModelParams, lam_seq):
     delta-function divergence, so the fixed-box value is the meaningful
     one.  The states live on ``spatial_grid(params.beta)``.
     """
-    x = spatial_grid(params.beta)
+    space = spatial_grid(params.beta)
     lam_bp, _, k_bp = branch_point(params)
     # boundary continuum solution at the branch point
     s_bp = derived_quantities(params.with_lam(lam_bp)).s
     phi_bp = cmath.exp(0.5j * params.theta) \
-        * raw_psi(k_bp, s_bp, params.beta, params.theta, x) / _SQRT_2PI
+        * raw_psi(k_bp, s_bp, params.beta, params.theta, space.x) / _SQRT_2PI
     interior = []
     limits = []
     for lam in lam_seq:
-        res, bins = _ep_states(params, lam, x)
-        interior.append(max(abs(product_entry(res, b, x)) for b in bins))
-        limits.append(max(abs(complex(simpson(phi_bp * b.right.values,
-                                              x=x)))
+        res, bins = _ep_states(params, lam, space)
+        interior.append(max(abs(product_entry(res, b, space)) for b in bins))
+        limits.append(max(abs(complex(space.integral(phi_bp * b.right.values)))
                           for b in bins))
     return interior, limits

@@ -85,9 +85,8 @@ class LoopTrace:
     """Path-ordered record of one loop run.
 
     Arrays are indexed by step; ``accumulated`` is the running product of
-    connection factors, ``connection_phis`` the step angles at which one
-    more factor was applied (the node just past each sign change of the
-    sheet gap, see ``run_berry_loop``).
+    connection factors, which takes one more factor at the node just past
+    each sign change of the sheet gap (see ``run_berry_loop``).
     """
 
     phi: np.ndarray
@@ -98,7 +97,6 @@ class LoopTrace:
     readout: np.ndarray
     unwrapped_phase: np.ndarray
     accumulated: np.ndarray
-    connection_phis: tuple
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -323,15 +321,12 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     for _ in range(np.count_nonzero(change)):
         factors.append(factors[-1] * (1j if spec.orientation > 0 else -1j))
     accumulated = np.array(factors)[np.concatenate(([0], np.cumsum(change)))]
-    connection_phis = tuple(phis[1:][change].tolist())
 
     trace = LoopTrace(
         phi=phis, lam=lam,
         e_plus=e_bp + alpha_e * rs, e_minus=e_bp - alpha_e * rs,
         region=regions, readout=read, unwrapped_phase=unwrapped,
-        accumulated=accumulated,
-        connection_phis=connection_phis,
-    )
+        accumulated=accumulated)
 
     ratios = {wnd: complex(read[wnd * spec.n_steps] / read[0])
               for wnd in range(1, spec.windings + 1)}

@@ -137,11 +137,15 @@ def _pole(params: ModelParams, lam, n: int) -> tuple:
 
     Raises
     ------
+    PreconditionViolation
+        When a coupling is not finite (inf or nan in either part).
     DegenerateIndex
         When g = 1 within 1e-12 at any coupling (the index s degenerates).
     """
     array = isinstance(lam, np.ndarray)
     lam = np.asarray(lam, dtype=complex) if array else complex(lam)
+    if not (np.isfinite(lam).all() if array else cmath.isfinite(lam)):
+        raise PreconditionViolation(f"coupling {lam} is not finite")
     gr, gi = _index(params, lam)
     # |g - 1|: np.hypot rounds as abs of a Python complex
     near = (np.hypot(gr - 1.0, gi) if array else abs(complex(gr - 1.0, gi))) \
@@ -190,6 +194,8 @@ def resonance_energy(params: ModelParams, n: int) -> ResonancePole:
 
     Raises
     ------
+    PreconditionViolation
+        When the coupling is not finite.
     DegenerateIndex
         When g = 1 within 1e-12 (the index s degenerates).
     """

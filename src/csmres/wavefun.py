@@ -10,8 +10,9 @@ with s the potential index from `model`.  This module evaluates it on real-x
 grids, at x < 0 away from the origin through the mirror identity of the even
 barrier (the u-image there spirals around u = 1), provides the asymptotic
 plane-wave coefficients, the Siegert residual and its Newton root-finder,
-the bilinear (c-product) Gamow norm with closed-form tail corrections, and
-the convergent/divergent region classification.
+and the convergent/divergent region classification.  The c-products of
+these functions, Simpson quadrature on the grid plus exact tails, are
+formed in ``binbasis`` (``SpatialGrid``, ``product_entry``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, NonNormalizable, \
-    PreconditionViolation, SingularCoordinate
+from .errors import NonConvergence, PreconditionViolation, \
+    SingularCoordinate
 from .model import ModelParams, _pole, derived_quantities
 from .specfun import SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
     reciprocal_gamma
@@ -235,7 +236,8 @@ def classification_functional(params: ModelParams,
     differently.  An array element then has the bits of the scalar
     result, and the bisection of ``eploop.boundary_crossings``, whose last
     halvings are decided by rounding-level values of f, finds the same
-    angles either way.
+    angles either way.  A coupling that is not finite raises
+    ``PreconditionViolation`` (``model._pole``).
     """
     _, (kr, ki) = _pole(params, params.lam if lam is None else lam, 0)
     turn = cmath.exp(1j * params.theta)
@@ -263,68 +265,3 @@ def classify_region(params: ModelParams,
     index = np.where(np.abs(f) <= 1e-12, 2, np.where(f < 0.0, 0, 1))
     labels = [_LABELS[i] for i in np.ravel(index).tolist()]
     return labels if np.ndim(f) else labels[0]
-
-
-def simpson(y, x):
-    """Composite Simpson integral of samples ``y`` on strictly increasing
-    ``x``.
-
-    The same floating-point operations, in the same order, as scipy's
-    ``simpson(y, x=x)`` on 1-D input: the non-uniform three-point rule on
-    consecutive pairs of intervals, then for an even number of points
-    Cartwright's correction on the last interval (the trapezoid for two
-    points).  It returns a numpy scalar of y's type.  The last-interval
-    weights are taken on 0-d arrays, as scipy takes them: numpy rounds a
-    power of a 0-d array and of a scalar differently.
-    """
-    y = np.asarray(y)
-    h = np.diff(np.asarray(x, dtype=float))
-    n = len(y)
-    if n == 2:
-        return 0.5 * h[0] * (y[1] + y[0])
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    mid = hsum * (hsum / (h0 * h1))
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
-                                  + y[1:stop + 1:2] * mid
-                                  + y[2:stop + 2:2] * (2.0 - ratio)))
-    if n % 2 == 0:
-        a, b = h[-2, ...], h[-1, ...]
-        result += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
-                   + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
-                   - b ** 3 / (6 * a * (a + b)) * y[-3])
-    return result
-
-
-def gamow_cnorm(field: WaveField) -> complex:
-    """Bilinear c-norm integral(psi^2 dx) with closed-form tail corrections.
-
-    The grid integral uses Simpson's rule; beyond the cutoff both tails are
-    single exponentials e^{q y} in the outward coordinate y = |x|, matched
-    to the endpoint values, so each tail contributes -psi(+-X)^2 / (2q).
-
-    Raises
-    ------
-    NonNormalizable
-        If either tail exponent has non-negative real part.
-    """
-    q_plus, q_minus = field.tail
-    # outward-coordinate exponents: +inf side q_plus as is, -inf side -q_minus
-    qp = q_plus
-    qm = -q_minus
-    if qp.real >= 0.0 or qm.real >= 0.0:
-        raise NonNormalizable(
-            f"tail exponents {qp}, {qm} do not both decay")
-    interior = complex(simpson(field.values**2, x=field.grid))
-    tail_p = -field.values[-1] ** 2 / (2.0 * qp)
-    tail_m = -field.values[0] ** 2 / (2.0 * qm)
-    return interior + tail_p + tail_m
-
-
-def normalize_gamow(field: WaveField) -> WaveField:
-    """Divide by the principal square root of the c-norm."""
-    norm = gamow_cnorm(field)
-    root = cmath.sqrt(norm)
-    return replace(field, values=field.values / root)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.integrate import quad, simpson
 
@@ -295,7 +297,8 @@ class TestKronrodSeries:
 class TestBinQuadrature:
     """binned_state against a plain leggauss(96) integral of raw_psi."""
 
-    x = np.linspace(-40.0, 40.0, 801)
+    space = spatial_grid(1.0, 40.0, 801)
+    x = space.x
 
     @staticmethod
     def gl96(fun, ka, kb):
@@ -325,7 +328,7 @@ class TestBinQuadrature:
         p = ModelParams(lam=1.0, theta=0.3)
         grid = real_axis(0.5, 3.5, 6)
         with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
-            st = binned_state(p, grid, 2, self.x)
+            st = binned_state(p, grid, 2, self.space)
         ref, ref_h = self.hermitian_refs(p)
         assert self.digits(st.right.values, ref) >= 12.0
         assert self.digits(st.h.values, ref_h) >= 12.0
@@ -337,7 +340,7 @@ class TestBinQuadrature:
         # conj psi(k) is not psi(-k) here: x < 0 needs psi at -k itself
         p = ModelParams(lam=1.0 + 0.1j, theta=0.3)
         grid = real_axis(0.5, 3.5, 6)
-        st = binned_state(p, grid, 2, self.x)
+        st = binned_state(p, grid, 2, self.space)
         ref, ref_h = self.hermitian_refs(p)
         assert self.digits(st.right.values, ref) >= 12.0
         assert self.digits(st.h.values, ref_h) >= 12.0
@@ -349,7 +352,8 @@ class TestBinQuadrature:
         grid = ep_ray(p)
         ka, kb = complex(grid.nodes[0]), complex(grid.nodes[1])
         with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
-            st = binned_state(p, grid, 0, self.x, normalization="channel")
+            st = binned_state(p, grid, 0, self.space,
+                              normalization="channel")
         s = derived_quantities(p).s
         s_bar = derived_quantities(p.with_lam(np.conj(lam))).s
         jac = cmath.exp(0.5j * th) / math.sqrt(2.0 * math.pi)
@@ -368,14 +372,18 @@ class TestBinQuadrature:
 class TestJostPairWork:
     """Bins sample psi(k) and psi(-k) on the distinct |x| of the grid only."""
 
-    x = spatial_grid()
+    space = spatial_grid()
 
     def test_spatial_grid_is_mirror_symmetric(self):
-        assert np.array_equal(self.x, -self.x[::-1])
-        assert len(np.unique(np.abs(self.x))) == 4001
+        x = self.space.x
+        assert np.array_equal(x, -x[::-1])
+        assert self.space.cut == 40.0
+        # the half grid holds the distinct |x|, and ``at`` gathers it back
+        assert len(self.space.y) == 4001
+        assert np.array_equal(self.space.y[self.space.at], np.abs(x))
         # symmetrizing moves each linspace point by at most 1 ulp of X
         plain = np.linspace(-40.0, 40.0, 8001)
-        assert np.max(np.abs(self.x - plain)) <= np.spacing(40.0)
+        assert np.max(np.abs(x - plain)) <= np.spacing(40.0)
 
     def psi_work(self, monkeypatch, build):
         calls = []
@@ -394,7 +402,7 @@ class TestJostPairWork:
         p = ModelParams(lam=1.0, theta=0.3)
         grid = real_axis(0.5, 3.5, 6)
         assert self.psi_work(
-            monkeypatch, lambda: binned_state(p, grid, 0, self.x)) == 33
+            monkeypatch, lambda: binned_state(p, grid, 0, self.space)) == 33
 
     def test_ep_ray_bin_shares_one_ladder(self, monkeypatch):
         # K17 nodes at k and at -k carry the right state and its partner
@@ -403,7 +411,7 @@ class TestJostPairWork:
         p = ModelParams(lam=lam, theta=th)
         grid = ep_ray(p)
         assert self.psi_work(monkeypatch, lambda: binned_state(
-            p, grid, 0, self.x, normalization="channel")) == 34
+            p, grid, 0, self.space, normalization="channel")) == 34
 
     @staticmethod
     def coefficient_work(monkeypatch, build):
@@ -423,7 +431,7 @@ class TestJostPairWork:
         p = ModelParams(lam=1.0, theta=0.3)
         grid = real_axis(0.5, 3.5, 6)
         assert self.coefficient_work(
-            monkeypatch, lambda: binned_state(p, grid, 0, self.x)) == 33
+            monkeypatch, lambda: binned_state(p, grid, 0, self.space)) == 33
 
     def test_ep_ray_bin_samples_coefficients_once(self, monkeypatch):
         # K17 nodes at k and at -k: the right state's and the partner's
@@ -431,22 +439,34 @@ class TestJostPairWork:
         p = ModelParams(lam=branch_point_coupling(th) + 1e-2, theta=th)
         grid = ep_ray(p)
         assert self.coefficient_work(monkeypatch, lambda: binned_state(
-            p, grid, 0, self.x, normalization="channel")) == 34
+            p, grid, 0, self.space, normalization="channel")) == 34
 
 
-class TestGridSpan:
-    lopsided = np.linspace(-30.0, 40.0, 701)
+class TestSpatialGrid:
+    def test_even_or_short_point_count_raises(self):
+        # the Simpson rule pairs intervals, and both tails start at X > 0
+        for n_points in (0, 1, 2, 8000):
+            with pytest.raises(ValueError, match="odd n_points"):
+                spatial_grid(1.0, 40.0, n_points)
+        with pytest.raises(ValueError, match="x_max > 0"):
+            spatial_grid(1.0, 0.0, 801)
 
-    def test_lopsided_grid_raises(self):
-        p = ModelParams(lam=1.0, theta=0.4)
-        grid = real_axis(1.0, 2.0, 2)
-        st = binned_state(p, grid, 0, np.linspace(-35.0, 35.0, 701))
-        with pytest.raises(ValueError, match="span"):
-            binned_state(p, grid, 0, self.lopsided)
-        with pytest.raises(ValueError, match="span"):
-            resonance_state(p, self.lopsided)
-        with pytest.raises(ValueError, match="span"):
-            product_entry(st, st, self.lopsided)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), half=st.integers(1, 40),
+           x_max=st.none() | st.floats(1e-3, 100.0),
+           beta=st.floats(0.1, 10.0),
+           complex_f=st.booleans())
+    def test_integral_equals_scipy_bit_for_bit(self, data, half, x_max,
+                                               beta, complex_f):
+        space = spatial_grid(beta, x_max, 2 * half + 1)
+        samples = st.lists(st.floats(-1e6, 1e6), min_size=len(space.x),
+                           max_size=len(space.x))
+        f = np.array(data.draw(samples))
+        if complex_f:
+            f = f + 1j * np.array(data.draw(samples))
+        got, want = space.integral(f), simpson(f, x=space.x)
+        assert got == want
+        assert type(got) is type(want)
 
 
 class TestBinEnergy:
@@ -489,15 +509,16 @@ class TestBinnedState:
         # vanishing coupling: the continuum solution is 4^{-ik/2} e^{ikx},
         # so the binned state is the free bin evaluated at x - ln 2
         p = ModelParams(lam=1e-12, theta=0.3)
-        x = np.linspace(-8.0, 8.0, 321)
+        space = spatial_grid(1.0, 8.0, 321)
         grid = real_axis(1.0, 1.5, 1)
-        st = binned_state(p, grid, 0, x)
-        expect = plane_wave_bin(x - LN2, 1.0, 1.5) / math.sqrt(2.0 * math.pi)
+        st = binned_state(p, grid, 0, space)
+        expect = plane_wave_bin(space.x - LN2, 1.0, 1.5) \
+            / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(st.right.values - expect)) < 1e-6
 
     def test_bad_index_and_normalization(self):
         p = ModelParams(lam=1.0, theta=0.3)
-        x = np.linspace(-8.0, 8.0, 161)
+        x = spatial_grid(1.0, 8.0, 161)
         grid = real_axis(1.0, 2.0, 2)
         with pytest.raises(IndexError):
             binned_state(p, grid, 2, x)
@@ -512,7 +533,7 @@ class TestBinnedState:
         grid = real_axis(1.0, 2.0, 2)
         with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"), \
                 pytest.raises(QuadratureError, match="settle at K17/G8"):
-            binned_state(p, grid, 0, np.linspace(-8.0, 8.0, 161))
+            binned_state(p, grid, 0, spatial_grid(1.0, 8.0, 161))
         (msg,) = [r.getMessage() for r in caplog.records]
         fields = _record_fields(msg)
         assert fields["|K-G|/scale"] <= binbasis._GL_TOL
@@ -520,7 +541,7 @@ class TestBinnedState:
 
     def test_bin_energy_recorded(self):
         p = ModelParams(lam=1.0, theta=0.3)
-        x = np.linspace(-8.0, 8.0, 161)
+        x = spatial_grid(1.0, 8.0, 161)
         grid = real_axis(1.0, 2.0, 2)
         st = binned_state(p, grid, 1, x)
         assert abs(st.energy - bin_energy(p, 1.5, 2.0)) < 1e-14
@@ -656,6 +677,20 @@ class TestDegeneracyDiagnostics:
         assert all(v > 0.1 for v in limits)
         assert interior[1] < interior[0]
 
+    def test_sigma_min_is_the_phase_rigidity(self):
+        # the bins are c-orthogonal to the resonance, so the smallest
+        # singular value is |(psi|psi)| of the L2-normalized resonance
+        th = 0.3
+        lbp = branch_point_coupling(th)
+        p = ModelParams(lam=1.0, theta=th)
+        deltas = (1e-1, 1e-2, 1e-3, 1e-4)
+        pts = degeneracy_diagnostics(p, [lbp + d for d in deltas])
+        x = spatial_grid(p.beta)
+        for d, pt in zip(deltas, pts):
+            res = resonance_state(p.with_lam(lbp + d), x)
+            rigidity = abs(product_entry(res, res, x))
+            assert abs(rigidity - pt.sigma_min) <= 1e-12 * pt.sigma_min
+
 
 class TestResonanceState:
     def test_l2_normalization_unit_mass(self):
@@ -663,7 +698,7 @@ class TestResonanceState:
         x = spatial_grid(1.0)
         st = resonance_state(p, x)
         q = st.right.plus[0].rate
-        interior = float(simpson(np.abs(st.right.values) ** 2, x=x))
+        interior = float(simpson(np.abs(st.right.values) ** 2, x=x.x))
         tail = (abs(st.right.values[-1]) ** 2 + abs(st.right.values[0]) ** 2) \
             / (-2.0 * q.real)
         assert abs(interior + tail - 1.0) < 1e-9

@@ -165,8 +165,9 @@ class TestBerryLoop:
 
     def test_connection_factors_match_readout(self):
         assert self.verdicts["connection_consistency"] < 1e-3
-        # one connection per 2 pi turn
-        assert len(self.trace.connection_phis) == self.spec.windings
+        # one connection per 2 pi turn: the accumulated factor changes once
+        acc = self.trace.accumulated
+        assert np.count_nonzero(acc[1:] != acc[:-1]) == self.spec.windings
 
     def test_starts_on_boundary_and_alternates(self):
         assert self.trace.region[0] == "ScatteringBoundary"

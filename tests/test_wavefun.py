@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from csmres.model import (
     lambda_window,
     resonance_energy,
 )
-from csmres.binbasis import spatial_grid
+from csmres.binbasis import product_entry, resonance_state, spatial_grid, \
+    unit_diagonal_state
 from csmres.specfun import SERIES_RADIUS, complex_gamma
 from csmres.wavefun import (
     RegionLabel,
@@ -31,11 +33,8 @@ from csmres.wavefun import (
     default_grid,
     eval_wavefunction,
     find_resonance_k,
-    gamow_cnorm,
-    normalize_gamow,
     raw_psi,
     siegert_residual,
-    simpson,
 )
 
 SQRT7 = math.sqrt(7.0)
@@ -195,7 +194,7 @@ def _k_rows(case):
 
 @pytest.mark.parametrize("case", ["real", "ep+", "ep-"])
 class TestBatchedRawPsi:
-    x = spatial_grid(1.0)
+    x = spatial_grid(1.0).x
 
     def test_rows_match_single_k_calls(self, case):
         ks, s, theta = _k_rows(case)
@@ -226,7 +225,7 @@ def _index(lam):
 class TestJostPairIdentities:
     """The identities the bin integrals of binbasis rest on."""
 
-    x = spatial_grid(1.0, n_points=801)
+    x = spatial_grid(1.0, n_points=801).x
 
     @settings(max_examples=30, deadline=None)
     @given(theta=st.floats(0.0, 0.75), lam=st.floats(0.05, 2.0),
@@ -399,34 +398,26 @@ class TestSiegert:
             assert abs(refl - ident) < 1e-10 * max(1.0, abs(ident))
 
 
-class TestSimpson:
-    @settings(max_examples=400, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 40), uniform=st.booleans(),
-           complex_y=st.booleans())
-    def test_equals_scipy_bit_for_bit(self, data, n, uniform, complex_y):
-        start = data.draw(st.floats(-50.0, 50.0))
-        if uniform:
-            x = np.linspace(start, start + data.draw(st.floats(1e-3, 100.0)),
-                            n)
-        else:
-            steps = data.draw(st.lists(st.floats(1e-3, 10.0),
-                                       min_size=n - 1, max_size=n - 1))
-            x = start + np.concatenate(([0.0], np.cumsum(steps)))
-        samples = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
-        y = np.array(data.draw(samples))
-        if complex_y:
-            y = y + 1j * np.array(data.draw(samples))
-        got, want = simpson(y, x), scipy_simpson(y, x=x)
-        assert got == want
-        assert type(got) is type(want)
+def gamow_cnorm(params, space):
+    """Bilinear c-norm of the unnormalized n = 0 Gamow state, from the
+    package's own path: ``product_entry`` of the L2-normalized resonance
+    with itself, times the L2 mass, which is taken here by scipy's Simpson
+    rule on the grid plus the two exponential tails beyond +-X."""
+    pole = resonance_energy(params, 0)
+    q = 1j * pole.k * cmath.exp(1j * params.theta)
+    v = raw_psi(pole.k, derived_quantities(params).s, params.beta,
+                params.theta, space.x)
+    mass = scipy_simpson(np.abs(v) ** 2, x=space.x) \
+        + (abs(v[0]) ** 2 + abs(v[-1]) ** 2) / (-2.0 * q.real)
+    res = resonance_state(params, space)
+    return product_entry(res, res, space) * mass
 
 
 class TestGamowNorm:
     def test_finite_and_truncation_stable(self):
         p = ModelParams(lam=1.0, theta=0.4)
-        k = resonance_energy(p, 0).k
-        n1 = gamow_cnorm(eval_wavefunction(p, k))
-        n2 = gamow_cnorm(eval_wavefunction(p, k, default_grid(1.0, 24.0, 4097)))
+        n1 = gamow_cnorm(p, spatial_grid(1.0))
+        n2 = gamow_cnorm(p, spatial_grid(1.0, 24.0, 4097))
         assert abs(n2 - n1) < 1e-8 * abs(n1)
 
     def test_matches_gamma_ratio_closed_form(self):
@@ -437,21 +428,19 @@ class TestGamowNorm:
             s = derived_quantities(p).s
             expect = cmath.exp(-1j * theta) * math.sqrt(math.pi) \
                 * complex_gamma(-(s + 1.0)) / complex_gamma(-0.5 - s) / p.beta
-            k = resonance_energy(p, 0).k
-            got = gamow_cnorm(eval_wavefunction(p, k, default_grid(1.0, 30.0, 6001)))
+            got = gamow_cnorm(p, spatial_grid(1.0, 30.0, 6001))
             assert abs(got - expect) < 1e-8 * abs(expect)
 
     def test_divergent_raises(self):
         p = ModelParams(lam=1.0, theta=0.3)  # below theta_0
-        k = resonance_energy(p, 0).k
         with pytest.raises(NonNormalizable):
-            gamow_cnorm(eval_wavefunction(p, k))
+            resonance_state(p, spatial_grid(1.0))
 
     def test_normalized_field_has_unit_cnorm(self):
         p = ModelParams(lam=1.0, theta=0.4)
-        k = resonance_energy(p, 0).k
-        f = normalize_gamow(eval_wavefunction(p, k))
-        assert abs(gamow_cnorm(f) - 1.0) < 1e-10
+        space = spatial_grid(1.0)
+        res = unit_diagonal_state(resonance_state(p, space), space)
+        assert abs(product_entry(res, res, space) - 1.0) < 1e-10
 
     def test_limit_toward_branch_point_is_finite_gamma_ratio(self):
         # The unnormalized bilinear norm does NOT vanish at the branch
@@ -460,15 +449,14 @@ class TestGamowNorm:
         # diagnostics).  Verified against the closed form at every step.
         th = math.pi / 6
         lbp = branch_point_coupling(th)
-        grid = default_grid(1.0, 30.0, 6001)
+        space = spatial_grid(1.0, 30.0, 6001)
         mags = []
         for d in (1e-1, 1e-2, 1e-3, 1e-4):
             p = ModelParams(lam=lbp + d, theta=th)
             s = derived_quantities(p).s
             expect = cmath.exp(-1j * th) * math.sqrt(math.pi) \
                 * complex_gamma(-(s + 1.0)) / complex_gamma(-0.5 - s)
-            k = resonance_energy(p, 0).k
-            got = gamow_cnorm(eval_wavefunction(p, k, grid))
+            got = gamow_cnorm(p, space)
             assert abs(got - expect) < 1e-7 * abs(expect)
             mags.append(abs(got))
         # monotone approach to the finite limiting magnitude
@@ -599,6 +587,21 @@ class TestArrayClassification:
             classify_region(p, lam)
         with pytest.raises(DegenerateIndex):
             resonance_energy(p.with_lam(lam), 0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan,
+                                     complex(1.0, math.inf)])
+    def test_non_finite_coupling_raises(self, lam):
+        # refused where E_n and k_n are derived, in both forms, before any
+        # arithmetic: an array of couplings must not warn on 0 * inf first
+        p = ModelParams(lam=lam, theta=0.3)
+        with pytest.raises(PreconditionViolation, match="not finite"):
+            resonance_energy(p, 0)
+        with pytest.raises(PreconditionViolation, match="not finite"):
+            classify_region(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionViolation, match="not finite"):
+                classify_region(p, np.array([1.0, lam]))
 
     def test_real_array_and_imaginary_axis(self):
         # float couplings, -0.0 imaginary parts and a sqrt(g - 1) on the
