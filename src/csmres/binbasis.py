@@ -69,11 +69,6 @@ _GL_TOL = 1e-9
 # integral, so between equal widths the rule's error falls only like
 # e^{-1.8 n}: 2e-11 at n = 16, below rounding from n = 20
 _TANH_SINH_MIN = 24
-# k-nodes per batched raw_psi call.  It bounds the series working set:
-# the default `csmres overlap` run (2-core Xeon VM, one BLAS thread) took
-# about 2.1, 1.7, 1.9 and 1.8 s with blocks of 4, 8, 16 and 32 nodes, at a
-# peak RSS of 97, 101, 106 and 118 MB
-_K_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +525,13 @@ class _Continuum:
                   conjugate: bool) -> np.ndarray:
         """psi(k, y) and psi(-k, y) for each k, shape (2, len(ks), len(y)).
 
-        ``raw_psi`` evaluates up to _K_BLOCK k-values per call.  With
+        One ``raw_psi`` call evaluates every k and -k.  With
         ``conjugate``, which the caller may set only for real k, theta 0
         and real lam, psi(-k) is taken as the complex conjugate of
         psi(k), and only +k is evaluated.
         """
         kk = ks if conjugate else np.concatenate([ks, -ks])
-        psi = np.empty((len(kk), len(y)), dtype=complex)
-        for start in range(0, len(kk), _K_BLOCK):
-            psi[start:start + _K_BLOCK] = raw_psi(
-                kk[start:start + _K_BLOCK], self.s, self.beta, self.theta, y)
+        psi = raw_psi(kk, self.s, self.beta, self.theta, y)
         if conjugate:
             return np.stack([psi, psi.conj()])
         return psi.reshape(2, len(ks), len(y))
@@ -567,8 +559,8 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
     on the spatial grid: the default 6-bin real-axis partition starts, and
     settles, at K33, an EP-ray bin near the branch point at K17.  Each
     level samples the Jost pair psi(k, y), psi(-k, y) on the distinct
-    y = |x| of the grid only (``space.y``, half of the grid), with
-    ``raw_psi`` on blocks of up to _K_BLOCK k-values; on real-axis grids
+    y = |x| of the grid only (``space.y``, half of the grid), with one
+    ``raw_psi`` call per level for all its k-nodes; on real-axis grids
     with real lam psi(-k) is the conjugate of psi(k) and costs nothing.
     The reflection identity of the even barrier puts every per-node
     scalar into the quadrature weights: the state on x >= 0 and on x < 0,

@@ -50,6 +50,8 @@ _LANCZOS_COEFFS = (
 _SQRT_2PI = 2.5066282746310002
 
 _SERIES_CAP = 100_000
+# series terms per block of term ratios computed at once
+_RATIO_ROWS = 64
 _EPS = 2.0e-16
 # largest min(|u|, |u/(u-1)|) at which a non-terminating 2F1 is summed
 SERIES_RADIUS = 0.8
@@ -128,6 +130,13 @@ def reciprocal_gamma(z) -> complex:
     raise PreconditionViolation(f"1/gamma leaves the float range at z = {z}")
 
 
+def _pair(a, b, c, xs, i: int) -> dict:
+    """a, b, c and x of pair i of the point-major layout of ``_series_sum``."""
+    r = i % len(a)
+    return {"a": complex(a[r]), "b": complex(b[r]), "c": complex(c[r]),
+            "x": complex(xs[i])}
+
+
 def _series_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                 x: np.ndarray) -> np.ndarray:
     """Power series sum_{n} (a)_n (b)_n / ((c)_n n!) x^n per row and point.
@@ -140,68 +149,84 @@ def _series_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     cancellation verdict below compares with its sum.  The caller keeps
     |x| <= SERIES_RADIUS.
 
+    The pairs are laid out point-major, the points by decreasing |x|, in
+    one array.  A pair at a larger |x| runs longer, so the running pairs
+    gather at the front, and each term is computed on views of the prefix
+    up to the last running pair.  A pair that stops inside that prefix
+    has its argument set to 0: its later terms are exactly 0, so its sum
+    and peak keep their bits.  One un-sort at the end gives the (nk, m)
+    arrays.
+
     Raises
     ------
     PreconditionViolation
         If a pair added a term larger than _MAX_CANCELLATION times its sum:
         there the terms cancel to fewer than 8 significant digits, as for
         |a| near 50 at x = 1/2.  The message names the first such pair.
+        Also at the first term that is not finite, as for |Im a| near 1000;
+        the message names its pair.
+    NonConvergence
+        If a pair still runs after _SERIES_CAP terms.
     """
     nk, m = len(a), len(x)
-    total = np.ones((nk, m), dtype=complex)
+    order = np.argsort(-np.abs(x), kind="stable")
+    # pair (point order[i], row r) at i * nk + r
+    xs = np.repeat(x[order], nk)
+    part = np.ones(nk * m, dtype=complex)
     # the first term is 1, so no peak is below 1
-    peaks = np.ones((nk, m))
-    # active (row, point) pairs, flattened row-major; the partial sums
-    # start as a view of the result and are copied at the first drop
-    part = total.reshape(-1)
-    idx = np.arange(nk * m, dtype=np.int32)
-    row = idx // m
-    xs = np.broadcast_to(x, (nk, m)).reshape(-1)
-    term = np.ones(nk * m, dtype=complex)
     peak = np.ones(nk * m)
+    term = np.ones(nk * m, dtype=complex)
+    factor = np.empty((m, nk), dtype=complex)
     was_quiet = np.zeros(nk * m, dtype=bool)
-    for n in range(_SERIES_CAP):
-        if not idx.size:
-            r, j = np.nonzero(peaks > _MAX_CANCELLATION * np.abs(total))
-            if r.size:
+    end = nk * m
+    # a term that overflows is not finite, and the loop stops at it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(_SERIES_CAP):
+            if not n % _RATIO_ROWS:
+                # the term ratios of the next _RATIO_ROWS terms; each row
+                # has the bits of (a + n) * (b + n) / ((c + n) * (n + 1.0))
+                # evaluated for its n alone
+                ns = np.arange(n, n + _RATIO_ROWS, dtype=float)[:, None]
+                ratios = (a + ns) * (b + ns) / ((c + ns) * (ns + 1.0))
+            factor[:-(-end // nk)] = ratios[n % _RATIO_ROWS]
+            # the right operand of a complex product is never a temporary:
+            # numpy may evaluate x * temp as temp * x for large arrays, and
+            # a complex product rounds differently with its operands
+            # swapped.  ``term *= factor`` also broke the match with
+            # one-point calls; sums round the same in any form.
+            term = term[:end] * factor.reshape(-1)[:end] * xs[:end]
+            size = np.abs(term)
+            if not size.max() < np.inf:
+                i = np.flatnonzero(~np.isfinite(size))[0]
                 raise PreconditionViolation(
-                    f"2F1 series terms cancel to fewer than 8 digits at "
-                    f"a = {complex(a[r[0]])}, b = {complex(b[r[0]])}, "
-                    f"c = {complex(c[r[0]])}, x = {complex(x[j[0]])}")
-            return total
-        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
-        # the right operand of a complex product is never a temporary:
-        # numpy may evaluate x * temp as temp * x for large arrays, and a
-        # complex product rounds differently with its operands swapped.
-        # ``term *= factor`` also broke the match with one-point calls;
-        # sums round the same in any form.
-        factor = ratio[row]
-        term = term * factor * xs
-        part += term
-        size = np.abs(term)
-        np.maximum(peak, size, out=peak)
-        quiet = size <= _EPS * np.abs(part)
-        done = quiet & was_quiet
-        if done.any():
-            stop = idx[done]
-            total.reshape(-1)[stop] = part[done]
-            peaks.reshape(-1)[stop] = peak[done]
-            # one array at a time, so each old copy is freed before the next
-            keep = ~done
-            idx = idx[keep]
-            row = row[keep]
-            xs = xs[keep]
-            term = term[keep]
-            part = part[keep]
-            peak = peak[keep]
-            quiet = quiet[keep]
-        was_quiet = quiet
-    r = row[0]
-    raise NonConvergence(
-        "2F1 power series",
-        {"a": complex(a[r]), "b": complex(b[r]), "c": complex(c[r]),
-         "max_abs_x": float(np.max(np.abs(xs)))},
-    )
+                    f"2F1 series term {n + 1} is not finite at "
+                    + ", ".join(f"{k} = {v}"
+                                for k, v in _pair(a, b, c, xs, i).items()))
+            part[:end] += term
+            np.maximum(peak[:end], size, out=peak[:end])
+            quiet = size <= _EPS * np.abs(part[:end])
+            done = quiet & was_quiet[:end]
+            was_quiet = quiet
+            if done.all():
+                break
+            xs[:end][done] = 0.0
+            # past the last running pair, the last False of ``done``
+            end -= int(np.argmin(done[::-1]))
+        else:
+            raise NonConvergence(
+                "2F1 power series",
+                _pair(a, b, c, xs, np.flatnonzero(~done)[0]))
+    total = np.empty((nk, m), dtype=complex)
+    peaks = np.empty((nk, m))
+    total[:, order] = part.reshape(m, nk).T
+    peaks[:, order] = peak.reshape(m, nk).T
+    r, j = np.nonzero(peaks > _MAX_CANCELLATION * np.abs(total))
+    if r.size:
+        raise PreconditionViolation(
+            f"2F1 series terms cancel to fewer than 8 digits at "
+            f"a = {complex(a[r[0]])}, b = {complex(b[r[0]])}, "
+            f"c = {complex(c[r[0]])}, x = {complex(x[j[0]])}")
+    return total
 
 
 def _outer(p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -284,15 +309,18 @@ def hyp2f1_grid(a, b, c, u) -> np.ndarray:
     PreconditionViolation
         A non-terminating row and a point with min(|u|, |w|) above
         SERIES_RADIUS; the message names the first such u.  Also a series
-        whose terms cancel to fewer than 8 digits (see ``_series_sum``);
-        the message names its parameters and argument.
+        whose terms cancel to fewer than 8 digits, or one with a term that
+        is not finite (see ``_series_sum``); the message names its
+        parameters and argument.
     NonConvergence
         Iteration cap hit (pathological parameters only).
     """
     scalar = all(np.ndim(p) == 0 for p in (a, b, c))
     a, b, c = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(p, dtype=complex)) for p in (a, b, c)))
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    # contiguous: numpy's |u| of a strided array rounds differently, and
+    # a route decided by |u| <= |u/(u-1)| at |u| near 1e-16 would flip
+    u = np.ascontiguousarray(u, dtype=complex)
 
     out = np.empty((len(a), len(u)), dtype=complex)
     general = np.ones(len(a), dtype=bool)

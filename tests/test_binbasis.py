@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.integrate import quad, simpson
 
-from csmres import binbasis
+from csmres import binbasis, wavefun
 from csmres.binbasis import (
     _GK_ORDERS,
     BasisState,
@@ -37,6 +37,7 @@ from csmres.binbasis import (
 from csmres.errors import EmptyRange, QuadratureError
 from csmres.model import ModelParams, bin_energy, branch_point_coupling, \
     derived_quantities
+from csmres.specfun import hyp2f1_grid
 from csmres.wavefun import _gamma_coeffs, raw_psi
 
 LN2 = math.log(2.0)
@@ -386,16 +387,23 @@ class TestJostPairWork:
         assert np.max(np.abs(x - plain)) <= np.spacing(40.0)
 
     def psi_work(self, monkeypatch, build):
-        calls = []
+        # k-nodes per raw_psi call, and rows per 2F1 call inside it
+        calls, rows = [], []
 
         def counted(k, s, beta, theta, x):
             calls.append((np.size(k), len(x)))
             return raw_psi(k, s, beta, theta, x)
 
+        def counted_rows(a, b, c, u):
+            rows.append((np.size(a), len(u)))
+            return hyp2f1_grid(a, b, c, u)
+
         monkeypatch.setattr(binbasis, "raw_psi", counted)
+        monkeypatch.setattr(wavefun, "hyp2f1_grid", counted_rows)
         build()
-        assert max(k for k, _ in calls) <= binbasis._K_BLOCK
-        assert {n for _, n in calls} == {4001}
+        assert max(k for k, _ in rows) <= wavefun._K_BLOCK
+        assert {n for _, n in calls + rows} == {4001}
+        assert sum(k for k, _ in rows) == sum(k for k, _ in calls)
         return sum(k for k, _ in calls)
 
     def test_hermitian_bin_evaluates_plus_k_only(self, monkeypatch):

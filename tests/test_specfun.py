@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from csmres.binbasis import spatial_grid
 from csmres.errors import PoleError, PreconditionViolation
 from csmres.specfun import SERIES_RADIUS, complex_gamma, hyp2f1, hyp2f1_grid, \
     reciprocal_gamma
@@ -213,6 +214,34 @@ class TestHyp2f1:
         parts = [hyp2f1_grid(a, b, c, chunk)
                  for chunk in np.array_split(us, [7, 150, 151])]
         assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("theta, k_im", [(0.0, 0.0), (0.4, -0.3)])
+    def test_overlap_shaped_batch_is_independent(self, theta, k_im):
+        # raw_psi's rows for 8 k-nodes on the half grid of an overlap job:
+        # |u| runs from 1/2 to below 1e-16, where a pair stops after two
+        # terms.  Rows, point order and point chunks change no bit
+        t = np.exp(-2.0 * spatial_grid(1.0).y * cmath.exp(1j * theta))
+        u = t / (1.0 + t)
+        assert np.abs(u).max() == 0.5 and np.abs(u).min() < 1e-16
+        rows = [_psi_rows(complex(k, k_im), 1.3)[0]
+                for k in np.linspace(0.6, 1.2, 8)]
+        a, b, c = (np.array(col) for col in zip(*rows))
+        whole = hyp2f1_grid(a, b, c, u)
+        for i, row in enumerate(rows):
+            assert hyp2f1_grid(*row, u).tobytes() == whole[i].tobytes(), i
+        assert hyp2f1_grid(a, b, c, u[::-1]).tobytes() \
+            == whole[:, ::-1].tobytes()
+        parts = [hyp2f1_grid(a, b, c, chunk) for chunk in np.array_split(u, 3)]
+        assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+
+    def test_non_finite_term_raises_at_once(self):
+        # the terms overflow near n = 440; a term that is not finite is
+        # never small, so this must not spin to the 100 000-term cap
+        start = time.perf_counter()
+        with pytest.raises(PreconditionViolation,
+                           match=re.escape("not finite at a = (0.3-1000j)")):
+            hyp2f1_grid(0.3 - 1000j, 1.7 - 1000j, 1.0 - 1000j, [0.79])
+        assert time.perf_counter() - start < 0.5
 
     def test_parameter_rows_match_single_calls(self):
         # one batched call over parameter rows: generic, terminating

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
+from csmres import wavefun
 from csmres.errors import CsmError, DegenerateIndex, NonNormalizable, \
     PreconditionViolation
 from csmres.model import (
@@ -22,7 +23,7 @@ from csmres.model import (
 )
 from csmres.binbasis import product_entry, resonance_state, spatial_grid, \
     unit_diagonal_state
-from csmres.specfun import SERIES_RADIUS, complex_gamma
+from csmres.specfun import SERIES_RADIUS, complex_gamma, hyp2f1_grid
 from csmres.wavefun import (
     RegionLabel,
     _amplitude,
@@ -321,6 +322,34 @@ class TestMirroredRawPsi:
         worst = max(abs(v - psi_oracle(xi, k, s, theta)) / abs(v)
                     for xi, v in zip(x, psi))
         assert -math.log10(worst) >= 12.5
+
+    @pytest.mark.parametrize("theta", (0.06, 0.4, 0.74))
+    @pytest.mark.parametrize("grid", ("linspace", "spatial"))
+    def test_mirrored_points_reuse_their_twins(self, monkeypatch, theta,
+                                               grid):
+        # a mirrored x = -y takes psi(k, y) from the point x = +y; the
+        # x < 0 half alone has no such points and sums psi(k, y) itself
+        x = default_grid(1.0, 20.0, 4097) if grid == "linspace" \
+            else spatial_grid(1.0).x
+        k, s = 1.5 - 0.9j, _index(1.3)
+        summed = []
+
+        def counted(a, b, c, u):
+            summed.append(len(u))
+            return hyp2f1_grid(a, b, c, u)
+
+        monkeypatch.setattr(wavefun, "hyp2f1_grid", counted)
+        whole = raw_psi(k, s, 1.0, theta, x)
+        # the +k sum skips every mirrored point
+        band = np.count_nonzero(
+            (x < 0.0) & (np.abs(1.0 / (1.0 + np.exp(
+                -2.0 * np.abs(x) * cmath.exp(1j * theta)))) <= SERIES_RADIUS))
+        assert summed[0] == np.count_nonzero(x >= 0.0) + band
+        neg = x < 0.0
+        halves = np.empty_like(whole)
+        halves[~neg] = raw_psi(k, s, 1.0, theta, x[~neg])
+        halves[neg] = raw_psi(k, s, 1.0, theta, x[neg])
+        assert whole.tobytes() == halves.tobytes()
 
     def test_zero_k_with_mirrored_points_raises(self):
         # the Jost pair psi(k), psi(-k) is degenerate at k = 0; the band

@@ -11,9 +11,11 @@ checkout).  For each tree a fresh interpreter, with only that SRC on
 and 3 deltas, a 4 x 1024-step loop, a 16 385-point wave function).  It
 also runs ``berry`` alone at three more angles (``BERRY_THETAS``), since
 the bisected boundary crossings that fix the loop's start depend on the
-angle down to the last bits.  Every written file is then compared byte
-for byte.  Prints the first differing byte of each file that differs and
-exits 1 if any does, else exits 0.
+angle down to the last bits, and ``wavefunction`` and ``overlap`` alone
+at the ends of the benchmark's angle ranges (``WAVEFUNCTION_THETAS``,
+``OVERLAP_THETAS``).  Every written file is then compared byte for byte.
+Prints the first differing byte of each file that differs and exits 1 if
+any does, else exits 0.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ BENCH_CONFIG = {
 }
 # Angles of the berry-only cases, spread over (0, pi/4).
 BERRY_THETAS = (0.06, 0.4, 0.74)
+# Angles of the wavefunction-only cases, the ends of the benchmark's scan
+# range: the band of x < 0 points summed in place and the mirrored points
+# differ from theta 0.4.  The k is a Gamow-type one from inside its box.
+WAVEFUNCTION_THETAS = (0.06, 0.74)
+WAVEFUNCTION_K = {"re": 1.5, "im": -0.9}
+# Angles of the overlap-only cases, the ends of the benchmark's range.
+OVERLAP_THETAS = (0.2, 0.6)
 
 
 def berry_config(theta: float) -> dict:
@@ -123,6 +132,14 @@ def main(argv: list) -> int:
         cases = {"bench": (BENCH_CONFIG, COMMANDS)}
         cases.update((f"berry-theta{theta}", (berry_config(theta), ["berry"]))
                      for theta in BERRY_THETAS)
+        for theta in WAVEFUNCTION_THETAS:
+            block = dict(BENCH_CONFIG["wavefunction"], k=WAVEFUNCTION_K)
+            cases[f"wavefunction-theta{theta}"] = (
+                {"theta": theta, "lam": 1.3, "wavefunction": block},
+                ["wavefunction"])
+        cases.update((f"overlap-theta{theta}", (
+            {"theta": theta, "lam": 1.3, "overlap": BENCH_CONFIG["overlap"]},
+            ["overlap"])) for theta in OVERLAP_THETAS)
         for case, (config, commands) in cases.items():
             path = work / f"{case}-config.json"
             path.write_text(json.dumps(config))
