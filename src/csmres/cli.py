@@ -9,17 +9,20 @@ byte-identical files.
 
 Serialization: every number is written with 17 significant digits by
 ``%.17g``, one format per table column (one C-level ``%`` operation over
-the whole column), and the CSV and JSON files of a table are filled from
-that same text, each by one ``%`` template per table.  A JSON file holds
-exactly the bytes of the stdlib's ``json.dump(payload, indent=2,
-sort_keys=True)`` plus a newline, where each number is a string of its
-17-digit text, each complex number an object {"im", "re"}, and labels are
-escaped as ``ensure_ascii`` does.
+the whole column), and the CSV and JSON files of a table are written from
+that same text.  A CSV file joins its rows in blocks of at most
+``_CSV_BLOCK`` rows, each row the comma join of its cells; a JSON file is
+filled by one ``%`` template per table.  A JSON file holds exactly the
+bytes of the stdlib's ``json.dump(payload, indent=2, sort_keys=True)``
+plus a newline, where each number is a string of its 17-digit text, each
+complex number an object {"im", "re"}, and labels are escaped as
+``ensure_ascii`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,12 +52,23 @@ _MAX_COUNT = 2 ** 20
 # limit keeps one default-grid overlap run to about a minute.
 _MAX_BINS = 144
 _MAX_DELTAS = 256
+# CSV rows per write: the text of one block at a time, not of the whole
+# table, so that writing a 16 385-row table adds little to the peak memory
+_CSV_BLOCK = 2048
 
 
 def _texts(values) -> list:
     """The 17-significant-digit text of each real value, from one format."""
     values = np.asarray(values, dtype=float).ravel().tolist()
     return (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+
+
+def _repeated_texts(values) -> list:
+    """``_texts`` of real values that take few distinct bit patterns, each
+    pattern formatted once.  Bits, not values: -0.0 and 0.0 differ."""
+    bits, at = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                         return_inverse=True)
+    return list(map(_texts(bits.view(float)).__getitem__, at.tolist()))
 
 
 def _parts(values) -> dict:
@@ -228,10 +242,12 @@ def _emit(out_dir: str, name: str, fmt: str, columns: dict,
     ``name``.json."""
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("csv", "both"):
-        row = ",".join(["%s"] * len(columns)) + "\n"
+        cells = list(columns.values())
         with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
             fh.write(f"# csmres {name} {_CSV_VERSION}\n{','.join(columns)}\n")
-            fh.write(_fill(row, list(columns.values())))
+            for i in range(0, len(cells[0]), _CSV_BLOCK):
+                rows = zip(*(column[i:i + _CSV_BLOCK] for column in cells))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
     if payload is not None and fmt in ("json", "both"):
         out = []
         _encode(payload, "", out)
@@ -357,14 +373,16 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     trace, verdicts = run_berry_loop(params, spec)
     fit = fit_puiseux(params)
 
-    lam, e_plus, e_minus, factor = map(_parts, (
-        trace.lam, trace.e_plus, trace.e_minus, trace.accumulated))
+    lam, e_plus, e_minus = map(_parts, (trace.lam, trace.e_plus,
+                                        trace.e_minus))
     columns = {
         "phi": _texts(trace.phi), "re_lambda": lam["re"],
         "im_lambda": lam["im"], "re_E_plus": e_plus["re"],
         "im_E_plus": e_plus["im"], "re_E_minus": e_minus["re"],
-        "im_E_minus": e_minus["im"], "region": list(trace.region),
-        "re_factor": factor["re"], "im_factor": factor["im"],
+        "im_E_minus": e_minus["im"], "region": trace.region,
+        # the running factor takes a few values: 1, i, -1, -i, signed zeros
+        "re_factor": _repeated_texts(trace.accumulated.real),
+        "im_factor": _repeated_texts(trace.accumulated.imag),
         "unwrapped_phase": _texts(trace.unwrapped_phase)}
     _emit(out_dir, "berry", fmt, columns,
           {"workflow": "berry", "exponent": fit.exponent, "alpha": fit.alpha,
@@ -401,7 +419,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    ``main`` call: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="csmres",
         description="Resonance, exceptional-point, and Berry-phase toolkit "

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,6 +34,11 @@ from .wavefun import LN4, classification_functional, classify_region
 _N_SCAN = 720
 # log-spaced couplings of the Puiseux fit
 _N_FIT = 25
+# the text of a region label: Enum.value is a Python-level property and
+# Enum.__hash__ a Python function, so reading the member's _value_ is
+# about 5x faster per loop node than .value or a {label: text} lookup
+# (CPython 3.11)
+_REGION_TEXT = attrgetter("_value_")
 
 
 @dataclass(frozen=True)
@@ -239,17 +245,43 @@ def _readout_zeta(params: ModelParams, spec: LoopSpec,
     return zeta
 
 
-def _readout(zeta: complex, k_bp: complex, r: complex,
-             w: complex) -> complex:
-    """Exact asymptotic binned value across the nodes k_bp -+ r.
+def _times(z: complex, a: np.ndarray) -> tuple:
+    """Real and imaginary parts of z * a, rounded as numpy's scalar
+    complex product rounds them; its array product does not."""
+    return z.real * a.real - z.imag * a.imag, z.real * a.imag + z.imag * a.real
 
-    I = (e^{zeta k_up} - e^{zeta k_dn}) / (zeta sqrt(dk)) with the
-    branch-continued root w = sqrt(dk), dk = 2 r; the symmetric node pair
-    makes the bracket flip sign exactly under phi -> phi + 2 pi.
+
+def _exp(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """e^{re + i im} as cmath.exp computes it: math.exp of the real part
+    times math.cos and math.sin of the imaginary part (numpy's exp rounds
+    differently).  The readout's real parts stay near -ln 2 / 2, far from
+    cmath.exp's branch for real parts above about 708."""
+    n, im = len(re), im.tolist()
+    mag = np.fromiter(map(math.exp, re.tolist()), float, n)
+    out = np.empty(n, dtype=complex)
+    out.real = mag * np.fromiter(map(math.cos, im), float, n)
+    out.imag = mag * np.fromiter(map(math.sin, im), float, n)
+    return out
+
+
+def _readouts(zeta: complex, k_bp: complex, rs: np.ndarray,
+              ws: np.ndarray) -> np.ndarray:
+    """Exact asymptotic binned values across the node pairs k_bp -+ r,
+
+        I = (e^{zeta k_up} - e^{zeta k_dn}) / (zeta w),  k_up/dn = k_bp +- r,
+
+    with w = sqrt(dk), dk = 2 r, the branch-continued root of each step;
+    the symmetric node pair makes the bracket flip sign exactly under
+    phi -> phi + 2 pi.  One array pass with the bits of the node-by-node
+    evaluation in Python complex and numpy scalars: the products zeta k
+    and zeta w on real and imaginary parts (``_times``), the exponentials
+    as cmath.exp has them (``_exp``) and the quotient by numpy's complex
+    division, which rounds as its scalar division does.
     """
-    k_dn = k_bp - r
-    k_up = k_bp + r
-    return (cmath.exp(zeta * k_up) - cmath.exp(zeta * k_dn)) / (zeta * w)
+    bracket = _exp(*_times(zeta, k_bp + rs)) - _exp(*_times(zeta, k_bp - rs))
+    scale = np.empty(len(ws), dtype=complex)
+    scale.real, scale.imag = _times(zeta, ws)
+    return bracket / scale
 
 
 def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
@@ -257,17 +289,16 @@ def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
     """Walk the coupling circle from phi0 and read out the binned state.
 
     Returns (phis, lam, rs, read): the step angles, the couplings, the
-    continued roots r = sqrt(lam - lam_bp) and the readout at each step,
-    whose node-spacing root w = sqrt(2 r) is continued along with r.
+    continued roots r = sqrt(lam - lam_bp) and the readout at each step
+    (``_readouts``, all steps in one call), whose node-spacing root
+    w = sqrt(2 r) is continued along with r.
     """
     lam_bp, _, k_bp = branch_point(params)
     phis = phi0 + spec.dphi * np.arange(windings * spec.n_steps + 1)
     lam = lam_bp + spec.radius * np.exp(1j * phis)
     rs = _continued_roots(lam - lam_bp)
     ws = _continued_roots(2.0 * rs)
-    read = np.array([_readout(zeta, k_bp, r, w)
-                     for r, w in zip(rs, ws)])
-    return phis, lam, rs, read
+    return phis, lam, rs, _readouts(zeta, k_bp, rs, ws)
 
 
 def run_berry_loop(params: ModelParams, spec: LoopSpec):
@@ -309,7 +340,7 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
             f"max readout phase jump {np.max(np.abs(jumps)):.3f} > pi/4")
     unwrapped = np.concatenate(([angles[0]], angles[0] + np.cumsum(jumps)))
 
-    regions = tuple(label.value for label in classify_region(params, lam))
+    regions = tuple(map(_REGION_TEXT, classify_region(params, lam)))
 
     # connection factors: the tracked sheet meets the rotated continuum ray
     # where Im(E e^{2 i theta}) changes sign between two step nodes

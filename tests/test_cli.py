@@ -229,6 +229,39 @@ class TestModuleEntryPoint:
         assert done.stdout.startswith("usage: csmres")
 
 
+class TestParserReuse:
+    def test_calls_after_a_parse_error_write_fresh_process_bytes(
+            self, tmp_path, capsys, fresh_python):
+        # main builds its argument parser once per process: a call that
+        # fails parsing, then a csv-only call and a default one write what
+        # the same calls write each in a new interpreter
+        cfg = write_config(tmp_path, {"theta": 0.4, "berry": {
+            "radius_rel": 1e-6, "windings": 1, "n_steps": 64}})
+        calls = (["--format", "xml", "berry"],
+                 ["--config", cfg, "--format", "csv", "berry"],
+                 ["--config", cfg, "berry"])
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(here / "0"), *calls[0]])
+        assert exc.value.code == 2
+        usage = capsys.readouterr().err
+        assert usage.startswith("usage: csmres")
+        for i, argv in enumerate(calls[1:], 1):
+            assert main(["--out", str(here / str(i)), *argv]) == 0
+        assert capsys.readouterr().err == ""
+        for i, argv in enumerate(calls):
+            done = fresh_python("-m", "csmres", "--out", str(fresh / str(i)),
+                                *argv)
+            assert (done.returncode, done.stderr) \
+                == ((2, usage) if i == 0 else (0, ""))
+        written = sorted(p.relative_to(here) for p in here.rglob("*.*"))
+        assert [str(p) for p in written] == [
+            "1/berry.csv", "2/berry.csv", "2/berry.json"]
+        for name in written:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+        assert not (fresh / "0").exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a"

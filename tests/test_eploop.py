@@ -12,13 +12,16 @@ from csmres.eploop import (
     LoopSpec,
     PuiseuxFit,
     _continued_roots,
+    _loop_readout,
+    _readout_zeta,
+    _readouts,
     boundary_crossings,
     case_asymptotic_phase,
     fit_puiseux,
     run_berry_loop,
 )
 from csmres.errors import BranchCollision, PreconditionViolation
-from csmres.model import ModelParams, branch_point_coupling
+from csmres.model import ModelParams, branch_point, branch_point_coupling
 
 TH = math.pi / 6
 LBP = branch_point_coupling(TH)
@@ -59,6 +62,19 @@ def outcome(continue_roots, targets):
         return str(exc)
 
 
+def readout_oracle(zeta, k_bp, r, w):
+    """The readout node by node, as the loop computed it before its array
+    form: r and w numpy scalars, zeta and k_bp Python complex.
+
+    Exact asymptotic binned value across the nodes k_bp -+ r,
+    I = (e^{zeta k_up} - e^{zeta k_dn}) / (zeta sqrt(dk)) with the
+    branch-continued root w = sqrt(dk), dk = 2 r.
+    """
+    k_dn = k_bp - r
+    k_up = k_bp + r
+    return (cmath.exp(zeta * k_up) - cmath.exp(zeta * k_dn)) / (zeta * w)
+
+
 class TestContinuedRoots:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(scale=st.floats(-8.0, 2.0), alpha=st.floats(0.0, 2.0 * math.pi),
@@ -84,6 +100,57 @@ class TestContinuedRoots:
         roots = _continued_roots(targets)
         assert roots.tobytes() == continued_roots_oracle(targets).tobytes()
         assert roots[-2] == -cmath.sqrt(targets[-2])
+
+
+def taylor_half_radius_rel(theta):
+    """Half the largest radius_rel the readout's Taylor-regime bound
+    accepts at unit m, hbar and beta (``berry_config`` of
+    tools/same_outputs.py)."""
+    zeta = abs(10.0 * cmath.exp(1j * theta) - math.log(2.0))
+    return 0.5 * (0.1 / zeta) ** 2 * 8.0 * math.sin(theta) ** 2
+
+
+class TestArrayReadout:
+    """The array readout has the bits of the node-by-node one."""
+
+    # the berry cases of tools/same_outputs.py: the golden config (theta
+    # 0.3, the default 4 x 256 loop), the benchmark config and the three
+    # berry-only angles, of which 0.4 is the benchmark's
+    @pytest.mark.parametrize("theta, radius_rel, n_steps", [
+        (0.3, 1e-5, 256), (0.4, 1e-6, 1024),
+        (0.06, taylor_half_radius_rel(0.06), 1024),
+        (0.74, taylor_half_radius_rel(0.74), 1024)],
+        ids=("golden", "bench", "theta0.06", "theta0.74"))
+    def test_loop_nodes(self, theta, radius_rel, n_steps):
+        p = ModelParams(lam=1.3, theta=theta)
+        spec = LoopSpec(radius=radius_rel * branch_point_coupling(theta),
+                        windings=4, n_steps=n_steps)
+        trace, _ = run_berry_loop(p, spec)
+        zeta = _readout_zeta(p, spec)
+        _, _, rs, read = _loop_readout(p, spec, zeta, trace.phi[0],
+                                       spec.windings)
+        k_bp = branch_point(p)[2]
+        expect = np.array([readout_oracle(zeta, k_bp, r, w) for r, w
+                           in zip(rs, _continued_roots(2.0 * rs))])
+        assert read.tobytes() == expect.tobytes()
+        assert trace.readout.tobytes() == expect.tobytes()
+
+    def test_random_nodes(self):
+        # 20 x 5000 nodes: exponents zeta k with real parts in [-30, 30]
+        # (the loop's stay near -ln 2 / 2) and imaginary parts up to 5e3
+        # (theta 1e-3), |r| from 1e-300 to 0.1 and either sign of w
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            k_bp = complex(rng.uniform(0.3, 500.0), -rng.uniform(0.05, 2.0))
+            zeta = complex(rng.uniform(-30.0, 30.0),
+                           rng.uniform(-5e3, 5e3)) / k_bp
+            rs = 10.0 ** rng.uniform(-300.0, -1.0, 5000) \
+                * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 5000))
+            ws = np.sqrt(2.0 * rs) * rng.choice((-1.0, 1.0), 5000)
+            expect = np.array([readout_oracle(zeta, k_bp, r, w)
+                               for r, w in zip(rs, ws)])
+            assert _readouts(zeta, k_bp, rs, ws).tobytes() \
+                == expect.tobytes()
 
 
 class TestTraceResonance:

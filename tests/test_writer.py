@@ -10,9 +10,12 @@ where golden files would be too large to commit.
 import json
 import math
 
+import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
-from csmres.cli import _Json, _Records, _encode, _escape, _texts, main
+from csmres.cli import _CSV_BLOCK, _Json, _Records, _emit, _encode, \
+    _escape, _repeated_texts, _texts, main
 from csmres.eploop import LoopSpec, fit_puiseux, run_berry_loop
 from csmres.model import ModelParams, branch_point_coupling
 from csmres.wavefun import default_grid, eval_wavefunction
@@ -101,6 +104,14 @@ PAYLOADS = st.dictionaries(st.text(max_size=6), st.recursive(
           -DOUBLE_MAX, math.inf, -math.inf, math.nan, 0.1, 1e16, 123456789.0])
 def test_column_text_is_the_per_cell_format(values):
     assert _texts(values) == [f"{v:.17g}" for v in values]
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(),
+                max_size=40))
+@example([1.0, -0.0, 0.0, -0.0, -1.0, 0.0])
+def test_repeated_text_is_the_per_cell_format(values):
+    # one text per bit pattern, not per value: -0.0 keeps its sign
+    assert _repeated_texts(values) == [f"{v:.17g}" for v in values]
 
 
 @given(PAYLOADS)
@@ -196,3 +207,28 @@ def test_bench_size_berry_loop_matches_the_per_cell_writer(tmp_path):
         "connection_consistency": _jnum(verdicts["connection_consistency"]),
     })
     _assert_same_files(new, old, ("berry.csv", "berry.json"))
+
+
+@pytest.mark.parametrize("n_rows", (0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,
+                                    _CSV_BLOCK + 1, 2 * _CSV_BLOCK))
+def test_csv_blocks_match_the_per_cell_writer(tmp_path, n_rows):
+    columns = {"n": [str(i) for i in range(n_rows)],
+               "x": _texts(np.arange(n_rows) / 7.0), "label": ["A"] * n_rows}
+    _emit(str(tmp_path / "new"), "table", "csv", columns)
+    old = tmp_path / "old"
+    old.mkdir()
+    _write_csv(old / "table.csv", "table", list(columns),
+               zip(*columns.values()))
+    _assert_same_files(tmp_path / "new", old, ("table.csv",))
+
+
+def test_header_only_table_matches_the_per_cell_writer(tmp_path):
+    # no deltas: degeneracy.csv is its two header lines, with no blank row
+    new = _cli(tmp_path, "overlap", {"overlap": {"n_bins": 2, "deltas": []}})
+    old = tmp_path / "old"
+    old.mkdir()
+    _write_csv(old / "degeneracy.csv", "degeneracy",
+               ["delta", "sigma_min", "cond"], [])
+    _assert_same_files(new, old, ("degeneracy.csv",))
+    assert (new / "degeneracy.csv").read_bytes() \
+        == b"# csmres degeneracy v1\ndelta,sigma_min,cond\n"

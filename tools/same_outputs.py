@@ -13,7 +13,9 @@ also runs ``berry`` alone at three more angles (``BERRY_THETAS``), since
 the bisected boundary crossings that fix the loop's start depend on the
 angle down to the last bits, and ``wavefunction`` and ``overlap`` alone
 at the ends of the benchmark's angle ranges (``WAVEFUNCTION_THETAS``,
-``OVERLAP_THETAS``).  Every written file is then compared byte for byte.
+``OVERLAP_THETAS``), and ``overlap`` with no deltas, whose
+``degeneracy.csv`` is a table of no rows (``EMPTY_TABLE_CONFIG``).  Every
+written file is then compared byte for byte.
 Prints the first differing byte of each file that differs and exits 1 if
 any does, else exits 0.
 """
@@ -51,6 +53,8 @@ WAVEFUNCTION_THETAS = (0.06, 0.74)
 WAVEFUNCTION_K = {"re": 1.5, "im": -0.9}
 # Angles of the overlap-only cases, the ends of the benchmark's range.
 OVERLAP_THETAS = (0.2, 0.6)
+# An overlap at golden size with no deltas: a header-only degeneracy table.
+EMPTY_TABLE_CONFIG = {"overlap": {"n_bins": 2, "deltas": []}}
 
 
 def berry_config(theta: float) -> dict:
@@ -140,6 +144,7 @@ def main(argv: list) -> int:
         cases.update((f"overlap-theta{theta}", (
             {"theta": theta, "lam": 1.3, "overlap": BENCH_CONFIG["overlap"]},
             ["overlap"])) for theta in OVERLAP_THETAS)
+        cases["overlap-nodeltas"] = (EMPTY_TABLE_CONFIG, ["overlap"])
         for case, (config, commands) in cases.items():
             path = work / f"{case}-config.json"
             path.write_text(json.dumps(config))
