@@ -40,8 +40,9 @@ _EXPORTS = {
     "binbasis": (
         "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix", "Side",
         "SpatialGrid", "TailTerm", "binned_state", "degeneracy_diagnostics", "ep_ray",
-        "limit_exchange_entries", "overlap_matrix", "product_entry",
-        "real_axis", "resonance_state", "spatial_grid", "unit_diagonal_state",
+        "limit_exchange_entries", "overlap_and_hamiltonian", "overlap_matrix",
+        "product_entry", "real_axis", "resonance_state", "spatial_grid",
+        "unit_diagonal_state",
     ),
     "eploop": (
         "LoopSpec", "LoopTrace", "PuiseuxFit", "boundary_crossings",

@@ -55,7 +55,7 @@ from .errors import EmptyRange, NonNormalizable, QuadratureError
 from .model import ModelParams, bin_energy, branch_point, \
     derived_quantities, resonance_energy
 from .specfun import _SQRT_2PI
-from .wavefun import _amplitude, _gamma_coeffs, raw_psi
+from .wavefun import _amplitude, _gamma_coeffs, _s_factors, raw_psi
 
 _log = logging.getLogger(__name__)
 
@@ -160,44 +160,57 @@ def _n_nodes(term: TailTerm, x_cut: float) -> int:
         + 2 * math.ceil(abs(0.5 * term.rate * (kb - ka) * x_cut))
 
 
-def _cauchy(term: TailTerm, z: np.ndarray, x_cut: float) -> np.ndarray:
+def _cauchy(term: TailTerm, coefs, z: np.ndarray, x_cut: float) -> list:
     """Integral over the segment of phi(k) / (k - z), phi = c(k) e^{rate k X},
-    at each point of z.
+    at each point of z, for each coefficient vector of ``coefs``.
 
-    Gauss-Legendre of order n = ``_n_nodes``.  Where the rule's error on
-    1/(k - z), about rho^-2n for z on the Bernstein ellipse rho, is above
-    rounding, the pole is subtracted: phi(z) times log((kb - z)/(ka - z))
-    minus the rule applied to 1/(k - z) is added, with c(z) interpolated
-    from the nodes (barycentric weights (-1)^j sqrt((1 - t_j^2) w_j)),
-    which is exact for the series of degree below n.
-    On the segment, up to rounding, the integral is the Abel limit of the
-    y-integral: the convergence factor e^{-0 y} moves the pole off the
-    segment and gives PV - i pi sgn Im(rate (kb - ka)) phi(z).
+    ``term`` gives the segment, the rate and the series length; each
+    vector of ``coefs`` holds the Legendre coefficients of one c(k) of that
+    length (``term.coef`` and those of the terms sharing its segment and
+    rate).  Gauss-Legendre of order n = ``_n_nodes``.  Where the rule's
+    error on 1/(k - z), about rho^-2n for z on the Bernstein ellipse rho,
+    is above rounding, the pole is subtracted: phi(z) times
+    log((kb - z)/(ka - z)) minus the rule applied to 1/(k - z) is added,
+    with c(z) interpolated from the nodes (barycentric weights
+    (-1)^j sqrt((1 - t_j^2) w_j)), which is exact for the series of degree
+    below n.  On the segment, up to rounding, the integral is the Abel
+    limit of the y-integral: the convergence factor e^{-0 y} moves the
+    pole off the segment and gives PV - i pi sgn Im(rate (kb - ka)) phi(z).
+    The kernel, the logarithms, the mask of subtracted points and the
+    barycentric denominators are built once; each vector then takes its
+    own matrix-vector products, which have the bits of a call with that
+    vector alone.
     """
     t, w, vander = _rule(_n_nodes(term, x_cut))
     ka, kb = term.seg
     rate = term.rate * x_cut
-    c = vander[:, :len(term.coef)] @ term.coef
-    phi = c * np.exp(rate * 0.5 * (ka + kb + (kb - ka) * t))
+    grow = np.exp(rate * 0.5 * (ka + kb + (kb - ka) * t))
     u = (2.0 * z - ka - kb) / (kb - ka)
     kern = w / (t - u[:, None])
-    out = kern @ phi
     near = len(t) * np.log(np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))) \
         < 18.0
     un, kn = u[near], kern[near]
     log = np.log((un - 1.0) / (un + 1.0))
     on = (np.abs(un.imag) < 1e-9) & (np.abs(un.real) < 1.0)
     log[on] = log[on].real - 1j * math.pi * np.sign((rate * (kb - ka)).imag)
+    log -= kn.sum(axis=1)
     mu = (-1.0) ** np.arange(len(t)) * np.sqrt((1.0 - t * t) / w)
-    phi_z = (kn @ (mu * c)) / (kn @ mu) \
-        * np.exp(rate * 0.5 * (ka + kb + (kb - ka) * un))
-    out[near] += phi_z * (log - kn.sum(axis=1))
+    den = kn @ mu
+    grow_z = np.exp(rate * 0.5 * (ka + kb + (kb - ka) * un))
+    out = []
+    for coef in coefs:
+        c = vander[:, :len(coef)] @ coef
+        vals = kern @ (c * grow)
+        vals[near] += (kn @ (mu * c)) / den * grow_z * log
+        out.append(vals)
     return out
 
 
-def _tail_product(left: TailTerm, right: TailTerm, x_cut: float) -> complex:
-    """Abel-regularized integral over y in [X, inf) of the product of two
-    tail terms.
+def _tail_products(bra: TailTerm, kets, x_cut: float) -> list:
+    """Abel-regularized integrals over y in [X, inf) of the product of the
+    tail term ``bra`` with each tail term of ``kets``, which share their
+    rate and segment (a state's term and the same term of H applied to
+    it).
 
     Every y-integral is -e^{QX}/Q with Q the total rate.  Two point terms
     take it directly.  A point term of rate q times a bin term of rate r
@@ -206,18 +219,26 @@ def _tail_product(left: TailTerm, right: TailTerm, x_cut: float) -> complex:
     Gauss-Legendre where z(k) stays clear of the second segment, and by
     tanh-sinh, which resolves the logarithms of ``_cauchy`` at the ends,
     where z(k) meets an end of it (same or touching bins), of order at
-    least _TANH_SINH_MIN.  Nodes whose z
-    is within rounding of an end of the second segment are dropped.
+    least _TANH_SINH_MIN.  Nodes whose z is within rounding of an end of
+    the second segment are dropped.  The first factor is the one without
+    a segment if there is one, else ``bra``.  The rule, the nodes z and
+    ``_cauchy``'s kernel are shared by the kets; each product keeps the
+    bits of a call with its ket alone.
     """
-    if right.seg is None:
-        left, right = right, left
+    swap = kets[0].seg is None
+    left, right = (kets[0], bra) if swap else (bra, kets[0])
     if right.seg is None:
         q = left.rate + right.rate
-        return -left.coef * right.coef * cmath.exp(q * x_cut) / q
+        return [-ket.coef * bra.coef * cmath.exp(q * x_cut) / q
+                for ket in kets]
+    # the factor with a segment gives the Cauchy integrals, the other one
+    # the amplitudes: one of the two lists has one entry per ket
+    lefts, rights = (kets, [bra.coef]) if swap \
+        else ([bra], [ket.coef for ket in kets])
     ratio = -left.rate / right.rate
     ends = np.array(right.seg)
     if left.seg is None:
-        amp, k = np.array([left.coef]), np.ones(1)
+        amps, k = [np.array([term.coef]) for term in lefts], np.ones(1)
     else:
         ka, kb = left.seg
         meets = np.min(np.abs(np.subtract.outer(ratio * np.array(left.seg),
@@ -225,11 +246,13 @@ def _tail_product(left: TailTerm, right: TailTerm, x_cut: float) -> complex:
         n = _n_nodes(left, x_cut)
         t, w, vander = _rule(max(n, _TANH_SINH_MIN) if meets else n, meets)
         k = 0.5 * (ka + kb + (kb - ka) * t)
-        amp = 0.5 * (kb - ka) * w * (vander[:, :len(left.coef)] @ left.coef)
+        amps = [0.5 * (kb - ka) * w * (vander[:, :len(left.coef)] @ left.coef)]
     z = ratio * k
     keep = np.min(np.abs(z[:, None] - ends), axis=1) > 1e-14 * np.abs(z)
-    return -np.sum(amp[keep] * np.exp(left.rate * k[keep] * x_cut)
-                   * _cauchy(right, z[keep], x_cut)) / right.rate
+    grow = np.exp(left.rate * k[keep] * x_cut)
+    cauchy = _cauchy(right, rights, z[keep], x_cut)
+    return [-np.sum(amp[keep] * grow * cy) / right.rate
+            for amp in amps for cy in cauchy]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +290,9 @@ class BasisState:
     ``right`` is the (ket-side) function, ``left`` its biorthogonal
     partner, which enters every product without further conjugation, and
     ``h`` the Hamiltonian applied to ``right`` (exact: spectral weight for
-    bins, eigenvalue for the resonance).
+    bins, eigenvalue for the resonance).  The tail terms of ``h`` have the
+    rates and segments of those of ``right``, place by place, which
+    ``overlap_and_hamiltonian`` relies on.
     """
 
     name: str
@@ -497,6 +522,7 @@ class _Continuum:
         self.beta = params.beta
         self.channel = bool(channel)
         self.s = derived_quantities(params).s
+        self.s_factors = _s_factors(self.s)
         self.jac = cmath.exp(0.5j * self.theta)
         zp = 1j * cmath.exp(1j * self.theta)
         # rate factors of the plus, minus-reflected and minus-transmitted
@@ -510,11 +536,13 @@ class _Continuum:
             J A (1, R, T) / div,   A = 4^{-ik/2beta},
 
         div = sqrt(2 pi) T (delta) or sqrt(2 pi) (channel), from one
-        gamma-ratio evaluation (R, T) per k.
+        gamma-ratio evaluation (R, T) per k, five gamma evaluations, with
+        the k-free factors of R taken once per instance.
         """
         out = np.empty((3, len(ks)), dtype=complex)
         for j, k in enumerate(ks):
-            refl, trans = _gamma_coeffs(complex(k), self.s, self.beta)
+            refl, trans = _gamma_coeffs(complex(k), self.s, self.beta,
+                                         self.s_factors)
             lead = self.jac * _amplitude(complex(k), self.beta) / _SQRT_2PI
             if not self.channel:
                 lead /= trans
@@ -684,35 +712,69 @@ class OverlapMatrix:
     col_labels: tuple
 
 
+def _products(left: BasisState, kets, space: SpatialGrid) -> list:
+    """c-products of a left state with each ``Side`` of ``kets``: a
+    state's right side, its H side or both.  The kets' tail terms at
+    each place share rate and segment, as a state's two sides do, so
+    ``_tail_products`` takes them together."""
+    bra = left.left
+    tails = [0] * len(kets)
+    for side_l, sides_r in ((bra.plus, [ket.plus for ket in kets]),
+                            (bra.minus, [ket.minus for ket in kets])):
+        for a in side_l:
+            for terms in zip(*sides_r):
+                for i, v in enumerate(_tail_products(a, terms, space.cut)):
+                    tails[i] += v
+    return [complex(space.integral(bra.values * ket.values)) + tail
+            for ket, tail in zip(kets, tails)]
+
+
 def product_entry(left: BasisState, right: BasisState, space: SpatialGrid,
                   apply_h: bool = False) -> complex:
     """c-product of a left state with a right state (or H right state).
 
     Simpson on the grid (``SpatialGrid.integral``) plus the exact products
-    (``_tail_product``) of every pair of tail terms on each side, both cut
-    at |x| = X.
+    (``_tail_products``) of every pair of tail terms on each side, both
+    cut at |x| = X.
     """
-    bra, ket = left.left, right.h if apply_h else right.right
-    interior = complex(space.integral(bra.values * ket.values))
-    tails = sum(_tail_product(a, b, space.cut)
-                for side_l, side_r in ((bra.plus, ket.plus),
-                                       (bra.minus, ket.minus))
-                for a in side_l for b in side_r)
-    return interior + tails
+    return _products(left, (right.h if apply_h else right.right,), space)[0]
+
+
+def _matrices(left_states, right_states, space: SpatialGrid,
+              sides) -> tuple:
+    """One ``OverlapMatrix`` per name in ``sides`` ("right" for the
+    c-products, "h" for the Hamiltonian products), from one pass over the
+    pairs of states (``_products``)."""
+    mats = [np.empty((len(left_states), len(right_states)), dtype=complex)
+            for _ in sides]
+    for i, ls in enumerate(left_states):
+        for j, rs in enumerate(right_states):
+            values = _products(ls, [getattr(rs, side) for side in sides],
+                               space)
+            for mat, value in zip(mats, values):
+                mat[i, j] = value
+    return tuple(OverlapMatrix(
+        matrix=mat,
+        row_labels=tuple(s.name for s in left_states),
+        col_labels=tuple(s.name for s in right_states),
+    ) for mat in mats)
 
 
 def overlap_matrix(left_states, right_states, space: SpatialGrid,
                    apply_h: bool = False) -> OverlapMatrix:
     """Assemble the dense matrix of c-products (or Hamiltonian products)."""
-    mat = np.empty((len(left_states), len(right_states)), dtype=complex)
-    for i, ls in enumerate(left_states):
-        for j, rs in enumerate(right_states):
-            mat[i, j] = product_entry(ls, rs, space, apply_h=apply_h)
-    return OverlapMatrix(
-        matrix=mat,
-        row_labels=tuple(s.name for s in left_states),
-        col_labels=tuple(s.name for s in right_states),
-    )
+    return _matrices(left_states, right_states, space,
+                     ("h" if apply_h else "right",))[0]
+
+
+def overlap_and_hamiltonian(left_states, right_states,
+                            space: SpatialGrid) -> tuple:
+    """The c-product matrix S and the Hamiltonian matrix H of the same
+    states, from one pass over the pairs: the Gauss rule, nodes and Cauchy
+    kernel of each pair of tail terms are built once for both.  Entry for
+    entry they have the bits of ``overlap_matrix`` without and with
+    ``apply_h``."""
+    return _matrices(left_states, right_states, space, ("right", "h"))
 
 
 def unit_diagonal_state(state: BasisState, space: SpatialGrid) -> BasisState:

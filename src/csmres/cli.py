@@ -311,7 +311,7 @@ def _labelled(entries: dict) -> _Records:
 
 def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     from .binbasis import (binned_state, degeneracy_diagnostics,
-                           overlap_matrix, real_axis, spatial_grid)
+                           overlap_and_hamiltonian, real_axis, spatial_grid)
 
     params = _params_from(cfg)
     k_min, k_max, n_bins, deltas = _read_block(
@@ -336,8 +336,7 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     x = spatial_grid(params.beta)
     grid = real_axis(k_min, k_max, n_bins)
     bins = [binned_state(params, grid, j, x) for j in range(n_bins)]
-    s = _entries(overlap_matrix(bins, bins, x))
-    h = _entries(overlap_matrix(bins, bins, x, apply_h=True))
+    s, h = map(_entries, overlap_and_hamiltonian(bins, bins, x))
 
     columns = {"matrix": ["S"] * len(s["re"]) + ["H"] * len(h["re"])}
     columns.update((key, s[key] + h[key]) for key in s)

@@ -27,15 +27,10 @@ import numpy as np
 from .errors import NonConvergence, PreconditionViolation, \
     SingularCoordinate
 from .model import ModelParams, _pole, derived_quantities
-from .specfun import SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
+from .specfun import _K_BLOCK, SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
     reciprocal_gamma
 
 LN4 = 2.0 * math.log(2.0)
-# wavenumbers per batched hyp2f1_grid call of ``raw_psi``.  It bounds the
-# series working set: on the benchmark's overlap workload (2-core Xeon VM,
-# one BLAS thread, 4 alternating runs) blocks of 17 took 5-9% more time
-# than blocks of 8, at 2.4 MB more peak RSS
-_K_BLOCK = 8
 
 
 class RegionLabel(enum.Enum):
@@ -109,10 +104,13 @@ def raw_psi(k, s: complex, beta: float, theta: float,
     near x = 0, where the two terms cancel, off the identity.  Where the
     grid holds x = +y at the reversed index, as a symmetric grid does, the
     mirrored point takes psi(k, y) from there instead of summing it
-    again.  The x-dependent arrays are built once per call; the rows then
-    go through ``hyp2f1_grid`` in blocks of _K_BLOCK wavenumbers, one call
-    per block, plus one at -k for the mirrored points.  A value does not
-    depend on the block, on the other rows or on the other points.
+    again.  The x-dependent arrays are built once per call, and all rows
+    go through one ``hyp2f1_grid`` call, which sums them in blocks of
+    _K_BLOCK over one plan of its points, plus one at -k for the mirrored
+    points.  The prefactor is then formed and multiplied in for _K_BLOCK
+    rows at a time, straight into the result where every point is summed
+    (as on a half grid y >= 0).  A value does not depend on the block, on
+    the other rows or on the other points.
     ``theta`` may be negative (used for biorthogonal partners); the formula
     is the same with x' = x e^{i theta}.
 
@@ -142,31 +140,39 @@ def raw_psi(k, s: complex, beta: float, theta: float,
     twinned, twin = _twins(x, mirror)
     summed = np.ones(len(x), dtype=bool)
     summed[twinned] = False
-    u_sum, log_sum = u[summed], log_pref[summed]
+    log_sum = log_pref[summed]
     # rows of up to _K_BLOCK wavenumbers; a scalar k is one block
     blocks = [...] if k.ndim == 0 else \
         [slice(i, i + _K_BLOCK) for i in range(0, len(k), _K_BLOCK)]
-    psi = np.empty(k.shape + x.shape, dtype=complex)
+    kb = 1j * k / beta
     try:
         if mirror.any():
             # the gamma ratios before the series: they fail faster
+            factors = _s_factors(s)
             refl, trans = np.array(
-                [_mirror_coeffs(kj, s, beta) for kj in map(complex, k.flat)]
+                [_mirror_coeffs(kj, s, beta, factors)
+                 for kj in map(complex, k.flat)]
             ).T.reshape((2,) + k.shape + (1,))
         with np.errstate(over="ignore", invalid="ignore"):
+            f = hyp2f1_grid(-kb - s, -kb + s + 1.0, -kb + 1.0, u[summed])
+            if mirror.any():
+                g = hyp2f1_grid(kb - s, kb + s + 1.0, kb + 1.0, u[mirror])
+            psi = np.empty(k.shape + x.shape, dtype=complex)
+            every = summed.all()
             for rows in blocks:
                 p = -1j * k[rows] / (2.0 * beta)
-                kb = 1j * k[rows] / beta
                 pref = np.exp(np.multiply.outer(p, log_sum))
-                # a named right operand: numpy may evaluate pref * (temporary)
-                # as temporary * pref, which rounds differently
-                f = hyp2f1_grid(-kb - s, -kb + s + 1.0, -kb + 1.0, u_sum)
+                # pref stays the left operand: a complex product rounds
+                # differently with its operands swapped
                 plus = psi[rows]
-                plus[..., summed] = pref * f
+                if every:
+                    np.multiply(pref, f[rows], out=plus)
+                else:
+                    plus[..., summed] = pref * f[rows]
                 if mirror.any():
                     plus[..., twinned] = plus[..., twin]
-                    f = hyp2f1_grid(kb - s, kb + s + 1.0, kb + 1.0, u[mirror])
-                    minus = np.exp(np.multiply.outer(-p, log_pref[mirror])) * f
+                    minus = np.exp(np.multiply.outer(-p, log_pref[mirror])) \
+                        * g[rows]
                     plus[..., mirror] = refl[rows] * plus[..., mirror] \
                         + trans[rows] * minus
     except (OverflowError, PreconditionViolation) as exc:
@@ -200,12 +206,28 @@ def eval_wavefunction(params: ModelParams, k: complex,
     return WaveField(grid=grid, values=values, tail=(q_plus, q_minus))
 
 
-def _gamma_coeffs(k: complex, s: complex, beta: float) -> tuple:
-    """(refl, trans_like) gamma ratios at wavenumber k and index s."""
+def _s_factors(s: complex) -> tuple:
+    """(1/Gamma(1 + s), 1/Gamma(-s)), the factors of the reflection ratio
+    that do not depend on k."""
+    return reciprocal_gamma(1.0 + s), reciprocal_gamma(-s)
+
+
+def _gamma_coeffs(k: complex, s: complex, beta: float,
+                  s_factors: tuple) -> tuple:
+    """(refl, trans_like) gamma ratios at wavenumber k and index s,
+
+        refl = Gamma(1 - ik/beta) Gamma(ik/beta) / (Gamma(1 + s) Gamma(-s)),
+        trans_like = Gamma(1 - ik/beta) Gamma(-ik/beta)
+                     / (Gamma(-ik/beta - s) Gamma(-ik/beta + s + 1)),
+
+    with ``s_factors`` = ``_s_factors(s)``, taken once per s by the
+    caller.  Five gamma evaluations per k; each product is formed left to
+    right in the order written.
+    """
     kb = 1j * k / beta
-    refl = complex_gamma(1.0 - kb) * complex_gamma(kb) \
-        * reciprocal_gamma(1.0 + s) * reciprocal_gamma(-s)
-    trans = complex_gamma(1.0 - kb) * complex_gamma(-kb) \
+    gamma_1mkb = complex_gamma(1.0 - kb)
+    refl = gamma_1mkb * complex_gamma(kb) * s_factors[0] * s_factors[1]
+    trans = gamma_1mkb * complex_gamma(-kb) \
         * reciprocal_gamma(-kb - s) * reciprocal_gamma(-kb + s + 1.0)
     return refl, trans
 
@@ -215,17 +237,18 @@ def _amplitude(k: complex, beta: float) -> complex:
     return cmath.exp(-1j * k * LN4 / (2.0 * beta))
 
 
-def _mirror_coeffs(k: complex, s: complex, beta: float) -> tuple:
+def _mirror_coeffs(k: complex, s: complex, beta: float,
+                   s_factors: tuple) -> tuple:
     """(R, T 4^{-ik/beta}), so that psi(k, -y) = R psi(k, y)
     + T 4^{-ik/beta} psi(-k, y)."""
-    refl, trans = _gamma_coeffs(k, s, beta)
+    refl, trans = _gamma_coeffs(k, s, beta, s_factors)
     return refl, trans * _amplitude(k, beta) ** 2
 
 
 def asymptotic_coefficients(params: ModelParams, k: complex) -> AsymptoticCoefficients:
     """Gamma-ratio coefficients of the asymptotic plane waves."""
-    refl, trans = _gamma_coeffs(complex(k), derived_quantities(params).s,
-                                params.beta)
+    s = derived_quantities(params).s
+    refl, trans = _gamma_coeffs(complex(k), s, params.beta, _s_factors(s))
     return AsymptoticCoefficients(refl=refl, trans_like=trans)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.integrate import quad, simpson
 
-from csmres import binbasis, wavefun
+from csmres import binbasis, specfun, wavefun
 from csmres.binbasis import (
     _GK_ORDERS,
     BasisState,
@@ -22,11 +22,12 @@ from csmres.binbasis import (
     _gk_integral,
     _kronrod_rule,
     _kronrod_series,
-    _tail_product,
+    _tail_products,
     binned_state,
     degeneracy_diagnostics,
     ep_ray,
     limit_exchange_entries,
+    overlap_and_hamiltonian,
     overlap_matrix,
     product_entry,
     real_axis,
@@ -38,7 +39,7 @@ from csmres.errors import EmptyRange, QuadratureError
 from csmres.model import ModelParams, bin_energy, branch_point_coupling, \
     derived_quantities
 from csmres.specfun import hyp2f1_grid
-from csmres.wavefun import _gamma_coeffs, raw_psi
+from csmres.wavefun import _gamma_coeffs, _s_factors, raw_psi
 
 LN2 = math.log(2.0)
 
@@ -59,6 +60,71 @@ def plane_wave_bin(x: np.ndarray, ka: float, kb: float) -> np.ndarray:
         / (1j * xs) / math.sqrt(dk)
     out[small] = math.sqrt(dk)
     return out
+
+
+def cauchy_oracle(term: TailTerm, z: np.ndarray, x_cut: float) -> np.ndarray:
+    """One bin term's Cauchy integrals, built for that term alone: the
+    oracle of ``binbasis._cauchy``, whose kernel is shared by the terms of
+    one segment and rate."""
+    t, w, vander = binbasis._rule(binbasis._n_nodes(term, x_cut))
+    ka, kb = term.seg
+    rate = term.rate * x_cut
+    c = vander[:, :len(term.coef)] @ term.coef
+    phi = c * np.exp(rate * 0.5 * (ka + kb + (kb - ka) * t))
+    u = (2.0 * z - ka - kb) / (kb - ka)
+    kern = w / (t - u[:, None])
+    out = kern @ phi
+    near = len(t) * np.log(np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))) \
+        < 18.0
+    un, kn = u[near], kern[near]
+    log = np.log((un - 1.0) / (un + 1.0))
+    on = (np.abs(un.imag) < 1e-9) & (np.abs(un.real) < 1.0)
+    log[on] = log[on].real - 1j * math.pi * np.sign((rate * (kb - ka)).imag)
+    mu = (-1.0) ** np.arange(len(t)) * np.sqrt((1.0 - t * t) / w)
+    phi_z = (kn @ (mu * c)) / (kn @ mu) \
+        * np.exp(rate * 0.5 * (ka + kb + (kb - ka) * un))
+    out[near] += phi_z * (log - kn.sum(axis=1))
+    return out
+
+
+def tail_product_oracle(left: TailTerm, right: TailTerm,
+                        x_cut: float) -> complex:
+    """The tail product of one pair of terms, the oracle of
+    ``binbasis._tail_products``."""
+    if right.seg is None:
+        left, right = right, left
+    if right.seg is None:
+        q = left.rate + right.rate
+        return -left.coef * right.coef * cmath.exp(q * x_cut) / q
+    ratio = -left.rate / right.rate
+    ends = np.array(right.seg)
+    if left.seg is None:
+        amp, k = np.array([left.coef]), np.ones(1)
+    else:
+        ka, kb = left.seg
+        meets = np.min(np.abs(np.subtract.outer(ratio * np.array(left.seg),
+                                                ends))) < 1e-9 * abs(kb - ka)
+        n = binbasis._n_nodes(left, x_cut)
+        t, w, vander = binbasis._rule(
+            max(n, binbasis._TANH_SINH_MIN) if meets else n, meets)
+        k = 0.5 * (ka + kb + (kb - ka) * t)
+        amp = 0.5 * (kb - ka) * w * (vander[:, :len(left.coef)] @ left.coef)
+    z = ratio * k
+    keep = np.min(np.abs(z[:, None] - ends), axis=1) > 1e-14 * np.abs(z)
+    return -np.sum(amp[keep] * np.exp(left.rate * k[keep] * x_cut)
+                   * cauchy_oracle(right, z[keep], x_cut)) / right.rate
+
+
+def product_entry_oracle(left, right, space, apply_h=False) -> complex:
+    """c-product pair by pair of tail terms, the oracle of the shared
+    kernels of ``product_entry`` and ``overlap_and_hamiltonian``."""
+    bra, ket = left.left, right.h if apply_h else right.right
+    interior = complex(space.integral(bra.values * ket.values))
+    tails = sum(tail_product_oracle(a, b, space.cut)
+                for side_l, side_r in ((bra.plus, ket.plus),
+                                       (bra.minus, ket.minus))
+                for a in side_l for b in side_r)
+    return interior + tails
 
 
 class TestGrids:
@@ -100,7 +166,7 @@ class TestTailIntegral:
         right = TailTerm(coef=-1.1 + 0.4j, rate=-0.3 + 0.2j)
         q = -0.5 + 0.3j
         expect = -left.coef * right.coef * cmath.exp(q * 8.0) / q
-        assert abs(_tail_product(left, right, 8.0) - expect) < 1e-15
+        assert abs(_tail_products(left, (right,), 8.0)[0] - expect) < 1e-15
 
     # a bin term on [1, 1.5] with a 24-term Legendre series; a point term
     # of rate q meets it at z = -q/r: far off the segment, 0.01 off it, or
@@ -137,8 +203,8 @@ class TestTailIntegral:
             integral = complex(*parts)
         expect = -point.coef * cmath.exp(point.rate * x_cut) / self.rate \
             * integral
-        for pair in ((point, bin_term), (bin_term, point)):
-            got = _tail_product(*pair, x_cut)
+        for bra, ket in ((point, bin_term), (bin_term, point)):
+            got = _tail_products(bra, (ket,), x_cut)[0]
             assert abs(got - expect) < 1e-13 * abs(expect)
 
 
@@ -158,6 +224,43 @@ class TestTouchingBins:
         monkeypatch.setattr(binbasis, "_TANH_SINH_MIN", 80)
         fine = [product_entry(bins[i], bins[j], x) for i, j in pairs]
         assert max(abs(a - b) for a, b in zip(got, fine)) < 1e-13
+
+
+class TestSharedKernels:
+    """S and H from the Cauchy kernels shared by a state's right and H
+    sides, against the pair-by-pair products, bit for bit."""
+
+    @staticmethod
+    def assert_bits(states, space):
+        s_mat, h_mat = overlap_and_hamiltonian(states, states, space)
+        for mat, apply_h in ((s_mat, False), (h_mat, True)):
+            expect = np.array([[product_entry_oracle(a, b, space, apply_h)
+                                for b in states] for a in states])
+            assert mat.matrix.tobytes() == expect.tobytes()
+            assert overlap_matrix(states, states, space, apply_h).matrix \
+                .tobytes() == expect.tobytes()
+            assert mat.row_labels == mat.col_labels \
+                == tuple(st.name for st in states)
+
+    def test_golden_real_axis_bins(self):
+        # the golden config's overlap: theta 0.3, lam 1, two bins on
+        # [0.5, 3.5]
+        p = ModelParams(lam=1.0, theta=0.3)
+        space = spatial_grid(1.0)
+        grid = real_axis(0.5, 3.5, 2)
+        self.assert_bits([binned_state(p, grid, j, space) for j in range(2)],
+                         space)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+    def test_resonance_and_ep_ray_bins(self, delta):
+        # point x point, point x bin both ways, and bin x bin on the same
+        # and on touching segments
+        th = 0.3
+        p = ModelParams(lam=1.0, theta=th)
+        space = spatial_grid(1.0)
+        res, bins = binbasis._ep_states(
+            p, branch_point_coupling(th) + delta, space)
+        self.assert_bits([res] + bins, space)
 
 
 def _legendre_coeffs(n):
@@ -317,7 +420,8 @@ class TestBinQuadrature:
         s = derived_quantities(p).s
 
         def phi(ks):
-            trans = np.array([_gamma_coeffs(k, s, 1.0)[1] for k in ks])
+            trans = np.array([_gamma_coeffs(k, s, 1.0, _s_factors(s))[1]
+                              for k in ks])
             return raw_psi(ks, s, 1.0, 0.0, self.x) \
                 / (math.sqrt(2.0 * math.pi) * trans[:, None])
 
@@ -398,12 +502,19 @@ class TestJostPairWork:
             rows.append((np.size(a), len(u)))
             return hyp2f1_grid(a, b, c, u)
 
+        def counted_block(a, b, c, x, at):
+            blocks.append(len(a))
+            return series_sum(a, b, c, x, at)
+
+        blocks, series_sum = [], specfun._series_sum
         monkeypatch.setattr(binbasis, "raw_psi", counted)
         monkeypatch.setattr(wavefun, "hyp2f1_grid", counted_rows)
+        monkeypatch.setattr(specfun, "_series_sum", counted_block)
         build()
-        assert max(k for k, _ in rows) <= wavefun._K_BLOCK
-        assert {n for _, n in calls + rows} == {4001}
-        assert sum(k for k, _ in rows) == sum(k for k, _ in calls)
+        # one 2F1 call per raw_psi call, its rows summed in blocks
+        assert rows == calls
+        assert max(blocks) == specfun._K_BLOCK
+        assert {n for _, n in calls} == {4001}
         return sum(k for k, _ in calls)
 
     def test_hermitian_bin_evaluates_plus_k_only(self, monkeypatch):

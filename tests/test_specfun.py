@@ -8,6 +8,7 @@ import cmath
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -270,12 +271,52 @@ class TestHyp2f1:
             hyp2f1_grid(np.array([0.5, 0.5]), np.array([1.5, 1.5]),
                         np.array([1.2 + 0.3j, -2.0]), us)
 
+    @pytest.mark.parametrize("n_rows, terminating", [(33, True), (34, False)])
+    def test_row_blocks_match_one_row_calls(self, n_rows, terminating):
+        # raw_psi's rows at k and -k on the overlap half grid at theta 0.4,
+        # where the points take both routes, summed in blocks of 8 over one
+        # plan; a terminating row (a = -2) leaves the others unaligned
+        t = np.exp(-2.0 * spatial_grid(1.0).y * cmath.exp(0.4j))
+        u = t / (1.0 + t)
+        direct = np.abs(u) <= np.abs(u / (u - 1.0))
+        assert direct.any() and not direct.all()
+        rows = [row for k in np.linspace(0.6, 3.2, 17)
+                for row in _psi_rows(complex(k, -0.1), 1.3)][:n_rows]
+        if terminating:
+            rows[5] = (-2.0, 0.6 + 1.2j, 1.4 - 0.3j)
+        a, b, c = (np.array(col) for col in zip(*rows))
+        whole = hyp2f1_grid(a, b, c, u)
+        for i, row in enumerate(rows):
+            assert hyp2f1_grid(*row, u).tobytes() == whole[i].tobytes(), i
+
     def test_c_pole_raises_unless_terminating(self):
         with pytest.raises(PoleError):
             hyp2f1(0.5, 1.5, -2.0, 0.3)
         # terminates at degree 1 before the c = -2 pole matters
         got = hyp2f1(-1.0, 1.5, -2.0, 0.3)
         assert abs(got - (1.0 - 1.5 / -2.0 * 0.3)) < 1e-14
+
+
+@pytest.mark.parametrize("fun, args, name", [
+    (complex_gamma, (complex(math.nan, 1.0),), "z"),
+    (complex_gamma, (math.inf,), "z"),
+    (reciprocal_gamma, (math.inf,), "z"),
+    (reciprocal_gamma, (complex(0.5, -math.inf),), "z"),
+    (hyp2f1, (math.nan, 1.0, 2.0, 0.3), "a"),
+    (hyp2f1, (0.5, math.inf, 2.0, 0.3), "b"),
+    (hyp2f1, (0.5, 1.0, complex(2.0, math.nan), 0.3), "c"),
+    (hyp2f1, (0.5, 1.0, 2.0, math.nan), "u"),
+    (hyp2f1_grid, (0.5, 1.0, 2.0, np.array([0.3, complex(math.inf, 0.0)])),
+     "u"),
+])
+def test_non_finite_argument_raises_typed_error(fun, args, name):
+    # refused before the pole check's round() and before any division,
+    # with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolation,
+                           match=rf"argument {name} = .* is not finite"):
+            fun(*args)
 
 
 def _psi_rows(k: complex, lam: float) -> list:

@@ -23,11 +23,13 @@ from csmres.model import (
 )
 from csmres.binbasis import product_entry, resonance_state, spatial_grid, \
     unit_diagonal_state
-from csmres.specfun import SERIES_RADIUS, complex_gamma, hyp2f1_grid
+from csmres.specfun import SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
+    reciprocal_gamma
 from csmres.wavefun import (
     RegionLabel,
     _amplitude,
     _gamma_coeffs,
+    _s_factors,
     asymptotic_coefficients,
     classification_functional,
     classify_region,
@@ -39,6 +41,18 @@ from csmres.wavefun import (
 )
 
 SQRT7 = math.sqrt(7.0)
+
+
+def gamma_coeffs_oracle(k: complex, s: complex, beta: float) -> tuple:
+    """(refl, trans_like) from eight gamma evaluations per k, each product
+    left to right: the oracle of ``_gamma_coeffs``, which evaluates
+    Gamma(1 - ik/beta) once and takes the k-free factors from its caller."""
+    kb = 1j * k / beta
+    refl = complex_gamma(1.0 - kb) * complex_gamma(kb) \
+        * reciprocal_gamma(1.0 + s) * reciprocal_gamma(-s)
+    trans = complex_gamma(1.0 - kb) * complex_gamma(-kb) \
+        * reciprocal_gamma(-kb - s) * reciprocal_gamma(-kb + s + 1.0)
+    return refl, trans
 
 
 def asymptotic_values(params, k, x):
@@ -244,7 +258,7 @@ class TestJostPairIdentities:
             _, _, k_bp = branch_point(ModelParams(lam=lam, theta=theta))
             k = k_bp + alpha * cmath.sqrt(offset * cmath.exp(1j * phase))
         y = self.x[self.x >= 0.0]
-        refl, trans = _gamma_coeffs(k, s, 1.0)
+        refl, trans = _gamma_coeffs(k, s, 1.0, _s_factors(s))
         pair = raw_psi(np.array([k, -k]), s, 1.0, theta, y)
         mirror = raw_psi(k, s, 1.0, theta, -y)
         got = refl * pair[0] + trans * _amplitude(k, 1.0) ** 2 * pair[1]
@@ -359,6 +373,51 @@ class TestMirroredRawPsi:
             raw_psi(0.0, s, 1.0, 0.3, default_grid(1.0))
         near = raw_psi(0.0, s, 1.0, 0.3, np.linspace(-0.5, 0.5, 11))
         assert np.isfinite(near).all()
+
+
+class TestGammaFactors:
+    """``_gamma_coeffs`` with shared factors against the eight-call form."""
+
+    def test_bits_of_the_eight_call_form(self):
+        # real and Gamow-type k, both signs of Im k, and s of real lam on
+        # either side of 1/8 and of complex lam
+        rng = np.random.default_rng(41)
+        lams = (0.05, 0.6, 1.3, 2.0 + 0.3j, 0.4 - 0.05j)
+        beta = (1.0, 0.7)
+        n = 0
+        for lam in lams:
+            s = _index(lam)
+            factors = _s_factors(s)
+            for b in beta:
+                ks = rng.uniform(0.05, 5.0, 1000) \
+                    + 1j * rng.uniform(-1.5, 0.5, 1000)
+                ks[:200] = ks[:200].real
+                for k in map(complex, ks):
+                    assert _gamma_coeffs(k, s, b, factors) \
+                        == gamma_coeffs_oracle(k, s, b), (k, s, b)
+                    n += 1
+        assert n >= 10_000
+
+    def test_five_gamma_evaluations_per_k(self, monkeypatch):
+        calls = []
+
+        def counted(name, fun):
+            def call(z):
+                calls.append(name)
+                return fun(z)
+            return call
+
+        for name in ("complex_gamma", "reciprocal_gamma"):
+            monkeypatch.setattr(wavefun, name,
+                                counted(name, getattr(wavefun, name)))
+        s = _index(1.3)
+        factors = _s_factors(s)
+        assert calls == ["reciprocal_gamma"] * 2
+        calls.clear()
+        for k in np.linspace(0.5, 3.5, 17):
+            _gamma_coeffs(complex(k), s, 1.0, factors)
+        assert calls.count("complex_gamma") == 3 * 17
+        assert calls.count("reciprocal_gamma") == 2 * 17
 
 
 class TestRawPsiRange:
