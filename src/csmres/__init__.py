@@ -32,17 +32,15 @@ _EXPORTS = {
     ),
     "specfun": ("complex_gamma", "hyp2f1", "hyp2f1_grid", "reciprocal_gamma"),
     "wavefun": (
-        "AsymptoticCoefficients", "RegionLabel", "WaveField",
-        "asymptotic_coefficients", "classification_functional",
+        "RegionLabel", "WaveField", "classification_functional",
         "classify_region", "default_grid", "eval_wavefunction",
         "find_resonance_k", "raw_psi", "siegert_residual",
     ),
     "binbasis": (
         "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix", "Side",
-        "SpatialGrid", "TailTerm", "binned_state", "degeneracy_diagnostics", "ep_ray",
-        "limit_exchange_entries", "overlap_and_hamiltonian", "overlap_matrix",
-        "product_entry", "real_axis", "resonance_state", "spatial_grid",
-        "unit_diagonal_state",
+        "SpatialGrid", "TailTerm", "binned_state", "degeneracy_diagnostics",
+        "ep_ray", "limit_exchange_entries", "overlap_matrix", "product_entry",
+        "real_axis", "resonance_state", "spatial_grid", "unit_diagonal_state",
     ),
     "eploop": (
         "LoopSpec", "LoopTrace", "PuiseuxFit", "boundary_crossings",

@@ -108,10 +108,20 @@ def real_axis(k_min: float, k_max: float, n_bins: int) -> BinGrid:
 def ep_ray(params: ModelParams) -> BinGrid:
     """EP-adapted partition: the two bins between the nodes
     k_bp + alpha' sqrt(lam - lam_bp), alpha' = -1, 0, 1, with lam the
-    coupling of ``params``."""
+    coupling of ``params``.
+
+    Raises
+    ------
+    EmptyRange
+        If the nodes coincide in floating point, as they do where lam
+        rounds to lam_bp: the bins would have zero width.
+    """
     lam_bp, _, k_bp = branch_point(params)
     root = cmath.sqrt(complex(params.lam) - lam_bp)
     nodes = k_bp + np.array([-1.0, 0.0, 1.0]) * root
+    if np.any(nodes[1:] == nodes[:-1]):
+        raise EmptyRange(f"EP-ray bins at lam = {params.lam} have zero width "
+                         f"(lam - lam_bp = {complex(params.lam) - lam_bp})")
     return BinGrid(nodes=nodes.astype(complex), hermitian=False)
 
 
@@ -292,7 +302,7 @@ class BasisState:
     ``h`` the Hamiltonian applied to ``right`` (exact: spectral weight for
     bins, eigenvalue for the resonance).  The tail terms of ``h`` have the
     rates and segments of those of ``right``, place by place, which
-    ``overlap_and_hamiltonian`` relies on.
+    ``overlap_matrix`` relies on.
     """
 
     name: str
@@ -705,17 +715,20 @@ def resonance_state(params: ModelParams, space: SpatialGrid) -> BasisState:
 
 @dataclass(frozen=True)
 class OverlapMatrix:
-    """Dense product matrix with row (left) and column (right) labels."""
+    """The dense c-product matrix S (``matrix``) and Hamiltonian matrix H
+    (``hamiltonian``) of the same states, with row (left) and column
+    (right) labels."""
 
     matrix: np.ndarray
+    hamiltonian: np.ndarray
     row_labels: tuple
     col_labels: tuple
 
 
 def _products(left: BasisState, kets, space: SpatialGrid) -> list:
     """c-products of a left state with each ``Side`` of ``kets``: a
-    state's right side, its H side or both.  The kets' tail terms at
-    each place share rate and segment, as a state's two sides do, so
+    state's right side, or its right and H sides.  The kets' tail terms
+    at each place share rate and segment, as a state's two sides do, so
     ``_tail_products`` takes them together."""
     bra = left.left
     tails = [0] * len(kets)
@@ -729,52 +742,32 @@ def _products(left: BasisState, kets, space: SpatialGrid) -> list:
             for ket, tail in zip(kets, tails)]
 
 
-def product_entry(left: BasisState, right: BasisState, space: SpatialGrid,
-                  apply_h: bool = False) -> complex:
-    """c-product of a left state with a right state (or H right state).
+def product_entry(left: BasisState, right: BasisState,
+                  space: SpatialGrid) -> complex:
+    """c-product of a left state with a right state.
 
     Simpson on the grid (``SpatialGrid.integral``) plus the exact products
     (``_tail_products``) of every pair of tail terms on each side, both
-    cut at |x| = X.
+    cut at |x| = X.  It has the bits of the S entry of ``overlap_matrix``.
     """
-    return _products(left, (right.h if apply_h else right.right,), space)[0]
+    return _products(left, (right.right,), space)[0]
 
 
-def _matrices(left_states, right_states, space: SpatialGrid,
-              sides) -> tuple:
-    """One ``OverlapMatrix`` per name in ``sides`` ("right" for the
-    c-products, "h" for the Hamiltonian products), from one pass over the
-    pairs of states (``_products``)."""
-    mats = [np.empty((len(left_states), len(right_states)), dtype=complex)
-            for _ in sides]
+def overlap_matrix(left_states, right_states,
+                   space: SpatialGrid) -> OverlapMatrix:
+    """The c-product matrix S and the Hamiltonian matrix H of the states,
+    from one pass over the pairs: one ``_products`` call per pair takes a
+    right state and H applied to it together, so the Gauss rule, nodes
+    and Cauchy kernel of each pair of tail terms are built once for both.
+    Entry for entry S has the bits of ``product_entry``."""
+    shape = (len(left_states), len(right_states))
+    s, h = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for i, ls in enumerate(left_states):
         for j, rs in enumerate(right_states):
-            values = _products(ls, [getattr(rs, side) for side in sides],
-                               space)
-            for mat, value in zip(mats, values):
-                mat[i, j] = value
-    return tuple(OverlapMatrix(
-        matrix=mat,
-        row_labels=tuple(s.name for s in left_states),
-        col_labels=tuple(s.name for s in right_states),
-    ) for mat in mats)
-
-
-def overlap_matrix(left_states, right_states, space: SpatialGrid,
-                   apply_h: bool = False) -> OverlapMatrix:
-    """Assemble the dense matrix of c-products (or Hamiltonian products)."""
-    return _matrices(left_states, right_states, space,
-                     ("h" if apply_h else "right",))[0]
-
-
-def overlap_and_hamiltonian(left_states, right_states,
-                            space: SpatialGrid) -> tuple:
-    """The c-product matrix S and the Hamiltonian matrix H of the same
-    states, from one pass over the pairs: the Gauss rule, nodes and Cauchy
-    kernel of each pair of tail terms are built once for both.  Entry for
-    entry they have the bits of ``overlap_matrix`` without and with
-    ``apply_h``."""
-    return _matrices(left_states, right_states, space, ("right", "h"))
+            s[i, j], h[i, j] = _products(ls, (rs.right, rs.h), space)
+    return OverlapMatrix(matrix=s, hamiltonian=h,
+                         row_labels=tuple(st.name for st in left_states),
+                         col_labels=tuple(st.name for st in right_states))
 
 
 def unit_diagonal_state(state: BasisState, space: SpatialGrid) -> BasisState:
@@ -826,8 +819,9 @@ def degeneracy_diagnostics(params: ModelParams, lam_seq):
     c-orthogonal to the resonance, so sigma_min is |(psi|psi)|, the
     c-norm of the L2-normalized resonance, which is its phase rigidity
     |(psi|psi)| / <psi|psi>; at theta 0.3 and 1e-4 <= lam - lam_bp
-    <= 1e-1 the two agree to 2e-16 relative.  The states live on
-    ``spatial_grid(params.beta)``.
+    <= 1e-1 the two agree to 2e-16 relative.  Each point's ``matrix``
+    also holds the Hamiltonian matrix of the states, from the same pass.
+    The states live on ``spatial_grid(params.beta)``.
     """
     space = spatial_grid(params.beta)
     out = []

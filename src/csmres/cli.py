@@ -296,11 +296,12 @@ def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
           {"workflow": "regions", "curves": _Records(columns)})
 
 
-def _entries(om) -> dict:
-    """Row-major columns row, col, re and im of a labelled matrix."""
-    n_rows, n_cols = om.matrix.shape
+def _entries(om, matrix) -> dict:
+    """Row-major columns row, col, re and im of ``matrix``, one of the
+    matrices of ``om``, with its labels."""
+    n_rows, n_cols = matrix.shape
     return {"row": [label for label in om.row_labels for _ in range(n_cols)],
-            "col": list(om.col_labels) * n_rows, **_parts(om.matrix)}
+            "col": list(om.col_labels) * n_rows, **_parts(matrix)}
 
 
 def _labelled(entries: dict) -> _Records:
@@ -311,7 +312,7 @@ def _labelled(entries: dict) -> _Records:
 
 def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     from .binbasis import (binned_state, degeneracy_diagnostics,
-                           overlap_and_hamiltonian, real_axis, spatial_grid)
+                           overlap_matrix, real_axis, spatial_grid)
 
     params = _params_from(cfg)
     k_min, k_max, n_bins, deltas = _read_block(
@@ -336,7 +337,8 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     x = spatial_grid(params.beta)
     grid = real_axis(k_min, k_max, n_bins)
     bins = [binned_state(params, grid, j, x) for j in range(n_bins)]
-    s, h = map(_entries, overlap_and_hamiltonian(bins, bins, x))
+    om = overlap_matrix(bins, bins, x)
+    s, h = (_entries(om, m) for m in (om.matrix, om.hamiltonian))
 
     columns = {"matrix": ["S"] * len(s["re"]) + ["H"] * len(h["re"])}
     columns.update((key, s[key] + h[key]) for key in s)

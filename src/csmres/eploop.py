@@ -209,15 +209,17 @@ def boundary_crossings(params: ModelParams, radius: float) -> list:
             for i in np.flatnonzero(negative[:-1] != negative[1:])]
 
 
-def _start_phase(params: ModelParams, spec: LoopSpec, crossings) -> float:
+def _start_phase(params: ModelParams, spec: LoopSpec) -> float:
     """``spec.start_phase``, else the crossing on the near-origin side.
 
-    That is the boundary crossing in ``crossings`` where |E_0| < |E_bp|.
+    That is the boundary crossing of the loop's circle
+    (``boundary_crossings``, scanned only when no start phase is given)
+    where |E_0| < |E_bp|.
     """
     if spec.start_phase is not None:
         return spec.start_phase
     lam_bp, e_bp, _ = branch_point(params)
-    for phi in crossings:
+    for phi in boundary_crossings(params, spec.radius):
         lam = lam_bp + spec.radius * cmath.exp(1j * phi)
         if abs(resonance_energy(params.with_lam(lam), 0).energy) < abs(e_bp):
             return phi
@@ -326,9 +328,7 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     zeta = _readout_zeta(params, spec)
     _, e_bp, k_bp = branch_point(params)
     alpha_e = _sheet_slope(params, k_bp)
-    # geometric A/B crossings of the coupling circle, for the default start
-    crossings = boundary_crossings(params, spec.radius)
-    phi0 = _start_phase(params, spec, crossings)
+    phi0 = _start_phase(params, spec)
     phis, lam, rs, read = _loop_readout(params, spec, zeta, phi0,
                                         spec.windings)
 
@@ -389,8 +389,6 @@ def case_asymptotic_phase(direction: int, params: ModelParams,
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     zeta = _readout_zeta(params, spec, direction)
-    crossings = [] if spec.start_phase is not None \
-        else boundary_crossings(params, spec.radius)
-    phi0 = _start_phase(params, spec, crossings)
+    phi0 = _start_phase(params, spec)
     read = _loop_readout(params, spec, zeta, phi0, 1)[3]
     return complex(read[spec.n_steps] / read[0])

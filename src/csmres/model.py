@@ -29,9 +29,10 @@ class ModelParams:
     Parameters
     ----------
     m, hbar, beta : float
-        Mass, action quantum, inverse length scale; all positive.  The
-        default configuration is the dimensionless convention
-        m = hbar = beta = 1.
+        Mass, action quantum, inverse length scale; all positive, with
+        beta^2, hbar^2, (beta hbar)^2 and beta^2 hbar^2 / (8 m) positive
+        finite floats (``ValueError`` otherwise).  The default
+        configuration is the dimensionless convention m = hbar = beta = 1.
     lam : complex
         Coupling strength (energy units); complex values are accepted
         everywhere for analytic continuation.
@@ -50,6 +51,17 @@ class ModelParams:
             if not getattr(self, name) > 0:
                 raise ValueError(
                     f"{name} = {getattr(self, name)} must be positive")
+        # the closed forms divide by these: each must be a positive float
+        b, h = float(self.beta), float(self.hbar)
+        for name, value in (("beta^2", b * b), ("hbar^2", h * h),
+                            ("(beta hbar)^2", (b * h) * (b * h)),
+                            ("beta^2 hbar^2 / (8 m)",
+                             b * b * (h * h) / (8.0 * self.m))):
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"units m = {self.m}, hbar = {self.hbar}, beta = "
+                    f"{self.beta} give {name} = {value}, outside the float "
+                    "range")
         if not (0.0 < self.theta < math.pi / 4):
             raise ValueError(f"theta = {self.theta} outside (0, pi/4)")
 

@@ -8,11 +8,14 @@ The scattering solution along the rotated coordinate x' = x e^{i theta} is
 
 with s the potential index from `model`.  This module evaluates it on real-x
 grids, at x < 0 away from the origin through the mirror identity of the even
-barrier (the u-image there spirals around u = 1), provides the asymptotic
-plane-wave coefficients, the Siegert residual and its Newton root-finder,
-and the convergent/divergent region classification.  The c-products of
-these functions, Simpson quadrature on the grid plus exact tails, are
-formed in ``binbasis`` (``SpatialGrid``, ``product_entry``).
+barrier (the u-image there spirals around u = 1), gives the gamma-ratio
+coefficients of the asymptotic plane waves (``_gamma_coeffs``), the
+Siegert residual and its Newton root-finder, and the convergent/divergent
+region classification.  The c-products of these functions, Simpson
+quadrature on the grid plus exact tails, are formed in ``binbasis``:
+``overlap_matrix`` gives the c-product matrix S and the Hamiltonian
+matrix H of a set of states from one pass, ``product_entry`` one entry
+of S.
 """
 
 from __future__ import annotations
@@ -50,19 +53,6 @@ class WaveField:
     grid: np.ndarray
     values: np.ndarray
     tail: tuple
-
-
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """Plane-wave coefficients of the asymptotic forms.
-
-    At x -> +inf the solution tends to 4^{-ik/2beta} e^{ikx'}; at x -> -inf
-    to 4^{-ik/2beta} [refl * e^{-ikx'} + trans_like * e^{ikx'}].  The zeros
-    of ``trans_like`` in k are the Siegert (purely outgoing) wavenumbers.
-    """
-
-    refl: complex
-    trans_like: complex
 
 
 def default_grid(beta: float = 1.0, x_max: float | None = None,
@@ -196,10 +186,11 @@ def eval_wavefunction(params: ModelParams, k: complex,
     grid = np.asarray(grid, dtype=float)
     dq = derived_quantities(params)
     values = raw_psi(k, dq.s, params.beta, params.theta, grid)
-    coeffs = asymptotic_coefficients(params, k)
+    refl, trans = _gamma_coeffs(complex(k), dq.s, params.beta,
+                                _s_factors(dq.s))
     phase = cmath.exp(1j * params.theta)
     q_plus = 1j * k * phase
-    if abs(coeffs.trans_like) <= 1e-12 * (1.0 + abs(coeffs.refl)):
+    if abs(trans) <= 1e-12 * (1.0 + abs(refl)):
         q_minus = -1j * k * phase
     else:
         q_minus = 1j * k * phase
@@ -245,16 +236,11 @@ def _mirror_coeffs(k: complex, s: complex, beta: float,
     return refl, trans * _amplitude(k, beta) ** 2
 
 
-def asymptotic_coefficients(params: ModelParams, k: complex) -> AsymptoticCoefficients:
-    """Gamma-ratio coefficients of the asymptotic plane waves."""
-    s = derived_quantities(params).s
-    refl, trans = _gamma_coeffs(complex(k), s, params.beta, _s_factors(s))
-    return AsymptoticCoefficients(refl=refl, trans_like=trans)
-
-
 def siegert_residual(params: ModelParams, k: complex) -> complex:
-    """Residual whose zeros in k are the purely outgoing wavenumbers."""
-    return asymptotic_coefficients(params, k).trans_like
+    """Residual whose zeros in k are the purely outgoing wavenumbers: the
+    transmitted-like gamma ratio of ``_gamma_coeffs``."""
+    s = derived_quantities(params).s
+    return _gamma_coeffs(complex(k), s, params.beta, _s_factors(s))[1]
 
 
 def find_resonance_k(params: ModelParams, k0: complex) -> complex:

@@ -86,8 +86,8 @@ class TestAcceptance3BinIdentity:
         x = spatial_grid(p.beta)
         grid = real_axis(0.5, 3.5, 6)
         bins = [binned_state(p, grid, j, x) for j in range(6)]
-        s = overlap_matrix(bins, bins, x).matrix
-        h = overlap_matrix(bins, bins, x, apply_h=True).matrix
+        om = overlap_matrix(bins, bins, x)
+        s, h = om.matrix, om.hamiltonian
         eps = np.array([b.energy for b in bins])
         s_err = float(np.max(np.abs(s - np.eye(6))))
         h_err = float(np.max(np.abs(h - np.diag(eps))))

@@ -27,7 +27,6 @@ from csmres.binbasis import (
     degeneracy_diagnostics,
     ep_ray,
     limit_exchange_entries,
-    overlap_and_hamiltonian,
     overlap_matrix,
     product_entry,
     real_axis,
@@ -117,7 +116,8 @@ def tail_product_oracle(left: TailTerm, right: TailTerm,
 
 def product_entry_oracle(left, right, space, apply_h=False) -> complex:
     """c-product pair by pair of tail terms, the oracle of the shared
-    kernels of ``product_entry`` and ``overlap_and_hamiltonian``."""
+    kernels of ``product_entry`` and ``overlap_matrix``: with ``apply_h``
+    the product with H applied to the right state."""
     bra, ket = left.left, right.h if apply_h else right.right
     interior = complex(space.integral(bra.values * ket.values))
     tails = sum(tail_product_oracle(a, b, space.cut)
@@ -151,6 +151,17 @@ class TestGrids:
         step = 1e-2 * cmath.exp(1j * math.pi / 6)
         for n, a in enumerate((-1.0, 0.0, 1.0)):
             assert abs(grid.nodes[n] - (k_bp + a * step)) < 1e-14
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-17])
+    def test_ep_ray_of_zero_width_raises(self, delta):
+        # at theta 0.3 lam_bp + 1e-17 rounds to lam_bp: the three nodes
+        # coincide, and the bin energies would divide by zero
+        th = 0.3
+        p = ModelParams(lam=branch_point_coupling(th) + delta, theta=th)
+        with pytest.raises(EmptyRange, match="zero width"):
+            ep_ray(p)
+        with pytest.raises(EmptyRange):
+            degeneracy_diagnostics(p, [p.lam])
 
     def test_grid_and_state_fields(self):
         # the coupling lives in ModelParams only; every state has all sides
@@ -232,15 +243,16 @@ class TestSharedKernels:
 
     @staticmethod
     def assert_bits(states, space):
-        s_mat, h_mat = overlap_and_hamiltonian(states, states, space)
-        for mat, apply_h in ((s_mat, False), (h_mat, True)):
+        om = overlap_matrix(states, states, space)
+        for mat, apply_h in ((om.matrix, False), (om.hamiltonian, True)):
             expect = np.array([[product_entry_oracle(a, b, space, apply_h)
                                 for b in states] for a in states])
-            assert mat.matrix.tobytes() == expect.tobytes()
-            assert overlap_matrix(states, states, space, apply_h).matrix \
-                .tobytes() == expect.tobytes()
-            assert mat.row_labels == mat.col_labels \
-                == tuple(st.name for st in states)
+            assert mat.tobytes() == expect.tobytes()
+        entries = np.array([[product_entry(a, b, space) for b in states]
+                            for a in states])
+        assert entries.tobytes() == om.matrix.tobytes()
+        assert om.row_labels == om.col_labels \
+            == tuple(st.name for st in states)
 
     def test_golden_real_axis_bins(self):
         # the golden config's overlap: theta 0.3, lam 1, two bins on
@@ -685,7 +697,7 @@ class TestHermitianIdentity:
         assert np.max(np.abs(s - s.conj().T)) < 1e-10
 
     def test_hamiltonian_is_diagonal_of_bin_energies(self):
-        h = overlap_matrix(self.bins, self.bins, self.x, apply_h=True).matrix
+        h = overlap_matrix(self.bins, self.bins, self.x).hamiltonian
         eps = np.array([b.energy for b in self.bins])
         assert np.max(np.abs(h - np.diag(eps))) < 1e-10
 
@@ -717,11 +729,14 @@ class TestScaledIdentity:
                          dtype=complex)
         grid = BinGrid(nodes=nodes, hermitian=False)
         bins = [binned_state(p, grid, j, x) for j in range(3)]
-        s = overlap_matrix(bins, bins, x).matrix
-        h = overlap_matrix(bins, bins, x, apply_h=True).matrix
+        om = overlap_matrix(bins, bins, x)
+        s, h = om.matrix, om.hamiltonian
         eps = np.array([b.energy for b in bins])
         assert np.max(np.abs(s - np.eye(3))) < 1e-9
         assert np.max(np.abs(h - np.diag(eps))) < 1e-9
+        expect = np.array([[product_entry_oracle(a, b, x, apply_h=True)
+                            for b in bins] for a in bins])
+        assert h.tobytes() == expect.tobytes()
 
 
 class TestUnitDiagonal:
@@ -737,9 +752,10 @@ class TestUnitDiagonal:
         assert abs(product_entry(un, un, x) - 1.0) < 1e-9
         # the H side is rescaled with the other two
         d = product_entry(st, st, x)
-        h_st = product_entry(st, st, x, apply_h=True)
-        h_un = product_entry(un, un, x, apply_h=True)
+        h_st, h_un = (overlap_matrix([b], [b], x).hamiltonian[0, 0]
+                      for b in (st, un))
         assert abs(h_un - h_st / d) < 1e-12 * abs(h_st / d)
+        assert h_un == product_entry_oracle(un, un, x, apply_h=True)
 
 
 class TestDegeneracyDiagnostics:

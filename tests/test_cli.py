@@ -101,6 +101,25 @@ class TestExitCodes:
         assert err["error"] == "ConfigError"
         assert named in err["message"]
 
+    @pytest.mark.parametrize("command", ["spectrum", "regions", "overlap",
+                                         "berry", "wavefunction"])
+    @pytest.mark.parametrize("units, named", [
+        ({"beta": 1e-300}, "beta^2 = 0.0"),
+        ({"beta": 1e300}, "beta^2 = inf"),
+        ({"hbar": 1e200}, "hbar^2 = inf"),
+        ({"beta": 1e200, "hbar": 1e-200}, "beta^2 = inf"),
+    ])
+    def test_units_outside_the_float_range_are_2(self, tmp_path, capsys,
+                                                 command, units, named):
+        # positive units whose squares underflow or overflow: the closed
+        # forms would divide by zero or overflow
+        cfg = write_config(tmp_path, {"units": units})
+        assert main(["--config", cfg, "--out", str(tmp_path), command]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert named in err["message"]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_overflowing_number_is_2(self, tmp_path, capsys):
         # 1e400 parses to inf
         cfg = tmp_path / "config.json"
@@ -160,6 +179,19 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] \
             == "PreconditionViolation"
         assert True not in built
+
+    def test_overlap_delta_below_the_lam_resolution_is_3(self, tmp_path,
+                                                         capsys):
+        # lam_bp + 1e-17 rounds to lam_bp at theta 0.3: the EP-ray bins
+        # of the degeneracy step have zero width
+        cfg = write_config(tmp_path, {"overlap": {"deltas": [1e-17]}})
+        start = time.perf_counter()
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "overlap"]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "EmptyRange"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_wavefunction_at_zero_k_is_3(self, tmp_path, capsys):
         # the Jost pair is degenerate at k = 0, and the default grid has

@@ -291,6 +291,31 @@ class TestBerryLoop:
             LoopSpec(radius=1e-5, n_steps=16)
 
 
+class TestStartPhase:
+    @pytest.mark.parametrize("start, scans", [(None, 1), (1.0, 0)])
+    def test_crossings_are_scanned_only_for_the_default_start(
+            self, monkeypatch, start, scans):
+        # an explicit start phase needs no scan of the coupling circle; the
+        # default one takes one scan per loop
+        import csmres.eploop as eploop
+
+        calls = []
+        original = eploop.boundary_crossings
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(eploop, "boundary_crossings", counting)
+        spec = LoopSpec(radius=1e-5 * LBP, windings=1, start_phase=start)
+        trace, _ = run_berry_loop(P, spec)
+        assert len(calls) == scans
+        case_asymptotic_phase(-1, P, spec)
+        assert len(calls) == 2 * scans
+        if start is not None:
+            assert trace.phi[0] == start
+
+
 class TestCaseAsymptoticPhase:
     def test_factor_is_i_both_directions(self):
         spec = LoopSpec(radius=1e-5 * LBP, windings=1)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,24 @@ from csmres.model import (
 )
 
 SQRT7 = math.sqrt(7.0)
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("units, named", [
+        ({"beta": 1e-170}, "beta^2 = 0.0"),
+        ({"hbar": 1e155}, "hbar^2 = inf"),
+        ({"beta": 1e100, "hbar": 1e100}, "(beta hbar)^2 = inf"),
+        ({"m": 1e-310}, "beta^2 hbar^2 / (8 m) = inf"),
+        ({"m": 1e300, "beta": 1e-20}, "beta^2 hbar^2 / (8 m) = 0.0"),
+    ])
+    def test_units_outside_the_float_range_raise(self, units, named):
+        # each of the four squares the closed forms divide by is checked
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ModelParams(lam=1.0, theta=0.3, **units)
+
+    def test_units_at_the_float_range_are_accepted(self):
+        p = ModelParams(lam=1.0, theta=0.3, m=1e-30, hbar=1e-17, beta=1e150)
+        assert 0.0 < p.energy_scale < math.inf
 
 
 class TestDerivedQuantities:

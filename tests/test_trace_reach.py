@@ -7,6 +7,7 @@ runs at golden size in-process, with the benchmark's own tracer
 (``bench/spans.py``), so the tier-1 tests catch it.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -33,19 +34,33 @@ def bench():
         sys.path.remove(str(BENCH))
 
 
-@pytest.mark.parametrize("workload", sorted(COMMANDS))
-def test_golden_run_reaches_every_expected_span(bench, workload, tmp_path):
-    run, spans = bench
-    assert set(COMMANDS) == set(run.EXPECTED_SPANS)
+def traced_names(spans, commands, out) -> list:
+    """The span name of each call a golden run of ``commands`` records."""
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert tracer.unwrapped() == []
-        for command in COMMANDS[workload]:
+        for command in commands:
             # cli.main is read after install, so the call is traced
             assert cli.main(["--config", str(GOLDEN_CONFIG),
-                             "--out", str(tmp_path), command]) == 0
+                             "--out", str(out), command]) == 0
     finally:
         tracer.uninstall()
-    seen = {tracer.names[row[0]] for row in tracer.rows}
+    return [tracer.names[row[0]] for row in tracer.rows]
+
+
+@pytest.mark.parametrize("workload", sorted(COMMANDS))
+def test_golden_run_reaches_every_expected_span(bench, workload, tmp_path):
+    run, spans = bench
+    assert set(COMMANDS) == set(run.EXPECTED_SPANS)
+    seen = set(traced_names(spans, COMMANDS[workload], tmp_path))
     assert set(run.EXPECTED_SPANS[workload]) - seen == set()
+
+
+def test_overlap_matrices_take_one_pass_each(bench, tmp_path):
+    # S and H of the real-axis bins and of each degeneracy point come from
+    # one ``overlap_matrix`` call, whose span the layer metrics read
+    _, spans = bench
+    deltas = json.loads(GOLDEN_CONFIG.read_text())["overlap"]["deltas"]
+    names = traced_names(spans, ("overlap",), tmp_path)
+    assert names.count("binbasis.overlap_matrix") == 1 + len(deltas)

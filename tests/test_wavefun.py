@@ -30,7 +30,6 @@ from csmres.wavefun import (
     _amplitude,
     _gamma_coeffs,
     _s_factors,
-    asymptotic_coefficients,
     classification_functional,
     classify_region,
     default_grid,
@@ -60,15 +59,16 @@ def asymptotic_values(params, k, x):
     gamma-ratio coefficients on a grid, the far-field oracle of
     ``eval_wavefunction``."""
     x = np.asarray(x, dtype=float)
-    coeffs = asymptotic_coefficients(params, k)
+    s = derived_quantities(params).s
+    refl, trans = _gamma_coeffs(complex(k), s, params.beta, _s_factors(s))
     phase = cmath.exp(1j * params.theta)
     amp = _amplitude(k, params.beta)
     out = np.empty(x.shape, dtype=complex)
     pos = x >= 0.0
     out[pos] = amp * np.exp(1j * k * phase * x[pos])
     xm = x[~pos]
-    out[~pos] = amp * (coeffs.refl * np.exp(-1j * k * phase * xm)
-                       + coeffs.trans_like * np.exp(1j * k * phase * xm))
+    out[~pos] = amp * (refl * np.exp(-1j * k * phase * xm)
+                       + trans * np.exp(1j * k * phase * xm))
     return out
 
 
@@ -481,7 +481,7 @@ class TestSiegert:
             k = complex(rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5))
             if (math.pi * k / p.beta).real <= 0:
                 continue
-            refl = asymptotic_coefficients(p, k).refl
+            refl = _gamma_coeffs(k, s, p.beta, _s_factors(s))[0]
             ident = 1j * cmath.sin(math.pi * s) / cmath.sinh(math.pi * k / p.beta)
             assert abs(refl - ident) < 1e-10 * max(1.0, abs(ident))
 

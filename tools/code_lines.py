@@ -7,7 +7,8 @@ counted.  Usage:
     python tools/code_lines.py src/csmres src/csmres/binbasis.py
 
 prints one count per argument (a directory counts every ``*.py`` below it)
-and exits 0.
+and exits 0.  Given a path that does not exist, it prints the usage and
+exits 2, before counting anything.
 """
 
 from __future__ import annotations
@@ -50,7 +51,15 @@ def count(path: Path) -> int:
     return sum(code_lines(f.read_text()) for f in files)
 
 
+USAGE = "usage: python tools/code_lines.py PATH [PATH ...]"
+
+
 def main(argv: list) -> int:
+    missing = [arg for arg in argv if not Path(arg).exists()]
+    if missing:
+        print(f"no such file or directory: {', '.join(missing)}\n{USAGE}",
+              file=sys.stderr)
+        return 2
     for arg in argv:
         print(f"{count(Path(arg))}\t{arg}")
     return 0
