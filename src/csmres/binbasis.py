@@ -34,10 +34,10 @@ Where z lies on the bin, the convergence factor e^{-0 y} gives the
 principal value minus i pi sgn Im(zeta (k_b - k_a)) times the residue:
 for Hermitian bins this is the pi delta(u) of pi delta(u) + i PV e^{iuX}/u,
 u = k - k', and for a resonance whose k lies on a bin the residue of its
-pole.  The
-degeneracy diagnostics near the branch point are built on top: the smallest
-singular value of the bilinear overlap of {resonance} + {straddling bins}
-collapses as the exceptional point is approached.
+pole.  The degeneracy diagnostics near the branch point read the c-norm of
+the L2-normalized resonance alone, its phase rigidity, which collapses as
+the exceptional point is approached.  The straddling EP-ray bins are
+c-orthogonal to the resonance, which ``limit_exchange_entries`` checks.
 """
 
 from __future__ import annotations
@@ -790,10 +790,13 @@ def unit_diagonal_state(state: BasisState, space: SpatialGrid) -> BasisState:
 
 @dataclass(frozen=True)
 class DegeneracyPoint:
+    """The self-orthogonality of the resonance at coupling ``lam``:
+    ``sigma_min`` is its phase rigidity |(psi|psi)|, ``cond`` its
+    inverse."""
+
     lam: complex
     sigma_min: float
     cond: float
-    matrix: OverlapMatrix
 
 
 def _ep_states(params: ModelParams, lam: complex, space: SpatialGrid):
@@ -809,33 +812,41 @@ def _ep_states(params: ModelParams, lam: complex, space: SpatialGrid):
 
 
 def degeneracy_diagnostics(params: ModelParams, lam_seq):
-    """Overlap-matrix conditioning of {resonance} + {straddling bins}.
+    """Self-orthogonality of the resonance approaching the branch point.
 
     For each coupling in ``lam_seq`` (inside region A, approaching the
-    branch point) the bilinear overlap matrix of the L2-normalized
-    resonance with the EP-adapted bins is assembled and its smallest
-    singular value and condition number recorded.  sigma_min collapses
-    toward 0 as the eigenvector coalesces with the continuum.  The bins are
-    c-orthogonal to the resonance, so sigma_min is |(psi|psi)|, the
-    c-norm of the L2-normalized resonance, which is its phase rigidity
-    |(psi|psi)| / <psi|psi>; at theta 0.3 and 1e-4 <= lam - lam_bp
-    <= 1e-1 the two agree to 2e-16 relative.  Each point's ``matrix``
-    also holds the Hamiltonian matrix of the states, from the same pass.
-    The states live on ``spatial_grid(params.beta)``.
+    branch point) it records sigma_min = |(psi|psi)|, the c-norm of the
+    L2-normalized resonance, which is its phase rigidity
+    |(psi|psi)| / <psi|psi>, and cond = 1 / sigma_min.  sigma_min collapses
+    toward 0 as the eigenvector coalesces with the continuum.  They stand
+    for the smallest singular value and the condition number of the
+    c-product matrix of the resonance with the unit-diagonal channel bins
+    on the EP ray (``_ep_states``), which are c-orthogonal to it
+    (``limit_exchange_entries``).  At 1e-4 <= lam - lam_bp <= 1e-2 that
+    matrix's smallest singular value is sigma_min to 2.2e-16 relative over
+    0.2 <= theta <= 0.74 (1.4e-13 at theta 0.05), and its largest is 1 to
+    7e-10 over 0.2 <= theta <= 0.6 (3.8e-8 at theta 0.05), which bounds
+    the relative difference of cond from its condition number.  The
+    resonance lives on ``spatial_grid(params.beta)``.
+
+    Raises
+    ------
+    EmptyRange
+        If a coupling rounds to lam_bp, where the resonance sits on the
+        branch point.
+    NonNormalizable
+        If the resonance tail does not decay at a coupling.
     """
     space = spatial_grid(params.beta)
+    lam_bp = branch_point(params)[0]
     out = []
     for lam in lam_seq:
-        res, bins = _ep_states(params, lam, space)
-        states = [res] + bins
-        s_mat = overlap_matrix(states, states, space)
-        svals = np.linalg.svd(s_mat.matrix, compute_uv=False)
-        out.append(DegeneracyPoint(
-            lam=complex(lam),
-            sigma_min=float(svals[-1]),
-            cond=float(svals[0] / svals[-1]),
-            matrix=s_mat,
-        ))
+        if complex(lam) == lam_bp:
+            raise EmptyRange(f"lam = {lam} rounds to lam_bp = {lam_bp}")
+        res = resonance_state(params.with_lam(lam), space)
+        rigidity = float(abs(product_entry(res, res, space)))
+        out.append(DegeneracyPoint(lam=complex(lam), sigma_min=rigidity,
+                                   cond=1.0 / rigidity))
     return out
 
 
@@ -846,7 +857,9 @@ def limit_exchange_entries(params: ModelParams, lam_seq):
     each coupling in the sequence, the largest |c-product| of the
     L2-normalized resonance with the straddling bins; these are products of
     c-orthogonal eigenstates at distinct eigenvalues, hence exactly zero up
-    to quadrature error, and tend to 0 along the sequence.  The second
+    to quadrature error, and tend to 0 along the sequence: below 1e-10 at
+    1e-6 <= lam - lam_bp <= 1e-2 over 0.2 <= theta <= 0.6 (at most 4.4e-11,
+    at theta 0.2 and lam - lam_bp = 1e-2).  The second
     holds the products with the resonance replaced by the boundary
     continuum solution at k_bp (in its own continuum normalization); those
     stay far from zero.  The boundary products are finite-box (grid

@@ -2,7 +2,8 @@
 
 Subcommands: ``spectrum`` (closed-form resonance ladder), ``regions``
 (coupling-window curves on a theta grid), ``overlap`` (bin-basis overlap
-and Hamiltonian matrices plus degeneracy diagnostics), ``berry``
+and Hamiltonian matrices plus the resonance's phase rigidity near the
+branch point), ``berry``
 (Puiseux fit and branch-point loop verdicts), and ``wavefunction``
 (grid dump of the scaled solution).  Identical configs produce
 byte-identical files.
@@ -48,8 +49,9 @@ _CSV_VERSION = "v1"
 # steps), and refused before any array of that length is allocated.
 _MAX_COUNT = 2 ** 20
 # Largest overlap sizes: the S and H matrices grow with the square of the
-# bin count and every delta is one more degeneracy diagnostic, so each
-# limit keeps one default-grid overlap run to about a minute.
+# bin count, and _MAX_BINS keeps one default-grid overlap run to about a
+# minute; every delta is one resonance state and its c-norm, about 3 ms,
+# so _MAX_DELTAS of them take about a second.
 _MAX_BINS = 144
 _MAX_DELTAS = 256
 # CSV rows per write: the text of one block at a time, not of the whole
@@ -328,8 +330,9 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     if any(d <= 0.0 for d in deltas):
         raise ConfigError("overlap.deltas must be positive")
 
-    # the degeneracy step first: it fails in milliseconds where the gamma
-    # kernels leave the float range, before any bin is built
+    # the degeneracy step first: it builds no bin, and it fails in
+    # milliseconds where the gamma kernels leave the float range, before
+    # the real-axis bins are built
     lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
                                    params.beta)
     points = degeneracy_diagnostics(params, [lam_bp + d for d in deltas])

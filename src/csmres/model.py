@@ -132,9 +132,20 @@ def _sqrt(re, im):
 
 def _index(params: ModelParams, lam) -> tuple:
     """Parts of g = 8 m lam / (beta hbar)^2 at a complex coupling or a
-    complex array of them."""
-    return _over(*_times(8.0 * params.m, lam.real, lam.imag),
-                 (params.beta * params.hbar) ** 2)
+    complex array of them.
+
+    Raises
+    ------
+    PreconditionViolation
+        When g is not finite at a coupling (it overflows, or the coupling
+        is not finite); one test per call, for an array as a whole.
+    """
+    g = _over(*_times(8.0 * params.m, lam.real, lam.imag),
+              (params.beta * params.hbar) ** 2)
+    if not np.isfinite(g).all():
+        raise PreconditionViolation(
+            f"g = 8 m lam / (beta hbar)^2 is not finite at lam = {lam}")
+    return g
 
 
 def _pole(params: ModelParams, lam, n: int) -> tuple:
@@ -150,7 +161,8 @@ def _pole(params: ModelParams, lam, n: int) -> tuple:
     Raises
     ------
     PreconditionViolation
-        When a coupling is not finite (inf or nan in either part).
+        When a coupling or g at it is not finite (inf or nan in either
+        part).
     DegenerateIndex
         When g = 1 within 1e-12 at any coupling (the index s degenerates).
     """
@@ -176,6 +188,13 @@ def _pole(params: ModelParams, lam, n: int) -> tuple:
 
 
 def derived_quantities(params: ModelParams) -> DerivedQuantities:
+    """g and s at the coupling of ``params``.
+
+    Raises
+    ------
+    PreconditionViolation
+        When g is not finite.
+    """
     g = complex(*_index(params, complex(params.lam)))
     s = 0.5 * (-1.0 + cmath.sqrt(1.0 - g))
     return DerivedQuantities(g=g, s=s)
@@ -207,7 +226,7 @@ def resonance_energy(params: ModelParams, n: int) -> ResonancePole:
     Raises
     ------
     PreconditionViolation
-        When the coupling is not finite.
+        When the coupling or g is not finite.
     DegenerateIndex
         When g = 1 within 1e-12 (the index s degenerates).
     """

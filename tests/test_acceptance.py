@@ -119,11 +119,11 @@ class TestAcceptance4SelfOrthogonality:
         assert all(a > b for a, b in zip(sig, sig[1:]))
         assert sig[0] / sig[-1] > 1e2
         interior, limits = limit_exchange_entries(p, seq)
-        assert all(v < 1e-4 for v in interior)
+        assert all(v < 1e-9 for v in interior)
         assert all(v > 0.1 for v in limits)
         report(4, f"sigma_min {sig[0]:.2e} -> {sig[-1]:.2e} "
                   f"({sig[0] / sig[-1]:.1e}x, strictly monotone); limit "
-                  f"entries > 0.1, interior max {max(interior):.1e} < 1e-4")
+                  f"entries > 0.1, interior max {max(interior):.1e} < 1e-9")
 
 
 class TestAcceptance5PuiseuxExponent:

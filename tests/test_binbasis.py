@@ -773,15 +773,26 @@ class TestDegeneracyDiagnostics:
             assert 0.3 * d < pt.sigma_min < 3.0 * d
 
     def test_resonance_diag_drives_the_collapse(self):
-        th = math.pi / 6
-        lbp = branch_point_coupling(th)
-        p = ModelParams(lam=1.0, theta=th)
-        (pt,) = degeneracy_diagnostics(p, [lbp + 1e-4])
-        m = pt.matrix.matrix
-        assert pt.matrix.row_labels[0] == "res[0]"
-        # bins stay unit-diagonal; the resonance self-product vanishes
-        assert abs(m[1, 1] - 1.0) < 1e-6 and abs(m[2, 2] - 1.0) < 1e-6
-        assert abs(m[0, 0]) < 1e-3
+        # the oracle: the c-product matrix of the resonance with the
+        # unit-diagonal EP-ray bins.  The bins are c-orthogonal to the
+        # resonance, so its singular values are |(psi|psi)| and 1, and the
+        # diagnostics read the first alone
+        x = spatial_grid(1.0)
+        deltas = (1e-2, 1e-3, 1e-4)
+        for th in (0.2, 0.3, 0.6):
+            lbp = branch_point_coupling(th)
+            p = ModelParams(lam=1.0, theta=th)
+            pts = degeneracy_diagnostics(p, [lbp + d for d in deltas])
+            for d, pt in zip(deltas, pts):
+                res, bins = binbasis._ep_states(p, lbp + d, x)
+                m = overlap_matrix([res] + bins, [res] + bins, x).matrix
+                svals = np.linalg.svd(m, compute_uv=False)
+                assert abs(svals[-1] - pt.sigma_min) <= 1e-12 * pt.sigma_min
+                assert abs(svals[0] / svals[-1] - pt.cond) <= 1e-9 * pt.cond
+                # bins stay unit-diagonal and c-orthogonal to the resonance
+                assert np.all(np.abs(np.diag(m)[1:] - 1.0) < 1e-6)
+                assert np.all(np.abs(m[0, 1:]) < 1e-9)
+                assert np.all(np.abs(m[1:, 0]) < 1e-9)
 
     @pytest.mark.parametrize("theta, lam", [
         (0.3, 1.0), (0.25, 0.8), (0.5, 1.8), (0.4, 1.3)])

@@ -129,6 +129,23 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("payload", [
+        {"lam": 1e308},
+        {"lam": -1000, "units": {"m": 1e300, "hbar": 1e-3}},
+        {"lam": 1e300, "theta": 0.05, "units": {"hbar": 0.1, "beta": 1e-8}},
+    ])
+    def test_index_outside_the_float_range_is_3(self, tmp_path, capsys,
+                                                payload):
+        # finite couplings and units whose g = 8 m lam / (beta hbar)^2
+        # overflows: the spectrum would be nan in every column
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "spectrum"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionViolation"
+        assert "g = 8 m lam / (beta hbar)^2 is not finite" in err["message"]
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("k", [150.0, 300.0])
     def test_wavefunction_out_of_range_is_3(self, tmp_path, capsys, k):
         cfg = write_config(tmp_path, {"wavefunction": {"k": k,
@@ -178,12 +195,13 @@ class TestExitCodes:
                      "overlap"]) == 3
         assert json.loads(capsys.readouterr().err)["error"] \
             == "PreconditionViolation"
-        assert True not in built
+        # the degeneracy step builds no bin of either kind
+        assert built == []
 
     def test_overlap_delta_below_the_lam_resolution_is_3(self, tmp_path,
                                                          capsys):
-        # lam_bp + 1e-17 rounds to lam_bp at theta 0.3: the EP-ray bins
-        # of the degeneracy step have zero width
+        # lam_bp + 1e-17 rounds to lam_bp at theta 0.3: the resonance of
+        # the degeneracy step would sit on the branch point
         cfg = write_config(tmp_path, {"overlap": {"deltas": [1e-17]}})
         start = time.perf_counter()
         assert main(["--config", cfg, "--out", str(tmp_path),

@@ -61,6 +61,22 @@ class TestDerivedQuantities:
         dq = derived_quantities(p)
         assert abs(dq.s - (-0.5 + 0.5j * math.sqrt(dq.g.real - 1.0))) < 1e-14
 
+    @pytest.mark.parametrize("lam, units", [
+        (1e308, {}),
+        (-1000.0, {"m": 1e300, "hbar": 1e-3}),
+        (1e300, {"hbar": 0.1, "beta": 1e-8}),
+        (complex(1.0, 1e308), {}),
+    ])
+    def test_index_outside_the_float_range_raises(self, lam, units):
+        # a finite coupling whose g = 8 m lam / (beta hbar)^2 overflows is
+        # refused where g is derived, not carried on as nan
+        p = ModelParams(lam=lam, theta=0.3, **units)
+        named = "g = 8 m lam / (beta hbar)^2 is not finite"
+        with pytest.raises(PreconditionViolation, match=re.escape(named)):
+            derived_quantities(p)
+        with pytest.raises(PreconditionViolation, match=re.escape(named)):
+            resonance_energy(p, 0)
+
 
 class TestResonanceEnergy:
     def test_n0_reference_units(self):

@@ -7,7 +7,6 @@ runs at golden size in-process, with the benchmark's own tracer
 (``bench/spans.py``), so the tier-1 tests catch it.
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -58,9 +57,8 @@ def test_golden_run_reaches_every_expected_span(bench, workload, tmp_path):
 
 
 def test_overlap_matrices_take_one_pass_each(bench, tmp_path):
-    # S and H of the real-axis bins and of each degeneracy point come from
-    # one ``overlap_matrix`` call, whose span the layer metrics read
+    # S and H of the real-axis bins come from one ``overlap_matrix`` call,
+    # whose span the layer metrics read; the degeneracy points take none
     _, spans = bench
-    deltas = json.loads(GOLDEN_CONFIG.read_text())["overlap"]["deltas"]
     names = traced_names(spans, ("overlap",), tmp_path)
-    assert names.count("binbasis.overlap_matrix") == 1 + len(deltas)
+    assert names.count("binbasis.overlap_matrix") == 1
