@@ -22,19 +22,18 @@ _EXPORTS = {
         "EmptyRange", "IllConditionedFit", "NonConvergence",
         "NonNormalizable", "PoleError", "PreconditionViolation",
         "QuadratureError", "SingularCoordinate", "StepTooCoarse",
-        "UndefinedAngle",
     ),
     "model": (
-        "CriticalAngle", "DerivedQuantities", "ModelParams", "RegionBounds",
-        "ResonancePole", "bin_energy", "branch_point",
-        "branch_point_coupling", "contact_coupling_root", "critical_angle",
-        "derived_quantities", "lambda_window", "resonance_energy",
+        "DerivedQuantities", "ModelParams", "RegionBounds", "ResonancePole",
+        "bin_energy", "branch_point", "branch_point_coupling",
+        "contact_coupling_root", "critical_angle", "derived_quantities",
+        "lambda_window", "resonance_energy",
     ),
     "specfun": ("complex_gamma", "hyp2f1", "hyp2f1_grid", "reciprocal_gamma"),
     "wavefun": (
-        "RegionLabel", "WaveField", "classification_functional",
-        "classify_region", "default_grid", "eval_wavefunction",
-        "find_resonance_k", "raw_psi", "siegert_residual",
+        "WaveField", "classification_functional", "classify_region",
+        "default_grid", "eval_wavefunction", "find_resonance_k", "raw_psi",
+        "siegert_residual",
     ),
     "binbasis": (
         "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix", "Side",

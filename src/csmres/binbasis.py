@@ -570,9 +570,12 @@ class _Continuum:
         """
         kk = ks if conjugate else np.concatenate([ks, -ks])
         psi = raw_psi(kk, self.s, self.beta, self.theta, y)
-        if conjugate:
-            return np.stack([psi, psi.conj()])
-        return psi.reshape(2, len(ks), len(y))
+        if not conjugate:
+            return psi.reshape(2, len(ks), len(y))
+        pair = np.empty((2,) + psi.shape, dtype=complex)
+        pair[0] = psi
+        np.conjugate(psi, out=pair[1])
+        return pair
 
 
 def binned_state(params: ModelParams, grid: BinGrid, n: int,
@@ -791,12 +794,16 @@ def unit_diagonal_state(state: BasisState, space: SpatialGrid) -> BasisState:
 @dataclass(frozen=True)
 class DegeneracyPoint:
     """The self-orthogonality of the resonance at coupling ``lam``:
-    ``sigma_min`` is its phase rigidity |(psi|psi)|, ``cond`` its
-    inverse."""
+    ``sigma_min`` is its phase rigidity |(psi|psi)|, and ``cond`` is
+    derived from it."""
 
     lam: complex
     sigma_min: float
-    cond: float
+
+    @property
+    def cond(self) -> float:
+        """1 / sigma_min."""
+        return 1.0 / self.sigma_min
 
 
 def _ep_states(params: ModelParams, lam: complex, space: SpatialGrid):
@@ -817,17 +824,18 @@ def degeneracy_diagnostics(params: ModelParams, lam_seq):
     For each coupling in ``lam_seq`` (inside region A, approaching the
     branch point) it records sigma_min = |(psi|psi)|, the c-norm of the
     L2-normalized resonance, which is its phase rigidity
-    |(psi|psi)| / <psi|psi>, and cond = 1 / sigma_min.  sigma_min collapses
-    toward 0 as the eigenvector coalesces with the continuum.  They stand
-    for the smallest singular value and the condition number of the
-    c-product matrix of the resonance with the unit-diagonal channel bins
-    on the EP ray (``_ep_states``), which are c-orthogonal to it
-    (``limit_exchange_entries``).  At 1e-4 <= lam - lam_bp <= 1e-2 that
-    matrix's smallest singular value is sigma_min to 2.2e-16 relative over
-    0.2 <= theta <= 0.74 (1.4e-13 at theta 0.05), and its largest is 1 to
-    7e-10 over 0.2 <= theta <= 0.6 (3.8e-8 at theta 0.05), which bounds
-    the relative difference of cond from its condition number.  The
-    resonance lives on ``spatial_grid(params.beta)``.
+    |(psi|psi)| / <psi|psi>; the point's ``cond`` is 1 / sigma_min.
+    sigma_min collapses toward 0 as the eigenvector coalesces with the
+    continuum.  The two stand for the smallest singular value and the
+    condition number of the c-product matrix of the resonance with the
+    unit-diagonal channel bins on the EP ray (``_ep_states``), which are
+    c-orthogonal to it (``limit_exchange_entries``).  At
+    1e-4 <= lam - lam_bp <= 1e-2 that matrix's smallest singular value is
+    sigma_min to 2.2e-16 relative over 0.2 <= theta <= 0.74 (1.4e-13 at
+    theta 0.05), and its largest is 1 to 7e-10 over 0.2 <= theta <= 0.6
+    (3.8e-8 at theta 0.05), which bounds the relative difference of cond
+    from its condition number.  The resonance lives on
+    ``spatial_grid(params.beta)``.
 
     Raises
     ------
@@ -844,9 +852,8 @@ def degeneracy_diagnostics(params: ModelParams, lam_seq):
         if complex(lam) == lam_bp:
             raise EmptyRange(f"lam = {lam} rounds to lam_bp = {lam_bp}")
         res = resonance_state(params.with_lam(lam), space)
-        rigidity = float(abs(product_entry(res, res, space)))
-        out.append(DegeneracyPoint(lam=complex(lam), sigma_min=rigidity,
-                                   cond=1.0 / rigidity))
+        sigma_min = float(abs(product_entry(res, res, space)))
+        out.append(DegeneracyPoint(lam=complex(lam), sigma_min=sigma_min))
     return out
 
 

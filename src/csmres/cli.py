@@ -266,7 +266,7 @@ def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
     levels = range(n_max + 1)
     poles = [resonance_energy(params, n) for n in levels]
     energy = _parts([pole.energy for pole in poles])
-    theta_n = _texts([critical_angle(params, n).corrected for n in levels])
+    theta_n = _texts([critical_angle(params, n) for n in levels])
     ns = _Json(map(str, levels))
     _emit(out_dir, "spectrum", fmt,
           {"n": ns, "re_E": energy["re"], "im_E": energy["im"],
@@ -291,7 +291,7 @@ def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
               for th in thetas]
     values = [thetas] + [[getattr(b, field) for b in bounds] for field in (
         "lambda0_minus", "lambda0_plus", "lambda1_minus", "lambda1_plus",
-        "lambda_bp")]
+        "lambda0_plus")]
     columns = dict(zip(("theta", "l0m", "l0p", "l1m", "l1p", "lbp"),
                        map(_texts, values)))
     _emit(out_dir, "regions", fmt, columns,

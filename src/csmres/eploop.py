@@ -20,12 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .errors import BranchCollision, IllConditionedFit, PreconditionViolation, \
-    StepTooCoarse
+from .errors import BranchCollision, EmptyRange, IllConditionedFit, \
+    PreconditionViolation, StepTooCoarse
 from .model import ModelParams, _bisect_zero, _csqrt, bin_energy, \
     branch_point, resonance_energy
 from .wavefun import LN4, classification_functional, classify_region
@@ -34,11 +33,6 @@ from .wavefun import LN4, classification_functional, classify_region
 _N_SCAN = 720
 # log-spaced couplings of the Puiseux fit
 _N_FIT = 25
-# the text of a region label: Enum.value is a Python-level property and
-# Enum.__hash__ a Python function, so reading the member's _value_ is
-# about 5x faster per loop node than .value or a {label: text} lookup
-# (CPython 3.11)
-_REGION_TEXT = attrgetter("_value_")
 
 
 @dataclass(frozen=True)
@@ -164,6 +158,9 @@ def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4)) -> PuiseuxFit:
         If the window spans less than a factor 2.
     PreconditionViolation
         If the window leaves (1e-8, 1e-2) relative to lam_bp.
+    EmptyRange
+        If a bin [k_bp, k_bp + sqrt(t)] has zero width in floating point,
+        as where sqrt(t) is below the spacing of floats near k_bp.
     """
     lo, hi = float(r_window[0]), float(r_window[1])
     if not (1e-8 <= lo < hi <= 1e-2):
@@ -173,9 +170,10 @@ def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4)) -> PuiseuxFit:
         raise IllConditionedFit("the fit window must span a factor >= 2")
     lam_bp, e_bp, k_bp = branch_point(params)
     ts = np.geomspace(lo * lam_bp, hi * lam_bp, _N_FIT)
-    ys = np.array([
-        bin_energy(params, k_bp, k_bp + math.sqrt(t))
-        - e_bp for t in ts])
+    tops = [k_bp + math.sqrt(t) for t in ts]
+    if k_bp in tops:
+        raise EmptyRange(f"Puiseux fit bins have zero width at k_bp = {k_bp}")
+    ys = np.array([bin_energy(params, k_bp, top) - e_bp for top in tops])
     logt = np.log(ts)
     logy = np.log(np.abs(ys))
     exponent, intercept = np.polyfit(logt, logy, 1)
@@ -294,13 +292,24 @@ def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
     continued roots r = sqrt(lam - lam_bp) and the readout at each step
     (``_readouts``, all steps in one call), whose node-spacing root
     w = sqrt(2 r) is continued along with r.
+
+    Raises
+    ------
+    EmptyRange
+        If a readout is 0, which has no phase: the nodes k_bp -+ r give
+        one exponential in floating point, as where r is below the
+        spacing of floats near k_bp.
     """
     lam_bp, _, k_bp = branch_point(params)
     phis = phi0 + spec.dphi * np.arange(windings * spec.n_steps + 1)
     lam = lam_bp + spec.radius * np.exp(1j * phis)
     rs = _continued_roots(lam - lam_bp)
     ws = _continued_roots(2.0 * rs)
-    return phis, lam, rs, _readouts(zeta, k_bp, rs, ws)
+    read = _readouts(zeta, k_bp, rs, ws)
+    if not read.all():
+        raise EmptyRange(f"readout is 0 at {np.count_nonzero(read == 0)} of "
+                         f"{read.size} loop nodes: k_bp -+ r round to k_bp")
+    return phis, lam, rs, read
 
 
 def run_berry_loop(params: ModelParams, spec: LoopSpec):
@@ -322,6 +331,8 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     ------
     PreconditionViolation
         If the Taylor-regime bound |zeta alpha' sqrt(R)| < 0.1 fails.
+    EmptyRange
+        If a readout is 0 (``_loop_readout``).
     StepTooCoarse
         If the readout phase jumps by more than pi/4 between steps.
     """
@@ -340,8 +351,6 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
             f"max readout phase jump {np.max(np.abs(jumps)):.3f} > pi/4")
     unwrapped = np.concatenate(([angles[0]], angles[0] + np.cumsum(jumps)))
 
-    regions = tuple(map(_REGION_TEXT, classify_region(params, lam)))
-
     # connection factors: the tracked sheet meets the rotated continuum ray
     # where Im(E e^{2 i theta}) changes sign between two step nodes
     gap = ((e_bp + alpha_e * rs) * cmath.exp(2j * params.theta)).imag
@@ -356,8 +365,8 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
     trace = LoopTrace(
         phi=phis, lam=lam,
         e_plus=e_bp + alpha_e * rs, e_minus=e_bp - alpha_e * rs,
-        region=regions, readout=read, unwrapped_phase=unwrapped,
-        accumulated=accumulated)
+        region=tuple(classify_region(params, lam)), readout=read,
+        unwrapped_phase=unwrapped, accumulated=accumulated)
 
     ratios = {wnd: complex(read[wnd * spec.n_steps] / read[0])
               for wnd in range(1, spec.windings + 1)}

@@ -40,10 +40,6 @@ class DegenerateIndex(CsmError):
     """Potential-strength parameter sits at the degenerate point of the index."""
 
 
-class UndefinedAngle(CsmError):
-    """Critical-angle formula hit the arctan branch ambiguity (Re E = 0)."""
-
-
 class SingularCoordinate(CsmError):
     """Spatial point too close to a coordinate singularity of the mapping."""
 

@@ -2,10 +2,10 @@
 
 The barrier V(x) = lambda / cosh^2(beta x) with lambda > (beta hbar)^2/(8m)
 supports no bound states but an exact ladder of resonance poles.  This module
-evaluates the resonance energies, the critical scaling angles at which a
-resonance touches the rotated continuum, the admissible coupling windows as
-functions of the scaling angle, and the branch point where the lowest
-resonance coalesces with the continuum.
+evaluates the resonance energies, the critical scaling angle
+theta_n = -arg(E_n)/2 at which resonance n touches the rotated continuum,
+the admissible coupling windows as functions of the scaling angle, and the
+branch point where the lowest resonance coalesces with the continuum.
 """
 
 from __future__ import annotations
@@ -16,10 +16,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateIndex, NonConvergence, PreconditionViolation, \
-    UndefinedAngle
+from .errors import DegenerateIndex, NonConvergence, PreconditionViolation
 
 _G_DEGENERATE_TOL = 1.0e-12
+
+
+def _check_units(m: float, hbar: float, beta: float) -> None:
+    """Refuse units the closed forms cannot divide by.
+
+    Raises
+    ------
+    ValueError
+        If m, hbar or beta is not positive, or beta^2, hbar^2,
+        (beta hbar)^2 or beta^2 hbar^2 / (8 m) is not a positive finite
+        float.
+    """
+    for name, value in (("m", m), ("hbar", hbar), ("beta", beta)):
+        if not value > 0:
+            raise ValueError(f"{name} = {value} must be positive")
+    b, h = float(beta), float(hbar)
+    for name, value in (("beta^2", b * b), ("hbar^2", h * h),
+                        ("(beta hbar)^2", (b * h) * (b * h)),
+                        ("beta^2 hbar^2 / (8 m)",
+                         b * b * (h * h) / (8.0 * m))):
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"units m = {m}, hbar = {hbar}, beta = {beta} give "
+                f"{name} = {value}, outside the float range")
 
 
 @dataclass(frozen=True)
@@ -47,21 +70,7 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "hbar", "beta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(
-                    f"{name} = {getattr(self, name)} must be positive")
-        # the closed forms divide by these: each must be a positive float
-        b, h = float(self.beta), float(self.hbar)
-        for name, value in (("beta^2", b * b), ("hbar^2", h * h),
-                            ("(beta hbar)^2", (b * h) * (b * h)),
-                            ("beta^2 hbar^2 / (8 m)",
-                             b * b * (h * h) / (8.0 * self.m))):
-            if not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"units m = {self.m}, hbar = {self.hbar}, beta = "
-                    f"{self.beta} give {name} = {value}, outside the float "
-                    "range")
+        _check_units(self.m, self.hbar, self.beta)
         if not (0.0 < self.theta < math.pi / 4):
             raise ValueError(f"theta = {self.theta} outside (0, pi/4)")
 
@@ -237,41 +246,17 @@ def resonance_energy(params: ModelParams, n: int) -> ResonancePole:
                          width=-2.0 * energy[1])
 
 
-@dataclass(frozen=True)
-class CriticalAngle:
-    """Critical scaling angle of level n with both branch readings.
+def critical_angle(params: ModelParams, n: int) -> float:
+    """Angle theta_n = -arg(E_n)/2 at which resonance n touches the
+    rotated continuum: the resonance is uncovered once 2 theta exceeds
+    -arg E_n.
 
-    ``raw`` is half the single-branch arctan of -Im E / Re E exactly as the
-    closed form prescribes; ``corrected`` is the quadrant-corrected angle
-    -arg(E)/2, which equals ``raw`` whenever Re E > 0.  When Re E < 0 the
-    two differ by pi/2 and neither is silently preferred; callers choose.
+    Where Re E_n > 0 this is the closed form (1/2) arctan(-Im E_n / Re E_n);
+    where Re E_n < 0 it is pi/2 more than that, and at Re E_n = 0 (with
+    Im E_n < 0) it is pi/4.
     """
-
-    n: int
-    raw: float
-    corrected: float
-    ambiguous: bool = False
-
-
-def critical_angle(params: ModelParams, n: int) -> CriticalAngle:
-    """Angle at which resonance n touches the rotated continuum.
-
-    theta_n = (1/2) arctan(-Im E_n / Re E_n).
-
-    Raises
-    ------
-    UndefinedAngle
-        If Re E_n = 0; the caller may catch it and use pi/4 with a flag.
-    """
-    pole = resonance_energy(params, n)
-    e = pole.energy
-    if e.real == 0.0:
-        raise UndefinedAngle(
-            f"Re E_{n} = 0: arctan branch ambiguous, half-pi/2 = {math.pi/4}")
-    raw = 0.5 * math.atan(-e.imag / e.real)
-    corrected = -0.5 * math.atan2(e.imag, e.real)
-    return CriticalAngle(n=n, raw=raw, corrected=corrected,
-                         ambiguous=(e.real < 0.0))
+    e = resonance_energy(params, n).energy
+    return -0.5 * math.atan2(e.imag, e.real)
 
 
 @dataclass(frozen=True)
@@ -280,9 +265,9 @@ class RegionBounds:
 
     lambda0_minus/plus bound the window where the n = 0 resonance sits below
     the rotated continuum; lambda1_minus/plus are the literal closed forms
-    for n = 1.  lambda_bp = lambda0_plus is the branch-point coupling where
-    the n = 0 resonance coalesces with the continuum, with energy E_bp and
-    wavenumber k_bp.
+    for n = 1.  lambda0_plus is the branch-point coupling lambda_bp, where
+    the n = 0 resonance coalesces with the continuum; its energy and
+    wavenumber there are those of ``branch_point``.
     """
 
     theta: float
@@ -290,9 +275,6 @@ class RegionBounds:
     lambda0_plus: float
     lambda1_minus: float
     lambda1_plus: float
-    lambda_bp: float
-    E_bp: complex
-    k_bp: complex
 
 
 def _finite_bounds(theta: float, closed_form) -> tuple:
@@ -321,9 +303,12 @@ def branch_point_coupling(theta: float, m: float = 1.0, hbar: float = 1.0,
 
     Raises
     ------
+    ValueError
+        If the units are refused as ``ModelParams`` refuses them.
     PreconditionViolation
         If lambda_bp is not a finite float (theta below about 1e-154).
     """
+    _check_units(m, hbar, beta)
     u0 = beta**2 * hbar**2 / (4.0 * m)
     # 1 - cos 2 theta = 2 sin^2 theta, stable at small angles
     (lam_bp,) = _finite_bounds(
@@ -346,7 +331,7 @@ def branch_point(params: ModelParams) -> tuple:
 
 def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
                   beta: float = 1.0) -> RegionBounds:
-    """All four window bounds plus branch-point data at fixed angle.
+    """All four window bounds at fixed angle.
 
     With u0 = beta^2 hbar^2/4m, lambda0^{+-} = u0 (1 +- cos 2theta)/sin^2 2theta,
     evaluated as lambda0^- = u0/(2 cos^2 theta) and lambda0^+ = lambda_bp
@@ -357,11 +342,16 @@ def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
 
     Raises
     ------
+    ValueError
+        If theta is outside (0, pi/4) or the units are refused as
+        ``ModelParams`` refuses them.
     PreconditionViolation
         If a bound is not a finite float (theta below about 1e-77).
     """
     if not (0.0 < theta < math.pi / 4):
         raise ValueError("theta must satisfy 0 < theta < pi/4")
+    # first: it refuses the units before u0 can overflow
+    lam_bp = branch_point_coupling(theta, m, hbar, beta)
     u0 = beta**2 * hbar**2 / (4.0 * m)
 
     def bounds():
@@ -372,15 +362,7 @@ def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
         return u0 / (2.0 * math.cos(theta) ** 2), u0 * q / outer, u0 * outer
 
     l0m, l1m, l1p = _finite_bounds(theta, bounds)
-    # the coupling of the parameter set does not enter the branch point
-    lam_bp, E_bp, k_bp = branch_point(
-        ModelParams(lam=0.0, theta=theta, m=m, hbar=hbar, beta=beta))
-    return RegionBounds(
-        theta=theta,
-        lambda0_minus=l0m, lambda0_plus=lam_bp,
-        lambda1_minus=l1m, lambda1_plus=l1p,
-        lambda_bp=lam_bp, E_bp=E_bp, k_bp=k_bp,
-    )
+    return RegionBounds(theta, l0m, lam_bp, l1m, l1p)
 
 
 def _bisect_zero(fun, a: float, b: float, tol: float = 1e-10) -> float:

@@ -21,7 +21,6 @@ of S.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -34,12 +33,6 @@ from .specfun import _K_BLOCK, SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
     reciprocal_gamma
 
 LN4 = 2.0 * math.log(2.0)
-
-
-class RegionLabel(enum.Enum):
-    ConvergentA = "ConvergentA"
-    DivergentB = "DivergentB"
-    ScatteringBoundary = "ScatteringBoundary"
 
 
 @dataclass(frozen=True)
@@ -269,8 +262,9 @@ def find_resonance_k(params: ModelParams, k0: complex) -> complex:
 
 def classification_functional(params: ModelParams,
                               lam: complex | np.ndarray | None = None):
-    """Re[i k_0(lam) e^{i theta}], whose sign classifies the n = 0 tail
-    (``classify_region``).
+    """Re[i k_0(lam) e^{i theta}], whose sign classifies the n = 0 tail:
+    ``classify_region`` labels a value below -1e-12 "ConvergentA", one
+    above 1e-12 "DivergentB" and one between "ScatteringBoundary".
 
     ``lam`` is one coupling (default: that of ``params``), giving a float,
     or a 1-D numpy array of them, giving an array; the Berry loop
@@ -289,23 +283,22 @@ def classification_functional(params: ModelParams,
     return (0.0 * kr - ki) * turn.real - (0.0 * ki + kr) * turn.imag
 
 
-_LABELS = (RegionLabel.ConvergentA, RegionLabel.DivergentB,
-           RegionLabel.ScatteringBoundary)
+_LABELS = ("ConvergentA", "DivergentB", "ScatteringBoundary")
 
 
 def classify_region(params: ModelParams,
                     lam: complex | np.ndarray | None = None):
     """Convergence class of the n = 0 Gamow tail at the given coupling.
 
-    Sign of f = Re[i k_0(lam) e^{i theta}]: negative -> ConvergentA
-    (square-integrable pseudo-bound state), positive -> DivergentB, within
-    1e-12 of zero -> ScatteringBoundary.  For a 1-D numpy array of
-    couplings the result is a list of the ``RegionLabel`` members (shared,
-    not a new object per coupling), from one ``classification_functional``
-    call on the array.  That call is written on real and imaginary parts,
-    so each coupling gets the label of its scalar call.
+    The label is text, the sign of f = Re[i k_0(lam) e^{i theta}]:
+    negative -> "ConvergentA" (square-integrable pseudo-bound state),
+    positive -> "DivergentB", within 1e-12 of zero -> "ScatteringBoundary".
+    For a 1-D numpy array of couplings the result is a list of those
+    strings (shared, not a new object per coupling), from one
+    ``classification_functional`` call on the array.
+    That call is written on real and imaginary parts, so each coupling
+    gets the label of its scalar call.
     """
     f = classification_functional(params, lam)
-    index = np.where(np.abs(f) <= 1e-12, 2, np.where(f < 0.0, 0, 1))
-    labels = [_LABELS[i] for i in np.ravel(index).tolist()]
-    return labels if np.ndim(f) else labels[0]
+    index = np.where(np.abs(f) <= 1e-12, 2, np.where(f < 0.0, 0, 1)).tolist()
+    return [_LABELS[i] for i in index] if np.ndim(f) else _LABELS[index]

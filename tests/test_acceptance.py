@@ -24,13 +24,13 @@ from csmres.eploop import LoopSpec, case_asymptotic_phase, fit_puiseux, \
 from csmres.model import (
     ModelParams,
     bin_energy,
+    branch_point,
     branch_point_coupling,
     contact_coupling_root,
     critical_angle,
-    lambda_window,
     resonance_energy,
 )
-from csmres.wavefun import RegionLabel, classify_region, find_resonance_k
+from csmres.wavefun import classify_region, find_resonance_k
 
 
 def report(num, text):
@@ -73,9 +73,9 @@ class TestAcceptance2BranchPoint:
             diff = abs(numeric - closed)
             assert diff < 1e-10
             worst = max(worst, diff)
-        rb = lambda_window(math.pi / 6)
-        assert abs(rb.E_bp - (0.25 - math.sqrt(3.0) / 4.0 * 1j)) < 1e-14
-        assert abs(rb.k_bp - cmath.exp(-1j * math.pi / 6.0)) < 1e-14
+        _, e_bp, k_bp = branch_point(ModelParams(lam=1.0, theta=math.pi / 6))
+        assert abs(e_bp - (0.25 - math.sqrt(3.0) / 4.0 * 1j)) < 1e-14
+        assert abs(k_bp - cmath.exp(-1j * math.pi / 6.0)) < 1e-14
         report(2, f"tan(2 theta) contact root vs closed form: worst "
                   f"{worst:.2e} < 1e-10; E_bp, k_bp verified at pi/6")
 
@@ -112,7 +112,7 @@ class TestAcceptance4SelfOrthogonality:
         p = ModelParams(lam=1.0, theta=th)
         deltas = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
         seq = [lbp + d for d in deltas]
-        assert all(classify_region(p, lam) is RegionLabel.ConvergentA
+        assert all(classify_region(p, lam) == "ConvergentA"
                    for lam in seq)
         pts = degeneracy_diagnostics(p, seq)
         sig = [pt.sigma_min for pt in pts]
@@ -174,11 +174,11 @@ class TestAcceptance6BerryMonodromy:
 class TestAcceptance7RegionsAndResiduals:
     def test_region_flip_at_critical_angle(self):
         lam = 1.0
-        th0 = critical_angle(ModelParams(lam=lam, theta=0.3), 0).raw
+        th0 = critical_angle(ModelParams(lam=lam, theta=0.3), 0)
         above = ModelParams(lam=lam, theta=th0 + 1e-10)
         below = ModelParams(lam=lam, theta=th0 - 1e-10)
-        assert classify_region(above) is RegionLabel.ConvergentA
-        assert classify_region(below) is RegionLabel.DivergentB
+        assert classify_region(above) == "ConvergentA"
+        assert classify_region(below) == "DivergentB"
         report(7, f"region flips within 1e-10 of theta_0 = {th0:.10f}")
 
     def test_emitted_wavefunctions_satisfy_ode(self, tmp_path):

@@ -798,20 +798,29 @@ class TestDegeneracyDiagnostics:
         (0.3, 1.0), (0.25, 0.8), (0.5, 1.8), (0.4, 1.3)])
     def test_cond_ignores_rounding_of_the_coefficients(self, monkeypatch,
                                                         theta, lam):
-        # a relative change of 1e-15 in every continuum coefficient, bin
-        # values and tails alike, stays a rounding-level change of cond
+        # a relative change of 1e-15 in every value of the resonance's
+        # wave function stays a rounding-level change of cond; no
+        # continuum coefficient enters
         p = ModelParams(lam=lam, theta=theta)
         lam_seq = [branch_point_coupling(theta) + 1e-4]
         (plain,) = degeneracy_diagnostics(p, lam_seq)
-        original = binbasis._Continuum.coefficients
+        original = binbasis.raw_psi, binbasis._Continuum.coefficients
+        coefficients = []
 
-        def jittered(cont, ks):
-            return original(cont, ks) \
-                * (1.0 + 1e-15 * np.sin(37.0 * np.abs(ks) + 1j))
+        def jittered(k, s, beta, th, x):
+            return original[0](k, s, beta, th, x) \
+                * (1.0 + 1e-15 * np.sin(37.0 * np.abs(x) + 1j))
 
-        monkeypatch.setattr(binbasis._Continuum, "coefficients", jittered)
+        def counted(cont, ks):
+            coefficients.append(ks)
+            return original[1](cont, ks)
+
+        monkeypatch.setattr(binbasis, "raw_psi", jittered)
+        monkeypatch.setattr(binbasis._Continuum, "coefficients", counted)
         (moved,) = degeneracy_diagnostics(p, lam_seq)
+        assert moved.sigma_min != plain.sigma_min
         assert abs(moved.cond / plain.cond - 1.0) <= 1e-13
+        assert coefficients == []
 
     def test_limit_exchange_inequality(self):
         th = math.pi / 6

@@ -211,6 +211,17 @@ class TestExitCodes:
         assert err["error"] == "EmptyRange"
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_berry_loop_that_does_not_move_k_bp_is_3(self, tmp_path,
+                                                      capsys):
+        # hbar = 1e-30, m = 1000: the loop radius moves no readout node off
+        # k_bp, so every readout is 0; refused before the phase tracking
+        cfg = write_config(tmp_path, {"units": {"hbar": 1e-30, "m": 1000}})
+        assert main(["--config", cfg, "--out", str(tmp_path), "berry"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "EmptyRange"
+        assert "readout is 0 at 1025 of 1025 loop nodes" in err["message"]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_wavefunction_at_zero_k_is_3(self, tmp_path, capsys):
         # the Jost pair is degenerate at k = 0, and the default grid has
         # points beyond the in-place band
@@ -357,6 +368,21 @@ class TestSpectrumOutput:
         assert run(tmp_path, "spectrum") == 0
         row = (tmp_path / "spectrum.csv").read_text().splitlines()[2]
         assert "0.75000000000000011" in row
+
+    @pytest.mark.parametrize("payload, level", [
+        ({"lam": 0.25}, 0),
+        ({"lam": 1.25, "spectrum": {"n_max": 3}}, 1),
+    ])
+    def test_zero_real_part_is_quarter_pi(self, tmp_path, payload, level):
+        # Re E_n = 0 exactly: theta_n = -arg(E_n)/2 = pi/4
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "spectrum"]) == 0
+        rows = (tmp_path / "spectrum.csv").read_text().splitlines()[2:]
+        n, re_e, _, theta_n = rows[level].split(",")
+        assert (n, re_e, theta_n) == (str(level), "0", "0.78539816339744828")
+        levels = json.loads((tmp_path / "spectrum.json").read_text())["levels"]
+        assert levels[level]["theta_n"] == "0.78539816339744828"
 
 
 class TestRegionsOutput:

@@ -20,7 +20,7 @@ from csmres.eploop import (
     fit_puiseux,
     run_berry_loop,
 )
-from csmres.errors import BranchCollision, PreconditionViolation
+from csmres.errors import BranchCollision, EmptyRange, PreconditionViolation
 from csmres.model import ModelParams, branch_point, branch_point_coupling
 
 TH = math.pi / 6
@@ -202,6 +202,14 @@ class TestFitPuiseux:
         with pytest.raises(PreconditionViolation):
             fit_puiseux(P, (1e-10, 1e-4))
 
+    @pytest.mark.parametrize("theta", [0.3, 0.6])
+    def test_bins_below_the_float_spacing_raise(self, theta):
+        # hbar = 1e-30, m = 1000: lam_bp is about 1e-64, so every
+        # k_bp + sqrt(t) rounds to k_bp and a bin energy would divide by 0
+        p = ModelParams(lam=1.0, theta=theta, hbar=1e-30, m=1000.0)
+        with pytest.raises(EmptyRange, match="zero width"):
+            fit_puiseux(p)
+
 
 class TestBoundaryCrossings:
     def test_two_crossings_per_turn(self):
@@ -283,6 +291,17 @@ class TestBerryLoop:
     def test_taylor_bound_enforced(self):
         with pytest.raises(PreconditionViolation):
             run_berry_loop(P, LoopSpec(radius=0.05, windings=1))
+
+    def test_readout_below_the_float_spacing_raises(self):
+        # hbar = 1e-30, m = 1000: r = sqrt(lam - lam_bp) is about 1e-34,
+        # the nodes k_bp -+ r round to k_bp and every readout is 0, which
+        # has no phase to track
+        p = ModelParams(lam=1.0, theta=0.3, hbar=1e-30, m=1000.0)
+        spec = LoopSpec(radius=1e-5 * branch_point(p)[0])
+        with pytest.raises(EmptyRange, match="readout is 0 at 1025 of 1025"):
+            run_berry_loop(p, spec)
+        with pytest.raises(EmptyRange, match="readout is 0 at 257 of 257"):
+            case_asymptotic_phase(1, p, spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

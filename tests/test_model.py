@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csmres import model
 from csmres.errors import DegenerateIndex, NonConvergence, \
     PreconditionViolation
 from csmres.model import (
-    CriticalAngle,
     ModelParams,
     _bisect_zero,
     _csqrt,
@@ -139,63 +139,109 @@ class TestResonanceEnergy:
         assert abs(r.energy - expect) < 1e-14 * abs(expect)
 
 
+def single_branch_angle(params, n):
+    """The single-branch closed form (1/2) arctan(-Im E_n / Re E_n)."""
+    e = resonance_energy(params, n).energy
+    return 0.5 * math.atan(-e.imag / e.real)
+
+
 class TestCriticalAngle:
     def test_n0_reference(self):
         p = ModelParams(lam=1.0, theta=0.3)
-        ca = critical_angle(p, 0)
-        assert abs(ca.raw - 0.5 * math.atan(SQRT7 / 3.0)) < 1e-14
-        assert abs(ca.raw - 0.361367) < 1e-6
-        assert ca.raw == ca.corrected and not ca.ambiguous
+        angle = critical_angle(p, 0)
+        assert abs(angle - 0.5 * math.atan(SQRT7 / 3.0)) < 1e-14
+        assert abs(angle - 0.361367) < 1e-6
+        assert resonance_energy(p, 0).energy.real > 0.0
+        assert angle == single_branch_angle(p, 0)
 
     def test_branch_point_self_consistency(self):
         lam_bp = branch_point_coupling(math.pi / 6)
         p = ModelParams(lam=lam_bp, theta=math.pi / 6)
-        assert abs(critical_angle(p, 0).raw - math.pi / 6) < 1e-10
+        assert abs(critical_angle(p, 0) - math.pi / 6) < 1e-10
 
     def test_large_coupling_limit(self):
         for lam in (1e3, 1e5, 1e7):
             p = ModelParams(lam=lam, theta=0.3)
-            assert critical_angle(p, 0).raw < 1.0 / math.sqrt(lam)
+            assert critical_angle(p, 0) < 1.0 / math.sqrt(lam)
 
     def test_negative_real_part_exposes_both(self):
         p = ModelParams(lam=1.0, theta=0.3)
-        ca = critical_angle(p, 1)
-        assert ca.ambiguous
-        assert ca.raw < 0.0  # single-branch arctan value
-        assert abs(ca.corrected - (ca.raw + math.pi / 2.0)) < 1e-14
+        assert resonance_energy(p, 1).energy.real < 0.0
+        raw = single_branch_angle(p, 1)
+        assert raw < 0.0
+        assert abs(critical_angle(p, 1) - (raw + math.pi / 2.0)) < 1e-14
+
+    @pytest.mark.parametrize("lam, n", [(0.25, 0), (1.25, 1)])
+    def test_zero_real_part_is_quarter_pi(self, lam, n):
+        # E_n = (1/8)(sqrt(g - 1) - (2n + 1) i)^2 with sqrt(g - 1) = 2n + 1
+        # exactly: the arctan form divides by 0, -arg(E_n)/2 is pi/4
+        p = ModelParams(lam=lam, theta=0.3)
+        assert resonance_energy(p, n).energy.real == 0.0
+        assert critical_angle(p, n) == math.pi / 4
 
     def test_monotone_in_n_where_unambiguous(self):
         p = ModelParams(lam=40.0, theta=0.3)
+        assert all(resonance_energy(p, n).energy.real > 0.0
+                   for n in range(4))
         angles = [critical_angle(p, n) for n in range(4)]
-        assert all(not a.ambiguous for a in angles)
-        raws = [a.raw for a in angles]
+        raws = [single_branch_angle(p, n) for n in range(4)]
         assert raws == sorted(raws)
+        assert angles == sorted(angles)
+        # arctan and atan2 round apart (by 1 ulp at n = 2)
+        assert all(abs(a - r) <= 1e-15 * a for a, r in zip(angles, raws))
 
 
 class TestLambdaWindow:
     def test_reference_values_pi_over_6(self):
         rb = lambda_window(math.pi / 6)
+        lam_bp, e_bp, k_bp = branch_point(
+            ModelParams(lam=1.0, theta=math.pi / 6))
         assert abs(rb.lambda0_plus - 0.5) < 1e-14
-        assert abs(rb.lambda_bp - 0.5) < 1e-14
+        assert abs(lam_bp - 0.5) < 1e-14
         assert abs(rb.lambda0_minus - 1.0 / 6.0) < 1e-14
         assert abs(rb.lambda1_plus - 3.5) < 1e-12
         assert abs(rb.lambda1_minus - 0.5) < 1e-12
-        assert abs(rb.E_bp - (0.25 - math.sqrt(3.0) / 4.0 * 1j)) < 1e-14
-        assert abs(rb.k_bp - cmath.exp(-1j * math.pi / 6.0)) < 1e-14
+        assert abs(e_bp - (0.25 - math.sqrt(3.0) / 4.0 * 1j)) < 1e-14
+        assert abs(k_bp - cmath.exp(-1j * math.pi / 6.0)) < 1e-14
 
     def test_bp_contact_condition(self):
         for th in (math.pi / 8, math.pi / 6, math.pi / 5):
-            rb = lambda_window(th)
-            assert abs(math.tan(2 * th) * rb.E_bp.real + rb.E_bp.imag) < 1e-10
+            _, e_bp, _ = branch_point(ModelParams(lam=1.0, theta=th))
+            assert abs(math.tan(2 * th) * e_bp.real + e_bp.imag) < 1e-10
 
     def test_both_lambda0_plus_forms_agree(self):
         # lambda0_plus is lambda_bp; the window form (1 + cos 2t)/sin^2 2t
         # gives the same value
         for th in np.linspace(0.01, math.pi / 4 - 0.01, 1000):
             rb = lambda_window(th)
+            lam_bp = branch_point(ModelParams(lam=1.0, theta=th))[0]
             window = 0.25 * (1.0 + math.cos(2 * th)) / math.sin(2 * th) ** 2
-            assert rb.lambda0_plus == rb.lambda_bp
-            assert abs(window - rb.lambda_bp) < 1e-14 * rb.lambda_bp
+            assert rb.lambda0_plus == lam_bp
+            assert abs(window - lam_bp) < 1e-14 * lam_bp
+
+    @pytest.mark.parametrize("units, named", [
+        ({"m": -1.0}, "m = -1.0 must be positive"),
+        ({"hbar": 0.0}, "hbar = 0.0 must be positive"),
+        ({"hbar": 1e155}, "hbar^2 = inf"),
+        ({"m": 1e-310}, "beta^2 hbar^2 / (8 m) = inf"),
+    ])
+    def test_bad_units_are_refused(self, units, named):
+        # refused as ModelParams refuses them, not turned into bounds
+        for call in (lambda: lambda_window(0.3, **units),
+                     lambda: branch_point_coupling(0.3, **units),
+                     lambda: ModelParams(lam=1.0, theta=0.3, **units)):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                call()
+
+    def test_evaluates_no_resonance(self, monkeypatch):
+        # the bounds are closed forms in theta and the units alone
+        expect = lambda_window(0.3, 1.7, 0.8, 1.3)
+
+        def refused(*args):
+            raise AssertionError("resonance_energy called")
+
+        monkeypatch.setattr(model, "resonance_energy", refused)
+        assert lambda_window(0.3, 1.7, 0.8, 1.3) == expect
 
     @pytest.mark.parametrize("theta", [0.02, 1e-3, 1e-8])
     def test_bounds_match_mpmath(self, theta):
@@ -267,8 +313,7 @@ class TestBranchPoint:
         p = ModelParams(lam=1.0, theta=theta, m=m, hbar=hbar, beta=beta)
         lam_bp, e_bp, k_bp = branch_point(p)
         assert lam_bp == branch_point_coupling(theta, m, hbar, beta)
-        rb = lambda_window(theta, m, hbar, beta)
-        assert (rb.lambda_bp, rb.E_bp, rb.k_bp) == (lam_bp, e_bp, k_bp)
+        assert lambda_window(theta, m, hbar, beta).lambda0_plus == lam_bp
         pole = resonance_energy(p.with_lam(lam_bp), 0)
         assert (pole.energy, pole.k) == (e_bp, k_bp)
 

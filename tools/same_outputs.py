@@ -13,9 +13,11 @@ also runs ``berry`` alone at three more angles (``BERRY_THETAS``), since
 the bisected boundary crossings that fix the loop's start depend on the
 angle down to the last bits, and ``wavefunction`` and ``overlap`` alone
 at the ends of the benchmark's angle ranges (``WAVEFUNCTION_THETAS``,
-``OVERLAP_THETAS``), and ``overlap`` with no deltas, whose
-``degeneracy.csv`` is a table of no rows (``EMPTY_TABLE_CONFIG``).  Every
-written file is then compared byte for byte.
+``OVERLAP_THETAS``), ``overlap`` with no deltas, whose
+``degeneracy.csv`` is a table of no rows (``EMPTY_TABLE_CONFIG``), and
+``spectrum``, ``regions`` and ``berry`` with m, hbar and beta other than 1
+(``UNITS_CONFIG``), which every other case leaves at 1.  Every written
+file is then compared byte for byte.
 Prints the first differing byte of each file that differs and exits 1 if
 any does, else exits 0.
 """
@@ -55,6 +57,9 @@ WAVEFUNCTION_K = {"re": 1.5, "im": -0.9}
 OVERLAP_THETAS = (0.2, 0.6)
 # An overlap at golden size with no deltas: a header-only degeneracy table.
 EMPTY_TABLE_CONFIG = {"overlap": {"n_bins": 2, "deltas": []}}
+# Units other than 1, for the workflows whose closed forms carry them.
+UNITS_CONFIG = {"theta": 0.35, "lam": 0.9,
+                "units": {"m": 2.0, "hbar": 0.7, "beta": 1.3}}
 
 
 def berry_config(theta: float) -> dict:
@@ -145,6 +150,7 @@ def main(argv: list) -> int:
             {"theta": theta, "lam": 1.3, "overlap": BENCH_CONFIG["overlap"]},
             ["overlap"])) for theta in OVERLAP_THETAS)
         cases["overlap-nodeltas"] = (EMPTY_TABLE_CONFIG, ["overlap"])
+        cases["units"] = (UNITS_CONFIG, ["spectrum", "regions", "berry"])
         for case, (config, commands) in cases.items():
             path = work / f"{case}-config.json"
             path.write_text(json.dumps(config))
