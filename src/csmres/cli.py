@@ -11,13 +11,20 @@ byte-identical files.
 Serialization: every number is written with 17 significant digits by
 ``%.17g``, one format per table column (one C-level ``%`` operation over
 the whole column), and the CSV and JSON files of a table are written from
-that same text.  A CSV file joins its rows in blocks of at most
-``_CSV_BLOCK`` rows, each row the comma join of its cells; a JSON file is
-filled by one ``%`` template per table.  A JSON file holds exactly the
-bytes of the stdlib's ``json.dump(payload, indent=2, sort_keys=True)``
-plus a newline, where each number is a string of its 17-digit text, each
-complex number an object {"im", "re"}, and labels are escaped as
-``ensure_ascii`` does.
+that same text.  The berry table's eight loop columns (re and im of the
+coupling, of both sheet energies and of the running factor) are
+formatted together, once per distinct bit pattern (``_repeated_texts``):
+a loop of several windings revisits its couplings, swaps its sheets
+after each turn and multiplies its factor by i, so a 4-winding loop's
+32 776 cells hold about 8 800 patterns.  Every other column goes through
+``_texts``, whose values (grid points, wave functions, phases) do not
+repeat, so sorting them for repeats would only add cost.  A CSV file
+joins its rows in blocks of at most ``_CSV_BLOCK`` rows, each row the
+comma join of its cells; a JSON file is filled by one ``%`` template per
+table.  A JSON file holds exactly the bytes of the stdlib's
+``json.dump(payload, indent=2, sort_keys=True)`` plus a newline, where
+each number is a string of its 17-digit text, each complex number an
+object {"im", "re"}, and labels are escaped as ``ensure_ascii`` does.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from .errors import ConfigError, CsmError
 from .model import (
     ModelParams,
     branch_point_coupling,
-    critical_angle,
     lambda_window,
     resonance_energy,
 )
@@ -65,12 +71,14 @@ def _texts(values) -> list:
     return (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
 
 
-def _repeated_texts(values) -> list:
-    """``_texts`` of real values that take few distinct bit patterns, each
-    pattern formatted once.  Bits, not values: -0.0 and 0.0 differ."""
-    bits, at = np.unique(np.asarray(values, dtype=float).view(np.int64),
-                         return_inverse=True)
-    return list(map(_texts(bits.view(float)).__getitem__, at.tolist()))
+def _repeated_texts(*columns) -> list:
+    """``_texts`` of each of several equal-length real columns whose cells
+    take few distinct bit patterns among them all, each pattern formatted
+    once.  Bits, not values: -0.0 and 0.0 differ."""
+    cells = np.asarray(columns, dtype=float)
+    bits, at = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
+    texts = np.asarray(_texts(bits.view(float)), dtype=object)
+    return texts[at].reshape(cells.shape).tolist()
 
 
 def _parts(values) -> dict:
@@ -266,7 +274,7 @@ def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
     levels = range(n_max + 1)
     poles = [resonance_energy(params, n) for n in levels]
     energy = _parts([pole.energy for pole in poles])
-    theta_n = _texts([critical_angle(params, n) for n in levels])
+    theta_n = _texts([pole.critical_angle for pole in poles])
     ns = _Json(map(str, levels))
     _emit(out_dir, "spectrum", fmt,
           {"n": ns, "re_E": energy["re"], "im_E": energy["im"],
@@ -377,16 +385,16 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     trace, verdicts = run_berry_loop(params, spec)
     fit = fit_puiseux(params)
 
-    lam, e_plus, e_minus = map(_parts, (trace.lam, trace.e_plus,
-                                        trace.e_minus))
+    # values that repeat across windings and sheets: formatted together
+    loop = (trace.lam, trace.e_plus, trace.e_minus, trace.accumulated)
+    re_lam, im_lam, re_plus, im_plus, re_minus, im_minus, re_factor, \
+        im_factor = _repeated_texts(*chain.from_iterable(
+            (values.real, values.imag) for values in loop))
     columns = {
-        "phi": _texts(trace.phi), "re_lambda": lam["re"],
-        "im_lambda": lam["im"], "re_E_plus": e_plus["re"],
-        "im_E_plus": e_plus["im"], "re_E_minus": e_minus["re"],
-        "im_E_minus": e_minus["im"], "region": trace.region,
-        # the running factor takes a few values: 1, i, -1, -i, signed zeros
-        "re_factor": _repeated_texts(trace.accumulated.real),
-        "im_factor": _repeated_texts(trace.accumulated.imag),
+        "phi": _texts(trace.phi), "re_lambda": re_lam, "im_lambda": im_lam,
+        "re_E_plus": re_plus, "im_E_plus": im_plus, "re_E_minus": re_minus,
+        "im_E_minus": im_minus, "region": trace.region,
+        "re_factor": re_factor, "im_factor": im_factor,
         "unwrapped_phase": _texts(trace.unwrapped_phase)}
     _emit(out_dir, "berry", fmt, columns,
           {"workflow": "berry", "exponent": fit.exponent, "alpha": fit.alpha,

@@ -218,6 +218,11 @@ class ResonancePole:
     k: complex
     width: float
 
+    @property
+    def critical_angle(self) -> float:
+        """theta_n = -arg(E_n)/2, the angle of ``critical_angle``."""
+        return -0.5 * math.atan2(self.energy.imag, self.energy.real)
+
 
 def bin_energy(params: ModelParams, ka: complex, kb: complex) -> complex:
     """Closed-form bin-averaged kinetic energy (cubic formula)."""
@@ -255,8 +260,7 @@ def critical_angle(params: ModelParams, n: int) -> float:
     where Re E_n < 0 it is pi/2 more than that, and at Re E_n = 0 (with
     Im E_n < 0) it is pi/4.
     """
-    e = resonance_energy(params, n).energy
-    return -0.5 * math.atan2(e.imag, e.real)
+    return resonance_energy(params, n).critical_angle
 
 
 @dataclass(frozen=True)

@@ -106,12 +106,26 @@ def test_column_text_is_the_per_cell_format(values):
     assert _texts(values) == [f"{v:.17g}" for v in values]
 
 
-@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(),
-                max_size=40))
-@example([1.0, -0.0, 0.0, -0.0, -1.0, 0.0])
-def test_repeated_text_is_the_per_cell_format(values):
-    # one text per bit pattern, not per value: -0.0 keeps its sign
-    assert _repeated_texts(values) == [f"{v:.17g}" for v in values]
+@st.composite
+def _shared_columns(draw):
+    """1 to 5 equal-length columns whose cells are drawn from one pool of
+    values, signed zeros among them, or are any float."""
+    n = draw(st.integers(0, 40))
+    pool = draw(st.lists(st.floats(), max_size=6)) + [0.0, -0.0, 1.0, -1.0]
+    cell = st.sampled_from(pool) | st.floats()
+    return draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+
+
+@given(_shared_columns())
+@example([[1.0, -0.0, 0.0, -0.0, -1.0, 0.0]])
+@example([[0.0, -0.0, 0.5], [-0.0, 0.5, 0.0], [0.5, 0.0, -0.0]])
+@example([[], []])
+def test_repeated_text_is_the_per_cell_format(columns):
+    # one text per bit pattern, not per value: -0.0 keeps its sign, and a
+    # pattern shared by several columns has the same text in each
+    assert _repeated_texts(*columns) == [[f"{v:.17g}" for v in column]
+                                         for column in columns]
 
 
 @given(PAYLOADS)
@@ -207,6 +221,44 @@ def test_bench_size_berry_loop_matches_the_per_cell_writer(tmp_path):
         "connection_consistency": _jnum(verdicts["connection_consistency"]),
     })
     _assert_same_files(new, old, ("berry.csv", "berry.json"))
+
+
+def _mismatches(texts, values) -> int:
+    """Cells whose text is not the 17-digit format of the matching value."""
+    return sum(text != f"{v:.17g}"
+               for text, v in zip(texts, values, strict=True))
+
+
+@pytest.mark.parametrize("windings", (1, 4))
+@pytest.mark.parametrize("theta, radius_rel",
+                         ((0.06, 1e-7), (0.4, 1e-6), (0.74, 1e-6)))
+def test_berry_csv_cells_are_the_loop_trace(tmp_path, theta, radius_rel,
+                                            windings):
+    # one winding repeats few values; four repeat couplings, swapped
+    # sheets and factors, which the CLI formats once per bit pattern
+    n_steps = 1024
+    new = _cli(tmp_path, "berry", {
+        "theta": theta, "berry": {"radius_rel": radius_rel,
+                                  "windings": windings, "n_steps": n_steps}})
+    trace, _ = run_berry_loop(ModelParams(lam=1.0, theta=theta), LoopSpec(
+        radius=radius_rel * branch_point_coupling(theta, 1.0, 1.0, 1.0),
+        windings=windings, n_steps=n_steps))
+    lines = (new / "berry.csv").read_text().splitlines()
+    cells = dict(zip(lines[1].split(","),
+                     map(list, zip(*(line.split(",") for line in lines[2:])))))
+    assert cells.pop("region") == list(trace.region)
+    values = {
+        "phi": trace.phi, "re_lambda": trace.lam.real,
+        "im_lambda": trace.lam.imag, "re_E_plus": trace.e_plus.real,
+        "im_E_plus": trace.e_plus.imag, "re_E_minus": trace.e_minus.real,
+        "im_E_minus": trace.e_minus.imag, "re_factor": trace.accumulated.real,
+        "im_factor": trace.accumulated.imag,
+        "unwrapped_phase": trace.unwrapped_phase}
+    assert list(cells) == list(values)
+    for name, texts in cells.items():
+        assert _mismatches(texts, values[name]) == 0, name
+        # the check sees a column whose cells are one row off
+        assert _mismatches(texts[1:] + texts[:1], values[name]) > 0, name
 
 
 @pytest.mark.parametrize("n_rows", (0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,

@@ -11,13 +11,16 @@ checkout).  For each tree a fresh interpreter, with only that SRC on
 and 3 deltas, a 4 x 1024-step loop, a 16 385-point wave function).  It
 also runs ``berry`` alone at three more angles (``BERRY_THETAS``), since
 the bisected boundary crossings that fix the loop's start depend on the
-angle down to the last bits, and ``wavefunction`` and ``overlap`` alone
-at the ends of the benchmark's angle ranges (``WAVEFUNCTION_THETAS``,
-``OVERLAP_THETAS``), ``overlap`` with no deltas, whose
-``degeneracy.csv`` is a table of no rows (``EMPTY_TABLE_CONFIG``), and
-``spectrum``, ``regions`` and ``berry`` with m, hbar and beta other than 1
-(``UNITS_CONFIG``), which every other case leaves at 1.  Every written
-file is then compared byte for byte.
+angle down to the last bits, and at both ends of the berry table's
+formatting once per bit pattern (``BERRY_WINDINGS``): one winding of
+1 024 steps, whose cells repeat little, and 8 windings of the minimum
+64 steps, whose cells mostly repeat.  It runs ``wavefunction`` and
+``overlap`` alone at the ends of the benchmark's angle ranges
+(``WAVEFUNCTION_THETAS``, ``OVERLAP_THETAS``), ``overlap`` with no
+deltas, whose ``degeneracy.csv`` is a table of no rows
+(``EMPTY_TABLE_CONFIG``), and ``spectrum``, ``regions`` and ``berry``
+with m, hbar and beta other than 1 (``UNITS_CONFIG``), which every other
+case leaves at 1.  Every written file is then compared byte for byte.
 Prints the first differing byte of each file that differs and exits 1 if
 any does, else exits 0.
 """
@@ -48,6 +51,10 @@ BENCH_CONFIG = {
 }
 # Angles of the berry-only cases, spread over (0, pi/4).
 BERRY_THETAS = (0.06, 0.4, 0.74)
+# Berry-only loops at both ends of the pooled formatting: case ->
+# (theta, radius_rel, windings, n_steps).
+BERRY_WINDINGS = {"berry-1winding": (0.4, 1e-6, 1, 1024),
+                  "berry-8windings": (0.06, 1e-7, 8, 64)}
 # Angles of the wavefunction-only cases, the ends of the benchmark's scan
 # range: the band of x < 0 points summed in place and the mirrored points
 # differ from theta 0.4.  The k is a Gamow-type one from inside its box.
@@ -141,6 +148,11 @@ def main(argv: list) -> int:
         cases = {"bench": (BENCH_CONFIG, COMMANDS)}
         cases.update((f"berry-theta{theta}", (berry_config(theta), ["berry"]))
                      for theta in BERRY_THETAS)
+        cases.update((case, ({"theta": theta, "lam": 1.3, "berry": {
+            "radius_rel": radius_rel, "windings": windings,
+            "n_steps": n_steps}}, ["berry"]))
+            for case, (theta, radius_rel, windings, n_steps)
+            in BERRY_WINDINGS.items())
         for theta in WAVEFUNCTION_THETAS:
             block = dict(BENCH_CONFIG["wavefunction"], k=WAVEFUNCTION_K)
             cases[f"wavefunction-theta{theta}"] = (
