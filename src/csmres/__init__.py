@@ -19,15 +19,14 @@ import importlib
 _EXPORTS = {
     "errors": (
         "BranchCollision", "ConfigError", "CsmError", "DegenerateIndex",
-        "EmptyRange", "IllConditionedFit", "NonConvergence",
-        "NonNormalizable", "PoleError", "PreconditionViolation",
-        "QuadratureError", "SingularCoordinate", "StepTooCoarse",
+        "EmptyRange", "NonConvergence", "NonNormalizable", "PoleError",
+        "PreconditionViolation", "QuadratureError", "SingularCoordinate",
+        "StepTooCoarse",
     ),
     "model": (
-        "DerivedQuantities", "ModelParams", "RegionBounds", "ResonancePole",
-        "bin_energy", "branch_point", "branch_point_coupling",
-        "contact_coupling_root", "critical_angle", "derived_quantities",
-        "lambda_window", "resonance_energy",
+        "ModelParams", "RegionBounds", "ResonancePole", "bin_energy",
+        "branch_point", "branch_point_coupling", "contact_coupling_root",
+        "lambda_window", "potential_index", "resonance_energy",
     ),
     "specfun": ("complex_gamma", "hyp2f1", "hyp2f1_grid", "reciprocal_gamma"),
     "wavefun": (
@@ -36,8 +35,8 @@ _EXPORTS = {
         "siegert_residual",
     ),
     "binbasis": (
-        "BasisState", "BinGrid", "DegeneracyPoint", "OverlapMatrix", "Side",
-        "SpatialGrid", "TailTerm", "binned_state", "degeneracy_diagnostics",
+        "BasisState", "BinGrid", "DegeneracyPoint", "Side", "SpatialGrid",
+        "TailTerm", "binned_state", "degeneracy_diagnostics",
         "ep_ray", "limit_exchange_entries", "overlap_matrix", "product_entry",
         "real_axis", "resonance_state", "spatial_grid", "unit_diagonal_state",
     ),

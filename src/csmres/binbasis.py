@@ -20,6 +20,12 @@ with (R, T) the gamma-ratio coefficients of the asymptotic plane waves,
 and every right state, H applied to it and left partner is a weighted sum
 of those samples.
 
+A basis state (``BasisState``) holds three functions of x: the state,
+its biorthogonal partner and H applied to it; ``overlap_matrix`` returns
+the c-product matrix S and the Hamiltonian matrix H of two lists of
+states as the pair (S, H).  Labels and energies are the caller's: a bin's
+energy is ``model.bin_energy`` of its nodes.
+
 All overlap and Hamiltonian entries combine Simpson quadrature on a finite
 grid, |x| <= X, with the exact tails beyond it; one ``SpatialGrid`` holds
 the grid, its cut X, its half grid and the Simpson rule.  Beyond X the
@@ -52,8 +58,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import EmptyRange, NonNormalizable, QuadratureError
-from .model import ModelParams, bin_energy, branch_point, \
-    derived_quantities, resonance_energy
+from .model import ModelParams, branch_point, potential_index, \
+    resonance_energy
 from .specfun import _SQRT_2PI
 from .wavefun import _amplitude, _gamma_coeffs, _s_factors, raw_psi
 
@@ -305,8 +311,6 @@ class BasisState:
     ``overlap_matrix`` relies on.
     """
 
-    name: str
-    energy: complex
     right: Side
     left: Side
     h: Side
@@ -516,66 +520,30 @@ def _gk_integral(fun, ka: complex, kb: complex, x_max: float):
     return kron, legendre
 
 
-class _Continuum:
-    """Coefficient toolkit for normalized continuum solutions.
+def _coefficients(ks: np.ndarray, s: complex, beta: float, factors: tuple,
+                  jac: complex, channel: bool) -> np.ndarray:
+    """Coefficients (3, len(ks)) of the plus, minus-reflected and
+    minus-transmitted asymptotic components of the normalized continuum
+    solution phi(k, y) at index s,
 
-    ``channel=False``: delta-normalized, phi = J psi / (sqrt(2 pi) B);
-    mutually delta-orthonormal but singular where B(k) vanishes (the
-    resonance pole approaches the contour near the branch point).
-    ``channel=True``: unit outgoing amplitude, phi = J psi / sqrt(2 pi);
-    bounded everywhere, delta weight (1 + A^2 + B^2)/2 instead of 1.
+        J A (1, R, T) / div,   A = 4^{-ik/2beta},
+
+    with J = ``jac`` and div = sqrt(2 pi) T, delta-normalized:
+    phi = J psi / (sqrt(2 pi) T), mutually delta-orthonormal but singular
+    where T(k) vanishes (the resonance pole approaches the contour near
+    the branch point); or, with ``channel``, div = sqrt(2 pi), unit
+    outgoing amplitude: bounded everywhere, with a smooth non-unit delta
+    weight.  One gamma-ratio evaluation (R, T) per k, five gamma
+    evaluations, with ``factors`` = ``_s_factors(s)``.
     """
-
-    def __init__(self, params: ModelParams, theta: float,
-                 channel: bool = False):
-        self.theta = float(theta)
-        self.beta = params.beta
-        self.channel = bool(channel)
-        self.s = derived_quantities(params).s
-        self.s_factors = _s_factors(self.s)
-        self.jac = cmath.exp(0.5j * self.theta)
-        zp = 1j * cmath.exp(1j * self.theta)
-        # rate factors of the plus, minus-reflected and minus-transmitted
-        # asymptotic components, in the order of ``coefficients``
-        self.zetas = (zp, zp, -zp)
-
-    def coefficients(self, ks: np.ndarray) -> np.ndarray:
-        """Coefficients (3, len(ks)) of the plus, minus-reflected and
-        minus-transmitted asymptotic components of phi(k, y),
-
-            J A (1, R, T) / div,   A = 4^{-ik/2beta},
-
-        div = sqrt(2 pi) T (delta) or sqrt(2 pi) (channel), from one
-        gamma-ratio evaluation (R, T) per k, five gamma evaluations, with
-        the k-free factors of R taken once per instance.
-        """
-        out = np.empty((3, len(ks)), dtype=complex)
-        for j, k in enumerate(ks):
-            refl, trans = _gamma_coeffs(complex(k), self.s, self.beta,
-                                         self.s_factors)
-            lead = self.jac * _amplitude(complex(k), self.beta) / _SQRT_2PI
-            if not self.channel:
-                lead /= trans
-            out[:, j] = lead, lead * refl, lead * trans
-        return out
-
-    def jost_pair(self, ks: np.ndarray, y: np.ndarray,
-                  conjugate: bool) -> np.ndarray:
-        """psi(k, y) and psi(-k, y) for each k, shape (2, len(ks), len(y)).
-
-        One ``raw_psi`` call evaluates every k and -k.  With
-        ``conjugate``, which the caller may set only for real k, theta 0
-        and real lam, psi(-k) is taken as the complex conjugate of
-        psi(k), and only +k is evaluated.
-        """
-        kk = ks if conjugate else np.concatenate([ks, -ks])
-        psi = raw_psi(kk, self.s, self.beta, self.theta, y)
-        if not conjugate:
-            return psi.reshape(2, len(ks), len(y))
-        pair = np.empty((2,) + psi.shape, dtype=complex)
-        pair[0] = psi
-        np.conjugate(psi, out=pair[1])
-        return pair
+    out = np.empty((3, len(ks)), dtype=complex)
+    for j, k in enumerate(ks):
+        refl, trans = _gamma_coeffs(complex(k), s, beta, factors)
+        lead = jac * _amplitude(complex(k), beta) / _SQRT_2PI
+        if not channel:
+            lead /= trans
+        out[:, j] = lead, lead * refl, lead * trans
+    return out
 
 
 def binned_state(params: ModelParams, grid: BinGrid, n: int,
@@ -630,8 +598,11 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         raise IndexError(f"bin index {n} out of range")
     ka, kb = (complex(k) for k in grid.nodes[n:n + 2])
     inv_sqrt_dk = 1.0 / np.sqrt(np.complex128(kb - ka))
-    cont = _Continuum(params, 0.0 if grid.hermitian else params.theta,
-                      channel=normalization == "channel")
+    theta = 0.0 if grid.hermitian else params.theta
+    channel = normalization == "channel"
+    s = potential_index(params)
+    factors = _s_factors(s)
+    jac = cmath.exp(0.5j * theta)
     # conj psi(k, s) = psi(-k, conj s), and conj s is s or -1 - s (the
     # same solution) only for real lam
     conjugate = grid.hermitian and complex(params.lam).imag == 0.0
@@ -646,7 +617,7 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         # partner's, which is the solution at -k with rates -zeta
         amp = np.array([_amplitude(k, params.beta) for k in ks])
         scale = np.array([amp, amp, 1.0 / amp])
-        c = cont.coefficients(ks)
+        c = _coefficients(ks, s, params.beta, factors, jac, channel)
         w0, w1, w2 = c / scale
         zero = np.zeros_like(w0)
         e = (params.hbar * ks) ** 2 / (2.0 * params.m)
@@ -654,15 +625,30 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
         series = [c, e * c]
         if not grid.hermitian:
             # the solution at -k: psi(k) and psi(-k) swap roles
-            c_minus = cont.coefficients(-ks)
+            c_minus = _coefficients(-ks, s, params.beta, factors, jac,
+                                    channel)
             v0, v1, v2 = c_minus * scale
             rows += [(zero, v0), (v2, v1)]
             series.append(c_minus)
-        return cont.jost_pair(ks, space.y, conjugate), np.array(rows), \
-            np.concatenate(series)
+        # the Jost pair (psi(k, y), psi(-k, y)) from one raw_psi call; with
+        # ``conjugate`` psi(-k) is the conjugate of psi(k), and only +k is
+        # evaluated
+        psi = raw_psi(ks if conjugate else np.concatenate([ks, -ks]), s,
+                      params.beta, theta, space.y)
+        if conjugate:
+            pair = np.empty((2,) + psi.shape, dtype=complex)
+            pair[0] = psi
+            np.conjugate(psi, out=pair[1])
+        else:
+            pair = psi.reshape(2, len(ks), len(space.y))
+        return pair, np.array(rows), np.concatenate(series)
 
     integ, coef = _gk_integral(sample, ka, kb, space.cut)
-    zetas = cont.zetas * 2 + tuple(-r for r in cont.zetas)
+    # rates of the plus, minus-reflected and minus-transmitted components
+    # of phi and of eps phi, then of the partner at -k
+    zp = 1j * cmath.exp(1j * theta)
+    rates = (zp, zp, -zp)
+    zetas = rates * 2 + tuple(-r for r in rates)
     terms = [TailTerm(coef=inv_sqrt_dk * a, rate=r, seg=(ka, kb))
              for a, r in zip(coef, zetas)]
 
@@ -675,9 +661,9 @@ def binned_state(params: ModelParams, grid: BinGrid, n: int,
                     (terms[3 * j],), (terms[3 * j + 1], terms[3 * j + 2]))
 
     right = side(0)
-    return BasisState(
-        name=f"bin[{n}]", energy=bin_energy(params, ka, kb), right=right,
-        left=right.conj() if grid.hermitian else side(2), h=side(1))
+    return BasisState(right=right,
+                      left=right.conj() if grid.hermitian else side(2),
+                      h=side(1))
 
 
 def resonance_state(params: ModelParams, space: SpatialGrid) -> BasisState:
@@ -697,8 +683,8 @@ def resonance_state(params: ModelParams, space: SpatialGrid) -> BasisState:
     q = 1j * pole.k * cmath.exp(1j * params.theta)
     if q.real >= 0.0:
         raise NonNormalizable("resonance tail does not decay at this angle")
-    v = raw_psi(pole.k, derived_quantities(params).s, params.beta,
-                params.theta, space.x)
+    v = raw_psi(pole.k, potential_index(params), params.beta, params.theta,
+                space.x)
     interior = float(space.integral(np.abs(v) ** 2))
     tail = (abs(v[-1]) ** 2 + abs(v[0]) ** 2) / (-2.0 * q.real)
     scale = 1.0 / math.sqrt(interior + tail)
@@ -709,24 +695,11 @@ def resonance_state(params: ModelParams, space: SpatialGrid) -> BasisState:
     right = Side(v, (TailTerm(coef=cp, rate=q),), (TailTerm(coef=cm, rate=q),))
     h = Side(e * v, (TailTerm(coef=e * cp, rate=q),),
              (TailTerm(coef=e * cm, rate=q),))
-    return BasisState(name="res[0]", energy=e, right=right, left=right,
-                      h=h)
+    return BasisState(right=right, left=right, h=h)
 
 
 # ---------------------------------------------------------------------------
 # matrices
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """The dense c-product matrix S (``matrix``) and Hamiltonian matrix H
-    (``hamiltonian``) of the same states, with row (left) and column
-    (right) labels."""
-
-    matrix: np.ndarray
-    hamiltonian: np.ndarray
-    row_labels: tuple
-    col_labels: tuple
-
 
 def _products(left: BasisState, kets, space: SpatialGrid) -> list:
     """c-products of a left state with each ``Side`` of ``kets``: a
@@ -756,9 +729,9 @@ def product_entry(left: BasisState, right: BasisState,
     return _products(left, (right.right,), space)[0]
 
 
-def overlap_matrix(left_states, right_states,
-                   space: SpatialGrid) -> OverlapMatrix:
+def overlap_matrix(left_states, right_states, space: SpatialGrid) -> tuple:
     """The c-product matrix S and the Hamiltonian matrix H of the states,
+    (S, H), rows from ``left_states`` and columns from ``right_states``,
     from one pass over the pairs: one ``_products`` call per pair takes a
     right state and H applied to it together, so the Gauss rule, nodes
     and Cauchy kernel of each pair of tail terms are built once for both.
@@ -773,9 +746,7 @@ def overlap_matrix(left_states, right_states,
     for i, ls in enumerate(left_states):
         for j, rs in enumerate(right_states):
             s[i, j], h[i, j] = _products(ls, (rs.right, rs.h), space)
-    return OverlapMatrix(matrix=s, hamiltonian=h,
-                         row_labels=tuple(st.name for st in left_states),
-                         col_labels=tuple(st.name for st in right_states))
+    return s, h
 
 
 def unit_diagonal_state(state: BasisState, space: SpatialGrid) -> BasisState:
@@ -823,11 +794,13 @@ def _ep_states(params: ModelParams, lam: complex, space: SpatialGrid):
     return res, bins
 
 
-def degeneracy_diagnostics(params: ModelParams, lam_seq):
+def degeneracy_diagnostics(params: ModelParams, deltas):
     """Self-orthogonality of the resonance approaching the branch point.
 
-    For each coupling in ``lam_seq`` (inside region A, approaching the
-    branch point) it records sigma_min = |(psi|psi)|, the c-norm of the
+    For each offset delta in ``deltas`` it records, at the coupling
+    lam = lam_bp + delta (inside region A for a small delta > 0,
+    approaching the branch point as delta falls), with lam_bp taken once
+    from ``branch_point``, sigma_min = |(psi|psi)|, the c-norm of the
     L2-normalized resonance, which is its phase rigidity
     |(psi|psi)| / <psi|psi>; the point's ``cond`` is 1 / sigma_min.
     sigma_min collapses toward 0 as the eigenvector coalesces with the
@@ -845,7 +818,7 @@ def degeneracy_diagnostics(params: ModelParams, lam_seq):
     Raises
     ------
     EmptyRange
-        If a coupling rounds to lam_bp, where the resonance sits on the
+        If lam_bp + delta rounds to lam_bp, where the resonance sits on the
         branch point.
     NonNormalizable
         If the resonance tail does not decay at a coupling.
@@ -853,23 +826,26 @@ def degeneracy_diagnostics(params: ModelParams, lam_seq):
     space = spatial_grid(params.beta)
     lam_bp = branch_point(params)[0]
     out = []
-    for lam in lam_seq:
-        if complex(lam) == lam_bp:
-            raise EmptyRange(f"lam = {lam} rounds to lam_bp = {lam_bp}")
+    for delta in deltas:
+        lam = lam_bp + delta
+        if lam == lam_bp:
+            raise EmptyRange(f"lam = lam_bp + {delta} rounds to "
+                             f"lam_bp = {lam_bp}")
         res = resonance_state(params.with_lam(lam), space)
         sigma_min = float(abs(product_entry(res, res, space)))
         out.append(DegeneracyPoint(lam=complex(lam), sigma_min=sigma_min))
     return out
 
 
-def limit_exchange_entries(params: ModelParams, lam_seq):
+def limit_exchange_entries(params: ModelParams, deltas):
     """Both orders of the coupling limit in the resonance-bin product.
 
     Returns (interior_entries, limit_entries): the first list holds, for
-    each coupling in the sequence, the largest |c-product| of the
-    L2-normalized resonance with the straddling bins; these are products of
-    c-orthogonal eigenstates at distinct eigenvalues, hence exactly zero up
-    to quadrature error, and tend to 0 along the sequence: below 1e-10 at
+    each offset delta in ``deltas``, at the coupling lam = lam_bp + delta,
+    the largest |c-product| of the L2-normalized resonance with the
+    straddling bins; these are products of c-orthogonal eigenstates at
+    distinct eigenvalues, hence exactly zero up to quadrature error, and
+    tend to 0 along the sequence: below 1e-10 at
     1e-6 <= lam - lam_bp <= 1e-2 over 0.2 <= theta <= 0.6 (at most 4.4e-11,
     at theta 0.2 and lam - lam_bp = 1e-2).  The second
     holds the products with the resonance replaced by the boundary
@@ -883,13 +859,13 @@ def limit_exchange_entries(params: ModelParams, lam_seq):
     space = spatial_grid(params.beta)
     lam_bp, _, k_bp = branch_point(params)
     # boundary continuum solution at the branch point
-    s_bp = derived_quantities(params.with_lam(lam_bp)).s
+    s_bp = potential_index(params.with_lam(lam_bp))
     phi_bp = cmath.exp(0.5j * params.theta) \
         * raw_psi(k_bp, s_bp, params.beta, params.theta, space.x) / _SQRT_2PI
     interior = []
     limits = []
-    for lam in lam_seq:
-        res, bins = _ep_states(params, lam, space)
+    for delta in deltas:
+        res, bins = _ep_states(params, lam_bp + delta, space)
         interior.append(max(abs(product_entry(res, b, space)) for b in bins))
         limits.append(max(abs(complex(space.integral(phi_bp * b.right.values)))
                           for b in bins))

@@ -2,8 +2,9 @@
 
 Subcommands: ``spectrum`` (closed-form resonance ladder), ``regions``
 (coupling-window curves on a theta grid), ``overlap`` (bin-basis overlap
-and Hamiltonian matrices plus the resonance's phase rigidity near the
-branch point), ``berry``
+and Hamiltonian matrices, rows and columns labelled ``bin[j]``, plus the
+resonance's phase rigidity at the configured offsets from the branch
+point), ``berry``
 (Puiseux fit and branch-point loop verdicts), and ``wavefunction``
 (grid dump of the scaled solution).  Identical configs produce
 byte-identical files.
@@ -306,12 +307,12 @@ def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
           {"workflow": "regions", "curves": _Records(columns)})
 
 
-def _entries(om, matrix) -> dict:
-    """Row-major columns row, col, re and im of ``matrix``, one of the
-    matrices of ``om``, with its labels."""
-    n_rows, n_cols = matrix.shape
-    return {"row": [label for label in om.row_labels for _ in range(n_cols)],
-            "col": list(om.col_labels) * n_rows, **_parts(matrix)}
+def _entries(labels: list, matrix) -> dict:
+    """Row-major columns row, col, re and im of the square ``matrix``,
+    whose rows and columns are both labelled ``labels``."""
+    n = len(labels)
+    return {"row": [label for label in labels for _ in range(n)],
+            "col": labels * n, **_parts(matrix)}
 
 
 def _labelled(entries: dict) -> _Records:
@@ -341,15 +342,13 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     # the degeneracy step first: it builds no bin, and it fails in
     # milliseconds where the gamma kernels leave the float range, before
     # the real-axis bins are built
-    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
-                                   params.beta)
-    points = degeneracy_diagnostics(params, [lam_bp + d for d in deltas])
+    points = degeneracy_diagnostics(params, deltas)
 
     x = spatial_grid(params.beta)
     grid = real_axis(k_min, k_max, n_bins)
     bins = [binned_state(params, grid, j, x) for j in range(n_bins)]
-    om = overlap_matrix(bins, bins, x)
-    s, h = (_entries(om, m) for m in (om.matrix, om.hamiltonian))
+    labels = [f"bin[{j}]" for j in range(n_bins)]
+    s, h = (_entries(labels, m) for m in overlap_matrix(bins, bins, x))
 
     columns = {"matrix": ["S"] * len(s["re"]) + ["H"] * len(h["re"])}
     columns.update((key, s[key] + h[key]) for key in s)

@@ -23,16 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCollision, EmptyRange, IllConditionedFit, \
-    PreconditionViolation, StepTooCoarse
+from .errors import BranchCollision, EmptyRange, PreconditionViolation, \
+    StepTooCoarse
 from .model import ModelParams, _bisect_zero, _csqrt, bin_energy, \
     branch_point, resonance_energy
 from .wavefun import LN4, classification_functional, classify_region
 
 # scan points per 2 pi of the boundary-crossing search
 _N_SCAN = 720
-# log-spaced couplings of the Puiseux fit
+# log-spaced couplings of the Puiseux fit, over this window relative to
+# lam_bp
 _N_FIT = 25
+_FIT_WINDOW = (1e-6, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -143,31 +145,22 @@ def _sheet_slope(params: ModelParams, k_bp: complex) -> complex:
     return params.hbar**2 * k_bp / (2.0 * params.m)
 
 
-def fit_puiseux(params: ModelParams, r_window=(1e-6, 1e-4)) -> PuiseuxFit:
+def fit_puiseux(params: ModelParams) -> PuiseuxFit:
     """Fit the leading square-root behavior of the straddling-bin energy.
 
     Samples the bin-averaged energy of the upper straddling bin
     [k_bp, k_bp + sqrt(t)] at _N_FIT couplings lam_bp + t with t
-    log-spaced over ``r_window`` (given relative to lam_bp), regresses log|E - E_bp|
-    against log t for the exponent, and extracts alpha from the
-    fixed-exponent-1/2 least squares.
+    log-spaced over _FIT_WINDOW (relative to lam_bp), regresses
+    log|E - E_bp| against log t for the exponent, and extracts alpha from
+    the fixed-exponent-1/2 least squares.
 
     Raises
     ------
-    IllConditionedFit
-        If the window spans less than a factor 2.
-    PreconditionViolation
-        If the window leaves (1e-8, 1e-2) relative to lam_bp.
     EmptyRange
         If a bin [k_bp, k_bp + sqrt(t)] has zero width in floating point,
         as where sqrt(t) is below the spacing of floats near k_bp.
     """
-    lo, hi = float(r_window[0]), float(r_window[1])
-    if not (1e-8 <= lo < hi <= 1e-2):
-        raise PreconditionViolation(
-            f"fit window ({lo:g}, {hi:g}) outside (1e-8, 1e-2) of lam_bp")
-    if hi / lo < 2.0:
-        raise IllConditionedFit("the fit window must span a factor >= 2")
+    lo, hi = _FIT_WINDOW
     lam_bp, e_bp, k_bp = branch_point(params)
     ts = np.geomspace(lo * lam_bp, hi * lam_bp, _N_FIT)
     tops = [k_bp + math.sqrt(t) for t in ts]

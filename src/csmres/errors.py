@@ -64,10 +64,6 @@ class StepTooCoarse(CsmError):
     """Phase tracking observed a jump too large for reliable unwrapping."""
 
 
-class IllConditionedFit(CsmError):
-    """Least-squares fit is ill conditioned on the requested window."""
-
-
 class PreconditionViolation(CsmError):
     """Operation precondition violated (reported, not silently ignored)."""
 

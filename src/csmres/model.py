@@ -2,9 +2,10 @@
 
 The barrier V(x) = lambda / cosh^2(beta x) with lambda > (beta hbar)^2/(8m)
 supports no bound states but an exact ladder of resonance poles.  This module
-evaluates the resonance energies, the critical scaling angle
-theta_n = -arg(E_n)/2 at which resonance n touches the rotated continuum,
-the admissible coupling windows as functions of the scaling angle, and the
+evaluates the index s of the barrier (``potential_index``), the resonance
+poles with the critical scaling angle theta_n = -arg(E_n)/2 at which
+resonance n touches the rotated continuum (``ResonancePole``), the
+admissible coupling windows as functions of the scaling angle, and the
 branch point where the lowest resonance coalesces with the continuum.
 """
 
@@ -82,19 +83,6 @@ class ModelParams:
     def with_lam(self, lam: complex) -> "ModelParams":
         return ModelParams(lam=lam, theta=self.theta,
                            m=self.m, hbar=self.hbar, beta=self.beta)
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Dimensionless index data derived from the coupling.
-
-    g = 8 m lam / (beta hbar)^2 and s = (-1 + sqrt(1-g))/2 with the
-    principal square root, so real lam above the degenerate point gives
-    sqrt(1-g) = +i sqrt(g-1) and a fourth-quadrant resonance ladder.
-    """
-
-    g: complex
-    s: complex
 
 
 def _times(x, re, im):
@@ -196,8 +184,11 @@ def _pole(params: ModelParams, lam, n: int) -> tuple:
     return energy, k
 
 
-def derived_quantities(params: ModelParams) -> DerivedQuantities:
-    """g and s at the coupling of ``params``.
+def potential_index(params: ModelParams) -> complex:
+    """The index s = (-1 + sqrt(1 - g))/2 of the barrier at the coupling of
+    ``params``, g = 8 m lam / (beta hbar)^2, with the principal square
+    root, so real lam above the degenerate point gives
+    sqrt(1 - g) = +i sqrt(g - 1) and a fourth-quadrant resonance ladder.
 
     Raises
     ------
@@ -205,8 +196,7 @@ def derived_quantities(params: ModelParams) -> DerivedQuantities:
         When g is not finite.
     """
     g = complex(*_index(params, complex(params.lam)))
-    s = 0.5 * (-1.0 + cmath.sqrt(1.0 - g))
-    return DerivedQuantities(g=g, s=s)
+    return 0.5 * (-1.0 + cmath.sqrt(1.0 - g))
 
 
 @dataclass(frozen=True)
@@ -220,7 +210,13 @@ class ResonancePole:
 
     @property
     def critical_angle(self) -> float:
-        """theta_n = -arg(E_n)/2, the angle of ``critical_angle``."""
+        """Angle theta_n = -arg(E_n)/2 at which the resonance touches the
+        rotated continuum: it is uncovered once 2 theta exceeds -arg E_n.
+
+        Where Re E_n > 0 this is the closed form
+        (1/2) arctan(-Im E_n / Re E_n); where Re E_n < 0 it is pi/2 more
+        than that, and at Re E_n = 0 (with Im E_n < 0) it is pi/4.
+        """
         return -0.5 * math.atan2(self.energy.imag, self.energy.real)
 
 
@@ -249,18 +245,6 @@ def resonance_energy(params: ModelParams, n: int) -> ResonancePole:
     energy, k = _pole(params, params.lam, n)
     return ResonancePole(n=n, energy=complex(*energy), k=complex(*k),
                          width=-2.0 * energy[1])
-
-
-def critical_angle(params: ModelParams, n: int) -> float:
-    """Angle theta_n = -arg(E_n)/2 at which resonance n touches the
-    rotated continuum: the resonance is uncovered once 2 theta exceeds
-    -arg E_n.
-
-    Where Re E_n > 0 this is the closed form (1/2) arctan(-Im E_n / Re E_n);
-    where Re E_n < 0 it is pi/2 more than that, and at Re E_n = 0 (with
-    Im E_n < 0) it is pi/4.
-    """
-    return resonance_energy(params, n).critical_angle
 
 
 @dataclass(frozen=True)

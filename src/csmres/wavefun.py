@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NonConvergence, PreconditionViolation, \
     SingularCoordinate
-from .model import ModelParams, _pole, derived_quantities
+from .model import ModelParams, _pole, potential_index
 from .specfun import _K_BLOCK, SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
     reciprocal_gamma
 
@@ -173,14 +173,22 @@ def eval_wavefunction(params: ModelParams, k: complex,
     i k e^{i theta} at +inf and the dominant of -+ i k e^{i theta} at -inf
     (the reflected component if the Siegert residual vanishes, the
     transmitted-like one otherwise).
+
+    On ``default_grid`` the values satisfy the scaled equation
+    -(1/2) e^{-2i theta} psi'' + lam sech^2(x e^{i theta}) psi
+    = (k^2/2) psi (m = hbar = beta = 1) with a five-point difference
+    residual below 3e-8 max|psi|: worst 2.8e-8 (theta 0.45, lam 5,
+    k 2.5 - 0.5i) at 11 points over 0.05 <= theta <= 0.74,
+    0.3 <= lam <= 5 and 0.3 <= |k| <= 2.6.  That residual is the
+    difference rule's truncation error: it falls 13-16x when the step
+    halves (acceptance 7).
     """
     if grid is None:
         grid = default_grid(params.beta)
     grid = np.asarray(grid, dtype=float)
-    dq = derived_quantities(params)
-    values = raw_psi(k, dq.s, params.beta, params.theta, grid)
-    refl, trans = _gamma_coeffs(complex(k), dq.s, params.beta,
-                                _s_factors(dq.s))
+    s = potential_index(params)
+    values = raw_psi(k, s, params.beta, params.theta, grid)
+    refl, trans = _gamma_coeffs(complex(k), s, params.beta, _s_factors(s))
     phase = cmath.exp(1j * params.theta)
     q_plus = 1j * k * phase
     if abs(trans) <= 1e-12 * (1.0 + abs(refl)):
@@ -232,7 +240,7 @@ def _mirror_coeffs(k: complex, s: complex, beta: float,
 def siegert_residual(params: ModelParams, k: complex) -> complex:
     """Residual whose zeros in k are the purely outgoing wavenumbers: the
     transmitted-like gamma ratio of ``_gamma_coeffs``."""
-    s = derived_quantities(params).s
+    s = potential_index(params)
     return _gamma_coeffs(complex(k), s, params.beta, _s_factors(s))[1]
 
 

@@ -27,7 +27,6 @@ from csmres.model import (
     branch_point,
     branch_point_coupling,
     contact_coupling_root,
-    critical_angle,
     resonance_energy,
 )
 from csmres.wavefun import classify_region, find_resonance_k
@@ -96,11 +95,11 @@ class TestAcceptance3BinIdentity:
         for lam in (1.0, 10.0):
             bins = [binned_state(p.with_lam(lam), grid, j, x)
                     for j in range(6)]
-            om = overlap_matrix(bins, bins, x)
-            eps = np.array([b.energy for b in bins])
-            s_err = max(s_err, float(np.max(np.abs(om.matrix - np.eye(6)))))
-            h_err = max(h_err, float(np.max(np.abs(om.hamiltonian
-                                                   - np.diag(eps)))))
+            s, h = overlap_matrix(bins, bins, x)
+            eps = np.array([bin_energy(p, *grid.nodes[j:j + 2])
+                            for j in range(6)])
+            s_err = max(s_err, float(np.max(np.abs(s - np.eye(6)))))
+            h_err = max(h_err, float(np.max(np.abs(h - np.diag(eps)))))
         assert s_err < 1e-10
         assert h_err < 5e-10
         # cubic closed form against independent quadrature
@@ -124,11 +123,11 @@ class TestAcceptance4SelfOrthogonality:
         seq = [lbp + d for d in deltas]
         assert all(classify_region(p, lam) == "ConvergentA"
                    for lam in seq)
-        pts = degeneracy_diagnostics(p, seq)
+        pts = degeneracy_diagnostics(p, deltas)
         sig = [pt.sigma_min for pt in pts]
         assert all(a > b for a, b in zip(sig, sig[1:]))
         assert sig[0] / sig[-1] > 1e2
-        interior, limits = limit_exchange_entries(p, seq)
+        interior, limits = limit_exchange_entries(p, deltas)
         assert all(v < 1e-9 for v in interior)
         assert all(v > 0.1 for v in limits)
         report(4, f"sigma_min {sig[0]:.2e} -> {sig[-1]:.2e} "
@@ -140,7 +139,7 @@ class TestAcceptance5PuiseuxExponent:
     def test_exponent_three_angles(self):
         exps = []
         for th in (math.pi / 8, math.pi / 6, math.pi / 5):
-            fit = fit_puiseux(ModelParams(lam=1.0, theta=th), (1e-6, 1e-4))
+            fit = fit_puiseux(ModelParams(lam=1.0, theta=th))
             assert 0.48 <= fit.exponent <= 0.52
             exps.append(fit.exponent)
         report(5, "fitted exponents " +
@@ -184,7 +183,8 @@ class TestAcceptance6BerryMonodromy:
 class TestAcceptance7RegionsAndResiduals:
     def test_region_flip_at_critical_angle(self):
         lam = 1.0
-        th0 = critical_angle(ModelParams(lam=lam, theta=0.3), 0)
+        th0 = resonance_energy(ModelParams(lam=lam, theta=0.3),
+                               0).critical_angle
         above = ModelParams(lam=lam, theta=th0 + 1e-10)
         below = ModelParams(lam=lam, theta=th0 - 1e-10)
         assert classify_region(above) == "ConvergentA"
@@ -192,6 +192,9 @@ class TestAcceptance7RegionsAndResiduals:
         report(7, f"region flips within 1e-10 of theta_0 = {th0:.10f}")
 
     def test_emitted_wavefunctions_satisfy_ode(self, tmp_path):
+        # ``eval_wavefunction``: the worst residual of these three cases is
+        # 4.3e-9 (theta 0.4), the truncation error of the difference rule,
+        # so 5e-8 sits 11x above it
         import json
 
         from csmres.cli import main
@@ -227,7 +230,7 @@ class TestAcceptance7RegionsAndResiduals:
                 + cfg["lam"] / np.cosh(xp) ** 2 * psi[2:-2] \
                 - k**2 / 2.0 * psi[2:-2]
             rel = float(np.max(np.abs(res)) / np.max(np.abs(psi)))
-            assert rel < 1e-6
+            assert rel < 5e-8
             worst = max(worst, rel)
         report(7, f"emitted wave functions: worst relative ODE residual "
-                  f"{worst:.2e} < 1e-6")
+                  f"{worst:.2e} < 5e-8")

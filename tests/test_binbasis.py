@@ -36,7 +36,7 @@ from csmres.binbasis import (
 )
 from csmres.errors import EmptyRange, QuadratureError
 from csmres.model import ModelParams, bin_energy, branch_point_coupling, \
-    derived_quantities
+    potential_index, resonance_energy
 from csmres.specfun import hyp2f1_grid
 from csmres.wavefun import _gamma_coeffs, _s_factors, raw_psi
 
@@ -161,13 +161,12 @@ class TestGrids:
         with pytest.raises(EmptyRange, match="zero width"):
             ep_ray(p)
         with pytest.raises(EmptyRange):
-            degeneracy_diagnostics(p, [p.lam])
+            degeneracy_diagnostics(p, [delta])
 
     def test_grid_and_state_fields(self):
         # the coupling lives in ModelParams only; every state has all sides
         assert [f.name for f in fields(BinGrid)] == ["nodes", "hermitian"]
-        assert [f.name for f in fields(BasisState)] == [
-            "name", "energy", "right", "left", "h"]
+        assert [f.name for f in fields(BasisState)] == ["right", "left", "h"]
 
 
 class TestTailIntegral:
@@ -243,16 +242,14 @@ class TestSharedKernels:
 
     @staticmethod
     def assert_bits(states, space):
-        om = overlap_matrix(states, states, space)
-        for mat, apply_h in ((om.matrix, False), (om.hamiltonian, True)):
+        s, h = overlap_matrix(states, states, space)
+        for mat, apply_h in ((s, False), (h, True)):
             expect = np.array([[product_entry_oracle(a, b, space, apply_h)
                                 for b in states] for a in states])
             assert mat.tobytes() == expect.tobytes()
         entries = np.array([[product_entry(a, b, space) for b in states]
                             for a in states])
-        assert entries.tobytes() == om.matrix.tobytes()
-        assert om.row_labels == om.col_labels \
-            == tuple(st.name for st in states)
+        assert entries.tobytes() == s.tobytes()
 
     def test_golden_real_axis_bins(self):
         # the golden config's overlap: theta 0.3, lam 1, two bins on
@@ -429,7 +426,7 @@ class TestBinQuadrature:
 
     def hermitian_refs(self, p):
         """Values and H values of the delta bin [1.5, 2] at theta 0."""
-        s = derived_quantities(p).s
+        s = potential_index(p)
 
         def phi(ks):
             trans = np.array([_gamma_coeffs(k, s, 1.0, _s_factors(s))[1]
@@ -471,8 +468,8 @@ class TestBinQuadrature:
         with caplog.at_level(logging.DEBUG, logger="csmres.binbasis"):
             st = binned_state(p, grid, 0, self.space,
                               normalization="channel")
-        s = derived_quantities(p).s
-        s_bar = derived_quantities(p.with_lam(np.conj(lam))).s
+        s = potential_index(p)
+        s_bar = potential_index(p.with_lam(np.conj(lam)))
         jac = cmath.exp(0.5j * th) / math.sqrt(2.0 * math.pi)
         ref = self.gl96(
             lambda ks: jac * raw_psi(ks, s, 1.0, th, self.x), ka, kb)
@@ -546,16 +543,17 @@ class TestJostPairWork:
 
     @staticmethod
     def coefficient_work(monkeypatch, build):
+        # one gamma-ratio evaluation per k-value of the coefficients
         seen = []
-        original = binbasis._Continuum.coefficients
+        original = binbasis._gamma_coeffs
 
-        def counted(cont, ks):
-            seen.append(len(ks))
-            return original(cont, ks)
+        def counted(k, s, beta, factors):
+            seen.append(k)
+            return original(k, s, beta, factors)
 
-        monkeypatch.setattr(binbasis._Continuum, "coefficients", counted)
+        monkeypatch.setattr(binbasis, "_gamma_coeffs", counted)
         build()
-        return sum(seen)
+        return len(seen)
 
     def test_hermitian_bin_samples_coefficients_once(self, monkeypatch):
         # the K33 nodes give the quadrature weights and the tail series
@@ -671,11 +669,14 @@ class TestBinnedState:
         assert fields["series tail"] > binbasis._GL_TOL
 
     def test_bin_energy_recorded(self):
+        # the state stores no energy: H applied to it carries it, and its
+        # H diagonal is the closed-form bin energy (8.5e-13 off)
         p = ModelParams(lam=1.0, theta=0.3)
-        x = spatial_grid(1.0, 8.0, 161)
+        x = spatial_grid(1.0)
         grid = real_axis(1.0, 2.0, 2)
         st = binned_state(p, grid, 1, x)
-        assert abs(st.energy - bin_energy(p, 1.5, 2.0)) < 1e-14
+        _, h = overlap_matrix([st], [st], x)
+        assert abs(h[0, 0] - bin_energy(p, 1.5, 2.0)) < 1e-11
 
 
 class TestHermitianIdentity:
@@ -689,16 +690,18 @@ class TestHermitianIdentity:
         cls.bins = [binned_state(cls.p, cls.grid, j, cls.x) for j in range(6)]
 
     def test_overlap_is_identity(self):
-        s = overlap_matrix(self.bins, self.bins, self.x).matrix
+        s, _ = overlap_matrix(self.bins, self.bins, self.x)
         assert np.max(np.abs(s - np.eye(6))) < 1e-10
 
     def test_overlap_is_hermitian(self):
-        s = overlap_matrix(self.bins, self.bins, self.x).matrix
+        s, _ = overlap_matrix(self.bins, self.bins, self.x)
         assert np.max(np.abs(s - s.conj().T)) < 1e-10
 
     def test_hamiltonian_is_diagonal_of_bin_energies(self):
-        h = overlap_matrix(self.bins, self.bins, self.x).hamiltonian
-        eps = np.array([b.energy for b in self.bins])
+        _, h = overlap_matrix(self.bins, self.bins, self.x)
+        nodes = self.grid.nodes
+        eps = np.array([bin_energy(self.p, *nodes[j:j + 2])
+                        for j in range(6)])
         assert np.max(np.abs(h - np.diag(eps))) < 1e-10
 
     def test_neighboring_bins_orthogonal(self):
@@ -711,7 +714,7 @@ class TestHermitianIdentity:
         # twice as many as the K33 series of the six default bins
         grid = real_axis(0.5, 3.5, 2)
         bins = [binned_state(self.p, grid, j, self.x) for j in range(2)]
-        s = overlap_matrix(bins, bins, self.x).matrix
+        s, _ = overlap_matrix(bins, bins, self.x)
         assert np.max(np.abs(s - np.eye(2))) < 1e-10
         assert {len(b.right.plus[0].coef) for b in self.bins} == {24}
         assert {len(b.right.plus[0].coef) for b in bins} == {48}
@@ -729,9 +732,8 @@ class TestScaledIdentity:
                          dtype=complex)
         grid = BinGrid(nodes=nodes, hermitian=False)
         bins = [binned_state(p, grid, j, x) for j in range(3)]
-        om = overlap_matrix(bins, bins, x)
-        s, h = om.matrix, om.hamiltonian
-        eps = np.array([b.energy for b in bins])
+        s, h = overlap_matrix(bins, bins, x)
+        eps = np.array([bin_energy(p, *nodes[j:j + 2]) for j in range(3)])
         assert np.max(np.abs(s - np.eye(3))) < 1e-9
         assert np.max(np.abs(h - np.diag(eps))) < 1e-9
         expect = np.array([[product_entry_oracle(a, b, x, apply_h=True)
@@ -752,7 +754,7 @@ class TestUnitDiagonal:
         assert abs(product_entry(un, un, x) - 1.0) < 1e-9
         # the H side is rescaled with the other two
         d = product_entry(st, st, x)
-        h_st, h_un = (overlap_matrix([b], [b], x).hamiltonian[0, 0]
+        h_st, h_un = (overlap_matrix([b], [b], x)[1][0, 0]
                       for b in (st, un))
         assert abs(h_un - h_st / d) < 1e-12 * abs(h_st / d)
         assert h_un == product_entry_oracle(un, un, x, apply_h=True)
@@ -760,10 +762,8 @@ class TestUnitDiagonal:
 
 class TestDegeneracyDiagnostics:
     def test_sigma_min_collapses_toward_branch_point(self):
-        th = math.pi / 6
-        lbp = branch_point_coupling(th)
-        p = ModelParams(lam=1.0, theta=th)
-        pts = degeneracy_diagnostics(p, [lbp + d for d in (1e-2, 1e-4, 1e-6)])
+        p = ModelParams(lam=1.0, theta=math.pi / 6)
+        pts = degeneracy_diagnostics(p, (1e-2, 1e-4, 1e-6))
         sig = [pt.sigma_min for pt in pts]
         assert sig[0] > sig[1] > sig[2]
         assert sig[0] / sig[2] > 1e3
@@ -782,10 +782,10 @@ class TestDegeneracyDiagnostics:
         for th in (0.2, 0.3, 0.6):
             lbp = branch_point_coupling(th)
             p = ModelParams(lam=1.0, theta=th)
-            pts = degeneracy_diagnostics(p, [lbp + d for d in deltas])
+            pts = degeneracy_diagnostics(p, deltas)
             for d, pt in zip(deltas, pts):
                 res, bins = binbasis._ep_states(p, lbp + d, x)
-                m = overlap_matrix([res] + bins, [res] + bins, x).matrix
+                m, _ = overlap_matrix([res] + bins, [res] + bins, x)
                 svals = np.linalg.svd(m, compute_uv=False)
                 assert abs(svals[-1] - pt.sigma_min) <= 1e-12 * pt.sigma_min
                 assert abs(svals[0] / svals[-1] - pt.cond) <= 1e-9 * pt.cond
@@ -802,32 +802,28 @@ class TestDegeneracyDiagnostics:
         # wave function stays a rounding-level change of cond; no
         # continuum coefficient enters
         p = ModelParams(lam=lam, theta=theta)
-        lam_seq = [branch_point_coupling(theta) + 1e-4]
-        (plain,) = degeneracy_diagnostics(p, lam_seq)
-        original = binbasis.raw_psi, binbasis._Continuum.coefficients
+        (plain,) = degeneracy_diagnostics(p, [1e-4])
+        original = binbasis.raw_psi, binbasis._gamma_coeffs
         coefficients = []
 
         def jittered(k, s, beta, th, x):
             return original[0](k, s, beta, th, x) \
                 * (1.0 + 1e-15 * np.sin(37.0 * np.abs(x) + 1j))
 
-        def counted(cont, ks):
-            coefficients.append(ks)
-            return original[1](cont, ks)
+        def counted(k, s, beta, factors):
+            coefficients.append(k)
+            return original[1](k, s, beta, factors)
 
         monkeypatch.setattr(binbasis, "raw_psi", jittered)
-        monkeypatch.setattr(binbasis._Continuum, "coefficients", counted)
-        (moved,) = degeneracy_diagnostics(p, lam_seq)
+        monkeypatch.setattr(binbasis, "_gamma_coeffs", counted)
+        (moved,) = degeneracy_diagnostics(p, [1e-4])
         assert moved.sigma_min != plain.sigma_min
         assert abs(moved.cond / plain.cond - 1.0) <= 1e-13
         assert coefficients == []
 
     def test_limit_exchange_inequality(self):
-        th = math.pi / 6
-        lbp = branch_point_coupling(th)
-        p = ModelParams(lam=1.0, theta=th)
-        interior, limits = limit_exchange_entries(
-            p, [lbp + d for d in (1e-3, 1e-5)])
+        p = ModelParams(lam=1.0, theta=math.pi / 6)
+        interior, limits = limit_exchange_entries(p, (1e-3, 1e-5))
         assert all(v < 1e-10 for v in interior)
         assert all(v > 0.1 for v in limits)
         assert interior[1] < interior[0]
@@ -839,7 +835,7 @@ class TestDegeneracyDiagnostics:
         lbp = branch_point_coupling(th)
         p = ModelParams(lam=1.0, theta=th)
         deltas = (1e-1, 1e-2, 1e-3, 1e-4)
-        pts = degeneracy_diagnostics(p, [lbp + d for d in deltas])
+        pts = degeneracy_diagnostics(p, deltas)
         x = spatial_grid(p.beta)
         for d, pt in zip(deltas, pts):
             res = resonance_state(p.with_lam(lbp + d), x)
@@ -868,4 +864,5 @@ class TestResonanceState:
         p = ModelParams(lam=1.0, theta=0.4)
         x = spatial_grid(1.0)
         st = resonance_state(p, x)
-        assert np.max(np.abs(st.h.values - st.energy * st.right.values)) == 0.0
+        e = resonance_energy(p, 0).energy
+        assert np.max(np.abs(st.h.values - e * st.right.values)) == 0.0

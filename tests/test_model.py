@@ -19,9 +19,8 @@ from csmres.model import (
     branch_point,
     branch_point_coupling,
     contact_coupling_root,
-    critical_angle,
-    derived_quantities,
     lambda_window,
+    potential_index,
     resonance_energy,
 )
 
@@ -46,20 +45,26 @@ class TestModelParams:
         assert 0.0 < p.energy_scale < math.inf
 
 
+def coupling_index(p):
+    """g = 8 m lam / (beta hbar)^2, the dimensionless coupling."""
+    return 8.0 * p.m * p.lam / (p.beta * p.hbar) ** 2
+
+
 class TestDerivedQuantities:
     def test_index_equation(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             lam = complex(rng.uniform(0.2, 5), rng.uniform(-1, 1))
             p = ModelParams(lam=lam, theta=0.3)
-            dq = derived_quantities(p)
+            s, g = potential_index(p), coupling_index(p)
             # s(s+1) = -g/4 by construction of the index
-            assert abs(dq.s * (dq.s + 1.0) + dq.g / 4.0) < 1e-12 * max(1.0, abs(dq.g))
+            assert abs(s * (s + 1.0) + g / 4.0) < 1e-12 * max(1.0, abs(g))
 
     def test_principal_branch_above_threshold(self):
         p = ModelParams(lam=1.0, theta=0.3)
-        dq = derived_quantities(p)
-        assert abs(dq.s - (-0.5 + 0.5j * math.sqrt(dq.g.real - 1.0))) < 1e-14
+        g = coupling_index(p)
+        assert abs(potential_index(p)
+                   - (-0.5 + 0.5j * math.sqrt(g.real - 1.0))) < 1e-14
 
     @pytest.mark.parametrize("lam, units", [
         (1e308, {}),
@@ -73,7 +78,7 @@ class TestDerivedQuantities:
         p = ModelParams(lam=lam, theta=0.3, **units)
         named = "g = 8 m lam / (beta hbar)^2 is not finite"
         with pytest.raises(PreconditionViolation, match=re.escape(named)):
-            derived_quantities(p)
+            potential_index(p)
         with pytest.raises(PreconditionViolation, match=re.escape(named)):
             resonance_energy(p, 0)
 
@@ -111,14 +116,14 @@ class TestResonanceEnergy:
         # statement kappa - s = -n holds on the conjugate branch pair)
         for n in (0, 1, 2, 3):
             p = ModelParams(lam=2.3, theta=0.35)
-            dq = derived_quantities(p)
+            s = potential_index(p)
             r = resonance_energy(p, n)
             # kappa = sqrt(-2 m E) / (beta hbar), principal branch
             kappa = cmath.sqrt(-2.0 * p.m * r.energy) / (p.beta * p.hbar)
-            assert abs(kappa - (dq.s + n + 1.0)) < 1e-12
+            assert abs(kappa - (s + n + 1.0)) < 1e-12
             # branch-free restatement: kappa - s = -n with kappa -> -kappa
             # and s -> -1-s
-            assert abs((-kappa) - (-1.0 - dq.s) + n) < 1e-12
+            assert abs((-kappa) - (-1.0 - s) + n) < 1e-12
 
     def test_theta_independent_bit_identical(self):
         thetas = [0.05, 0.2, 0.361, 0.7, 0.78]
@@ -148,7 +153,7 @@ def single_branch_angle(params, n):
 class TestCriticalAngle:
     def test_n0_reference(self):
         p = ModelParams(lam=1.0, theta=0.3)
-        angle = critical_angle(p, 0)
+        angle = resonance_energy(p, 0).critical_angle
         assert abs(angle - 0.5 * math.atan(SQRT7 / 3.0)) < 1e-14
         assert abs(angle - 0.361367) < 1e-6
         assert resonance_energy(p, 0).energy.real > 0.0
@@ -157,19 +162,22 @@ class TestCriticalAngle:
     def test_branch_point_self_consistency(self):
         lam_bp = branch_point_coupling(math.pi / 6)
         p = ModelParams(lam=lam_bp, theta=math.pi / 6)
-        assert abs(critical_angle(p, 0) - math.pi / 6) < 1e-10
+        angle = resonance_energy(p, 0).critical_angle
+        assert abs(angle - math.pi / 6) < 1e-10
 
     def test_large_coupling_limit(self):
         for lam in (1e3, 1e5, 1e7):
             p = ModelParams(lam=lam, theta=0.3)
-            assert critical_angle(p, 0) < 1.0 / math.sqrt(lam)
+            angle = resonance_energy(p, 0).critical_angle
+            assert angle < 1.0 / math.sqrt(lam)
 
     def test_negative_real_part_exposes_both(self):
         p = ModelParams(lam=1.0, theta=0.3)
         assert resonance_energy(p, 1).energy.real < 0.0
         raw = single_branch_angle(p, 1)
         assert raw < 0.0
-        assert abs(critical_angle(p, 1) - (raw + math.pi / 2.0)) < 1e-14
+        angle = resonance_energy(p, 1).critical_angle
+        assert abs(angle - (raw + math.pi / 2.0)) < 1e-14
 
     @pytest.mark.parametrize("lam, n", [(0.25, 0), (1.25, 1)])
     def test_zero_real_part_is_quarter_pi(self, lam, n):
@@ -177,13 +185,13 @@ class TestCriticalAngle:
         # exactly: the arctan form divides by 0, -arg(E_n)/2 is pi/4
         p = ModelParams(lam=lam, theta=0.3)
         assert resonance_energy(p, n).energy.real == 0.0
-        assert critical_angle(p, n) == math.pi / 4
+        assert resonance_energy(p, n).critical_angle == math.pi / 4
 
     def test_monotone_in_n_where_unambiguous(self):
         p = ModelParams(lam=40.0, theta=0.3)
         assert all(resonance_energy(p, n).energy.real > 0.0
                    for n in range(4))
-        angles = [critical_angle(p, n) for n in range(4)]
+        angles = [resonance_energy(p, n).critical_angle for n in range(4)]
         raws = [single_branch_angle(p, n) for n in range(4)]
         assert raws == sorted(raws)
         assert angles == sorted(angles)

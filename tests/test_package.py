@@ -1,9 +1,11 @@
-"""Tests for the package surface: lazy re-exports and a scipy-free import
-path."""
+"""Tests for the package surface: lazy re-exports, a scipy-free import
+path and the README's library examples."""
 
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import csmres
@@ -54,3 +56,20 @@ def test_layer_modules_are_attributes(fresh_python):
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         csmres.no_such_name
+
+
+def test_readme_library_examples_run():
+    # the README's python blocks, in order and in one namespace, as a
+    # reader would paste them: a changed signature or field fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    ns = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), ns)
+    # what the examples' comments state
+    assert ns["verdicts"]["monodromy_order"] == 4
+    assert abs(ns["verdicts"]["overlap_4pi"] + 1.0) < 1e-12
+    assert np.max(np.abs(ns["s"] - np.eye(6))) < 1e-11
+    assert np.max(np.abs(ns["h"] - np.diag(ns["energies"]))) < 1e-11

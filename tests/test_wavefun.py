@@ -17,7 +17,7 @@ from csmres.model import (
     ModelParams,
     branch_point,
     branch_point_coupling,
-    derived_quantities,
+    potential_index,
     resonance_energy,
 )
 from csmres.binbasis import product_entry, resonance_state, spatial_grid, \
@@ -57,7 +57,7 @@ def asymptotic_values(params, k, x):
     gamma-ratio coefficients on a grid, the far-field oracle of
     ``eval_wavefunction``."""
     x = np.asarray(x, dtype=float)
-    s = derived_quantities(params).s
+    s = potential_index(params)
     refl, trans = _gamma_coeffs(complex(k), s, params.beta, _s_factors(s))
     phase = cmath.exp(1j * params.theta)
     amp = _amplitude(k, params.beta)
@@ -98,7 +98,7 @@ class TestEvalWavefunction:
         k = 0.9 - 0.2j
         f = eval_wavefunction(p, k)
         from csmres.specfun import hyp2f1
-        s = derived_quantities(p).s
+        s = potential_index(p)
         kb = 1j * k
         expect = hyp2f1(-kb - s, -kb + s + 1, -kb + 1, 0.5)
         mid = len(f.grid) // 2
@@ -195,14 +195,14 @@ def _k_rows(case):
     if case == "real":
         p = ModelParams(lam=1.0, theta=0.3)
         return np.linspace(0.5, 3.5, 7).astype(complex), \
-            derived_quantities(p).s, 0.0
+            potential_index(p), 0.0
     th = math.pi / 6
     lam = branch_point_coupling(th) + 1e-3
     p = ModelParams(lam=lam, theta=th)
     nodes = ray_nodes(p)
     if case == "ep+":
-        return nodes, derived_quantities(p).s, th
-    return np.conj(nodes), derived_quantities(p.with_lam(np.conj(lam))).s, -th
+        return nodes, potential_index(p), th
+    return np.conj(nodes), potential_index(p.with_lam(np.conj(lam))), -th
 
 
 @pytest.mark.parametrize("case", ["real", "ep+", "ep-"])
@@ -232,7 +232,7 @@ class TestBatchedRawPsi:
 
 def _index(lam):
     """Potential index s at coupling lam (s does not depend on theta)."""
-    return derived_quantities(ModelParams(lam=lam, theta=0.3)).s
+    return potential_index(ModelParams(lam=lam, theta=0.3))
 
 
 class TestJostPairIdentities:
@@ -429,7 +429,7 @@ class TestRawPsiRange:
         (300.0, "float range"),  # Gamma(300i) leaves it
     ])
     def test_large_k_raises(self, k, what):
-        s = derived_quantities(self.p).s
+        s = potential_index(self.p)
         with pytest.raises(PreconditionViolation, match=what):
             raw_psi(k, s, 1.0, self.p.theta, self.x)
         with pytest.raises(PreconditionViolation, match=what):
@@ -439,7 +439,7 @@ class TestRawPsiRange:
 class TestSiegert:
     def test_exact_condition_is_machine_zero(self):
         p = ModelParams(lam=1.0, theta=0.3)
-        s = derived_quantities(p).s
+        s = potential_index(p)
         k = -1j * p.beta * (s + 1.0)
         assert siegert_residual(p, k) == 0.0
 
@@ -475,7 +475,7 @@ class TestSiegert:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = ModelParams(lam=rng.uniform(0.3, 4.0), theta=0.3)
-            s = derived_quantities(p).s
+            s = potential_index(p)
             k = complex(rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5))
             if (math.pi * k / p.beta).real <= 0:
                 continue
@@ -491,7 +491,7 @@ def gamow_cnorm(params, space):
     rule on the grid plus the two exponential tails beyond +-X."""
     pole = resonance_energy(params, 0)
     q = 1j * pole.k * cmath.exp(1j * params.theta)
-    v = raw_psi(pole.k, derived_quantities(params).s, params.beta,
+    v = raw_psi(pole.k, potential_index(params), params.beta,
                 params.theta, space.x)
     mass = scipy_simpson(np.abs(v) ** 2, x=space.x) \
         + (abs(v[0]) ** 2 + abs(v[-1]) ** 2) / (-2.0 * q.real)
@@ -511,7 +511,7 @@ class TestGamowNorm:
         # closed form e^{-i theta} sqrt(pi) G(-(s+1)) / G(-1/2-s) / beta
         for lam, theta in ((1.0, 0.4), (0.8, 0.45), (2.0, 0.5)):
             p = ModelParams(lam=lam, theta=theta)
-            s = derived_quantities(p).s
+            s = potential_index(p)
             expect = cmath.exp(-1j * theta) * math.sqrt(math.pi) \
                 * complex_gamma(-(s + 1.0)) / complex_gamma(-0.5 - s) / p.beta
             got = gamow_cnorm(p, spatial_grid(1.0, 30.0, 6001))
@@ -539,7 +539,7 @@ class TestGamowNorm:
         mags = []
         for d in (1e-1, 1e-2, 1e-3, 1e-4):
             p = ModelParams(lam=lbp + d, theta=th)
-            s = derived_quantities(p).s
+            s = potential_index(p)
             expect = cmath.exp(-1j * th) * math.sqrt(math.pi) \
                 * complex_gamma(-(s + 1.0)) / complex_gamma(-0.5 - s)
             got = gamow_cnorm(p, space)
@@ -565,9 +565,9 @@ class TestClassifyRegion:
         assert type(classify_region(p, lbp)) is str
 
     def test_flip_at_critical_angle(self):
-        from csmres.model import critical_angle
         lam = 1.0
-        th0 = critical_angle(ModelParams(lam=lam, theta=0.3), 0)
+        th0 = resonance_energy(ModelParams(lam=lam, theta=0.3),
+                               0).critical_angle
         above = ModelParams(lam=lam, theta=th0 + 1e-10)
         below = ModelParams(lam=lam, theta=th0 - 1e-10)
         assert classify_region(above) == "ConvergentA"
