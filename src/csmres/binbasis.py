@@ -769,11 +769,10 @@ def unit_diagonal_state(state: BasisState, space: SpatialGrid) -> BasisState:
 
 @dataclass(frozen=True)
 class DegeneracyPoint:
-    """The self-orthogonality of the resonance at coupling ``lam``:
-    ``sigma_min`` is its phase rigidity |(psi|psi)|, and ``cond`` is
-    derived from it."""
+    """The self-orthogonality of the resonance at one offset from the
+    branch point: ``sigma_min`` is its phase rigidity |(psi|psi)|, and
+    ``cond`` is derived from it."""
 
-    lam: complex
     sigma_min: float
 
     @property
@@ -833,7 +832,7 @@ def degeneracy_diagnostics(params: ModelParams, deltas):
                              f"lam_bp = {lam_bp}")
         res = resonance_state(params.with_lam(lam), space)
         sigma_min = float(abs(product_entry(res, res, space)))
-        out.append(DegeneracyPoint(lam=complex(lam), sigma_min=sigma_min))
+        out.append(DegeneracyPoint(sigma_min=sigma_min))
     return out
 
 

@@ -10,27 +10,38 @@ point), ``berry``
 byte-identical files.
 
 Serialization: every number is written with 17 significant digits by
-``%.17g``, one format per table column (one C-level ``%`` operation over
-the whole column), and the CSV and JSON files of a table are written from
-that same text.  The berry table's eight loop columns (re and im of the
-coupling, of both sheet energies and of the running factor) are
-formatted together, once per distinct bit pattern (``_repeated_texts``):
-a loop of several windings revisits its couplings, swaps its sheets
-after each turn and multiplies its factor by i, so a 4-winding loop's
-32 776 cells hold about 8 800 patterns.  Every other column goes through
-``_texts``, whose values (grid points, wave functions, phases) do not
-repeat, so sorting them for repeats would only add cost.  A CSV file
-joins its rows in blocks of at most ``_CSV_BLOCK`` rows, each row the
-comma join of its cells; a JSON file is filled by one ``%`` template per
-table.  A JSON file holds exactly the bytes of the stdlib's
-``json.dump(payload, indent=2, sort_keys=True)`` plus a newline, where
-each number is a string of its 17-digit text, each complex number an
-object {"im", "re"}, and labels are escaped as ``ensure_ascii`` does.
+``%.17g``, and each number is formatted once.  A table is a dict of
+equal-length columns: a numpy array of real values, or text (labels,
+integers, pooled number text).  It is written in blocks of
+``_CSV_BLOCK`` rows: each block's numbers are formatted by one ``%``
+operation per column (``_texts``), its text cells are sliced, and from
+that same text the block's CSV rows (comma joins of the cells) and, when
+a JSON record array holds the table, the block's records (one ``%``
+template per array, ``_fill``) are appended to the open files before the
+next block is formatted.  The JSON fields around a record array are
+encoded whole, as they are small.  A CSV file may hold several tables:
+overlap.csv holds the S matrix and then H, while overlap.json writes H
+first, so the CSV rows of H are held until those of S are written.  So a
+table costs the writer one block of text, not the whole table's; the
+held H rows are n_bins^2 CSV rows, at most about 1.3 MB.  The berry table's
+eight loop columns (re and im of the coupling, of both sheet energies
+and of the running factor) are formatted together over the whole table,
+once per distinct bit pattern (``_repeated_texts``), and each block
+slices the pooled texts: a loop of several windings revisits its
+couplings, swaps its sheets after each turn and multiplies its factor by
+i, so a 4-winding loop's 32 776 cells hold about 8 800 patterns.  Every
+other number (grid points, wave functions, phases) does not repeat, so
+sorting for repeats would only add cost.  A JSON file holds exactly the
+bytes of the stdlib's ``json.dump(payload, indent=2, sort_keys=True)``
+plus a newline, where each number is a string of its 17-digit text,
+each complex number an object {"im", "re"}, and labels are escaped as
+``ensure_ascii`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -61,8 +72,10 @@ _MAX_COUNT = 2 ** 20
 # so _MAX_DELTAS of them take about a second.
 _MAX_BINS = 144
 _MAX_DELTAS = 256
-# CSV rows per write: the text of one block at a time, not of the whole
-# table, so that writing a 16 385-row table adds little to the peak memory
+# Rows per block of every table: the writer holds the text of one block
+# of each table (with the pooled berry texts, and the overlap's held H
+# rows), so its memory does not grow with the table; 2 048 rows of a
+# wave function are about 120 kB of CSV text and 230 kB of JSON
 _CSV_BLOCK = 2048
 
 
@@ -83,24 +96,75 @@ def _repeated_texts(*columns) -> list:
 
 
 def _parts(values) -> dict:
-    """Text columns ``re`` and ``im`` of complex values."""
+    """Real columns ``re`` and ``im`` of complex values."""
     values = np.asarray(values, dtype=complex)
-    return {"re": _texts(values.real), "im": _texts(values.imag)}
+    return {"re": values.real, "im": values.imag}
 
 
 class _Json(list):
-    """A column whose cells are JSON text already (escaped labels,
-    integers); a plain list column holds number text, which JSON quotes."""
+    """A text column whose cells are JSON text already (escaped labels,
+    integers); other text columns hold number text, which JSON quotes."""
 
 
-class _Records(dict):
-    """A JSON array of records: record i holds cell i of each column.
+class _Records:
+    """A JSON array of records whose record i holds row i of ``table``, a
+    dict of equal-length columns: of its columns, or of ``fields`` if
+    given, each field a column or a dict of fields (a nested object).  A
+    CSV file that holds ``table`` takes its rows from the same text."""
 
-    A field is a column, or a dict of fields (a nested object).
-    """
+    def __init__(self, table: dict, **fields):
+        self.table, self.fields = table, fields or table
 
 
-def _fill(template: str, columns: list, sep: str = "") -> str:
+def _block(columns: list, start: int) -> list:
+    """The text of rows ``start`` to ``start + _CSV_BLOCK`` of each column:
+    a numpy array is real values, formatted here, once per array however
+    often it is listed; any other column is text already, sliced."""
+    texts = {}
+    for column in columns:
+        if id(column) not in texts:
+            cells = column[start:start + _CSV_BLOCK]
+            texts[id(column)] = (_texts(cells)
+                                 if isinstance(column, np.ndarray) else cells)
+    return [texts[id(column)] for column in columns]
+
+
+class _Csv:
+    """A CSV file of one or more tables with the same columns, written in
+    the order given.  The rows of a table that comes before its turn (in
+    overlap.json the H matrix precedes S, in the CSV it follows) are held
+    until the tables before it are written."""
+
+    def __init__(self, fh, name: str, tables: list):
+        fh.write(f"# csmres {name} {_CSV_VERSION}\n{','.join(tables[0])}\n")
+        self.fh, self.todo, self.held = fh, list(tables), {}
+
+    def rows(self, table: dict, cells: list) -> None:
+        """Write, or hold, the CSV rows of one block of ``table``."""
+        text = "\n".join(map(",".join, zip(*cells))) + "\n"
+        if table is self.todo[0]:
+            self.fh.write(text)
+        else:
+            self.held.setdefault(id(table), []).append(text)
+
+    def done(self, table: dict) -> None:
+        """``table`` has all its rows written or held: write the held rows
+        of the tables whose turn this makes it."""
+        self.held.setdefault(id(table), [])
+        while self.todo and id(self.todo[0]) in self.held:
+            self.fh.writelines(self.held.pop(id(self.todo.pop(0))))
+
+    def finish(self) -> None:
+        """Write the tables that no JSON record array wrote."""
+        while self.todo:
+            table = self.todo[0]
+            columns = list(table.values())
+            for start in range(0, len(columns[0]), _CSV_BLOCK):
+                self.rows(table, _block(columns, start))
+            self.done(table)
+
+
+def _fill(template: str, columns: list, sep: str) -> str:
     """One copy of ``template`` per row of ``columns``, joined by ``sep``,
     its ``%s`` placeholders filled from the row's cells in order."""
     rows = sep.join([template] * len(columns[0]))
@@ -124,32 +188,45 @@ def _record(fields: dict, ind: str) -> tuple:
     return "{\n" + ",\n".join(lines) + f"\n{ind}}}", columns
 
 
-def _encode(value, ind: str, out: list) -> None:
-    """Append the JSON text of ``value`` at indent ``ind`` to ``out``.
+def _encode(value, ind: str, write, csvs: dict | None = None) -> None:
+    """Write the JSON text of ``value`` at indent ``ind`` by ``write``.
 
     A float is written as the string of its 17-digit text and a complex
     number as {"re": .., "im": ..}; otherwise the text is that of
-    ``json.dump(value, indent=2, sort_keys=True)``.
+    ``json.dump(value, indent=2, sort_keys=True)``.  A record array is
+    written block by block, and so are the CSV rows of its table if
+    ``csvs`` (id of a table -> its ``_Csv``) holds it, from the same text.
     """
+    csvs = {} if csvs is None else csvs
     if isinstance(value, _Records):
-        template, columns = _record(value, ind + "  ")
-        records = _fill(template, columns, f",\n{ind}  ")
-        out.append(f"[\n{ind}  {records}\n{ind}]" if records else "[]")
+        template, fields = _record(value.fields, ind + "  ")
+        sep, csv = f",\n{ind}  ", csvs.get(id(value.table))
+        rows = [] if csv is None else list(value.table.values())
+        write("[")
+        for start in range(0, len(fields[0]), _CSV_BLOCK):
+            cells = _block(fields + rows, start)
+            write((sep if start else f"\n{ind}  ")
+                  + _fill(template, cells[:len(fields)], sep))
+            if csv is not None:
+                csv.rows(value.table, cells[len(fields):])
+        write(f"\n{ind}]" if len(fields[0]) else "]")
+        if csv is not None:
+            csv.done(value.table)
     elif isinstance(value, complex):
-        _encode({"re": value.real, "im": value.imag}, ind, out)
+        _encode({"re": value.real, "im": value.imag}, ind, write)
     elif isinstance(value, float):
-        out.append('"%s"' % _texts([value])[0])
+        write('"%s"' % _texts([value])[0])
     elif isinstance(value, (dict, list)) and value:
         is_dict = isinstance(value, dict)
         items = ([(_escape(key) + ": ", value[key]) for key in sorted(value)]
                  if is_dict else [("", item) for item in value])
-        out.append("{" if is_dict else "[")
+        write("{" if is_dict else "[")
         for i, (head, item) in enumerate(items):
-            out.append(("\n" if i == 0 else ",\n") + ind + "  " + head)
-            _encode(item, ind + "  ", out)
-        out.append("\n" + ind + ("}" if is_dict else "]"))
+            write(("\n" if i == 0 else ",\n") + ind + "  " + head)
+            _encode(item, ind + "  ", write, csvs)
+        write("\n" + ind + ("}" if is_dict else "]"))
     else:
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 def _finite(text: str) -> float:
@@ -247,24 +324,28 @@ def _params_from(cfg: dict) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _emit(out_dir: str, name: str, fmt: str, columns: dict,
-          payload=None) -> None:
-    """Write ``name``.csv from the text ``columns`` and, given a payload,
-    ``name``.json."""
+def _emit(out_dir: str, fmt: str, csvs: dict, payload=None) -> None:
+    """Write ``<name>``.csv for each name of ``csvs``, whose value lists
+    the file's tables in row order, and, given a payload, the JSON file of
+    the first name, block by block: the CSV rows of a table that a record
+    array of the payload holds are written with those records."""
     os.makedirs(out_dir, exist_ok=True)
-    if fmt in ("csv", "both"):
-        cells = list(columns.values())
-        with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
-            fh.write(f"# csmres {name} {_CSV_VERSION}\n{','.join(columns)}\n")
-            for i in range(0, len(cells[0]), _CSV_BLOCK):
-                rows = zip(*(column[i:i + _CSV_BLOCK] for column in cells))
-                fh.write("\n".join(map(",".join, rows)) + "\n")
-    if payload is not None and fmt in ("json", "both"):
-        out = []
-        _encode(payload, "", out)
-        with open(os.path.join(out_dir, f"{name}.json"), "w",
-                  newline="") as fh:
-            fh.writelines(out + ["\n"])
+    with contextlib.ExitStack() as files:
+        def create(file: str):
+            return files.enter_context(
+                open(os.path.join(out_dir, file), "w", newline=""))
+
+        sinks = {}
+        if fmt in ("csv", "both"):
+            for name, tables in csvs.items():
+                csv = _Csv(create(f"{name}.csv"), name, tables)
+                sinks.update((id(table), csv) for table in tables)
+        if payload is not None and fmt in ("json", "both"):
+            fh = create(f"{next(iter(csvs))}.json")
+            _encode(payload, "", fh.write, sinks)
+            fh.write("\n")
+        for csv in dict.fromkeys(sinks.values()):
+            csv.finish()
 
 
 def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -275,15 +356,15 @@ def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
     levels = range(n_max + 1)
     poles = [resonance_energy(params, n) for n in levels]
     energy = _parts([pole.energy for pole in poles])
-    theta_n = _texts([pole.critical_angle for pole in poles])
-    ns = _Json(map(str, levels))
-    _emit(out_dir, "spectrum", fmt,
-          {"n": ns, "re_E": energy["re"], "im_E": energy["im"],
-           "theta_n": theta_n},
+    table = {"n": _Json(map(str, levels)), "re_E": energy["re"],
+             "im_E": energy["im"],
+             "theta_n": np.array([pole.critical_angle for pole in poles])}
+    _emit(out_dir, fmt, {"spectrum": [table]},
           {"workflow": "spectrum", "levels": _Records(
-              n=ns, energy=energy, k=_parts([pole.k for pole in poles]),
-              width=_texts([pole.width for pole in poles]),
-              theta_n=theta_n)})
+              table, n=table["n"], energy=energy,
+              k=_parts([pole.k for pole in poles]),
+              width=np.array([pole.width for pole in poles]),
+              theta_n=table["theta_n"])})
 
 
 def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -298,27 +379,32 @@ def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
     thetas = np.linspace(t_lo, t_hi, n_pts)
     bounds = [lambda_window(float(th), params.m, params.hbar, params.beta)
               for th in thetas]
-    values = [thetas] + [[getattr(b, field) for b in bounds] for field in (
-        "lambda0_minus", "lambda0_plus", "lambda1_minus", "lambda1_plus",
-        "lambda0_plus")]
-    columns = dict(zip(("theta", "l0m", "l0p", "l1m", "l1p", "lbp"),
-                       map(_texts, values)))
-    _emit(out_dir, "regions", fmt, columns,
-          {"workflow": "regions", "curves": _Records(columns)})
+    values = [thetas] + [np.array([getattr(b, field) for b in bounds])
+                         for field in ("lambda0_minus", "lambda0_plus",
+                                       "lambda1_minus", "lambda1_plus")]
+    # lbp, the branch-point coupling, is lambda0_plus: the same array, so
+    # its numbers are formatted once
+    table = dict(zip(("theta", "l0m", "l0p", "l1m", "l1p"), values),
+                 lbp=values[2])
+    _emit(out_dir, fmt, {"regions": [table]},
+          {"workflow": "regions", "curves": _Records(table)})
 
 
-def _entries(labels: list, matrix) -> dict:
-    """Row-major columns row, col, re and im of the square ``matrix``,
-    whose rows and columns are both labelled ``labels``."""
+def _entries(name: str, labels: list, matrix) -> dict:
+    """Row-major columns matrix (``name``), row, col, re and im of the
+    square ``matrix``, whose rows and columns are both labelled
+    ``labels``."""
     n = len(labels)
-    return {"row": [label for label in labels for _ in range(n)],
-            "col": labels * n, **_parts(matrix)}
+    return {"matrix": [name] * n * n,
+            "row": [label for label in labels for _ in range(n)],
+            "col": labels * n, **_parts(np.ravel(matrix))}
 
 
 def _labelled(entries: dict) -> _Records:
     """JSON records of matrix entries, with the labels escaped."""
     return _Records(entries, row=_Json(map(_escape, entries["row"])),
-                    col=_Json(map(_escape, entries["col"])))
+                    col=_Json(map(_escape, entries["col"])),
+                    re=entries["re"], im=entries["im"])
 
 
 def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -348,17 +434,14 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
     grid = real_axis(k_min, k_max, n_bins)
     bins = [binned_state(params, grid, j, x) for j in range(n_bins)]
     labels = [f"bin[{j}]" for j in range(n_bins)]
-    s, h = (_entries(labels, m) for m in overlap_matrix(bins, bins, x))
-
-    columns = {"matrix": ["S"] * len(s["re"]) + ["H"] * len(h["re"])}
-    columns.update((key, s[key] + h[key]) for key in s)
-    diag = {"delta": _texts(deltas),
-            "sigma_min": _texts([pt.sigma_min for pt in points]),
-            "cond": _texts([pt.cond for pt in points])}
-    _emit(out_dir, "overlap", fmt, columns,
+    s, h = (_entries(name, labels, m)
+            for name, m in zip("SH", overlap_matrix(bins, bins, x)))
+    diag = {"delta": np.array(deltas, dtype=float),
+            "sigma_min": np.array([pt.sigma_min for pt in points]),
+            "cond": np.array([pt.cond for pt in points])}
+    _emit(out_dir, fmt, {"overlap": [s, h], "degeneracy": [diag]},
           {"workflow": "overlap", "overlap": _labelled(s),
            "hamiltonian": _labelled(h), "degeneracy": _Records(diag)})
-    _emit(out_dir, "degeneracy", fmt, diag)
 
 
 def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
@@ -389,13 +472,13 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     re_lam, im_lam, re_plus, im_plus, re_minus, im_minus, re_factor, \
         im_factor = _repeated_texts(*chain.from_iterable(
             (values.real, values.imag) for values in loop))
-    columns = {
-        "phi": _texts(trace.phi), "re_lambda": re_lam, "im_lambda": im_lam,
+    table = {
+        "phi": trace.phi, "re_lambda": re_lam, "im_lambda": im_lam,
         "re_E_plus": re_plus, "im_E_plus": im_plus, "re_E_minus": re_minus,
         "im_E_minus": im_minus, "region": trace.region,
         "re_factor": re_factor, "im_factor": im_factor,
-        "unwrapped_phase": _texts(trace.unwrapped_phase)}
-    _emit(out_dir, "berry", fmt, columns,
+        "unwrapped_phase": trace.unwrapped_phase}
+    _emit(out_dir, fmt, {"berry": [table]},
           {"workflow": "berry", "exponent": fit.exponent, "alpha": fit.alpha,
            "fit_residual": fit.residual, **verdicts})
 
@@ -413,12 +496,13 @@ def cmd_wavefunction(cfg: dict, out_dir: str, fmt: str) -> None:
         raise ConfigError("wavefunction.x_max must be > 0")
     grid = default_grid(params.beta, x_max, n_points)
     field = eval_wavefunction(params, k, grid)
-    x, psi = _texts(field.grid), _parts(field.values)
-    _emit(out_dir, "wavefunction", fmt,
-          {"x": x, "re_psi": psi["re"], "im_psi": psi["im"]},
+    psi = _parts(field.values)
+    table = {"x": field.grid, "re_psi": psi["re"], "im_psi": psi["im"]}
+    _emit(out_dir, fmt, {"wavefunction": [table]},
           {"workflow": "wavefunction", "k": k, "lam": complex(params.lam),
            "theta": params.theta, "tail_plus": field.tail[0],
-           "tail_minus": field.tail[1], "samples": _Records(x=x, **psi)})
+           "tail_minus": field.tail[1],
+           "samples": _Records(table, x=field.grid, **psi)})
 
 
 _COMMANDS = {

@@ -9,16 +9,19 @@ where golden files would be too large to commit.
 
 import json
 import math
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from csmres import cli, wavefun
 from csmres.cli import _CSV_BLOCK, _Json, _Records, _emit, _encode, \
     _escape, _repeated_texts, _texts, main
 from csmres.eploop import LoopSpec, fit_puiseux, run_berry_loop
 from csmres.model import ModelParams, branch_point_coupling
-from csmres.wavefun import default_grid, eval_wavefunction
+from csmres.wavefun import WaveField, default_grid, eval_wavefunction
 
 DOUBLE_MAX = 1.7976931348623157e308
 
@@ -55,17 +58,24 @@ def _n_records(fields: dict) -> int:
     return _n_records(column) if isinstance(column, dict) else len(column)
 
 
+def _cell(column, i: int):
+    """Cell ``i`` of a writer column as the per-cell writer took it."""
+    if isinstance(column, np.ndarray):
+        return _fmt(column[i])
+    return json.loads(column[i]) if isinstance(column, _Json) else column[i]
+
+
 def _record_at(fields: dict, i: int) -> dict:
     return {key: _record_at(col, i) if isinstance(col, dict)
-            else json.loads(col[i]) if isinstance(col, _Json) else col[i]
-            for key, col in fields.items()}
+            else _cell(col, i) for key, col in fields.items()}
 
 
 def _per_cell(value):
     """The payload the per-cell writer took for a payload of the CLI's:
     records as a list of dicts, floats and complex numbers as text."""
     if isinstance(value, _Records):
-        return [_record_at(value, i) for i in range(_n_records(value))]
+        return [_record_at(value.fields, i)
+                for i in range(_n_records(value.fields))]
     if isinstance(value, dict):
         return {key: _per_cell(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -74,12 +84,13 @@ def _per_cell(value):
 
 
 def _columns(n: int):
-    """Record fields of ``n`` records: number text, escaped labels and
-    integers, some nested in objects."""
+    """Record fields of ``n`` records: real values, number text, escaped
+    labels and integers, some nested in objects."""
     def cells(values):
         return st.lists(values, min_size=n, max_size=n)
 
     column = st.one_of(
+        cells(st.floats()).map(lambda values: np.array(values, dtype=float)),
         cells(st.floats()).map(_texts),
         cells(st.text()).map(lambda labels: _Json(map(_escape, labels))),
         cells(st.integers()).map(lambda ints: _Json(map(str, ints))))
@@ -131,11 +142,11 @@ def test_repeated_text_is_the_per_cell_format(columns):
 @given(PAYLOADS)
 @example({"labels": _Records({"row": _Json(map(_escape, ['"%s"', "\\\x00é"])),
                               "100%": ["1", "-0"]}),
-          "empty": _Records(re=[]), "order": None, "n": 4,
+          "empty": _Records({"re": np.array([])}), "order": None, "n": 4,
           "nested": {"": {}, "list": []}})
 def test_json_text_is_the_stdlib_encoders(payload):
     out = []
-    _encode(payload, "", out)
+    _encode(payload, "", out.append)
     assert "".join(out) == json.dumps(_per_cell(payload), indent=2,
                                       sort_keys=True)
 
@@ -264,14 +275,28 @@ def test_berry_csv_cells_are_the_loop_trace(tmp_path, theta, radius_rel,
 @pytest.mark.parametrize("n_rows", (0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,
                                     _CSV_BLOCK + 1, 2 * _CSV_BLOCK))
 def test_csv_blocks_match_the_per_cell_writer(tmp_path, n_rows):
-    columns = {"n": [str(i) for i in range(n_rows)],
-               "x": _texts(np.arange(n_rows) / 7.0), "label": ["A"] * n_rows}
-    _emit(str(tmp_path / "new"), "table", "csv", columns)
+    # one CSV file of two tables, whose record arrays the JSON writes in
+    # the other order (as overlap.json writes H before S): the rows of the
+    # second table are held until the first table's are written
+    def table(label, values):
+        return {"n": _Json(map(str, range(n_rows))), "x": values,
+                "label": [label] * n_rows}
+
+    first = table("A", np.arange(n_rows) / 7.0)
+    second = table("B", np.sqrt(np.arange(n_rows) + 0.5))
+    payload = {"rows": _Records(first, n=first["n"], xs={"x": first["x"]}),
+               "earlier": _Records(second), "name": "table"}
     old = tmp_path / "old"
     old.mkdir()
-    _write_csv(old / "table.csv", "table", list(columns),
-               zip(*columns.values()))
-    _assert_same_files(tmp_path / "new", old, ("table.csv",))
+    _write_csv(old / "table.csv", "table", list(first), chain(*(
+        zip(t["n"], map(_fmt, t["x"]), t["label"]) for t in (first, second))))
+    _write_json(old / "table.json", _per_cell(payload))
+    for fmt, names in (("csv", {"table.csv"}), ("json", {"table.json"}),
+                       ("both", {"table.csv", "table.json"})):
+        new = tmp_path / fmt
+        _emit(str(new), fmt, {"table": [first, second]}, payload)
+        assert {p.name for p in new.iterdir()} == names
+        _assert_same_files(new, old, sorted(names))
 
 
 def test_header_only_table_matches_the_per_cell_writer(tmp_path):
@@ -284,3 +309,54 @@ def test_header_only_table_matches_the_per_cell_writer(tmp_path):
     _assert_same_files(new, old, ("degeneracy.csv",))
     assert (new / "degeneracy.csv").read_bytes() \
         == b"# csmres degeneracy v1\ndelta,sigma_min,cond\n"
+
+
+def _fixed_field(monkeypatch, n_points: int) -> None:
+    """Make ``csmres wavefunction`` write a precomputed ``n_points``-point
+    field, so that a run allocates only what the CLI does."""
+    grid = np.linspace(-20.0, 20.0, n_points)
+    field = WaveField(grid=grid, values=np.exp((0.7j - 0.1) * grid) * 1.1j,
+                      tail=(-0.3 + 1.5j, 0.3 - 1.5j))
+    monkeypatch.setattr(wavefun, "default_grid", lambda *args: grid)
+    monkeypatch.setattr(wavefun, "eval_wavefunction", lambda *args: field)
+
+
+def test_wavefunction_writer_memory_does_not_grow_with_the_table(
+        tmp_path, monkeypatch):
+    # the writer holds one block of text per table: measured 1.03 MB
+    # traced at 16 385 rows and 1.06 MB at 262 145, where formatting whole
+    # columns and the JSON as one string peaked at 7.3 and 119 MB
+    peaks = {}
+    # the first run, of the smallest table, warms up what a run caches
+    for n_points in (5, 16385, 262145):
+        _fixed_field(monkeypatch, n_points)
+        tracemalloc.start()
+        try:
+            _cli(tmp_path, "wavefunction", {
+                "wavefunction": {"n_points": n_points}})
+            peaks[n_points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "cli" / "wavefunction.csv").read_bytes().count(
+        b"\n") == 2 + 262145
+    assert peaks[262145] < 3e6
+    assert peaks[262145] - peaks[16385] < 2e6
+
+
+def test_each_wavefunction_number_is_formatted_once(tmp_path, monkeypatch):
+    calls = []
+
+    def texts(values):
+        out = cli_texts(values)
+        calls.append(len(out))
+        return out
+
+    cli_texts = cli._texts
+    monkeypatch.setattr(cli, "_texts", texts)
+    n_points = 2 * _CSV_BLOCK + 1
+    _fixed_field(monkeypatch, n_points)
+    _cli(tmp_path, "wavefunction", {"wavefunction": {"n_points": n_points}})
+    # x, re and im of each point, and nine numbers around the samples: the
+    # real and imaginary parts of k, lam and both tails, and theta
+    assert sum(calls) == 3 * n_points + 9
+    assert max(calls) == _CSV_BLOCK

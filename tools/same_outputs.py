@@ -16,7 +16,10 @@ formatting once per bit pattern (``BERRY_WINDINGS``): one winding of
 1 024 steps, whose cells repeat little, and 8 windings of the minimum
 64 steps, whose cells mostly repeat.  It runs ``wavefunction`` and
 ``overlap`` alone at the ends of the benchmark's angle ranges
-(``WAVEFUNCTION_THETAS``, ``OVERLAP_THETAS``), ``overlap`` with no
+(``WAVEFUNCTION_THETAS``, ``OVERLAP_THETAS``), ``wavefunction`` alone at
+4 096 points, an exact multiple of the writer's row block, and at the
+minimum 5, below one block (``WAVEFUNCTION_SIZES``; the benchmark's
+16 385 ends in a block of one row), ``overlap`` with no
 deltas, whose ``degeneracy.csv`` is a table of no rows
 (``EMPTY_TABLE_CONFIG``), and ``spectrum``, ``regions`` and ``berry``
 with m, hbar and beta other than 1 (``UNITS_CONFIG``), which every other
@@ -60,6 +63,9 @@ BERRY_WINDINGS = {"berry-1winding": (0.4, 1e-6, 1, 1024),
 # differ from theta 0.4.  The k is a Gamow-type one from inside its box.
 WAVEFUNCTION_THETAS = (0.06, 0.74)
 WAVEFUNCTION_K = {"re": 1.5, "im": -0.9}
+# Point counts of the wavefunction-only cases at the writer's block edges:
+# two whole blocks of 2 048 rows, and fewer rows than one block.
+WAVEFUNCTION_SIZES = (4096, 5)
 # Angles of the overlap-only cases, the ends of the benchmark's range.
 OVERLAP_THETAS = (0.2, 0.6)
 # An overlap at golden size with no deltas: a header-only degeneracy table.
@@ -158,6 +164,10 @@ def main(argv: list) -> int:
             cases[f"wavefunction-theta{theta}"] = (
                 {"theta": theta, "lam": 1.3, "wavefunction": block},
                 ["wavefunction"])
+        cases.update((f"wavefunction-n{n_points}", (
+            {"theta": 0.4, "lam": 1.3, "wavefunction": dict(
+                BENCH_CONFIG["wavefunction"], n_points=n_points)},
+            ["wavefunction"])) for n_points in WAVEFUNCTION_SIZES)
         cases.update((f"overlap-theta{theta}", (
             {"theta": theta, "lam": 1.3, "overlap": BENCH_CONFIG["overlap"]},
             ["overlap"])) for theta in OVERLAP_THETAS)
