@@ -41,8 +41,8 @@ _EXPORTS = {
         "real_axis", "resonance_state", "spatial_grid", "unit_diagonal_state",
     ),
     "eploop": (
-        "LoopSpec", "LoopTrace", "PuiseuxFit", "boundary_crossings",
-        "case_asymptotic_phase", "fit_puiseux", "run_berry_loop",
+        "LoopSpec", "LoopTrace", "boundary_crossings",
+        "case_asymptotic_phase", "run_berry_loop",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -5,7 +5,8 @@ Subcommands: ``spectrum`` (closed-form resonance ladder), ``regions``
 and Hamiltonian matrices, rows and columns labelled ``bin[j]``, plus the
 resonance's phase rigidity at the configured offsets from the branch
 point), ``berry``
-(Puiseux fit and branch-point loop verdicts), and ``wavefunction``
+(branch-point loop trace and verdicts, with the exact Puiseux
+coefficients of the straddling-bin energy), and ``wavefunction``
 (grid dump of the scaled solution).  Identical configs produce
 byte-identical files.
 
@@ -55,7 +56,7 @@ import numpy as np
 from .errors import ConfigError, CsmError
 from .model import (
     ModelParams,
-    branch_point_coupling,
+    branch_point,
     lambda_window,
     resonance_energy,
 )
@@ -445,7 +446,7 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
 
 
 def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
-    from .eploop import LoopSpec, fit_puiseux, run_berry_loop
+    from .eploop import LoopSpec, _sheet_slope, run_berry_loop
 
     params = _params_from(cfg)
     radius_rel, windings, n_steps = _read_block(
@@ -454,18 +455,14 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     if windings * n_steps > _MAX_COUNT:
         raise ConfigError(
             f"berry.windings * berry.n_steps must be <= {_MAX_COUNT}")
-    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
-                                   params.beta)
+    lam_bp, _, k_bp = branch_point(params)
     try:
         spec = LoopSpec(radius=radius_rel * lam_bp, windings=windings,
                         n_steps=n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # the loop first: its Taylor-regime check rejects the angles at which
-    # the Puiseux fit's sample energies overflow
     trace, verdicts = run_berry_loop(params, spec)
-    fit = fit_puiseux(params)
 
     # values that repeat across windings and sheets: formatted together
     loop = (trace.lam, trace.e_plus, trace.e_minus, trace.accumulated)
@@ -479,8 +476,11 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
         "re_factor": re_factor, "im_factor": im_factor,
         "unwrapped_phase": trace.unwrapped_phase}
     _emit(out_dir, fmt, {"berry": [table]},
-          {"workflow": "berry", "exponent": fit.exponent, "alpha": fit.alpha,
-           "fit_residual": fit.residual, **verdicts})
+          {"workflow": "berry",
+           # the upper straddling bin's cubic energy at lam_bp + t is
+           # E_bp + alpha sqrt(t) + t_coefficient t, exactly
+           "alpha": _sheet_slope(params, k_bp),
+           "t_coefficient": params.hbar**2 / (6.0 * params.m), **verdicts})
 
 
 def cmd_wavefunction(cfg: dict, out_dir: str, fmt: str) -> None:

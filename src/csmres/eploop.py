@@ -9,10 +9,15 @@ function carries an extra half-order from the 1/sqrt(dk) normalization
 the transported state returns to itself only after 8 pi (branch order 4),
 acquiring a factor i per 2 pi and a minus sign per 4 pi.
 
-This module provides the Puiseux (leading square-root) fit of the bin
-energy, the loop driver with its sheet continuation, region bookkeeping and
-connection factors, and the per-direction asymptotic phase-factor
-extraction.
+The slope alpha is exact: the cubic bin energy of the upper straddling
+bin [k_bp, k_bp + sqrt(t)] at lam = lam_bp + t is
+E_bp + alpha sqrt(t) + (hbar^2 / 6m) t with no higher term, and
+alpha = hbar^2 k_bp / 2m (``_sheet_slope``).
+
+This module provides the loop driver with its sheet continuation, region
+bookkeeping and connection factors, and the per-direction asymptotic
+phase-factor extraction.  Its arithmetic is numpy's, on arrays: a loop
+node has the bits of the same steps taken on arrays of one node.
 """
 
 from __future__ import annotations
@@ -25,16 +30,11 @@ import numpy as np
 
 from .errors import BranchCollision, EmptyRange, PreconditionViolation, \
     StepTooCoarse
-from .model import ModelParams, _bisect_zero, _csqrt, bin_energy, \
-    branch_point, resonance_energy
+from .model import ModelParams, _bisect_zero, branch_point, resonance_energy
 from .wavefun import LN4, classification_functional, classify_region
 
 # scan points per 2 pi of the boundary-crossing search
 _N_SCAN = 720
-# log-spaced couplings of the Puiseux fit, over this window relative to
-# lam_bp
-_N_FIT = 25
-_FIT_WINDOW = (1e-6, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,6 @@ class LoopSpec:
 
 
 @dataclass(frozen=True)
-class PuiseuxFit:
-    """Leading square-root fit E = E_bp + alpha sqrt(lam - lam_bp)."""
-
-    alpha: complex
-    residual: float
-    exponent: float
-
-
-@dataclass(frozen=True)
 class LoopTrace:
     """Path-ordered record of one loop run.
 
@@ -101,23 +92,16 @@ class LoopTrace:
     accumulated: np.ndarray
 
 
-def _abs(z: np.ndarray) -> np.ndarray:
-    """|z| of each element, rounded as ``abs`` of a Python complex."""
-    return np.hypot(z.real, z.imag)
-
-
 def _continued_roots(targets) -> np.ndarray:
     """Square roots along a path, continued from the principal first root.
 
     Every later root is the sign of the principal root c_j nearest its
     predecessor, which keeps the path on one sheet: root j keeps the sign
     of root j-1 when |c_j - c_{j-1}| <= |c_j + c_{j-1}| and flips it
-    otherwise, a running product of signs.  ``targets`` is a 1-D array; all
-    principal roots come from one ``model._csqrt`` call (bit for bit
-    ``cmath.sqrt``) and the distances from ``np.hypot`` on real and
-    imaginary parts, which rounds as ``abs`` of a Python complex does where
-    ``np.abs`` of a complex array does not, so the result has the bits of
-    the root-by-root continuation.
+    otherwise, a running product of signs.  ``targets`` is a 1-D array; the
+    principal roots come from one ``np.sqrt`` call and the distances from
+    ``np.abs``, so the result has the bits of the root-by-root
+    continuation in numpy arithmetic.
 
     Raises
     ------
@@ -125,12 +109,12 @@ def _continued_roots(targets) -> np.ndarray:
         If a root lies farther than 0.9 |c_j| from its predecessor: the two
         sheets are then too close to tell apart at that step.
     """
-    c = _csqrt(np.asarray(targets, dtype=complex))
-    near = _abs(c[1:] - c[:-1]) <= _abs(c[1:] + c[:-1])
+    c = np.sqrt(np.asarray(targets, dtype=complex))
+    near = np.abs(c[1:] - c[:-1]) <= np.abs(c[1:] + c[:-1])
     sign = np.cumprod(np.concatenate(([1], np.where(near, 1, -1))))
     # a zero root is taken as it is, with the signs of its zeros
     roots = np.where((sign > 0) | (c == 0.0), c, -c)
-    step, size = _abs(np.diff(roots)), _abs(c[1:])
+    step, size = np.abs(np.diff(roots)), np.abs(c[1:])
     far = np.flatnonzero((size > 0.0) & (step > 0.9 * size))
     if far.size:
         j = far[0]
@@ -145,45 +129,13 @@ def _sheet_slope(params: ModelParams, k_bp: complex) -> complex:
     return params.hbar**2 * k_bp / (2.0 * params.m)
 
 
-def fit_puiseux(params: ModelParams) -> PuiseuxFit:
-    """Fit the leading square-root behavior of the straddling-bin energy.
-
-    Samples the bin-averaged energy of the upper straddling bin
-    [k_bp, k_bp + sqrt(t)] at _N_FIT couplings lam_bp + t with t
-    log-spaced over _FIT_WINDOW (relative to lam_bp), regresses
-    log|E - E_bp| against log t for the exponent, and extracts alpha from
-    the fixed-exponent-1/2 least squares.
-
-    Raises
-    ------
-    EmptyRange
-        If a bin [k_bp, k_bp + sqrt(t)] has zero width in floating point,
-        as where sqrt(t) is below the spacing of floats near k_bp.
-    """
-    lo, hi = _FIT_WINDOW
-    lam_bp, e_bp, k_bp = branch_point(params)
-    ts = np.geomspace(lo * lam_bp, hi * lam_bp, _N_FIT)
-    tops = [k_bp + math.sqrt(t) for t in ts]
-    if k_bp in tops:
-        raise EmptyRange(f"Puiseux fit bins have zero width at k_bp = {k_bp}")
-    ys = np.array([bin_energy(params, k_bp, top) - e_bp for top in tops])
-    logt = np.log(ts)
-    logy = np.log(np.abs(ys))
-    exponent, intercept = np.polyfit(logt, logy, 1)
-    pred = exponent * logt + intercept
-    residual = float(np.max(np.abs(np.expm1(pred - logy))))
-    roots = np.sqrt(ts)
-    alpha = complex(np.sum(roots * ys) / np.sum(ts))
-    return PuiseuxFit(alpha=alpha, residual=residual, exponent=float(exponent))
-
-
 def boundary_crossings(params: ModelParams, radius: float) -> list:
     """Angles in [0, 2 pi) where the coupling circle meets the boundary.
 
     Scans the sign of the region-classification functional along
     lam_bp + R e^{i phi}, at all _N_SCAN + 1 scan angles in one call on an
     array of couplings, and bisects each change to 1e-10 with scalar
-    calls.  The functional is written on real and imaginary parts, so an
+    calls.  The functional takes one coupling as an array of one, so an
     array element has the bits of the scalar value at its angle, and the
     scan brackets the changes a point-by-point scan would.
     """
@@ -191,11 +143,10 @@ def boundary_crossings(params: ModelParams, radius: float) -> list:
 
     def f(phi):
         return classification_functional(
-            params, lam_bp + radius * cmath.exp(1j * phi))
+            params, lam_bp + radius * np.exp(1j * phi))
 
     grid = np.linspace(0.0, 2.0 * math.pi, _N_SCAN + 1)
-    negative = classification_functional(
-        params, lam_bp + radius * np.exp(1j * grid)) < 0.0
+    negative = f(grid) < 0.0
     return [_bisect_zero(f, grid[i], grid[i + 1])
             for i in np.flatnonzero(negative[:-1] != negative[1:])]
 
@@ -238,25 +189,6 @@ def _readout_zeta(params: ModelParams, spec: LoopSpec,
     return zeta
 
 
-def _times(z: complex, a: np.ndarray) -> tuple:
-    """Real and imaginary parts of z * a, rounded as numpy's scalar
-    complex product rounds them; its array product does not."""
-    return z.real * a.real - z.imag * a.imag, z.real * a.imag + z.imag * a.real
-
-
-def _exp(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """e^{re + i im} as cmath.exp computes it: math.exp of the real part
-    times math.cos and math.sin of the imaginary part (numpy's exp rounds
-    differently).  The readout's real parts stay near -ln 2 / 2, far from
-    cmath.exp's branch for real parts above about 708."""
-    n, im = len(re), im.tolist()
-    mag = np.fromiter(map(math.exp, re.tolist()), float, n)
-    out = np.empty(n, dtype=complex)
-    out.real = mag * np.fromiter(map(math.cos, im), float, n)
-    out.imag = mag * np.fromiter(map(math.sin, im), float, n)
-    return out
-
-
 def _readouts(zeta: complex, k_bp: complex, rs: np.ndarray,
               ws: np.ndarray) -> np.ndarray:
     """Exact asymptotic binned values across the node pairs k_bp -+ r,
@@ -265,16 +197,12 @@ def _readouts(zeta: complex, k_bp: complex, rs: np.ndarray,
 
     with w = sqrt(dk), dk = 2 r, the branch-continued root of each step;
     the symmetric node pair makes the bracket flip sign exactly under
-    phi -> phi + 2 pi.  One array pass with the bits of the node-by-node
-    evaluation in Python complex and numpy scalars: the products zeta k
-    and zeta w on real and imaginary parts (``_times``), the exponentials
-    as cmath.exp has them (``_exp``) and the quotient by numpy's complex
-    division, which rounds as its scalar division does.
+    phi -> phi + 2 pi.  One pass of numpy array operations over all the
+    nodes, so a node has the bits of the same operations on arrays of
+    one.
     """
-    bracket = _exp(*_times(zeta, k_bp + rs)) - _exp(*_times(zeta, k_bp - rs))
-    scale = np.empty(len(ws), dtype=complex)
-    scale.real, scale.imag = _times(zeta, ws)
-    return bracket / scale
+    return (np.exp(zeta * (k_bp + rs)) - np.exp(zeta * (k_bp - rs))) \
+        / (zeta * ws)
 
 
 def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,

@@ -279,19 +279,18 @@ def classification_functional(params: ModelParams,
 
     ``lam`` is one coupling (default: that of ``params``), giving a float,
     or a 1-D numpy array of them, giving an array; the Berry loop
-    evaluates all its nodes in one call.  The arithmetic is written on
-    real and imaginary parts (``model._pole``) as CPython's complex
-    arithmetic does it, because numpy's complex product and quotient round
-    differently.  An array element then has the bits of the scalar
-    result, and the bisection of ``eploop.boundary_crossings``, whose last
-    halvings are decided by rounding-level values of f, finds the same
-    angles either way.  A coupling that is not finite raises
-    ``PreconditionViolation`` (``model._pole``).
+    evaluates all its nodes in one call.  k_0 comes from ``model._pole``,
+    which takes one coupling as an array of one, and the product with
+    e^{i theta} is an array product too, so an array element has the bits
+    of the scalar result, and the bisection of
+    ``eploop.boundary_crossings``, whose last halvings are decided by
+    rounding-level values of f, finds the same angles either way.  A
+    coupling that is not finite raises ``PreconditionViolation``
+    (``model._pole``).
     """
-    _, (kr, ki) = _pole(params, params.lam if lam is None else lam, 0)
-    turn = cmath.exp(1j * params.theta)
-    # i k_0 = (0 Re k_0 - Im k_0) + i (0 Im k_0 + Re k_0), as CPython has it
-    return (0.0 * kr - ki) * turn.real - (0.0 * ki + kr) * turn.imag
+    lam = params.lam if lam is None else lam
+    f = (1j * _pole(params, lam, 0)[1] * cmath.exp(1j * params.theta)).real
+    return f if np.ndim(lam) else f[0]
 
 
 _LABELS = ("ConvergentA", "DivergentB", "ScatteringBoundary")
@@ -306,9 +305,9 @@ def classify_region(params: ModelParams,
     positive -> "DivergentB", within 1e-12 of zero -> "ScatteringBoundary".
     For a 1-D numpy array of couplings the result is a list of those
     strings (shared, not a new object per coupling), from one
-    ``classification_functional`` call on the array.
-    That call is written on real and imaginary parts, so each coupling
-    gets the label of its scalar call.
+    ``classification_functional`` call on the array, whose elements have
+    the bits of its scalar calls: each coupling gets the label of its
+    scalar call.
     """
     f = classification_functional(params, lam)
     index = np.where(np.abs(f) <= 1e-12, 2, np.where(f < 0.0, 0, 1)).tolist()

@@ -1,5 +1,6 @@
 """Tests for the command-line layer: determinism, exit codes, formats."""
 
+import cmath
 import json
 import math
 import time
@@ -146,6 +147,18 @@ class TestExitCodes:
         assert "g = 8 m lam / (beta hbar)^2 is not finite" in err["message"]
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_energy_outside_the_float_range_is_3(self, tmp_path, capsys):
+        # g is finite, but E_n = (beta hbar)^2/8m [sqrt(g - 1) - i(2n + 1)]^2
+        # overflows near n = 20 000 at beta = 1e150
+        cfg = write_config(tmp_path, {"units": {"beta": 1e150},
+                                      "spectrum": {"n_max": 20000}})
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "spectrum"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionViolation"
+        assert "is not finite at g = " in err["message"]
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("k", [150.0, 300.0])
     def test_wavefunction_out_of_range_is_3(self, tmp_path, capsys, k):
         cfg = write_config(tmp_path, {"wavefunction": {"k": k,
@@ -159,7 +172,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, payload", [
         # the closed-form window bounds divide by an underflowed sin^2 or
-        # overflow; the berry loop's Taylor check precedes the Puiseux fit
+        # overflow, or the berry loop's Taylor check refuses the angle
         ("regions", {"regions": {"theta_min": 1e-300, "n_points": 3}}),
         ("regions", {"regions": {"theta_min": 1e-160, "n_points": 3}}),
         ("regions", {"regions": {"theta_min": 1e-100, "n_points": 3}}),
@@ -419,7 +432,14 @@ class TestBerryOutput:
         assert verdict["monodromy_order"] == 4
         assert abs(float(verdict["overlap_4pi"]["re"]) + 1.0) < 1e-3
         assert abs(float(verdict["overlap_8pi"]["re"]) - 1.0) < 1e-3
-        assert 0.48 <= float(verdict["exponent"]) <= 0.52
+        # the exact Puiseux coefficients of the straddling-bin energy, in
+        # place of a fit: alpha = hbar^2 k_bp / 2m with k_bp = e^{-i theta}
+        # / (2 sin theta) = e^{-i pi/6}, and hbar^2 / 6m
+        alpha = complex(float(verdict["alpha"]["re"]),
+                        float(verdict["alpha"]["im"]))
+        assert abs(alpha - cmath.exp(-1j * math.pi / 6) / 2.0) < 1e-15
+        assert float(verdict["t_coefficient"]) == 1.0 / 6.0
+        assert "exponent" not in verdict and "fit_residual" not in verdict
         lines = (tmp_path / "berry.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "phi"
         assert len(lines) == 2 + 4 * 128 + 1

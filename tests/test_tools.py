@@ -1,5 +1,6 @@
 """Tests for the repository's command-line tools under ``tools/``."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,44 @@ def test_code_lines_missing_path_prints_usage():
     assert done.stdout == ""
     assert "no/such/path" in done.stderr and "usage:" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def load_same_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", ROOT / "tools" / "same_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_outputs_counts_the_differing_cells(tmp_path, capsys):
+    # the second CSV row moves one number by 2e-10 and one by half, relabels
+    # a region and flips a signed zero; the JSON moves one number and
+    # drops a key
+    same_outputs = load_same_outputs()
+    old, new = tmp_path / "old", tmp_path / "new"
+    for side, (cells, extra) in {
+            old: (("1", "-0.5", "ConvergentA", "-0"),
+                  '"exponent": "0.5", '),
+            new: (("1.0000000002", "-1", "DivergentB", "0"), "")}.items():
+        (side / "case").mkdir(parents=True)
+        (side / "case" / "berry.csv").write_text(
+            "# csmres berry v1\nphi,re,region,im\n0,2,ScatteringBoundary,0\n"
+            + ",".join(cells) + "\n")
+        (side / "case" / "berry.json").write_text(
+            '{"alpha": {"im": "%s", "re": "3"}, %s"monodromy_order": 4}\n'
+            % (cells[1], extra))
+        (side / "case" / "same.csv").write_text("# csmres same v1\nx\n1\n")
+    assert same_outputs.compare(old, new) == 2
+    report = capsys.readouterr().out.splitlines()
+    assert report[0].startswith("case/berry.csv: first difference at byte")
+    assert report[1] == (
+        "  3 numeric cells differ, largest relative change 5.00e-01 at "
+        "(1, 're'): -0.5 -> -1")
+    assert report[2] == "  1 other cells differ"
+    assert report[3].startswith("case/berry.json: first difference at byte")
+    assert report[4] == (
+        "  1 numeric cells differ, largest relative change 5.00e-01 at "
+        "('alpha', 'im'): -0.5 -> -1")
+    assert report[5] == "  keys in old only: exponent"
+    assert report[6] == "3 files compared, 2 differ"

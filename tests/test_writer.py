@@ -19,8 +19,8 @@ from hypothesis import example, given, strategies as st
 from csmres import cli, wavefun
 from csmres.cli import _CSV_BLOCK, _Json, _Records, _emit, _encode, \
     _escape, _repeated_texts, _texts, main
-from csmres.eploop import LoopSpec, fit_puiseux, run_berry_loop
-from csmres.model import ModelParams, branch_point_coupling
+from csmres.eploop import LoopSpec, _sheet_slope, run_berry_loop
+from csmres.model import ModelParams, branch_point, branch_point_coupling
 from csmres.wavefun import WaveField, default_grid, eval_wavefunction
 
 DOUBLE_MAX = 1.7976931348623157e308
@@ -201,7 +201,6 @@ def test_bench_size_berry_loop_matches_the_per_cell_writer(tmp_path):
     lam_bp = branch_point_coupling(theta, 1.0, 1.0, 1.0)
     trace, verdicts = run_berry_loop(params, LoopSpec(
         radius=radius_rel * lam_bp, windings=windings, n_steps=n_steps))
-    fit = fit_puiseux(params)
     rows = []
     for j in range(len(trace.phi)):
         rows.append([
@@ -222,9 +221,8 @@ def test_bench_size_berry_loop_matches_the_per_cell_writer(tmp_path):
                 "im_factor", "unwrapped_phase"], rows)
     _write_json(old / "berry.json", {
         "workflow": "berry",
-        "exponent": _jnum(fit.exponent),
-        "alpha": _jnum(fit.alpha),
-        "fit_residual": _jnum(fit.residual),
+        "alpha": _jnum(_sheet_slope(params, branch_point(params)[2])),
+        "t_coefficient": _jnum(1.0 / 6.0),
         "ratio_2pi": _jnum(verdicts["ratio_2pi"]),
         "overlap_4pi": _jnum(verdicts["overlap_4pi"]),
         "overlap_8pi": _jnum(verdicts["overlap_8pi"]),

@@ -24,8 +24,14 @@ deltas, whose ``degeneracy.csv`` is a table of no rows
 (``EMPTY_TABLE_CONFIG``), and ``spectrum``, ``regions`` and ``berry``
 with m, hbar and beta other than 1 (``UNITS_CONFIG``), which every other
 case leaves at 1.  Every written file is then compared byte for byte.
-Prints the first differing byte of each file that differs and exits 1 if
-any does, else exits 0.
+For each file that differs it prints the first differing byte, then the
+cells that differ: a CSV file's cells by row and column, a JSON file's
+leaf values by their key path (each number is a leaf string).  It counts
+the differing cells that hold numbers on both sides and gives the
+largest relative change among them, |new - old| / max(|old|, |new|), with
+the cell where it occurs; it counts the other differing cells, and names
+the JSON keys written by one side only.  Exits 1 if any file differs,
+else exits 0.
 """
 
 from __future__ import annotations
@@ -124,6 +130,67 @@ def first_difference(old: bytes, new: bytes) -> int | None:
                 min(len(old), len(new)))
 
 
+def cells(name: Path, data: bytes) -> dict:
+    """The cells of a written file by place: (row, column name) of a CSV
+    file below its header lines, the key path of each leaf of a JSON
+    file."""
+    text = data.decode()
+    if name.suffix != ".json":
+        header, *rows = (line.split(",") for line in text.splitlines()[1:])
+        return {(i, column): cell for i, row in enumerate(rows)
+                for column, cell in zip(header, row)}
+    leaves = {}
+
+    def walk(value, path):
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) \
+                else enumerate(value)
+            for key, item in items:
+                walk(item, path + (key,))
+        else:
+            leaves[path] = value
+
+    walk(json.loads(text), ())
+    return leaves
+
+
+def _number(value):
+    """The float a cell holds, or None if it holds no finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return None
+    return number if math.isfinite(number) else None
+
+
+def cell_changes(name: Path, old: bytes, new: bytes) -> list:
+    """Lines that say how the cells of two versions of a file differ."""
+    a, b = cells(name, old), cells(name, new)
+    changed = [place for place in a.keys() & b.keys() if a[place] != b[place]]
+    numeric = []
+    for place in changed:
+        x, y = _number(a[place]), _number(b[place])
+        if x is not None and y is not None:
+            # 0 where the text differs but not the value, as -0 and 0
+            rel = abs(y - x) / max(abs(x), abs(y)) if x != y else 0.0
+            numeric.append((rel, place))
+    lines = [f"  {len(numeric)} numeric cells differ"]
+    if numeric:
+        rel, place = max(numeric, key=lambda item: (item[0], str(item[1])))
+        lines[0] += (f", largest relative change {rel:.2e} at {place}: "
+                     f"{a[place]} -> {b[place]}")
+    if len(changed) > len(numeric):
+        lines.append(f"  {len(changed) - len(numeric)} other cells differ")
+    for side, only in (("old", a.keys() - b.keys()),
+                       ("new", b.keys() - a.keys())):
+        if only and name.suffix == ".json":
+            lines.append(f"  keys in {side} only: " + ", ".join(
+                sorted(".".join(map(str, path)) for path in only)))
+        elif only:
+            lines.append(f"  {len(only)} cells in {side} only")
+    return lines
+
+
 def compare(old_dir: Path, new_dir: Path) -> int:
     """Print every file that is missing on one side or differs; the count."""
     old = {p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
@@ -138,6 +205,7 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         if at is not None:
             print(f"{name}: first difference at byte {at}: "
                   f"old {a[at:at + 40]!r}, new {b[at:at + 40]!r}")
+            print("\n".join(cell_changes(name, a, b)))
             bad += 1
     print(f"{len(old | new)} files compared, {bad} differ")
     return bad
