@@ -10,12 +10,21 @@ coefficients of the straddling-bin energy), and ``wavefunction``
 (grid dump of the scaled solution).  Identical configs produce
 byte-identical files.
 
-Serialization: every number is written with 17 significant digits by
-``%.17g``, and each number is formatted once.  A table is a dict of
+Serialization: every number is written with 17 significant digits, the
+bytes of ``'%.17g' % x``, and each number is formatted once (``_texts``),
+in passes of at most ``_CSV_BLOCK`` values.  A pass of at least
+``_KERNEL_FLOOR`` values is formatted in numpy (``_kernel_texts``): each
+value times a correctly rounded power of ten, as a double-double whose
+error is below 2^-47, gives its 17-digit integer, and its text is
+gathered from its digits by a layout per sign, exponent and digit count.
+The kernel leaves to ``%`` non-finite values, nonzero values outside
+[1e-280, 1e280] and those whose scaled fraction is within
+``_TIE_MARGIN`` (2^-30, far above the error) of a half; a smaller pass
+takes one ``%`` format.  A table is a dict of
 equal-length columns: a numpy array of real values, or text (labels,
 integers, pooled number text).  It is written in blocks of
-``_CSV_BLOCK`` rows: each block's numbers are formatted by one ``%``
-operation per column (``_texts``), its text cells are sliced, and from
+``_CSV_BLOCK`` rows: each block's numbers are formatted column by
+column, its text cells are sliced, and from
 that same text the block's CSV rows (comma joins of the cells) and, when
 a JSON record array holds the table, the block's records (one ``%``
 template per array, ``_fill``) are appended to the open files before the
@@ -78,12 +87,202 @@ _MAX_DELTAS = 256
 # rows), so its memory does not grow with the table; 2 048 rows of a
 # wave function are about 120 kB of CSV text and 230 kB of JSON
 _CSV_BLOCK = 2048
+# Fewest values a pass of the digit kernel (_kernel_texts) takes: it costs
+# about 100 us per pass whatever the size, and below about 256 values one
+# `%` format is faster (CHANGES.md gives the timings by size)
+_KERNEL_FLOOR = 256
+# The kernel leaves to `%` the nonzero values outside [_KERNEL_MIN,
+# _KERNEL_MAX], where the low part of 10^k or a split product would be
+# subnormal or overflow, and those whose scaled value's fraction is within
+# _TIE_MARGIN of a half: the double-double product's error is below 2^-47
+# (see _scaled), so outside the margin its rounding is the exact one
+_KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280
+_TIE_MARGIN = 2.0 ** -30
+# Decimal exponents k of the power table (10^k), and of the exponent text
+_POW_MIN, _POW_MAX = -270, 300
+_EXP_MAX = 330
+# Dekker's splitting constant 2^27 + 1: v * _SPLIT splits v into two
+# halves of 26 bits whose products are exact
+_SPLIT = 134217729.0
+# Byte columns of a value's 32-byte source row, which its text is gathered
+# from: the minus sign, a zero and the point, the first digit and the 16
+# others, the exponent "e+ddd", and a NUL that pads the text to _WIDTH
+_MINUS, _ZERO, _POINT, _DIGIT, _EXP, _PAD = 0, 1, 2, 7, 24, 31
+_WIDTH = 24
+# Layout keys: a negative value's are _SIGN_KEY above those of a positive
+# one (23 classes of 17 digit counts), and +0.0 has _ZERO_KEY, -0.0 the next
+_SIGN_KEY = 23 * 17
+_ZERO_KEY = 2 * _SIGN_KEY
+
+
+def _percent_texts(values) -> list:
+    """The text of each real value from one ``%.17g`` format."""
+    values = values.tolist()
+    return (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+
+
+def _split(v):
+    """Dekker's split of v into a high part of 26 bits and the rest."""
+    t = v * _SPLIT
+    high = t - (t - v)
+    return high, v - high
+
+
+def _layout(negative: bool, e: int, digits: int) -> list:
+    """The source columns of the ``%.17g`` text of a value with the sign
+    ``negative``, decimal exponent ``e`` of its 17-digit rounding and
+    ``digits`` significant digits left after stripping trailing zeros (0
+    for a zero), padded to ``_WIDTH``."""
+    number = list(range(_DIGIT, _DIGIT + 17))
+    if digits == 0:
+        cols = [_ZERO]
+    elif e < -4 or e > 16:
+        cols = number[:1] + [_POINT] * (digits > 1) + number[1:digits] + [
+            _EXP, _EXP + 1] + [_EXP + 2] * (abs(e) >= 100) + [_EXP + 3,
+                                                               _EXP + 4]
+    elif e < 0:
+        cols = [_ZERO, _POINT] + [_ZERO] * (-1 - e) + number[:digits]
+    else:
+        cols = number[:e + 1] + [_POINT] * (digits > e + 1) \
+            + number[e + 1:digits]
+    cols = [_MINUS] * negative + cols
+    return cols + [_PAD] * (_WIDTH - len(cols))
+
+
+@functools.cache
+def _powers() -> tuple:
+    """10^k for k in _POW_MIN.._POW_MAX as correctly rounded double-doubles
+    (high, low), and the split of the high parts."""
+    high, low = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        # Python's int / int is correctly rounded, and so is the
+        # remainder num / den - h as one such quotient
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        high.append(h)
+        low.append((num * h_den - h_num * den) / (den * h_den))
+    return (np.array(high), np.array(low)) + _split(np.array(high))
+
+
+@functools.cache
+def _text_tables() -> tuple:
+    """Lookup tables of the kernel's text: the four digits of each group
+    0..9999 (one uint32 of bytes each), a group's significant digits (-16
+    for 0000), the source row's first word for each first digit, the
+    exponent text of each e in -_EXP_MAX.._EXP_MAX (one uint64 of bytes
+    each), the layout class of each e, and the layouts by key."""
+    group = np.arange(10000)
+    digits = group[:, None] // np.array([1000, 100, 10, 1]) % 10
+    trailing = sum(group % 10 ** i == 0 for i in (1, 2, 3))
+    exponents = range(-_EXP_MAX, _EXP_MAX + 1)
+    # the layout classes: e of a fixed-point text (-4..16), and exponent
+    # texts of two and three digits (any e for each); a layout's key is
+    # 17 class + the index of its last significant digit, plus _SIGN_KEY
+    # if negative
+    classes = list(range(-4, 17)) + [17, 100]
+    return ((digits + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
+            np.where(group > 0, 4 - trailing, -16).astype(np.int8),
+            np.frombuffer(b"".join(b"-0.\0\0\0\0%d" % d for d in range(10)),
+                          np.uint64),
+            np.frombuffer(b"".join(b"e%+04d\0\0\0" % e for e in exponents),
+                          np.uint64),
+            np.array([17 * (e + 4 if -4 <= e <= 16 else 21 + (abs(e) >= 100))
+                      for e in exponents], np.intp),
+            np.array([_layout(negative, e, digits) for negative in (0, 1)
+                      for e in classes for digits in range(1, 18)]
+                     + [_layout(negative, 0, 0) for negative in (0, 1)],
+                     np.uint8))
+
+
+def _scaled(a, e) -> tuple:
+    """y = a 10^(16 - e) as a double-double (high, low): Dekker's exact
+    product of a and the power's high part, plus a times its low part.
+    For y < 2^57 the error of high + low is below 2^-47 (7e-15): 2^-106 y
+    each from the power's rounding and from a times its low part, and
+    2^-49 from adding the product's error, which is below 8, to the
+    latter, below 16.  For y >= 2^53 the high part is an integer."""
+    high, low, p_high, p_low = _powers()
+    k = (16 - _POW_MIN) - e
+    power = high.take(k)
+    product = a * power
+    a_high, a_low = _split(a)
+    b_high, b_low = p_high.take(k), p_low.take(k)
+    error = ((a_high * b_high - product) + a_high * b_low
+             + a_low * b_high) + a_low * b_low
+    return product, error + a * low.take(k)
+
+
+def _kernel_texts(x) -> list:
+    """The ``%.17g`` text of each value of the float64 array ``x``, in
+    numpy: the 17-digit integer of each value as a double-double product
+    with a power of ten, then its text gathered from per-value source
+    rows by a layout per sign, exponent class and digit count.  Values the
+    kernel leaves (see _KERNEL_MIN) are formatted by ``%``."""
+    a = np.abs(x)
+    zero = a == 0.0
+    in_kernel = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
+    a[~in_kernel] = 1.0
+    # log10 may be an ulp off near a power of ten: the scaled value y of
+    # a wrong exponent is outside [1e16, 1e17), and is scaled again
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y, low = _scaled(a, e)
+    below = (y < 1e16) | (y == 1e16) & (low < 0.0)
+    above = (y > 1e17) | (y == 1e17) & (low >= 0.0)
+    wrong = np.flatnonzero(below | above)
+    if len(wrong):
+        e[wrong] += 2 * above[wrong] - 1
+        y[wrong], low[wrong] = _scaled(a[wrong], e[wrong])
+    # the high part y is an even integer, so the low part's nearest
+    # integer, ties to even, rounds y + low
+    step = np.rint(low)
+    in_kernel &= np.abs(low - step) < 0.5 - _TIE_MARGIN
+    in_kernel |= zero
+    integer = y.astype(np.int64) + step.astype(np.int64)
+    decade = integer == 10 ** 17
+    integer -= decade * (9 * 10 ** 16)
+    e += decade
+    groups, significant, first_word, exponents, classes, layouts = \
+        _text_tables()
+    top, bottom = np.divmod(integer, 10 ** 8)
+    first, top = np.divmod(top, 10 ** 8)
+    group = np.empty((len(x), 4), np.intp)
+    group[:, 0], group[:, 1] = np.divmod(top, 10 ** 4)
+    group[:, 2], group[:, 3] = np.divmod(bottom, 10 ** 4)
+    source = np.empty((len(x), 4), np.uint64)
+    source[:, 0] = first_word.take(first)
+    source.view(np.uint32)[:, 2:6] = groups.take(group)
+    source[:, 3] = exponents.take(e + _EXP_MAX)
+    # digit 0 is the first, group i holds digits 4i + 1 to 4i + 4
+    sig = significant.take(group)
+    last = np.maximum(np.maximum(sig[:, 0], sig[:, 1] + 4),
+                      np.maximum(sig[:, 2] + 8, sig[:, 3] + 12))
+    negative = np.signbit(x)
+    key = classes.take(e + _EXP_MAX) + _SIGN_KEY * negative \
+        + np.maximum(last, 0)
+    key[zero] = _ZERO_KEY + negative[zero]
+    at = np.add(layouts.take(key, axis=0),
+                np.arange(0, 32 * len(x), 32)[:, None], dtype=np.intp)
+    texts = source.view(np.uint8).ravel().take(at).astype(np.uint32).view(
+        np.dtype(("U", _WIDTH))).ravel().tolist()
+    rest = np.flatnonzero(~in_kernel)
+    for i, text in zip(rest.tolist(), _percent_texts(x[rest])):
+        texts[i] = text
+    return texts
 
 
 def _texts(values) -> list:
-    """The 17-significant-digit text of each real value, from one format."""
-    values = np.asarray(values, dtype=float).ravel().tolist()
-    return (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+    """The 17-significant-digit text of each real value, the bytes of
+    ``'%.17g' % value``: in passes of at most ``_CSV_BLOCK`` values, each
+    by the digit kernel if it holds at least ``_KERNEL_FLOOR`` values, else
+    by one ``%`` format."""
+    values = np.asarray(values, dtype=float).ravel()
+    texts = []
+    for start in range(0, len(values), _CSV_BLOCK):
+        part = values[start:start + _CSV_BLOCK]
+        texts += (_kernel_texts(part) if len(part) >= _KERNEL_FLOOR
+                  else _percent_texts(part))
+    return texts
 
 
 def _repeated_texts(*columns) -> list:

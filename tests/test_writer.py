@@ -14,11 +14,11 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from csmres import cli, wavefun
-from csmres.cli import _CSV_BLOCK, _Json, _Records, _emit, _encode, \
-    _escape, _repeated_texts, _texts, main
+from csmres.cli import _CSV_BLOCK, _KERNEL_FLOOR, _Json, _Records, _emit, \
+    _encode, _escape, _kernel_texts, _repeated_texts, _texts, main
 from csmres.eploop import LoopSpec, _sheet_slope, run_berry_loop
 from csmres.model import ModelParams, branch_point, branch_point_coupling
 from csmres.wavefun import WaveField, default_grid, eval_wavefunction
@@ -115,6 +115,71 @@ PAYLOADS = st.dictionaries(st.text(max_size=6), st.recursive(
           -DOUBLE_MAX, math.inf, -math.inf, math.nan, 0.1, 1e16, 123456789.0])
 def test_column_text_is_the_per_cell_format(values):
     assert _texts(values) == [f"{v:.17g}" for v in values]
+
+
+def _percent(values) -> list:
+    return ["%.17g" % v for v in values]
+
+
+# Values whose text takes each branch of the digit kernel, and those it
+# leaves to `%`: zeros, the smallest subnormal and normal, the largest
+# float, infinities and nan; an exact tie of the 17th digit; values whose
+# 17-digit rounding reaches the next decade; exponents of two and three
+# digits of both signs, at the ends of the fixed-point range and past
+# them; and values a with a 10^(16 - e) within 1e-16 of a half-integer
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, DOUBLE_MAX,
+    -DOUBLE_MAX, math.inf, -math.inf, math.nan, 1234567890123456.75,
+    99999999999999999.0, 0.00099999999999999999, 9.9999999999999999e22,
+    -1.5e-5, 2.5e-17, 3.25e17, -4.125e99, 1e-99, -7.0710678118654751e-101,
+    1.2505001333635619e-201, 3.1254167000021161e+202, -9.87e-300, 6e299,
+    1e-280, 1e280, 0.0001, -0.00012345678901234567, 1e16, -12345678901234567.0,
+    8.839990188244671e-15, 6.83280278535067e-12, 2.3233180180504022e-11,
+    4.974148370910348e-10, 1.0076000255121024e-08]
+# 10^k for k in -300..299, each with both float neighbours
+POWERS_OF_TEN = [v for k in range(-300, 300) for v in (
+    np.nextafter(float(f"1e{k}"), -math.inf), float(f"1e{k}"),
+    np.nextafter(float(f"1e{k}"), math.inf))]
+
+
+def test_kernel_text_of_edge_values_is_the_percent_format():
+    block = EDGE_VALUES + POWERS_OF_TEN
+    assert _KERNEL_FLOOR <= len(block) <= _CSV_BLOCK
+    assert _texts(block) == _percent(block)
+    # below the floor too, where _texts would use `%`
+    assert _kernel_texts(np.array(EDGE_VALUES)) == _percent(EDGE_VALUES)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from((_KERNEL_FLOOR, 1000, _CSV_BLOCK + 1,
+                        _CSV_BLOCK + _KERNEL_FLOOR)).flatmap(
+    lambda n: st.binary(min_size=8 * n, max_size=8 * n)))
+def test_kernel_text_of_any_bits_is_the_percent_format(data):
+    # blocks at or above the floor, of uniform bit patterns: about 90% of
+    # them inside the kernel's range, the rest subnormal, huge or not finite
+    values = np.frombuffer(data, dtype=float)
+    assert _texts(values) == _percent(values.tolist())
+
+
+def test_berry_formatting_memory_is_bounded_by_the_block():
+    # the pooled texts of a 4 x 1024 loop, about 8 800 bit patterns, are
+    # formatted in passes of _CSV_BLOCK values: measured 2.1 MB traced,
+    # where one pass over all of them peaked at 5.1 MB
+    theta = 0.4
+    trace, _ = run_berry_loop(ModelParams(lam=1.0, theta=theta), LoopSpec(
+        radius=1e-5 * branch_point_coupling(theta, 1.0, 1.0, 1.0),
+        windings=4, n_steps=1024))
+    columns = list(chain.from_iterable(
+        (values.real, values.imag) for values in (
+            trace.lam, trace.e_plus, trace.e_minus, trace.accumulated)))
+    _texts(np.full(_KERNEL_FLOOR, 0.5))  # builds the kernel's tables
+    tracemalloc.start()
+    try:
+        _repeated_texts(*columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 @st.composite
@@ -321,12 +386,13 @@ def _fixed_field(monkeypatch, n_points: int) -> None:
 
 def test_wavefunction_writer_memory_does_not_grow_with_the_table(
         tmp_path, monkeypatch):
-    # the writer holds one block of text per table: measured 1.03 MB
-    # traced at 16 385 rows and 1.06 MB at 262 145, where formatting whole
-    # columns and the JSON as one string peaked at 7.3 and 119 MB
+    # the writer holds one block of text per table: measured 1.86 MB
+    # traced at 16 385 rows and at 262 145, where formatting whole columns
+    # and the JSON as one string peaked at 7.3 and 119 MB
     peaks = {}
-    # the first run, of the smallest table, warms up what a run caches
-    for n_points in (5, 16385, 262145):
+    # the first run, of the smallest table the digit kernel formats, warms
+    # up what a run caches, the kernel's tables among them
+    for n_points in (_KERNEL_FLOOR, 16385, 262145):
         _fixed_field(monkeypatch, n_points)
         tracemalloc.start()
         try:

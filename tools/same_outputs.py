@@ -23,7 +23,10 @@ minimum 5, below one block (``WAVEFUNCTION_SIZES``; the benchmark's
 deltas, whose ``degeneracy.csv`` is a table of no rows
 (``EMPTY_TABLE_CONFIG``), and ``spectrum``, ``regions`` and ``berry``
 with m, hbar and beta other than 1 (``UNITS_CONFIG``), which every other
-case leaves at 1.  Every written file is then compared byte for byte.
+case leaves at 1, and with beta and lambda so far from 1 that their
+cells take exponents of three digits, such as -7.0710678118654751e-101
+and 3.1254167000021161e+202 (``EXPONENT_CONFIGS``).  Every written file
+is then compared byte for byte.
 For each file that differs it prints the first differing byte, then the
 cells that differ: a CSV file's cells by row and column, a JSON file's
 leaf values by their key path (each number is a leaf string).  It counts
@@ -79,6 +82,10 @@ EMPTY_TABLE_CONFIG = {"overlap": {"n_bins": 2, "deltas": []}}
 # Units other than 1, for the workflows whose closed forms carry them.
 UNITS_CONFIG = {"theta": 0.35, "lam": 0.9,
                 "units": {"m": 2.0, "hbar": 0.7, "beta": 1.3}}
+# Scales whose numbers are written with exponents of three digits, of
+# both signs: case -> config.
+EXPONENT_CONFIGS = {"beta1e-100": {"units": {"beta": 1e-100}},
+                    "lam1e200": {"lam": 1e200, "units": {"beta": 1e100}}}
 
 
 def berry_config(theta: float) -> dict:
@@ -241,6 +248,8 @@ def main(argv: list) -> int:
             ["overlap"])) for theta in OVERLAP_THETAS)
         cases["overlap-nodeltas"] = (EMPTY_TABLE_CONFIG, ["overlap"])
         cases["units"] = (UNITS_CONFIG, ["spectrum", "regions", "berry"])
+        cases.update((case, (config, ["spectrum", "regions", "berry"]))
+                     for case, config in EXPONENT_CONFIGS.items())
         for case, (config, commands) in cases.items():
             path = work / f"{case}-config.json"
             path.write_text(json.dumps(config))
