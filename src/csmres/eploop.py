@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import BranchCollision, EmptyRange, PreconditionViolation, \
     StepTooCoarse
-from .model import ModelParams, _bisect_zero, branch_point, resonance_energy
+from .model import ModelParams, _bisect_zeros, branch_point, \
+    branch_point_coupling, resonance_energy
 from .wavefun import LN4, classification_functional, classify_region
 
 # scan points per 2 pi of the boundary-crossing search
@@ -134,21 +135,26 @@ def boundary_crossings(params: ModelParams, radius: float) -> list:
 
     Scans the sign of the region-classification functional along
     lam_bp + R e^{i phi}, at all _N_SCAN + 1 scan angles in one call on an
-    array of couplings, and bisects each change to 1e-10 with scalar
-    calls.  The functional takes one coupling as an array of one, so an
-    array element has the bits of the scalar value at its angle, and the
-    scan brackets the changes a point-by-point scan would.
+    array of couplings.  It then bisects all the changes to 1e-10 at once
+    from the scan's values at their ends (``model._bisect_zeros``), one
+    call per ``model._TREE_DEPTH`` halvings: 4 calls for the 27 halvings of a
+    scan step.  The functional takes one coupling as an array of one, so
+    an array element has the bits of the scalar value at its angle: the
+    scan brackets the changes a point-by-point scan would, and each angle
+    is the float that bisecting with one scalar call per halving finds.
     """
-    lam_bp, _, _ = branch_point(params)
+    lam_bp = branch_point_coupling(params.theta, params.m, params.hbar,
+                                   params.beta)
 
     def f(phi):
         return classification_functional(
             params, lam_bp + radius * np.exp(1j * phi))
 
     grid = np.linspace(0.0, 2.0 * math.pi, _N_SCAN + 1)
-    negative = f(grid) < 0.0
-    return [_bisect_zero(f, grid[i], grid[i + 1])
-            for i in np.flatnonzero(negative[:-1] != negative[1:])]
+    scan = f(grid)
+    at = np.flatnonzero((scan[:-1] < 0.0) != (scan[1:] < 0.0))
+    return _bisect_zeros(f, list(zip(grid[at], grid[at + 1])),
+                         list(zip(scan[at], scan[at + 1])))
 
 
 def _start_phase(params: ModelParams, spec: LoopSpec) -> float:

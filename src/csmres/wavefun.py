@@ -282,11 +282,12 @@ def classification_functional(params: ModelParams,
     evaluates all its nodes in one call.  k_0 comes from ``model._pole``,
     which takes one coupling as an array of one, and the product with
     e^{i theta} is an array product too, so an array element has the bits
-    of the scalar result, and the bisection of
-    ``eploop.boundary_crossings``, whose last halvings are decided by
-    rounding-level values of f, finds the same angles either way.  A
-    coupling that is not finite raises ``PreconditionViolation``
-    (``model._pole``).
+    of the scalar result.  So the bisection of
+    ``eploop.boundary_crossings``, which takes the midpoints of several
+    halvings in one call and whose last halvings are decided by
+    rounding-level values of f, finds the angles that one scalar call per
+    halving finds.  A coupling that is not finite raises
+    ``PreconditionViolation`` (``model._pole``).
     """
     lam = params.lam if lam is None else lam
     f = (1j * _pole(params, lam, 0)[1] * cmath.exp(1j * params.theta)).real

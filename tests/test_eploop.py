@@ -3,12 +3,15 @@ verdicts."""
 
 import cmath
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csmres import eploop
 from csmres.eploop import (
     LoopSpec,
     _continued_roots,
@@ -23,6 +26,7 @@ from csmres.eploop import (
 from csmres.errors import BranchCollision, EmptyRange, PreconditionViolation
 from csmres.model import ModelParams, bin_energy, branch_point, \
     branch_point_coupling
+from csmres.wavefun import classification_functional
 
 TH = math.pi / 6
 LBP = branch_point_coupling(TH)
@@ -256,6 +260,19 @@ class TestPuiseuxCoefficients:
                     assert abs(err) <= 4.0 * EPS * scale
 
 
+def bench_berry_jobs(seeds):
+    """(theta, lam, radius_rel) of the berry jobs of the benchmark's seeds
+    (bench/jobs.py)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import jobs
+    finally:
+        sys.path.pop(0)
+    return [(c["theta"], c["lam"], c["berry"]["radius_rel"])
+            for seed in seeds for c in
+            (job["config"] for job in jobs.make_jobs("berry", seed))]
+
+
 class TestBoundaryCrossings:
     def test_two_crossings_per_turn(self):
         phis = boundary_crossings(P, 1e-5 * LBP)
@@ -265,10 +282,45 @@ class TestBoundaryCrossings:
         assert abs(abs(phis[1] - phis[0]) - math.pi) < 1e-4
 
     def test_functional_vanishes_at_crossing(self):
-        from csmres.wavefun import classification_functional
         for phi in boundary_crossings(P, 1e-5 * LBP):
             lam = LBP + 1e-5 * LBP * cmath.exp(1j * phi)
             assert abs(classification_functional(P, lam)) < 1e-12
+
+    @pytest.mark.parametrize("theta, lam, radius_rel",
+                             bench_berry_jobs((1, 2, 3)))
+    def test_crossings_are_the_scalar_bisections(self, scalar_bisect, theta,
+                                                 lam, radius_rel):
+        # the scan and then one scalar call per halving from each scan
+        # bracket: the search boundary_crossings replaces, bit for bit
+        p = ModelParams(lam=lam, theta=theta)
+        lam_bp = branch_point_coupling(theta)
+        radius = radius_rel * lam_bp
+
+        def f(phi):
+            return classification_functional(
+                p, lam_bp + radius * np.exp(1j * phi))
+
+        grid = np.linspace(0.0, 2.0 * math.pi, eploop._N_SCAN + 1)
+        negative = f(grid) < 0.0
+        expect = [scalar_bisect(f, grid[i], grid[i + 1]) for i in
+                  np.flatnonzero(negative[:-1] != negative[1:])]
+        assert len(expect) == 2
+        got = boundary_crossings(p, radius)
+        assert [float(phi).hex() for phi in got] \
+            == [float(phi).hex() for phi in expect]
+
+    def test_functional_calls_per_search(self, monkeypatch):
+        # the scan and one call per round of seven halvings of both
+        # crossings, not one call per halving (59 calls)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return classification_functional(*args)
+
+        monkeypatch.setattr(eploop, "classification_functional", counting)
+        assert len(boundary_crossings(P, 1e-5 * LBP)) == 2
+        assert len(calls) <= 5
 
 
 class TestBerryLoop:

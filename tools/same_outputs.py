@@ -9,15 +9,17 @@ checkout).  For each tree a fresh interpreter, with only that SRC on
 ``PYTHONPATH``, runs all five workflows twice: with the golden config of
 ``tests/data/golden`` and with a config of the benchmark's sizes (6 bins
 and 3 deltas, a 4 x 1024-step loop, a 16 385-point wave function).  It
-also runs ``berry`` alone at three more angles (``BERRY_THETAS``), since
-the bisected boundary crossings that fix the loop's start depend on the
-angle down to the last bits, and at both ends of the berry table's
-formatting once per bit pattern (``BERRY_WINDINGS``): one winding of
-1 024 steps, whose cells repeat little, and 8 windings of the minimum
-64 steps, whose cells mostly repeat.  It runs ``wavefunction`` and
-``overlap`` alone at the ends of the benchmark's angle ranges
-(``WAVEFUNCTION_THETAS``, ``OVERLAP_THETAS``), ``wavefunction`` alone at
-4 096 points, an exact multiple of the writer's row block, and at the
+also runs ``berry`` alone at three more angles (``BERRY_THETAS``) and at
+both ends of the benchmark's ``radius_rel`` range at theta 0.4
+(``BERRY_RADII``), since the bisected boundary crossings that fix the
+loop's start depend on the angle and the radius down to the last bits,
+and at both ends of the berry table's formatting once per bit pattern
+(``BERRY_WINDINGS``): one winding of 1 024 steps, whose cells repeat
+little, and 8 windings of the minimum 64 steps, whose cells mostly
+repeat.  It runs ``wavefunction`` and ``overlap`` alone at the ends of
+the benchmark's angle ranges (``WAVEFUNCTION_THETAS``,
+``OVERLAP_THETAS``), ``wavefunction`` alone at 4 096 points, an exact
+multiple of the writer's row block, and at the
 minimum 5, below one block (``WAVEFUNCTION_SIZES``; the benchmark's
 16 385 ends in a block of one row), ``overlap`` with no
 deltas, whose ``degeneracy.csv`` is a table of no rows
@@ -63,6 +65,9 @@ BENCH_CONFIG = {
 }
 # Angles of the berry-only cases, spread over (0, pi/4).
 BERRY_THETAS = (0.06, 0.4, 0.74)
+# radius_rel of the berry-only cases at theta 0.4: the benchmark's
+# smallest, and its largest, where the Taylor-regime cap is above it.
+BERRY_RADII = (3e-7, 1e-5)
 # Berry-only loops at both ends of the pooled formatting: case ->
 # (theta, radius_rel, windings, n_steps).
 BERRY_WINDINGS = {"berry-1winding": (0.4, 1e-6, 1, 1024),
@@ -229,6 +234,10 @@ def main(argv: list) -> int:
         cases = {"bench": (BENCH_CONFIG, COMMANDS)}
         cases.update((f"berry-theta{theta}", (berry_config(theta), ["berry"]))
                      for theta in BERRY_THETAS)
+        cases.update((f"berry-radius{radius_rel}", (
+            {"theta": 0.4, "lam": 1.3, "berry": dict(
+                BENCH_CONFIG["berry"], radius_rel=radius_rel)}, ["berry"]))
+            for radius_rel in BERRY_RADII)
         cases.update((case, ({"theta": theta, "lam": 1.3, "berry": {
             "radius_rel": radius_rel, "windings": windings,
             "n_steps": n_steps}}, ["berry"]))
