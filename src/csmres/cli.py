@@ -11,41 +11,49 @@ coefficients of the straddling-bin energy), and ``wavefunction``
 byte-identical files.
 
 Serialization: every number is written with 17 significant digits, the
-bytes of ``'%.17g' % x``, and each number is formatted once (``_texts``),
-in passes of at most ``_CSV_BLOCK`` values.  A pass of at least
-``_KERNEL_FLOOR`` values is formatted in numpy (``_kernel_texts``): each
-value times a correctly rounded power of ten, as a double-double whose
-error is below 2^-47, gives its 17-digit integer, and its text is
-gathered from its digits by a layout per sign, exponent and digit count.
-The kernel leaves to ``%`` non-finite values, nonzero values outside
-[1e-280, 1e280] and those whose scaled fraction is within
+bytes of ``'%.17g' % x``, and each number is formatted once.  A pass of
+at least ``_KERNEL_FLOOR`` values, and at most ``_CSV_BLOCK``, is
+formatted in numpy (``_kernel_rows``): each value times a correctly
+rounded power of ten, as a double-double whose error is below 2^-47,
+gives its 17-digit integer, and its text is gathered from its digits by a
+layout per sign, exponent and digit count, as a row of ``_WIDTH`` bytes
+padded with NULs.  The kernel leaves to ``%`` non-finite values, nonzero
+values outside [1e-280, 1e280] and those whose scaled fraction is within
 ``_TIE_MARGIN`` (2^-30, far above the error) of a half; a smaller pass
-takes one ``%`` format.  A table is a dict of
+takes one ``%`` format (``_percent_texts``).  A table is a dict of
 equal-length columns: a numpy array of real values, or text (labels,
 integers, pooled number text).  It is written in blocks of
-``_CSV_BLOCK`` rows: each block's numbers are formatted column by
-column, its text cells are sliced, and from
-that same text the block's CSV rows (comma joins of the cells) and, when
-a JSON record array holds the table, the block's records (one ``%``
-template per array, ``_fill``) are appended to the open files before the
-next block is formatted.  The JSON fields around a record array are
-encoded whole, as they are small.  A CSV file may hold several tables:
-overlap.csv holds the S matrix and then H, while overlap.json writes H
-first, so the CSV rows of H are held until those of S are written.  So a
-table costs the writer one block of text, not the whole table's; the
-held H rows are n_bins^2 CSV rows, at most about 1.3 MB.  The berry table's
-eight loop columns (re and im of the coupling, of both sheet energies
-and of the running factor) are formatted together over the whole table,
-once per distinct bit pattern (``_repeated_texts``), and each block
-slices the pooled texts: a loop of several windings revisits its
-couplings, swaps its sheets after each turn and multiplies its factor by
-i, so a 4-winding loop's 32 776 cells hold about 8 800 patterns.  Every
-other number (grid points, wave functions, phases) does not repeat, so
-sorting for repeats would only add cost.  A JSON file holds exactly the
-bytes of the stdlib's ``json.dump(payload, indent=2, sort_keys=True)``
-plus a newline, where each number is a string of its 17-digit text,
-each complex number an object {"im", "re"}, and labels are escaped as
-``ensure_ascii`` does.
+``_CSV_BLOCK`` rows (``_block``): each block's numbers are formatted
+column by column as rows of bytes, pooled text is gathered as rows, and
+other text is encoded to rows once per column.  From those rows the
+block's CSV rows and, when a JSON record array holds the table, its
+records are built in numpy (``_lines``): the constant text of a line (the
+commas and newline, or the record's text split at its cells) and the
+cells' rows side by side in one array of bytes, whose NUL padding one
+boolean compress drops; the bytes go to the open files, which are
+binary, before the next block is formatted.  A block of fewer than
+``_KERNEL_FLOOR`` rows, as in a small table or at the end of a long one,
+takes its numbers from one ``%`` format and its cells as text, and one
+join builds its lines, which is faster there.  A text cell that holds a
+NUL, which the padding would hide, is refused.  The JSON fields around a
+record array are encoded whole, as they are small.  A CSV file may hold
+several tables: overlap.csv holds the S matrix and then H, while
+overlap.json writes H first, so the CSV rows of H are held until those
+of S are written.  So a table costs the writer one block of text, not
+the whole table's; the held H rows are n_bins^2 CSV rows, at most about
+1.3 MB.  The berry table's eight loop columns (re and im of the
+coupling, of both sheet energies and of the running factor) are
+formatted together over the whole table, once per distinct bit pattern
+(``_repeated_texts``), and each block gathers the rows of its cells: a
+loop of several windings revisits its couplings, swaps its sheets after
+each turn and multiplies its factor by i, so a 4-winding loop's 32 776
+cells hold about 8 800 patterns.  Every other number (grid points, wave
+functions, phases) does not repeat, so sorting for repeats would only
+add cost.  A JSON file holds exactly the bytes of the stdlib's
+``json.dump(payload, indent=2, sort_keys=True)`` plus a newline, where
+each number is a string of its 17-digit text, each complex number an
+object {"im", "re"}, and labels are escaped as ``ensure_ascii`` does;
+its text is ASCII.  Text cells of a CSV file are written as UTF-8.
 """
 
 from __future__ import annotations
@@ -57,12 +65,12 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
-from .errors import ConfigError, CsmError
+from .errors import ConfigError, CsmError, PreconditionViolation
 from .model import (
     ModelParams,
     branch_point,
@@ -85,11 +93,18 @@ _MAX_DELTAS = 256
 # Rows per block of every table: the writer holds the text of one block
 # of each table (with the pooled berry texts, and the overlap's held H
 # rows), so its memory does not grow with the table; 2 048 rows of a
-# wave function are about 120 kB of CSV text and 230 kB of JSON
+# wave function are 147 kB of number rows, about 120 kB of CSV text and
+# 230 kB of JSON
 _CSV_BLOCK = 2048
-# Fewest values a pass of the digit kernel (_kernel_texts) takes: it costs
+# Lines built in one array of bytes by _lines: 512 wave-function records
+# are about 67 kB, 512 berry rows 132 kB, with as much again of mask; a
+# whole block's array raised the berry benchmark's peak RSS by 0.6 MB and
+# was no faster
+_LINE_ROWS = 512
+# Fewest values a pass of the digit kernel (_kernel_rows) takes: it costs
 # about 100 us per pass whatever the size, and below about 256 values one
-# `%` format is faster (CHANGES.md gives the timings by size)
+# `%` format is faster (CHANGES.md gives the timings by size); a block of
+# fewer rows is also joined as text, not built in numpy (_block)
 _KERNEL_FLOOR = 256
 # The kernel leaves to `%` the nonzero values outside [_KERNEL_MIN,
 # _KERNEL_MAX], where the low part of 10^k or a split product would be
@@ -113,12 +128,20 @@ _WIDTH = 24
 # one (23 classes of 17 digit counts), and +0.0 has _ZERO_KEY, -0.0 the next
 _SIGN_KEY = 23 * 17
 _ZERO_KEY = 2 * _SIGN_KEY
+_ROW = np.dtype(("S", _WIDTH))
 
 
 def _percent_texts(values) -> list:
     """The text of each real value from one ``%.17g`` format."""
     values = values.tolist()
     return (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+
+
+def _rows_of(texts: list, dtype=bytes) -> np.ndarray:
+    """ASCII texts, or bytes, as rows of bytes padded with NULs, as wide as
+    ``dtype``, or as the longest text."""
+    rows = np.array(texts, dtype)
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
 
 
 def _split(v):
@@ -213,12 +236,13 @@ def _scaled(a, e) -> tuple:
     return product, error + a * low.take(k)
 
 
-def _kernel_texts(x) -> list:
+def _kernel_rows(x) -> np.ndarray:
     """The ``%.17g`` text of each value of the float64 array ``x``, in
-    numpy: the 17-digit integer of each value as a double-double product
-    with a power of ten, then its text gathered from per-value source
-    rows by a layout per sign, exponent class and digit count.  Values the
-    kernel leaves (see _KERNEL_MIN) are formatted by ``%``."""
+    numpy, as rows of ``_WIDTH`` bytes padded with NULs: the 17-digit
+    integer of each value as a double-double product with a power of ten,
+    then its text gathered from per-value source rows by a layout per sign,
+    exponent class and digit count.  Values the kernel leaves (see
+    _KERNEL_MIN) are formatted by ``%``."""
     a = np.abs(x)
     zero = a == 0.0
     in_kernel = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
@@ -263,36 +287,63 @@ def _kernel_texts(x) -> list:
     key[zero] = _ZERO_KEY + negative[zero]
     at = np.add(layouts.take(key, axis=0),
                 np.arange(0, 32 * len(x), 32)[:, None], dtype=np.intp)
-    texts = source.view(np.uint8).ravel().take(at).astype(np.uint32).view(
-        np.dtype(("U", _WIDTH))).ravel().tolist()
+    rows = source.view(np.uint8).ravel().take(at)
     rest = np.flatnonzero(~in_kernel)
-    for i, text in zip(rest.tolist(), _percent_texts(x[rest])):
-        texts[i] = text
-    return texts
+    if len(rest):
+        rows[rest] = _rows_of(_percent_texts(x[rest]), _ROW)
+    return rows
 
 
-def _texts(values) -> list:
+def _number_rows(values) -> np.ndarray:
     """The 17-significant-digit text of each real value, the bytes of
-    ``'%.17g' % value``: in passes of at most ``_CSV_BLOCK`` values, each
-    by the digit kernel if it holds at least ``_KERNEL_FLOOR`` values, else
-    by one ``%`` format."""
+    ``'%.17g' % value``, as rows of ``_WIDTH`` bytes padded with NULs: in
+    passes of at most ``_CSV_BLOCK`` values, each by the digit kernel if it
+    holds at least ``_KERNEL_FLOOR`` values, else by one ``%`` format."""
     values = np.asarray(values, dtype=float).ravel()
-    texts = []
-    for start in range(0, len(values), _CSV_BLOCK):
-        part = values[start:start + _CSV_BLOCK]
-        texts += (_kernel_texts(part) if len(part) >= _KERNEL_FLOOR
-                  else _percent_texts(part))
-    return texts
+    parts = [values[start:start + _CSV_BLOCK]
+             for start in range(0, max(len(values), 1), _CSV_BLOCK)]
+    rows = [_kernel_rows(part) if len(part) >= _KERNEL_FLOOR
+            else _rows_of(_percent_texts(part), _ROW) for part in parts]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _checked(cells):
+    """Text cells that hold no NUL.
+
+    Raises
+    ------
+    PreconditionViolation
+        If a cell holds a NUL, which the writer would drop as padding.
+    """
+    if "\0" in "".join(cells):
+        raise PreconditionViolation("a text cell holds a NUL character")
+    return cells
+
+
+class _Pooled:
+    """A column of number text pooled by bit pattern: the rows of the
+    distinct patterns and the pattern of each cell.  A slice of it is the
+    rows of its cells, gathered for that slice only."""
+
+    def __init__(self, rows: np.ndarray, at: np.ndarray):
+        self.rows, self.at = rows, at
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self.rows.take(self.at[part], axis=0)
 
 
 def _repeated_texts(*columns) -> list:
-    """``_texts`` of each of several equal-length real columns whose cells
-    take few distinct bit patterns among them all, each pattern formatted
-    once.  Bits, not values: -0.0 and 0.0 differ."""
+    """The number text of each of several equal-length real columns whose
+    cells take few distinct bit patterns among them all, as ``_Pooled``
+    columns: each pattern is formatted once.  Bits, not values: -0.0 and
+    0.0 differ."""
     cells = np.asarray(columns, dtype=float)
     bits, at = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
-    texts = np.asarray(_texts(bits.view(float)), dtype=object)
-    return texts[at].reshape(cells.shape).tolist()
+    rows = _number_rows(bits.view(float))
+    return [_Pooled(rows, column) for column in at.reshape(cells.shape)]
 
 
 def _parts(values) -> dict:
@@ -316,17 +367,65 @@ class _Records:
         self.table, self.fields = table, fields or table
 
 
-def _block(columns: list, start: int) -> list:
-    """The text of rows ``start`` to ``start + _CSV_BLOCK`` of each column:
-    a numpy array is real values, formatted here, once per array however
-    often it is listed; any other column is text already, sliced."""
-    texts = {}
+def _block(columns: list, start: int, sources: dict) -> list:
+    """The text of rows ``start`` to ``start + _CSV_BLOCK`` of each column,
+    once per column however often it is listed: a numpy array is real
+    values, formatted here; pooled text is gathered, and other text is
+    encoded to rows once per column and kept in ``sources`` (id of a
+    column -> its rows), which the caller keeps for the blocks of a table.
+    Each column's cells are rows of bytes padded with NULs, or, in a block
+    of fewer than ``_KERNEL_FLOOR`` rows, a list of texts: there one join
+    of the cells (``_lines``) is faster than numpy, as one ``%`` format is
+    faster than the digit kernel."""
+    stop, small = start + _CSV_BLOCK, len(columns[0]) - start < _KERNEL_FLOOR
+    cells = {}
     for column in columns:
-        if id(column) not in texts:
-            cells = column[start:start + _CSV_BLOCK]
-            texts[id(column)] = (_texts(cells)
-                                 if isinstance(column, np.ndarray) else cells)
-    return [texts[id(column)] for column in columns]
+        if id(column) in cells:
+            continue
+        if isinstance(column, np.ndarray):
+            text = (_percent_texts if small else _number_rows)(
+                column[start:stop])
+        elif isinstance(column, _Pooled):
+            text = column[start:stop]
+            if small:
+                text = text.view(_ROW).ravel().astype(str).tolist()
+        elif small:
+            text = _checked(column[start:stop])
+        else:
+            if id(column) not in sources:
+                sources[id(column)] = _rows_of(
+                    list(map(str.encode, _checked(column))))
+            text = sources[id(column)][start:stop]
+        cells[id(column)] = text
+    return [cells[id(column)] for column in columns]
+
+
+def _lines(pieces: tuple, cells: list) -> list:
+    """The bytes of lines whose line i is ``pieces[0]``, the cell of row i
+    of ``cells[0]``, ``pieces[1]``, and so on to the last piece, as a list
+    of byte strings.  Cells as rows (``_block``) are placed in an array of
+    bytes, each line a copy of the pieces with NULs in place of the cells,
+    whose NUL padding one boolean compress then drops, ``_LINE_ROWS``
+    lines at a time; cells as lists of texts are joined."""
+    if isinstance(cells[0], list):
+        columns = [repeat(pieces[0])]
+        for texts, piece in zip(cells, pieces[1:]):
+            columns += [texts, repeat(piece)]
+        return ["".join(chain.from_iterable(zip(*columns))).encode()]
+    line, spans = b"", []
+    for piece, rows in zip(pieces, cells):
+        line += piece.encode()
+        spans.append(slice(len(line), len(line) + rows.shape[1]))
+        line += bytes(rows.shape[1])
+    line = np.frombuffer(line + pieces[-1].encode(), np.uint8)
+    n, texts = len(cells[0]), []
+    for start in range(0, n, _LINE_ROWS):
+        lines = np.empty((min(_LINE_ROWS, n - start), len(line)), np.uint8)
+        lines[:] = line
+        for span, rows in zip(spans, cells):
+            lines[:, span] = rows[start:start + _LINE_ROWS]
+        texts.append(lines[lines != 0])
+    return texts
 
 
 class _Csv:
@@ -336,16 +435,18 @@ class _Csv:
     until the tables before it are written."""
 
     def __init__(self, fh, name: str, tables: list):
-        fh.write(f"# csmres {name} {_CSV_VERSION}\n{','.join(tables[0])}\n")
+        header = ",".join(tables[0])
+        fh.write(f"# csmres {name} {_CSV_VERSION}\n{header}\n".encode())
         self.fh, self.todo, self.held = fh, list(tables), {}
+        self.pieces = ("",) + (",",) * (len(tables[0]) - 1) + ("\n",)
 
     def rows(self, table: dict, cells: list) -> None:
         """Write, or hold, the CSV rows of one block of ``table``."""
-        text = "\n".join(map(",".join, zip(*cells))) + "\n"
+        texts = _lines(self.pieces, cells)
         if table is self.todo[0]:
-            self.fh.write(text)
+            self.fh.writelines(texts)
         else:
-            self.held.setdefault(id(table), []).append(text)
+            self.held.setdefault(id(table), []).extend(texts)
 
     def done(self, table: dict) -> None:
         """``table`` has all its rows written or held: write the held rows
@@ -357,23 +458,17 @@ class _Csv:
     def finish(self) -> None:
         """Write the tables that no JSON record array wrote."""
         while self.todo:
-            table = self.todo[0]
+            table, sources = self.todo[0], {}
             columns = list(table.values())
             for start in range(0, len(columns[0]), _CSV_BLOCK):
-                self.rows(table, _block(columns, start))
+                self.rows(table, _block(columns, start, sources))
             self.done(table)
 
 
-def _fill(template: str, columns: list, sep: str) -> str:
-    """One copy of ``template`` per row of ``columns``, joined by ``sep``,
-    its ``%s`` placeholders filled from the row's cells in order."""
-    rows = sep.join([template] * len(columns[0]))
-    return rows % tuple(chain.from_iterable(zip(*columns)))
-
-
 def _record(fields: dict, ind: str) -> tuple:
-    """The template of one record at indent ``ind`` and its columns in
-    placeholder order."""
+    """The text of one record at indent ``ind``, with a NUL in place of
+    each cell, and its columns in that order.  An escaped key holds no
+    NUL."""
     lines, columns = [], []
     for key in sorted(fields):
         value = fields[key]
@@ -381,52 +476,59 @@ def _record(fields: dict, ind: str) -> tuple:
             text, nested = _record(value, ind + "  ")
             columns += nested
         else:
-            text = "%s" if isinstance(value, _Json) else '"%s"'
+            text = "\0" if isinstance(value, _Json) else '"\0"'
             columns.append(value)
-        # the key is template text, where a literal % is written %%
-        lines.append(f"{ind}  {_escape(key).replace('%', '%%')}: {text}")
+        lines.append(f"{ind}  {_escape(key)}: {text}")
     return "{\n" + ",\n".join(lines) + f"\n{ind}}}", columns
 
 
 def _encode(value, ind: str, write, csvs: dict | None = None) -> None:
-    """Write the JSON text of ``value`` at indent ``ind`` by ``write``.
+    """Write the JSON text of ``value`` at indent ``ind`` as bytes by
+    ``write``.
 
     A float is written as the string of its 17-digit text and a complex
     number as {"re": .., "im": ..}; otherwise the text is that of
-    ``json.dump(value, indent=2, sort_keys=True)``.  A record array is
-    written block by block, and so are the CSV rows of its table if
-    ``csvs`` (id of a table -> its ``_Csv``) holds it, from the same text.
+    ``json.dump(value, indent=2, sort_keys=True)``, which is ASCII.  A
+    record array is written block by block, and so are the CSV rows of its
+    table if ``csvs`` (id of a table -> its ``_Csv``) holds it, from the
+    same text.
     """
     csvs = {} if csvs is None else csvs
     if isinstance(value, _Records):
         template, fields = _record(value.fields, ind + "  ")
-        sep, csv = f",\n{ind}  ", csvs.get(id(value.table))
+        # each record follows a separator, which the first one drops
+        pieces = tuple(f",\n{ind}  {template}".split("\0"))
+        csv = csvs.get(id(value.table))
         rows = [] if csv is None else list(value.table.values())
-        write("[")
+        sources = {}
+        write(b"[")
         for start in range(0, len(fields[0]), _CSV_BLOCK):
-            cells = _block(fields + rows, start)
-            write((sep if start else f"\n{ind}  ")
-                  + _fill(template, cells[:len(fields)], sep))
+            cells = _block(fields + rows, start, sources)
+            texts = _lines(pieces, cells[:len(fields)])
+            if start == 0:
+                texts[0] = texts[0][1:]
+            for text in texts:
+                write(text)
             if csv is not None:
                 csv.rows(value.table, cells[len(fields):])
-        write(f"\n{ind}]" if len(fields[0]) else "]")
+        write(f"\n{ind}]".encode() if len(fields[0]) else b"]")
         if csv is not None:
             csv.done(value.table)
     elif isinstance(value, complex):
         _encode({"re": value.real, "im": value.imag}, ind, write)
     elif isinstance(value, float):
-        write('"%s"' % _texts([value])[0])
+        write(b'"%s"' % _percent_texts(np.array([value]))[0].encode())
     elif isinstance(value, (dict, list)) and value:
         is_dict = isinstance(value, dict)
         items = ([(_escape(key) + ": ", value[key]) for key in sorted(value)]
                  if is_dict else [("", item) for item in value])
-        write("{" if is_dict else "[")
+        write(b"{" if is_dict else b"[")
         for i, (head, item) in enumerate(items):
-            write(("\n" if i == 0 else ",\n") + ind + "  " + head)
+            write((("\n" if i == 0 else ",\n") + ind + "  " + head).encode())
             _encode(item, ind + "  ", write, csvs)
-        write("\n" + ind + ("}" if is_dict else "]"))
+        write(("\n" + ind + ("}" if is_dict else "]")).encode())
     else:
-        write(json.dumps(value))
+        write(json.dumps(value).encode())
 
 
 def _finite(text: str) -> float:
@@ -532,8 +634,7 @@ def _emit(out_dir: str, fmt: str, csvs: dict, payload=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with contextlib.ExitStack() as files:
         def create(file: str):
-            return files.enter_context(
-                open(os.path.join(out_dir, file), "w", newline=""))
+            return files.enter_context(open(os.path.join(out_dir, file), "wb"))
 
         sinks = {}
         if fmt in ("csv", "both"):
@@ -543,7 +644,7 @@ def _emit(out_dir: str, fmt: str, csvs: dict, payload=None) -> None:
         if payload is not None and fmt in ("json", "both"):
             fh = create(f"{next(iter(csvs))}.json")
             _encode(payload, "", fh.write, sinks)
-            fh.write("\n")
+            fh.write(b"\n")
         for csv in dict.fromkeys(sinks.values()):
             csv.finish()
 
@@ -654,14 +755,15 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     if windings * n_steps > _MAX_COUNT:
         raise ConfigError(
             f"berry.windings * berry.n_steps must be <= {_MAX_COUNT}")
-    lam_bp, _, k_bp = branch_point(params)
+    branch = branch_point(params)
+    lam_bp, _, k_bp = branch
     try:
         spec = LoopSpec(radius=radius_rel * lam_bp, windings=windings,
                         n_steps=n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    trace, verdicts = run_berry_loop(params, spec)
+    trace, verdicts = run_berry_loop(params, spec, branch)
 
     # values that repeat across windings and sheets: formatted together
     loop = (trace.lam, trace.e_plus, trace.e_minus, trace.accumulated)

@@ -157,16 +157,17 @@ def boundary_crossings(params: ModelParams, radius: float) -> list:
                          list(zip(scan[at], scan[at + 1])))
 
 
-def _start_phase(params: ModelParams, spec: LoopSpec) -> float:
+def _start_phase(params: ModelParams, spec: LoopSpec,
+                 branch: tuple) -> float:
     """``spec.start_phase``, else the crossing on the near-origin side.
 
     That is the boundary crossing of the loop's circle
     (``boundary_crossings``, scanned only when no start phase is given)
-    where |E_0| < |E_bp|.
+    where |E_0| < |E_bp|; ``branch`` is ``branch_point(params)``.
     """
     if spec.start_phase is not None:
         return spec.start_phase
-    lam_bp, e_bp, _ = branch_point(params)
+    lam_bp, e_bp, _ = branch
     for phi in boundary_crossings(params, spec.radius):
         lam = lam_bp + spec.radius * cmath.exp(1j * phi)
         if abs(resonance_energy(params.with_lam(lam), 0).energy) < abs(e_bp):
@@ -211,14 +212,15 @@ def _readouts(zeta: complex, k_bp: complex, rs: np.ndarray,
         / (zeta * ws)
 
 
-def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
-                  phi0: float, windings: int):
+def _loop_readout(spec: LoopSpec, zeta: complex, phi0: float, windings: int,
+                  branch: tuple):
     """Walk the coupling circle from phi0 and read out the binned state.
 
     Returns (phis, lam, rs, read): the step angles, the couplings, the
     continued roots r = sqrt(lam - lam_bp) and the readout at each step
     (``_readouts``, all steps in one call), whose node-spacing root
-    w = sqrt(2 r) is continued along with r.
+    w = sqrt(2 r) is continued along with r.  ``branch`` is
+    ``branch_point`` of the loop's parameters.
 
     Raises
     ------
@@ -227,7 +229,7 @@ def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
         one exponential in floating point, as where r is below the
         spacing of floats near k_bp.
     """
-    lam_bp, _, k_bp = branch_point(params)
+    lam_bp, _, k_bp = branch
     phis = phi0 + spec.dphi * np.arange(windings * spec.n_steps + 1)
     lam = lam_bp + spec.radius * np.exp(1j * phis)
     rs = _continued_roots(lam - lam_bp)
@@ -239,10 +241,13 @@ def _loop_readout(params: ModelParams, spec: LoopSpec, zeta: complex,
     return phis, lam, rs, read
 
 
-def run_berry_loop(params: ModelParams, spec: LoopSpec):
+def run_berry_loop(params: ModelParams, spec: LoopSpec,
+                   branch: tuple | None = None):
     """Drive the coupling loop and extract the geometric-factor verdicts.
 
-    Returns (LoopTrace, verdicts).  The verdicts dict holds the per-2pi
+    ``branch`` is ``branch_point(params)``, evaluated here if not given:
+    a caller that has it saves a pole evaluation.  Returns (LoopTrace,
+    verdicts).  The verdicts dict holds the per-2pi
     ratios of the transported asymptotic readout, the 4 pi and 8 pi
     overlaps, the monodromy order (smallest number of turns returning the
     state, None if not reached) and the consistency between the readout
@@ -264,11 +269,12 @@ def run_berry_loop(params: ModelParams, spec: LoopSpec):
         If the readout phase jumps by more than pi/4 between steps.
     """
     zeta = _readout_zeta(params, spec)
-    _, e_bp, k_bp = branch_point(params)
+    branch = branch_point(params) if branch is None else branch
+    _, e_bp, k_bp = branch
     alpha_e = _sheet_slope(params, k_bp)
-    phi0 = _start_phase(params, spec)
-    phis, lam, rs, read = _loop_readout(params, spec, zeta, phi0,
-                                        spec.windings)
+    phi0 = _start_phase(params, spec, branch)
+    phis, lam, rs, read = _loop_readout(spec, zeta, phi0, spec.windings,
+                                        branch)
 
     angles = np.angle(read)
     jumps = np.diff(angles)
@@ -325,6 +331,7 @@ def case_asymptotic_phase(direction: int, params: ModelParams,
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     zeta = _readout_zeta(params, spec, direction)
-    phi0 = _start_phase(params, spec)
-    read = _loop_readout(params, spec, zeta, phi0, 1)[3]
+    branch = branch_point(params)
+    phi0 = _start_phase(params, spec, branch)
+    read = _loop_readout(spec, zeta, phi0, 1, branch)[3]
     return complex(read[spec.n_steps] / read[0])

@@ -168,8 +168,8 @@ class TestArrayReadout:
                         windings=4, n_steps=n_steps)
         trace, _ = run_berry_loop(p, spec)
         zeta = _readout_zeta(p, spec)
-        _, _, rs, read = _loop_readout(p, spec, zeta, trace.phi[0],
-                                       spec.windings)
+        _, _, rs, read = _loop_readout(spec, zeta, trace.phi[0],
+                                       spec.windings, branch_point(p))
         k_bp = branch_point(p)[2]
         expect = np.array([readout_oracle(zeta, k_bp, r, w) for r, w
                            in zip(rs, _continued_roots(2.0 * rs))])

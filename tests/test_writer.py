@@ -17,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from csmres import cli, wavefun
-from csmres.cli import _CSV_BLOCK, _KERNEL_FLOOR, _Json, _Records, _emit, \
-    _encode, _escape, _kernel_texts, _repeated_texts, _texts, main
+from csmres.cli import _CSV_BLOCK, _KERNEL_FLOOR, _Json, _Pooled, _Records, \
+    _emit, _encode, _escape, _kernel_rows, _number_rows, _repeated_texts, main
+from csmres.errors import PreconditionViolation
 from csmres.eploop import LoopSpec, _sheet_slope, run_berry_loop
 from csmres.model import ModelParams, branch_point, branch_point_coupling
 from csmres.wavefun import WaveField, default_grid, eval_wavefunction
@@ -28,6 +29,17 @@ DOUBLE_MAX = 1.7976931348623157e308
 
 def _fmt(v) -> str:
     return f"{float(v):.17g}"
+
+
+def _decoded(rows) -> list:
+    """The text of each row of bytes the writer formats, its NUL padding
+    dropped."""
+    return [row.tobytes().rstrip(b"\0").decode() for row in rows]
+
+
+def _texts(values) -> list:
+    """The writer's number text of each real value."""
+    return _decoded(_number_rows(values))
 
 
 def _jnum(v):
@@ -43,7 +55,7 @@ def _write_csv(path, workflow: str, header, rows) -> None:
     lines = [f"# csmres {workflow} v1", ",".join(header)]
     for row in rows:
         lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -62,6 +74,8 @@ def _cell(column, i: int):
     """Cell ``i`` of a writer column as the per-cell writer took it."""
     if isinstance(column, np.ndarray):
         return _fmt(column[i])
+    if isinstance(column, _Pooled):
+        return _decoded(column[i:i + 1])[0]
     return json.loads(column[i]) if isinstance(column, _Json) else column[i]
 
 
@@ -84,14 +98,15 @@ def _per_cell(value):
 
 
 def _columns(n: int):
-    """Record fields of ``n`` records: real values, number text, escaped
-    labels and integers, some nested in objects."""
+    """Record fields of ``n`` records: real values, number text, pooled
+    number text, escaped labels and integers, some nested in objects."""
     def cells(values):
         return st.lists(values, min_size=n, max_size=n)
 
     column = st.one_of(
         cells(st.floats()).map(lambda values: np.array(values, dtype=float)),
         cells(st.floats()).map(_texts),
+        cells(st.floats()).map(lambda values: _repeated_texts(values)[0]),
         cells(st.text()).map(lambda labels: _Json(map(_escape, labels))),
         cells(st.integers()).map(lambda ints: _Json(map(str, ints))))
     return st.dictionaries(st.text(max_size=4), st.recursive(
@@ -146,8 +161,9 @@ def test_kernel_text_of_edge_values_is_the_percent_format():
     block = EDGE_VALUES + POWERS_OF_TEN
     assert _KERNEL_FLOOR <= len(block) <= _CSV_BLOCK
     assert _texts(block) == _percent(block)
-    # below the floor too, where _texts would use `%`
-    assert _kernel_texts(np.array(EDGE_VALUES)) == _percent(EDGE_VALUES)
+    # below the floor too, where _number_rows would use `%`
+    assert _decoded(_kernel_rows(np.array(EDGE_VALUES))) \
+        == _percent(EDGE_VALUES)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -163,8 +179,9 @@ def test_kernel_text_of_any_bits_is_the_percent_format(data):
 
 def test_berry_formatting_memory_is_bounded_by_the_block():
     # the pooled texts of a 4 x 1024 loop, about 8 800 bit patterns, are
-    # formatted in passes of _CSV_BLOCK values: measured 2.1 MB traced,
-    # where one pass over all of them peaked at 5.1 MB
+    # formatted in passes of _CSV_BLOCK values, and each block gathers the
+    # rows of its own cells: measured 1.7 MB traced, where gathering the
+    # texts of the whole table peaked at 2.1 MB
     theta = 0.4
     trace, _ = run_berry_loop(ModelParams(lam=1.0, theta=theta), LoopSpec(
         radius=1e-5 * branch_point_coupling(theta, 1.0, 1.0, 1.0),
@@ -175,11 +192,32 @@ def test_berry_formatting_memory_is_bounded_by_the_block():
     _texts(np.full(_KERNEL_FLOOR, 0.5))  # builds the kernel's tables
     tracemalloc.start()
     try:
-        _repeated_texts(*columns)
+        pooled = _repeated_texts(*columns)
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            for column in pooled:
+                assert column[start:start + _CSV_BLOCK].shape[1] == 24
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+def test_berry_writer_memory_is_bounded_by_its_lines(tmp_path):
+    # a whole `csmres berry` run of a 4 x 1024 loop, whose CSV lines are
+    # about 260 bytes wide before their padding is dropped: measured
+    # 2.35 MB traced with lines built _LINE_ROWS at a time, 2.95 MB with a
+    # whole block's lines in one array (2.68 MB with the rows joined as
+    # Python text)
+    config = {"theta": 0.4, "berry": {"radius_rel": 1e-5, "windings": 4,
+                                      "n_steps": 1024}}
+    _cli(tmp_path, "berry", config)  # builds what a run caches
+    tracemalloc.start()
+    try:
+        _cli(tmp_path, "berry", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.65e6
 
 
 @st.composite
@@ -199,9 +237,13 @@ def _shared_columns(draw):
 @example([[], []])
 def test_repeated_text_is_the_per_cell_format(columns):
     # one text per bit pattern, not per value: -0.0 keeps its sign, and a
-    # pattern shared by several columns has the same text in each
-    assert _repeated_texts(*columns) == [[f"{v:.17g}" for v in column]
-                                         for column in columns]
+    # pattern shared by several columns has the same text in each; a slice
+    # of a pooled column gathers the rows of its cells
+    pooled = _repeated_texts(*columns)
+    assert [_decoded(column[:]) for column in pooled] == [
+        [f"{v:.17g}" for v in column] for column in columns]
+    assert all(len(column[1:]) == max(len(column) - 1, 0)
+               for column in pooled)
 
 
 @given(PAYLOADS)
@@ -212,8 +254,8 @@ def test_repeated_text_is_the_per_cell_format(columns):
 def test_json_text_is_the_stdlib_encoders(payload):
     out = []
     _encode(payload, "", out.append)
-    assert "".join(out) == json.dumps(_per_cell(payload), indent=2,
-                                      sort_keys=True)
+    assert b"".join(out) == json.dumps(_per_cell(payload), indent=2,
+                                       sort_keys=True).encode()
 
 
 def _cli(tmp_path, command: str, config: dict):
@@ -386,9 +428,9 @@ def _fixed_field(monkeypatch, n_points: int) -> None:
 
 def test_wavefunction_writer_memory_does_not_grow_with_the_table(
         tmp_path, monkeypatch):
-    # the writer holds one block of text per table: measured 1.86 MB
-    # traced at 16 385 rows and at 262 145, where formatting whole columns
-    # and the JSON as one string peaked at 7.3 and 119 MB
+    # the writer holds one block of text per table: measured 1.40 MB
+    # traced at 16 385 rows and 1.43 MB at 262 145, where formatting whole
+    # columns and the JSON as one string peaked at 7.3 and 119 MB
     peaks = {}
     # the first run, of the smallest table the digit kernel formats, warms
     # up what a run caches, the kernel's tables among them
@@ -408,15 +450,19 @@ def test_wavefunction_writer_memory_does_not_grow_with_the_table(
 
 
 def test_each_wavefunction_number_is_formatted_once(tmp_path, monkeypatch):
+    # every number's digits come from a pass of the kernel or from one `%`
+    # format: count the values each pass is given (the field holds no
+    # value the kernel leaves to `%`, which would be counted twice)
     calls = []
 
-    def texts(values):
-        out = cli_texts(values)
-        calls.append(len(out))
-        return out
+    def counted(formats):
+        def count(values):
+            calls.append(len(values))
+            return formats(values)
+        return count
 
-    cli_texts = cli._texts
-    monkeypatch.setattr(cli, "_texts", texts)
+    for name in ("_kernel_rows", "_percent_texts"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
     n_points = 2 * _CSV_BLOCK + 1
     _fixed_field(monkeypatch, n_points)
     _cli(tmp_path, "wavefunction", {"wavefunction": {"n_points": n_points}})
@@ -424,3 +470,97 @@ def test_each_wavefunction_number_is_formatted_once(tmp_path, monkeypatch):
     # real and imaginary parts of k, lam and both tails, and theta
     assert sum(calls) == 3 * n_points + 9
     assert max(calls) == _CSV_BLOCK
+
+
+# Row counts at the writer's edges: none, one, either side of the digit
+# kernel's floor, below which a block's cells are joined and from which
+# they are built in numpy, either side of a block, and one row past two
+EDGE_ROWS = (0, 1, _KERNEL_FLOOR - 1, _KERNEL_FLOOR, _KERNEL_FLOOR + 1,
+             _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1)
+# Keys and labels with a percent sign, quotes, a backslash, a newline and
+# characters outside ASCII (and keys with a NUL, which JSON escapes)
+LABEL = st.text(st.sampled_from('a,%"\\\né\u2603 '), max_size=3)
+KEY = st.text(st.sampled_from('a%"\\\né\u2603\x00 '), max_size=3)
+
+
+@st.composite
+def _table(draw, n: int):
+    """A table of ``n`` rows and the fields of its JSON records: real
+    values (any bits, or spread over 40 decades), number text, pooled
+    number text, labels (as text in the table, escaped in the records) and
+    integers, some fields nested in an object.  The cells come from a
+    generator seeded by hypothesis, so that long tables draw fast."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def values():
+        bits = rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64).view(float)
+        spread = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        return np.where(rng.random(n) < 0.3, bits, spread)
+
+    labels = draw(st.lists(LABEL, min_size=1, max_size=4))
+    table, fields = {}, {}
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(
+            ("values", "text", "pooled", "labels", "integers")),
+            min_size=1, max_size=5))):
+        key = draw(KEY) + str(i)
+        if kind == "values":
+            table[key] = field = values()
+        elif kind == "text":
+            table[key] = field = [_fmt(v) for v in values()]
+        elif kind == "pooled":
+            # few patterns, as in a loop of several windings
+            table[key] = field = _repeated_texts(
+                rng.choice(values()[:8] if n else [], n))[0]
+        elif kind == "labels":
+            table[key] = rng.choice(labels, n).tolist()
+            field = _Json(map(_escape, table[key]))
+        else:
+            table[key] = field = _Json(map(str, rng.integers(-10 ** 6, 10 ** 6,
+                                                             n).tolist()))
+        if draw(st.booleans()):
+            fields[key] = field
+        else:
+            fields.setdefault(draw(KEY) + "{}", {})[key] = field
+    return table, fields
+
+
+def _csv_cell(column, i: int) -> str:
+    """Cell ``i`` of a table column as the per-cell writer wrote it."""
+    if isinstance(column, np.ndarray):
+        return _fmt(column[i])
+    if isinstance(column, _Pooled):
+        return _decoded(column[i:i + 1])[0]
+    return column[i]
+
+
+@pytest.mark.parametrize("n_rows", EDGE_ROWS)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_blocks_of_any_columns_match_the_per_cell_writer(tmp_path_factory,
+                                                          n_rows, data):
+    table, fields = data.draw(_table(n_rows))
+    payload = {"records": _Records(table, **fields),
+               "scalar": data.draw(st.floats())}
+    out = tmp_path_factory.mktemp("writer")
+    old, new = out / "old", out / "new"
+    old.mkdir()
+    _write_csv(old / "t.csv", "t", list(table), (
+        [_csv_cell(column, i) for column in table.values()]
+        for i in range(n_rows)))
+    _write_json(old / "t.json", _per_cell(payload))
+    _emit(str(new), "both", {"t": [table]}, payload)
+    _assert_same_files(new, old, ("t.csv", "t.json"))
+
+
+@pytest.mark.parametrize("n_rows", (1, _KERNEL_FLOOR, _CSV_BLOCK + 1))
+@pytest.mark.parametrize("cell", ("\x00", "a\x00", "a\x00b", "\x00\x00"))
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_a_text_cell_holding_a_nul_is_refused(tmp_path, n_rows, cell, fmt):
+    # the writer drops NULs as the padding of its rows: a NUL in a text
+    # cell, in any block, is refused rather than silently lost
+    cells = ["x"] * (n_rows - 1) + [cell]
+    table = {"label": cells, "n": _Json(map(str, range(n_rows)))}
+    for payload in ({"records": _Records(table)},
+                    {"records": _Records(table, n=_Json(cells))}):
+        with pytest.raises(PreconditionViolation, match="NUL"):
+            _emit(str(tmp_path / fmt), fmt, {"t": [table]}, payload)

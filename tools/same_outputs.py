@@ -19,9 +19,11 @@ little, and 8 windings of the minimum 64 steps, whose cells mostly
 repeat.  It runs ``wavefunction`` and ``overlap`` alone at the ends of
 the benchmark's angle ranges (``WAVEFUNCTION_THETAS``,
 ``OVERLAP_THETAS``), ``wavefunction`` alone at 4 096 points, an exact
-multiple of the writer's row block, and at the
-minimum 5, below one block (``WAVEFUNCTION_SIZES``; the benchmark's
-16 385 ends in a block of one row), ``overlap`` with no
+multiple of the writer's row block, at 2 049, one row past a block, where
+the writer's second block begins, at 255, 256 and 257, either side of the
+fewest values the digit kernel formats, and at the minimum 5, below one
+block (``WAVEFUNCTION_SIZES``; the benchmark's 16 385 ends in a block of
+one row), ``overlap`` with no
 deltas, whose ``degeneracy.csv`` is a table of no rows
 (``EMPTY_TABLE_CONFIG``), and ``spectrum``, ``regions`` and ``berry``
 with m, hbar and beta other than 1 (``UNITS_CONFIG``), which every other
@@ -78,8 +80,9 @@ BERRY_WINDINGS = {"berry-1winding": (0.4, 1e-6, 1, 1024),
 WAVEFUNCTION_THETAS = (0.06, 0.74)
 WAVEFUNCTION_K = {"re": 1.5, "im": -0.9}
 # Point counts of the wavefunction-only cases at the writer's block edges:
-# two whole blocks of 2 048 rows, and fewer rows than one block.
-WAVEFUNCTION_SIZES = (4096, 5)
+# two whole blocks of 2 048 rows, one row past a block, either side of the
+# digit kernel's floor of 256 values, and fewer rows than one block.
+WAVEFUNCTION_SIZES = (4096, 2049, 255, 256, 257, 5)
 # Angles of the overlap-only cases, the ends of the benchmark's range.
 OVERLAP_THETAS = (0.2, 0.6)
 # An overlap at golden size with no deltas: a header-only degeneracy table.
