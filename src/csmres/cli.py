@@ -41,19 +41,22 @@ several tables: overlap.csv holds the S matrix and then H, while
 overlap.json writes H first, so the CSV rows of H are held until those
 of S are written.  So a table costs the writer one block of text, not
 the whole table's; the held H rows are n_bins^2 CSV rows, at most about
-1.3 MB.  The berry table's eight loop columns (re and im of the
-coupling, of both sheet energies and of the running factor) are
-formatted together over the whole table, once per distinct bit pattern
-(``_repeated_texts``), and each block gathers the rows of its cells: a
-loop of several windings revisits its couplings, swaps its sheets after
-each turn and multiplies its factor by i, so a 4-winding loop's 32 776
-cells hold about 8 800 patterns.  Every other number (grid points, wave
-functions, phases) does not repeat, so sorting for repeats would only
-add cost.  A JSON file holds exactly the bytes of the stdlib's
-``json.dump(payload, indent=2, sort_keys=True)`` plus a newline, where
-each number is a string of its 17-digit text, each complex number an
-object {"im", "re"}, and labels are escaped as ``ensure_ascii`` does;
-its text is ASCII.  Text cells of a CSV file are written as UTF-8.
+1.3 MB.  The berry table's loop columns are pooled by winding
+(``_pooled_texts``): after each turn the loop revisits its couplings and
+its two sheets swap, so a cell of the coupling or of a sheet energy
+whose bits equal those of its own column's cell one turn back, or of the
+other sheet's, takes that cell's text, and only the cells that repeat no
+cell one turn back are formatted: about 8 800 of the 24 582 such cells
+of a 4 x 1024-step loop.  The running factor changes only at crossings and
+is pooled one row back, and the region column encodes each of its labels
+once (``_repeated_labels``); each block gathers the rows of its cells.
+Every other number (grid points, wave functions, phases) does not
+repeat, so pooling would only add cost.  A JSON file holds exactly the
+bytes of the stdlib's ``json.dump(payload, indent=2, sort_keys=True)``
+plus a newline, where each number is a string of its 17-digit text, each
+complex number an object {"im", "re"}, and labels are escaped as
+``ensure_ascii`` does; its text is ASCII.  Text cells of a CSV file are
+written as UTF-8.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
@@ -321,9 +324,9 @@ def _checked(cells):
 
 
 class _Pooled:
-    """A column of number text pooled by bit pattern: the rows of the
-    distinct patterns and the pattern of each cell.  A slice of it is the
-    rows of its cells, gathered for that slice only."""
+    """A text column pooled by value: the rows of bytes of its distinct
+    texts and the index of each cell's text.  A slice of it is the rows of
+    its cells, gathered for that slice only."""
 
     def __init__(self, rows: np.ndarray, at: np.ndarray):
         self.rows, self.at = rows, at
@@ -335,15 +338,58 @@ class _Pooled:
         return self.rows.take(self.at[part], axis=0)
 
 
-def _repeated_texts(*columns) -> list:
-    """The number text of each of several equal-length real columns whose
-    cells take few distinct bit patterns among them all, as ``_Pooled``
-    columns: each pattern is formatted once.  Bits, not values: -0.0 and
-    0.0 differ."""
-    cells = np.asarray(columns, dtype=float)
-    bits, at = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
-    rows = _number_rows(bits.view(float))
-    return [_Pooled(rows, column) for column in at.reshape(cells.shape)]
+def _pooled_texts(columns, back: int, twins=None) -> list:
+    """The number text of each of several equal-length real columns as
+    ``_Pooled`` columns, formatting only the cells that repeat no cell
+    ``back`` rows up.  A cell whose bits equal those of the cell ``back``
+    rows up in its own column, or else, if ``twins`` is given, in column
+    ``twins[c]`` (for a cell of column c), takes that cell's text; the
+    chains of such links are resolved by pointer jumping, each round
+    doubling the rows a link spans, and the cells they end at, the roots,
+    are formatted once each.  A cell with no equal cell ``back`` rows up
+    is its own root, so the text never depends on the repeats occurring.
+    Bits, not values: -0.0 and 0.0 differ."""
+    bits = np.asarray(columns, dtype=float).view(np.int64)
+    length = bits.shape[1]
+    cell = np.arange(bits.size).reshape(bits.shape)
+    link = cell.copy()
+    if length > back:
+        here, up = bits[:, back:], bits[:, :-back]
+        if twins is not None:
+            twins = list(twins)
+            np.copyto(link[:, back:], cell[twins, :-back],
+                      where=here == up[twins])
+        # a cell equal to both takes its own column's
+        np.copyto(link[:, back:], cell[:, :-back], where=here == up)
+    # a chain takes at most (length - 1) // back links
+    link = link.ravel()
+    for _ in range(max((length - 1) // back - 1, 0).bit_length()):
+        link = link.take(link)
+    roots = np.flatnonzero(link == cell.ravel())
+    index = np.empty(bits.size, np.intp)
+    index[roots] = np.arange(len(roots))
+    rows = _number_rows(bits.ravel()[roots].view(float))
+    return [_Pooled(rows, at)
+            for at in index.take(link).reshape(bits.shape)]
+
+
+def _repeated_labels(labels) -> _Pooled:
+    """Text cells that come in runs of few distinct labels as a ``_Pooled``
+    column: each label is encoded to a row once, as UTF-8, and each run of
+    cells gathers its label's row.  A label that JSON would escape must not
+    be written in a record array from this column.
+
+    Raises
+    ------
+    PreconditionViolation
+        If a label holds a NUL.
+    """
+    runs = [(label, len(list(cells))) for label, cells in groupby(labels)]
+    index = {}
+    at = np.array([index.setdefault(label, len(index)) for label, _ in runs],
+                  np.intp)
+    rows = _rows_of([label.encode() for label in _checked(list(index))])
+    return _Pooled(rows, np.repeat(at, [count for _, count in runs]))
 
 
 def _parts(values) -> dict:
@@ -388,7 +434,8 @@ def _block(columns: list, start: int, sources: dict) -> list:
         elif isinstance(column, _Pooled):
             text = column[start:stop]
             if small:
-                text = text.view(_ROW).ravel().astype(str).tolist()
+                text = [cell.decode() for cell in text.view(
+                    ("S", text.shape[1])).ravel().tolist()]
         elif small:
             text = _checked(column[start:stop])
         else:
@@ -551,7 +598,33 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(cfg)
     return cfg
+
+
+def _check_keys(cfg: dict) -> None:
+    """Refuse a config key that no command reads, at the top level or in
+    any block present, whichever command runs: a misspelled key would
+    leave its default in place.
+
+    Raises
+    ------
+    ConfigError
+        If a key is unknown, naming it and the keys allowed there, or if a
+        block is not a JSON object.
+    """
+    for name, fields in _FIELDS.items():
+        block = cfg if name is None else cfg.get(name, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        allowed = list(fields)
+        if name is None:
+            allowed += [block_name for block_name in _FIELDS if block_name]
+        for key in block:
+            if key not in allowed:
+                raise ConfigError(
+                    f"unknown key {key!r} in {name or 'config'}; allowed "
+                    f"there: {', '.join(sorted(allowed))}")
 
 
 def _number(value):
@@ -596,18 +669,36 @@ def _optional_float(value):
     return None if value is None else _real(value)
 
 
-def _read_block(cfg: dict, name: str | None, **fields) -> list:
-    """Values of ``fields`` (key=(convert, default)) from block ``name``.
+# The keys of each config block, with the converter and the default of
+# each; None is the top level, which also holds the blocks
+_FIELDS = {
+    None: {"theta": (_real, 0.3), "lam": (_complex, 1.0)},
+    "units": {"m": (_real, 1.0), "hbar": (_real, 1.0), "beta": (_real, 1.0)},
+    "spectrum": {"n_max": (_integer, 3)},
+    "regions": {"theta_min": (_real, 0.02),
+                "theta_max": (_real, math.pi / 4.0 - 1e-3),
+                "n_points": (_integer, 64)},
+    "overlap": {"k_min": (_real, 0.5), "k_max": (_real, 3.5),
+                "n_bins": (_integer, 6),
+                "deltas": (_floats, [1e-2, 1e-3, 1e-4])},
+    "berry": {"radius_rel": (_real, 1e-5), "windings": (_integer, 4),
+              "n_steps": (_integer, 256)},
+    "wavefunction": {"k": (_complex, 1.0), "x_max": (_optional_float, None),
+                     "n_points": (_integer, 2049)},
+}
 
-    ``name`` None reads the top level of the config.  A block that is not
-    a JSON object, or a value its converter rejects, is a ConfigError.
+
+def _read_block(cfg: dict, name: str | None) -> list:
+    """Values of the fields of block ``name`` (``_FIELDS``), in order.
+
+    ``name`` None reads the top level of the config, which
+    ``_load_config`` has checked.  A value its converter rejects is a
+    ConfigError.
     """
     block = cfg if name is None else cfg.get(name, {})
     where = "config" if name is None else name
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
     values = []
-    for key, (convert, default) in fields.items():
+    for key, (convert, default) in _FIELDS[name].items():
         try:
             values.append(convert(block.get(key, default)))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -616,10 +707,8 @@ def _read_block(cfg: dict, name: str | None, **fields) -> list:
 
 
 def _params_from(cfg: dict) -> ModelParams:
-    m, hbar, beta = _read_block(cfg, "units", m=(_real, 1.0),
-                                hbar=(_real, 1.0), beta=(_real, 1.0))
-    theta, lam = _read_block(cfg, None, theta=(_real, 0.3),
-                             lam=(_complex, 1.0))
+    m, hbar, beta = _read_block(cfg, "units")
+    theta, lam = _read_block(cfg, None)
     try:
         return ModelParams(lam=lam, theta=theta, m=m, hbar=hbar, beta=beta)
     except ValueError as exc:
@@ -651,7 +740,7 @@ def _emit(out_dir: str, fmt: str, csvs: dict, payload=None) -> None:
 
 def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
-    n_max, = _read_block(cfg, "spectrum", n_max=(_integer, 3))
+    n_max, = _read_block(cfg, "spectrum")
     if n_max < 0:
         raise ConfigError("spectrum.n_max must be >= 0")
     levels = range(n_max + 1)
@@ -670,9 +759,7 @@ def cmd_spectrum(cfg: dict, out_dir: str, fmt: str) -> None:
 
 def cmd_regions(cfg: dict, out_dir: str, fmt: str) -> None:
     params = _params_from(cfg)
-    t_lo, t_hi, n_pts = _read_block(
-        cfg, "regions", theta_min=(_real, 0.02),
-        theta_max=(_real, math.pi / 4.0 - 1e-3), n_points=(_integer, 64))
+    t_lo, t_hi, n_pts = _read_block(cfg, "regions")
     if not (0.0 < t_lo < t_hi < math.pi / 4.0):
         raise ConfigError("regions grid must satisfy 0 < min < max < pi/4")
     if n_pts < 2:
@@ -713,9 +800,7 @@ def cmd_overlap(cfg: dict, out_dir: str, fmt: str) -> None:
                            overlap_matrix, real_axis, spatial_grid)
 
     params = _params_from(cfg)
-    k_min, k_max, n_bins, deltas = _read_block(
-        cfg, "overlap", k_min=(_real, 0.5), k_max=(_real, 3.5),
-        n_bins=(_integer, 6), deltas=(_floats, [1e-2, 1e-3, 1e-4]))
+    k_min, k_max, n_bins, deltas = _read_block(cfg, "overlap")
     if k_min <= 0.0 or k_max <= k_min:
         raise ConfigError("overlap bins need 0 < k_min < k_max")
     if not 1 <= n_bins <= _MAX_BINS:
@@ -749,9 +834,7 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
     from .eploop import LoopSpec, _sheet_slope, run_berry_loop
 
     params = _params_from(cfg)
-    radius_rel, windings, n_steps = _read_block(
-        cfg, "berry", radius_rel=(_real, 1e-5), windings=(_integer, 4),
-        n_steps=(_integer, 256))
+    radius_rel, windings, n_steps = _read_block(cfg, "berry")
     if windings * n_steps > _MAX_COUNT:
         raise ConfigError(
             f"berry.windings * berry.n_steps must be <= {_MAX_COUNT}")
@@ -765,15 +848,19 @@ def cmd_berry(cfg: dict, out_dir: str, fmt: str) -> None:
 
     trace, verdicts = run_berry_loop(params, spec, branch)
 
-    # values that repeat across windings and sheets: formatted together
-    loop = (trace.lam, trace.e_plus, trace.e_minus, trace.accumulated)
-    re_lam, im_lam, re_plus, im_plus, re_minus, im_minus, re_factor, \
-        im_factor = _repeated_texts(*chain.from_iterable(
-            (values.real, values.imag) for values in loop))
+    # one turn on, the loop revisits its couplings and swaps its sheets:
+    # E_plus (columns 2 and 3) takes E_minus's values (4 and 5), and back
+    re_lam, im_lam, re_plus, im_plus, re_minus, im_minus = _pooled_texts(
+        [part for values in (trace.lam, trace.e_plus, trace.e_minus)
+         for part in (values.real, values.imag)], n_steps,
+        twins=(0, 1, 4, 5, 2, 3))
+    # the factor changes only where the loop crosses the continuum ray
+    re_factor, im_factor = _pooled_texts(
+        [trace.accumulated.real, trace.accumulated.imag], 1)
     table = {
         "phi": trace.phi, "re_lambda": re_lam, "im_lambda": im_lam,
         "re_E_plus": re_plus, "im_E_plus": im_plus, "re_E_minus": re_minus,
-        "im_E_minus": im_minus, "region": trace.region,
+        "im_E_minus": im_minus, "region": _repeated_labels(trace.region),
         "re_factor": re_factor, "im_factor": im_factor,
         "unwrapped_phase": trace.unwrapped_phase}
     _emit(out_dir, fmt, {"berry": [table]},
@@ -788,9 +875,7 @@ def cmd_wavefunction(cfg: dict, out_dir: str, fmt: str) -> None:
     from .wavefun import default_grid, eval_wavefunction
 
     params = _params_from(cfg)
-    k, x_max, n_points = _read_block(
-        cfg, "wavefunction", k=(_complex, 1.0), x_max=(_optional_float, None),
-        n_points=(_integer, 2049))
+    k, x_max, n_points = _read_block(cfg, "wavefunction")
     if n_points < 5:
         raise ConfigError("wavefunction.n_points must be >= 5")
     if x_max is not None and not x_max > 0.0:

@@ -88,6 +88,52 @@ class TestExitCodes:
         assert err["error"] == "ConfigError"
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("payload, key, allowed", [
+        ({"lamda": 2.0}, "'lamda' in config", "berry, lam, overlap"),
+        ({"berry": {"n_step": 10}}, "'n_step' in berry",
+         "n_steps, radius_rel, windings"),
+        ({"units": {"mass": 2}}, "'mass' in units", "beta, hbar, m"),
+        ({"spectrum": {"nmax": 3}}, "'nmax' in spectrum", "n_max"),
+        ({"regions": {"theta_min": 0.1, "npoints": 8}},
+         "'npoints' in regions", "n_points, theta_max, theta_min"),
+        ({"overlap": {"n_bin": 2}}, "'n_bin' in overlap",
+         "deltas, k_max, k_min, n_bins"),
+        ({"wavefunction": {"xmax": 8.0}}, "'xmax' in wavefunction",
+         "k, n_points, x_max"),
+    ])
+    @pytest.mark.parametrize("command", ["berry", "spectrum"])
+    def test_unknown_config_key_is_2(self, tmp_path, capsys, payload, key,
+                                     allowed, command):
+        # a misspelled key would leave its default in place; every block
+        # present is checked, whichever command runs
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path), command]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"unknown key {key}" in err["message"]
+        assert allowed in err["message"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_block_of_another_command_must_be_an_object(self, tmp_path,
+                                                         capsys):
+        cfg = write_config(tmp_path, {"berry": [1]})
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "spectrum"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": "berry must be a JSON object"}
+
+    @pytest.mark.parametrize("command", ["spectrum", "regions"])
+    def test_blocks_of_other_commands_are_accepted(self, tmp_path, command):
+        # one config for several commands, as the benchmark's scan jobs
+        # share theirs
+        cfg = write_config(tmp_path, {
+            "theta": 0.4, "lam": 1.3, "units": {"m": 1.0},
+            "spectrum": {"n_max": 3}, "regions": {"n_points": 8},
+            "overlap": {"n_bins": 2}, "berry": {"windings": 1},
+            "wavefunction": {"k": {"re": 1.5, "im": -0.4}, "x_max": 20.0}})
+        assert main(["--config", cfg, "--out", str(tmp_path), command]) == 0
+
     @pytest.mark.parametrize("payload, named", [
         ({"theta": 0.9}, "theta = 0.9"),
         ({"units": {"beta": -1}}, "beta = -1"),

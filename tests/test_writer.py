@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from csmres import cli, wavefun
 from csmres.cli import _CSV_BLOCK, _KERNEL_FLOOR, _Json, _Pooled, _Records, \
-    _emit, _encode, _escape, _kernel_rows, _number_rows, _repeated_texts, main
+    _emit, _encode, _escape, _kernel_rows, _number_rows, _pooled_texts, \
+    _repeated_labels, main
 from csmres.errors import PreconditionViolation
 from csmres.eploop import LoopSpec, _sheet_slope, run_berry_loop
 from csmres.model import ModelParams, branch_point, branch_point_coupling
@@ -106,7 +107,7 @@ def _columns(n: int):
     column = st.one_of(
         cells(st.floats()).map(lambda values: np.array(values, dtype=float)),
         cells(st.floats()).map(_texts),
-        cells(st.floats()).map(lambda values: _repeated_texts(values)[0]),
+        cells(st.floats()).map(lambda values: _pooled_texts([values], 1)[0]),
         cells(st.text()).map(lambda labels: _Json(map(_escape, labels))),
         cells(st.integers()).map(lambda ints: _Json(map(str, ints))))
     return st.dictionaries(st.text(max_size=4), st.recursive(
@@ -178,34 +179,41 @@ def test_kernel_text_of_any_bits_is_the_percent_format(data):
 
 
 def test_berry_formatting_memory_is_bounded_by_the_block():
-    # the pooled texts of a 4 x 1024 loop, about 8 800 bit patterns, are
+    # the pooled texts of a 4 x 1024 loop, about 8 800 roots, are
     # formatted in passes of _CSV_BLOCK values, and each block gathers the
-    # rows of its own cells: measured 1.7 MB traced, where gathering the
-    # texts of the whole table peaked at 2.1 MB
-    theta = 0.4
+    # rows of its own cells: measured 2.0 MB traced
+    theta, n_steps = 0.4, 1024
     trace, _ = run_berry_loop(ModelParams(lam=1.0, theta=theta), LoopSpec(
         radius=1e-5 * branch_point_coupling(theta, 1.0, 1.0, 1.0),
-        windings=4, n_steps=1024))
-    columns = list(chain.from_iterable(
-        (values.real, values.imag) for values in (
-            trace.lam, trace.e_plus, trace.e_minus, trace.accumulated)))
+        windings=4, n_steps=n_steps))
+    loop, factor = ([part for values in group
+                     for part in (values.real, values.imag)] for group in (
+        (trace.lam, trace.e_plus, trace.e_minus), (trace.accumulated,)))
     _texts(np.full(_KERNEL_FLOOR, 0.5))  # builds the kernel's tables
     tracemalloc.start()
     try:
-        pooled = _repeated_texts(*columns)
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            for column in pooled:
+        pooled = _pooled_texts(loop, n_steps, (0, 1, 4, 5, 2, 3)) \
+            + _pooled_texts(factor, 1) + [_repeated_labels(trace.region)]
+        for start in range(0, len(loop[0]), _CSV_BLOCK):
+            for column in pooled[:-1]:
                 assert column[start:start + _CSV_BLOCK].shape[1] == 24
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+    assert [_decoded(column[:]) for column in pooled] == [
+        _percent(column) for column in loop + factor] + [list(trace.region)]
+    # the cells formatted: those that repeat no cell one turn up, under
+    # 9 000 of the loop's 24 582 cells, and the factors' runs
+    assert len(pooled[0].rows) == _roots(np.array(loop), n_steps,
+                                         [0, 1, 4, 5, 2, 3]) < 9000
+    assert len(pooled[6].rows) == _roots(np.array(factor), 1, [0, 1]) < 20
 
 
 def test_berry_writer_memory_is_bounded_by_its_lines(tmp_path):
     # a whole `csmres berry` run of a 4 x 1024 loop, whose CSV lines are
     # about 260 bytes wide before their padding is dropped: measured
-    # 2.35 MB traced with lines built _LINE_ROWS at a time, 2.95 MB with a
+    # 2.42 MB traced with lines built _LINE_ROWS at a time, 2.95 MB with a
     # whole block's lines in one array (2.68 MB with the rows joined as
     # Python text)
     config = {"theta": 0.4, "berry": {"radius_rel": 1e-5, "windings": 4,
@@ -223,27 +231,76 @@ def test_berry_writer_memory_is_bounded_by_its_lines(tmp_path):
 @st.composite
 def _shared_columns(draw):
     """1 to 5 equal-length columns whose cells are drawn from one pool of
-    values, signed zeros among them, or are any float."""
+    values, signed zeros among them, or are any float, with the rows back
+    and the twin of each column that ``_pooled_texts`` compares a cell
+    with."""
     n = draw(st.integers(0, 40))
     pool = draw(st.lists(st.floats(), max_size=6)) + [0.0, -0.0, 1.0, -1.0]
     cell = st.sampled_from(pool) | st.floats()
-    return draw(st.lists(st.lists(cell, min_size=n, max_size=n),
-                         min_size=1, max_size=5))
+    columns = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                            min_size=1, max_size=5))
+    twins = draw(st.lists(st.integers(0, len(columns) - 1),
+                          min_size=len(columns), max_size=len(columns)))
+    return columns, draw(st.integers(1, 5)), twins
 
 
 @given(_shared_columns())
-@example([[1.0, -0.0, 0.0, -0.0, -1.0, 0.0]])
-@example([[0.0, -0.0, 0.5], [-0.0, 0.5, 0.0], [0.5, 0.0, -0.0]])
-@example([[], []])
-def test_repeated_text_is_the_per_cell_format(columns):
-    # one text per bit pattern, not per value: -0.0 keeps its sign, and a
-    # pattern shared by several columns has the same text in each; a slice
-    # of a pooled column gathers the rows of its cells
-    pooled = _repeated_texts(*columns)
+@example(([[1.0, -0.0, 0.0, -0.0, -1.0, 0.0]], 1, [0]))
+@example(([[0.0, -0.0, 0.5], [-0.0, 0.5, 0.0], [0.5, 0.0, -0.0]], 1,
+          [1, 2, 0]))
+@example(([[], []], 1, [1, 0]))
+def test_repeated_text_is_the_per_cell_format(drawn):
+    # one text per root, not per value: -0.0 keeps its sign, a cell that
+    # repeats a cell of another column has the same text as that cell,
+    # and a slice of a pooled column gathers the rows of its cells
+    columns, back, twins = drawn
+    pooled = _pooled_texts(columns, back, twins)
     assert [_decoded(column[:]) for column in pooled] == [
         [f"{v:.17g}" for v in column] for column in columns]
     assert all(len(column[1:]) == max(len(column) - 1, 0)
                for column in pooled)
+
+
+def _roots(columns: np.ndarray, back: int, twins: list) -> int:
+    """Cells whose bits equal neither those of the cell ``back`` rows up in
+    their own column nor those in their twin column, one cell at a time."""
+    bits = columns.view(np.int64)
+    return sum(i < back or bits[c, i] not in (bits[c, i - back],
+                                              bits[twins[c], i - back])
+               for c in range(len(bits)) for i in range(bits.shape[1]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(count=st.integers(1, 6), windings=st.integers(2, 8),
+       period=st.integers(3, 90).filter(lambda n: n & (n - 1)),
+       repeats=st.sampled_from((0.0, 0.5, 0.9, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pooling_by_winding_is_the_per_cell_format(count, windings, period,
+                                                    repeats, seed):
+    # loop-like columns of windings * period + 1 cells: each cell past the
+    # first turn is, with probability ``repeats``, planted from the cell
+    # one period up in its own or its twin column, so that chains of
+    # links run over every turn; other cells are new values (0 gives no
+    # repeats at all).  Zeros of both signs sit at the same rows of every
+    # column: a -0.0 one period below a 0.0 must keep its own text
+    rng = np.random.default_rng(seed)
+    length = windings * period + 1
+    twins = rng.integers(0, count, count).tolist()
+    spread = rng.standard_normal((count, length)) \
+        * 10.0 ** rng.integers(-30, 30, (count, length))
+    columns = np.where(rng.random((count, length)) < 0.2, rng.integers(
+        -2 ** 63, 2 ** 63, (count, length), dtype=np.int64).view(float),
+        spread)
+    signed = rng.random(length) < 0.1
+    columns[:, signed] = np.where(rng.random((count, 1)) < 0.5, 0.0, -0.0)
+    for i in range(period, length):
+        planted = rng.random(count) < repeats
+        source = np.where(rng.random(count) < 0.5, np.arange(count), twins)
+        columns[planted, i] = columns[source[planted], i - period]
+    pooled = _pooled_texts(columns, period, twins)
+    assert [_decoded(column[:]) for column in pooled] == [
+        _percent(column) for column in columns]
+    assert len(pooled[0].rows) == _roots(columns, period, twins)
 
 
 @given(PAYLOADS)
@@ -350,8 +407,8 @@ def _mismatches(texts, values) -> int:
                          ((0.06, 1e-7), (0.4, 1e-6), (0.74, 1e-6)))
 def test_berry_csv_cells_are_the_loop_trace(tmp_path, theta, radius_rel,
                                             windings):
-    # one winding repeats few values; four repeat couplings, swapped
-    # sheets and factors, which the CLI formats once per bit pattern
+    # one winding repeats few values; four repeat couplings and swapped
+    # sheets one turn back, which the CLI formats once per root
     n_steps = 1024
     new = _cli(tmp_path, "berry", {
         "theta": theta, "berry": {"radius_rel": radius_rel,
@@ -487,9 +544,10 @@ KEY = st.text(st.sampled_from('a%"\\\né\u2603\x00 '), max_size=3)
 def _table(draw, n: int):
     """A table of ``n`` rows and the fields of its JSON records: real
     values (any bits, or spread over 40 decades), number text, pooled
-    number text, labels (as text in the table, escaped in the records) and
-    integers, some fields nested in an object.  The cells come from a
-    generator seeded by hypothesis, so that long tables draw fast."""
+    number text, labels (as text or pooled text in the table, escaped in
+    the records) and integers, some fields nested in an object.  The
+    cells come from a generator seeded by hypothesis, so that long tables
+    draw fast."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def values():
@@ -500,7 +558,8 @@ def _table(draw, n: int):
     labels = draw(st.lists(LABEL, min_size=1, max_size=4))
     table, fields = {}, {}
     for i, kind in enumerate(draw(st.lists(st.sampled_from(
-            ("values", "text", "pooled", "labels", "integers")),
+            ("values", "text", "pooled", "labels", "repeated labels",
+             "integers")),
             min_size=1, max_size=5))):
         key = draw(KEY) + str(i)
         if kind == "values":
@@ -508,12 +567,15 @@ def _table(draw, n: int):
         elif kind == "text":
             table[key] = field = [_fmt(v) for v in values()]
         elif kind == "pooled":
-            # few patterns, as in a loop of several windings
-            table[key] = field = _repeated_texts(
-                rng.choice(values()[:8] if n else [], n))[0]
-        elif kind == "labels":
-            table[key] = rng.choice(labels, n).tolist()
-            field = _Json(map(_escape, table[key]))
+            # few values, which repeat cells some rows up
+            table[key] = field = _pooled_texts(
+                [rng.choice(values()[:8] if n else [], n)],
+                int(rng.integers(1, 9)))[0]
+        elif kind in ("labels", "repeated labels"):
+            cells = rng.choice(labels, n).tolist()
+            table[key] = cells if kind == "labels" \
+                else _repeated_labels(cells)
+            field = _Json(map(_escape, cells))
         else:
             table[key] = field = _Json(map(str, rng.integers(-10 ** 6, 10 ** 6,
                                                              n).tolist()))
@@ -559,6 +621,8 @@ def test_a_text_cell_holding_a_nul_is_refused(tmp_path, n_rows, cell, fmt):
     # the writer drops NULs as the padding of its rows: a NUL in a text
     # cell, in any block, is refused rather than silently lost
     cells = ["x"] * (n_rows - 1) + [cell]
+    with pytest.raises(PreconditionViolation, match="NUL"):
+        _repeated_labels(cells)
     table = {"label": cells, "n": _Json(map(str, range(n_rows)))}
     for payload in ({"records": _Records(table)},
                     {"records": _Records(table, n=_Json(cells))}):

@@ -13,24 +13,25 @@ also runs ``berry`` alone at three more angles (``BERRY_THETAS``) and at
 both ends of the benchmark's ``radius_rel`` range at theta 0.4
 (``BERRY_RADII``), since the bisected boundary crossings that fix the
 loop's start depend on the angle and the radius down to the last bits,
-and at both ends of the berry table's formatting once per bit pattern
+and at both ends of the berry table's pooling by winding
 (``BERRY_WINDINGS``): one winding of 1 024 steps, whose cells repeat
-little, and 8 windings of the minimum 64 steps, whose cells mostly
-repeat.  It runs ``wavefunction`` and ``overlap`` alone at the ends of
-the benchmark's angle ranges (``WAVEFUNCTION_THETAS``,
+little, 8 windings of the minimum 64 steps, whose cells mostly repeat,
+and 3 windings of 100 steps, an odd number of turns of a period that is
+not a power of two.  It runs ``wavefunction`` and ``overlap`` alone at
+the ends of the benchmark's angle ranges (``WAVEFUNCTION_THETAS``,
 ``OVERLAP_THETAS``), ``wavefunction`` alone at 4 096 points, an exact
-multiple of the writer's row block, at 2 049, one row past a block, where
-the writer's second block begins, at 255, 256 and 257, either side of the
-fewest values the digit kernel formats, and at the minimum 5, below one
-block (``WAVEFUNCTION_SIZES``; the benchmark's 16 385 ends in a block of
-one row), ``overlap`` with no
-deltas, whose ``degeneracy.csv`` is a table of no rows
-(``EMPTY_TABLE_CONFIG``), and ``spectrum``, ``regions`` and ``berry``
-with m, hbar and beta other than 1 (``UNITS_CONFIG``), which every other
-case leaves at 1, and with beta and lambda so far from 1 that their
-cells take exponents of three digits, such as -7.0710678118654751e-101
-and 3.1254167000021161e+202 (``EXPONENT_CONFIGS``).  Every written file
-is then compared byte for byte.
+multiple of the writer's row block, at 2 049, one row past a block,
+where the writer's second block begins, at 255, 256 and 257, either side
+of the fewest values the digit kernel formats, and at the minimum 5,
+below one block (``WAVEFUNCTION_SIZES``; the benchmark's 16 385 ends in
+a block of one row), ``overlap`` with no deltas, whose
+``degeneracy.csv`` is a table of no rows (``EMPTY_TABLE_CONFIG``), and
+``spectrum``, ``regions`` and ``berry`` with m, hbar and beta other than
+1 (``UNITS_CONFIG``), which every other case leaves at 1, and with beta
+and lambda so far from 1 that their cells take exponents of three
+digits, such as -7.0710678118654751e-101 and 3.1254167000021161e+202
+(``EXPONENT_CONFIGS``).  Every written file is then compared byte for
+byte.
 For each file that differs it prints the first differing byte, then the
 cells that differ: a CSV file's cells by row and column, a JSON file's
 leaf values by their key path (each number is a leaf string).  It counts
@@ -70,10 +71,11 @@ BERRY_THETAS = (0.06, 0.4, 0.74)
 # radius_rel of the berry-only cases at theta 0.4: the benchmark's
 # smallest, and its largest, where the Taylor-regime cap is above it.
 BERRY_RADII = (3e-7, 1e-5)
-# Berry-only loops at both ends of the pooled formatting: case ->
-# (theta, radius_rel, windings, n_steps).
+# Berry-only loops at both ends of the pooling by winding, and between:
+# case -> (theta, radius_rel, windings, n_steps).
 BERRY_WINDINGS = {"berry-1winding": (0.4, 1e-6, 1, 1024),
-                  "berry-8windings": (0.06, 1e-7, 8, 64)}
+                  "berry-8windings": (0.06, 1e-7, 8, 64),
+                  "berry-3windings": (0.74, 1e-6, 3, 100)}
 # Angles of the wavefunction-only cases, the ends of the benchmark's scan
 # range: the band of x < 0 points summed in place and the mirrored points
 # differ from theta 0.4.  The k is a Gamow-type one from inside its box.
