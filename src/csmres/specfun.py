@@ -5,18 +5,14 @@ quadratures) reduces to these two kernels evaluated at complex parameters and
 complex argument, so they are implemented here from scratch at double
 precision.
 
-A non-terminating 2F1 is summed on one of two routes, whichever has the
-smaller argument:
-
-* the defining power series in ``u``,
-* the Pfaff transformation to the series in ``w = u/(u-1)``.
-
-It is accepted where min(|u|, |u/(u-1)|) <= SERIES_RADIUS (0.8).  There
-|1-u| >= 0.2, so 1-u never cancels and log(1-u) is the principal one.  The
-points outside, among them u = 1, u = e^{+-i pi/3} and large |u|, are
-refused with ``PreconditionViolation``; the wave functions of ``wavefun``
-reach them only through the mirror identity of the even barrier, which
-evaluates them at x >= 0 instead.
+A non-terminating 2F1 is summed by its defining power series in ``u``,
+accepted where |u| <= SERIES_RADIUS (0.8), and refused with
+``PreconditionViolation`` at every other point.  The wave functions of
+``wavefun`` take the Poschl-Teller form F(1+s, -s; 1-ik/beta; u), whose
+series converges at every point they sum: |u| <= 1/2 at x >= 0 for
+theta < pi/4, |u| <= SERIES_RADIUS in the band of x < 0 next to 0, and
+the rest of x < 0 comes from the mirror identity of the even barrier,
+which evaluates it at x >= 0 instead.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ _SERIES_CAP = 100_000
 # series terms per block of term ratios computed at once
 _RATIO_ROWS = 64
 _EPS = 2.0e-16
-# largest min(|u|, |u/(u-1)|) at which a non-terminating 2F1 is summed
+# largest |u| at which a non-terminating 2F1 is summed
 SERIES_RADIUS = 0.8
 # largest ratio of a series term to the sum: 1e8 leaves 8 digits
 _MAX_CANCELLATION = 1.0e8
@@ -242,18 +238,6 @@ def _series_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return part.reshape(m, nk).T.copy()
 
 
-def _outer(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """p[i] * v[j] as a (len(p), len(v)) array.
-
-    numpy rounds a broadcast complex product in another loop than a
-    same-shape one, and picks the loop from the shapes.  Both factors are
-    expanded first, so a value does not depend on how many rows or points
-    share the call.
-    """
-    return np.multiply(np.repeat(p, len(v)).reshape(len(p), len(v)),
-                       np.tile(v, (len(p), 1)))
-
-
 def _terminating_sum(a: complex, b: complex, c: complex,
                      x: np.ndarray, degree: int) -> np.ndarray:
     """Exact terminating hypergeometric polynomial of the given degree; the
@@ -269,47 +253,24 @@ def _terminating_sum(a: complex, b: complex, c: complex,
 def _general_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                   u: np.ndarray, out: np.ndarray) -> None:
     """Fill out, shape (len(a), len(u)), with the non-terminating 2F1 rows
-    of parameters a, b, c.
-
-    Each point takes the direct series in u or Pfaff's series in
-    w = u/(u-1), whichever argument is smaller.  Each route is planned
-    once for all rows: its points, stably sorted by decreasing argument,
-    the argument there and, on the Pfaff route, log(1-u) there.  The rows
-    are then summed over that plan in blocks of _K_BLOCK.
+    of parameters a, b, c: the power series in u, its points stably sorted
+    by decreasing |u| once for all rows, summed in blocks of _K_BLOCK rows.
 
     Raises
     ------
     PreconditionViolation
-        At a point with min(|u|, |w|) above SERIES_RADIUS.
+        At a point with |u| above SERIES_RADIUS, naming the first such u.
     """
-    omu = 1.0 - u
-    w = np.where(omu != 0.0, -u / omu, np.inf)
-    r_u, r_w = np.abs(u), np.abs(w)
-    direct = r_u <= r_w
-    refused = ~(np.minimum(r_u, r_w) <= SERIES_RADIUS)
+    size = np.abs(u)
+    refused = ~(size <= SERIES_RADIUS)
     if refused.any():
         raise PreconditionViolation(
-            f"2F1 argument u = {u[refused][0]} has min(|u|, |u/(u-1)|) "
-            f"above {SERIES_RADIUS}")
-    for on, x, size, pfaff in ((direct, u, r_u, False),
-                               (~direct, w, r_w, True)):
-        at = np.flatnonzero(on)
-        if not at.size:
-            continue
-        at = at[np.argsort(-size[at], kind="stable")]
-        x = x[at]
-        if pfaff:
-            log1mu = np.log(omu[at])
-        for i in range(0, len(a), _K_BLOCK):
-            rows = slice(i, i + _K_BLOCK)
-            ar, br, cr = a[rows], b[rows], c[rows]
-            if pfaff:
-                # 2F1(a, b; c; u) = (1-u)^(-a) 2F1(a, c-b; c; w)
-                pf = np.exp(-_outer(ar, log1mu))
-                series = _series_sum(ar, cr - br, cr, x, at)
-                out[rows, at] = pf * series
-            else:
-                out[rows, at] = _series_sum(ar, br, cr, x, at)
+            f"2F1 argument u = {u[refused][0]} has |u| above {SERIES_RADIUS}")
+    at = np.argsort(-size, kind="stable")
+    x = u[at]
+    for i in range(0, len(a), _K_BLOCK):
+        rows = slice(i, i + _K_BLOCK)
+        out[rows, at] = _series_sum(a[rows], b[rows], c[rows], x, at)
 
 
 def hyp2f1_grid(a, b, c, u) -> np.ndarray:
@@ -323,22 +284,19 @@ def hyp2f1_grid(a, b, c, u) -> np.ndarray:
         array u; vectors of a common length nk give nk of them, row i with
         parameters (a[i], b[i], c[i]).
     u : array_like of complex
-        Arguments.  Each point takes the direct series in u or Pfaff's
-        series in w = u/(u-1), whichever argument is smaller; the route
-        depends on u alone and is planned once per call for all rows
-        (``_general_rows``), together with the points' order by
-        decreasing argument and log(1-u) on the Pfaff route.  A row that
-        does not terminate needs min(|u|, |w|) <= SERIES_RADIUS at every
-        point; powers of 1-u are taken on the principal branch.
+        Arguments.  A row that does not terminate is summed by the power
+        series in u, which needs |u| <= SERIES_RADIUS at every point; the
+        points' order by decreasing |u| is found once per call for all
+        rows (``_general_rows``).  A terminating row is a polynomial and
+        takes any u.
 
     Returns
     -------
     ndarray
         Shape (len(u),) for scalar parameters, (nk, len(u)) for vectors.
-        The non-terminating rows are summed in blocks of _K_BLOCK over the
-        one plan.  Every series stops per row and point (see
-        ``_series_sum``), so an entry is the same whatever other rows or
-        points share the call.
+        The non-terminating rows are summed in blocks of _K_BLOCK.  Every
+        series stops per row and point (see ``_series_sum``), so an entry
+        is the same whatever other rows or points share the call.
 
     Raises
     ------
@@ -347,12 +305,11 @@ def hyp2f1_grid(a, b, c, u) -> np.ndarray:
         termination of that row.
     PreconditionViolation
         A parameter or argument that is not finite; the message names it.
-        A non-terminating row and a point with min(|u|, |w|) above
-        SERIES_RADIUS; the message names the first such u.  Also a series
-        whose terms cancel to fewer than 8 digits, or one with a term that
-        is not finite (see ``_series_sum``); the message names its
-        parameters and argument, in the first block of rows with one on
-        the direct route, else on the Pfaff route.
+        A non-terminating row and a point with |u| above SERIES_RADIUS;
+        the message names the first such u.  Also a series whose terms
+        cancel to fewer than 8 digits, or one with a term that is not
+        finite (see ``_series_sum``); the message names its parameters and
+        argument, in the first block of rows with one.
     NonConvergence
         Iteration cap hit (pathological parameters only).
     """
@@ -360,7 +317,7 @@ def hyp2f1_grid(a, b, c, u) -> np.ndarray:
     a, b, c = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(p, dtype=complex)) for p in (a, b, c)))
     # contiguous: numpy's |u| of a strided array rounds differently, and
-    # a route decided by |u| <= |u/(u-1)| at |u| near 1e-16 would flip
+    # a refusal decided by |u| <= SERIES_RADIUS must not depend on layout
     u = np.ascontiguousarray(u, dtype=complex)
     for name, p in zip("abcu", (a, b, c, u)):
         bad = ~np.isfinite(p)

@@ -1,21 +1,23 @@
 """Scaled wave functions of the sech-squared barrier.
 
 The scattering solution along the rotated coordinate x' = x e^{i theta} is
+the Poschl-Teller form
 
-    psi(k, lam, x') = (1 - xi^2)^{-ik/2beta} F(a, b; c; u),
-    xi = tanh(beta x'),   u = (1 - xi)/2,
-    a = -ik/beta - s,  b = -ik/beta + s + 1,  c = -ik/beta + 1,
+    psi(k, lam, x') = 4^{-ik/2beta} e^{ikx'} F(1+s, -s; c; u),
+    u = (1 - tanh(beta x'))/2,   c = 1 - ik/beta,
 
-with s the potential index from `model`.  This module evaluates it on real-x
-grids, at x < 0 away from the origin through the mirror identity of the even
-barrier (the u-image there spirals around u = 1), gives the gamma-ratio
-coefficients of the asymptotic plane waves (``_gamma_coeffs``), the
-Siegert residual and its Newton root-finder, and the convergent/divergent
-region classification.  The c-products of these functions, Simpson
-quadrature on the grid plus exact tails, are formed in ``binbasis``:
-``overlap_matrix`` gives the c-product matrix S and the Hamiltonian
-matrix H of a set of states from one pass, ``product_entry`` one entry
-of S.
+with s the potential index from `model`: Euler's transformation of
+(1 - xi^2)^{-ik/2beta} F(-ik/beta - s, -ik/beta + s + 1; c; u),
+xi = tanh(beta x'), which leaves k in c alone.  This module evaluates it
+on real-x grids, at x < 0 away from the origin through the mirror
+identity of the even barrier (the u-image there spirals around u = 1),
+gives the gamma-ratio coefficients of the asymptotic plane waves
+(``_gamma_coeffs``), the Siegert residual and its Newton root-finder, and
+the convergent/divergent region classification.  The c-products of these
+functions, Simpson quadrature on the grid plus exact tails, are formed in
+``binbasis``: ``overlap_matrix`` gives the c-product matrix S and the
+Hamiltonian matrix H of a set of states from one pass, ``product_entry``
+one entry of S.
 """
 
 from __future__ import annotations
@@ -71,59 +73,75 @@ def _twins(x: np.ndarray, mirror: np.ndarray) -> tuple:
 
 def raw_psi(k, s: complex, beta: float, theta: float,
             x: np.ndarray) -> np.ndarray:
-    """Scaled solution on a real-x grid, continuous analytic branch.
+    """Scaled solution on a real-x grid, in the Poschl-Teller form
+
+        psi(k, x) = exp(ik (x' - ln 4 / 2beta)) F(1+s, -s; 1-ik/beta; u),
+        x' = x e^{i theta},   u = 1/(1 + e^{2 beta x'}),
+
+    which k enters through c = 1-ik/beta alone.
 
     ``k`` is one wavenumber (result of shape (len(x),)) or a 1-D array of
-    them (result (len(k), len(x)), row i at k[i]).  Every point is
-    evaluated from y = |x|: the prefactor (1 - xi^2)^p is even in x, and
-    x >= 0 takes the 2F1 at u = t/(1+t), t = e^{-2 beta y e^{i theta}},
-    where min(|u|, |u/(u-1)|) <= 1/2 for theta < pi/4.  A point x < 0 in
-    the band |u(x)| = |1/(1+t)| <= SERIES_RADIUS is evaluated in place;
-    every other x < 0 comes from the mirror identity of the even barrier,
+    them (result (len(k), len(x)), row i at k[i]).  The series in u is
+    summed in place at x >= 0, where |u| <= 1/2 for theta < pi/4, and in
+    the band of x < 0 where |u| <= SERIES_RADIUS.  Every other x = -y < 0
+    comes from the mirror identity of the even barrier,
 
         psi(k, -y) = R psi(k, y) + T 4^{-ik/beta} psi(-k, y),
 
-    with (R, T) the asymptotic gamma ratios.  The band keeps the points
-    near x = 0, where the two terms cancel, off the identity.  Where the
-    grid holds x = +y at the reversed index, as a symmetric grid does, the
-    mirrored point takes psi(k, y) from there instead of summing it
-    again.  The x-dependent arrays are built once per call, and all rows
-    go through one ``hyp2f1_grid`` call, which sums them in blocks of
-    _K_BLOCK over one plan of its points, plus one at -k for the mirrored
-    points.  The prefactor is then formed and multiplied in for _K_BLOCK
-    rows at a time, straight into the result where every point is summed
-    (as on a half grid y >= 0).  A value does not depend on the block, on
-    the other rows or on the other points.
+    with (R, T) the asymptotic gamma ratios, and psi(-k, y) takes
+    c = 1+ik/beta at u(y).  The band keeps the points near x = 0, where
+    the two terms cancel, off the identity.  Where the grid holds x = +y
+    at the reversed index, as a symmetric grid does, the mirrored point
+    takes psi(k, y) from there instead of summing it again.  All rows go
+    through one ``hyp2f1_grid`` call, plus one at -k for the mirrored
+    points; the plane-wave factor is then formed and multiplied in for
+    _K_BLOCK rows at a time, straight into the result where every point is
+    summed (as on a half grid y >= 0).  A value does not depend on the
+    block, on the other rows or on the other points.
     ``theta`` may be negative (used for biorthogonal partners); the formula
     is the same with x' = x e^{i theta}.
+
+    Reach: the series terms shrink as |c| grows, so a large |k| costs
+    them no digits.  At theta 0.3 on ``default_grid``, k = 100 and
+    k = 150 agree with mpmath to about 1e-13 where |x| sin theta < pi/2,
+    limited by the rounding of the phase k x'.  What is left is the float
+    range: Gamma(ik/beta) of the mirror coefficients leaves it where
+    |k/beta| is above about 226 (as at k = 300), and at the mirrored
+    points psi itself, which grows like e^{|k| |x| sin theta} for a real
+    k, overflows where |k| |x| sin theta is above about 709 (from k near
+    200 on ``default_grid`` at theta 0.3).
 
     Raises
     ------
     PreconditionViolation
         If the gamma or 2F1 kernels overflow, a 2F1 series cancels to
-        fewer than 8 digits, or a value is not finite, as happens for large
-        |k| (the series from |k| near 40 at theta 0.3, the gamma ratios at
-        |k| = 300).
+        fewer than 8 digits, or a value is not finite (see the reach
+        above).
     PoleError
-        At k = 0, where the Jost pair is degenerate, if a point is mirrored.
+        At k = 0, where the Jost pair is degenerate, if a point is
+        mirrored.  At k = -i beta n (n >= 1), where c = 1-ik/beta is a
+        non-positive integer, unless the series terminates first; with
+        mirrored points also at k = +i beta n.
+    SingularCoordinate
+        If e^{-2 beta |x| e^{i theta}} underflows to 0.
     """
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=complex)
-    z = beta * np.abs(x) * cmath.exp(1j * theta)
-    t = np.exp(-2.0 * z)
+    phase = cmath.exp(1j * theta)
+    t = np.exp(-2.0 * beta * np.abs(x) * phase)
     if np.any(t == 0.0):
         raise SingularCoordinate("tanh argument saturates: 1 - xi^2 underflows")
-    log1pt = np.log1p(t)
     u = np.where(x >= 0.0, t / (1.0 + t), 1.0 / (1.0 + t))
     mirror = (x < 0.0) & (np.abs(u) > SERIES_RADIUS)
     u[mirror] = t[mirror] / (1.0 + t[mirror])
-    # (1 - xi^2)^p = exp(p (ln 4 + log u + log(1-u))), continued branch
-    log_pref = LN4 + (-2.0 * z - log1pt) - log1pt
+    # psi's exponent over ik, x' - ln 4/2beta: x' = x e^{i theta} where
+    # summed in place, +y e^{i theta} where mirrored
+    arg = np.where(mirror, -x, x) * phase - LN4 / (2.0 * beta)
     # psi(k, y) is summed at every point but the twinned mirrored ones
     twinned, twin = _twins(x, mirror)
     summed = np.ones(len(x), dtype=bool)
     summed[twinned] = False
-    log_sum = log_pref[summed]
+    arg_sum = arg[summed]
     # rows of up to _K_BLOCK wavenumbers; a scalar k is one block
     blocks = [...] if k.ndim == 0 else \
         [slice(i, i + _K_BLOCK) for i in range(0, len(k), _K_BLOCK)]
@@ -137,24 +155,24 @@ def raw_psi(k, s: complex, beta: float, theta: float,
                  for kj in map(complex, k.flat)]
             ).T.reshape((2,) + k.shape + (1,))
         with np.errstate(over="ignore", invalid="ignore"):
-            f = hyp2f1_grid(-kb - s, -kb + s + 1.0, -kb + 1.0, u[summed])
+            f = hyp2f1_grid(1.0 + s, -s, 1.0 - kb, u[summed])
             if mirror.any():
-                g = hyp2f1_grid(kb - s, kb + s + 1.0, kb + 1.0, u[mirror])
+                g = hyp2f1_grid(1.0 + s, -s, 1.0 + kb, u[mirror])
             psi = np.empty(k.shape + x.shape, dtype=complex)
             every = summed.all()
             for rows in blocks:
-                p = -1j * k[rows] / (2.0 * beta)
-                pref = np.exp(np.multiply.outer(p, log_sum))
-                # pref stays the left operand: a complex product rounds
-                # differently with its operands swapped
+                ik = 1j * k[rows]
+                wave = np.exp(np.multiply.outer(ik, arg_sum))
+                # the plane wave stays the left operand: a complex product
+                # rounds differently with its operands swapped
                 plus = psi[rows]
                 if every:
-                    np.multiply(pref, f[rows], out=plus)
+                    np.multiply(wave, f[rows], out=plus)
                 else:
-                    plus[..., summed] = pref * f[rows]
+                    plus[..., summed] = wave * f[rows]
                 if mirror.any():
                     plus[..., twinned] = plus[..., twin]
-                    minus = np.exp(np.multiply.outer(-p, log_pref[mirror])) \
+                    minus = np.exp(np.multiply.outer(-ik, arg[mirror])) \
                         * g[rows]
                     plus[..., mirror] = refl[rows] * plus[..., mirror] \
                         + trans[rows] * minus
@@ -177,11 +195,12 @@ def eval_wavefunction(params: ModelParams, k: complex,
     On ``default_grid`` the values satisfy the scaled equation
     -(1/2) e^{-2i theta} psi'' + lam sech^2(x e^{i theta}) psi
     = (k^2/2) psi (m = hbar = beta = 1) with a five-point difference
-    residual below 3e-8 max|psi|: worst 2.8e-8 (theta 0.45, lam 5,
-    k 2.5 - 0.5i) at 11 points over 0.05 <= theta <= 0.74,
-    0.3 <= lam <= 5 and 0.3 <= |k| <= 2.6.  That residual is the
-    difference rule's truncation error: it falls 13-16x when the step
-    halves (acceptance 7).
+    residual below 3e-8 max|psi|: worst 2.83e-8 (theta 0.45, lam 5,
+    k 2.5 - 0.5i) at that point and 40 random ones over
+    0.05 <= theta <= 0.74, 0.3 <= lam <= 5, 0.3 <= |k| <= 2.6 and
+    -0.5 <= arg k <= 0.  That residual is the difference rule's
+    truncation error: it falls 13-16x when the step halves (acceptance
+    7).
     """
     if grid is None:
         grid = default_grid(params.beta)

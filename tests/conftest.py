@@ -50,3 +50,30 @@ def _scalar_bisect(fun, a, b, tol=1e-10):
 def scalar_bisect():
     """The scalar bisection oracle, ``scalar_bisect(fun, a, b, tol)``."""
     return _scalar_bisect
+
+
+def _psi_oracle(x: float, k: complex, s: complex, theta: float) -> complex:
+    """Scaled solution (beta = 1) by mpmath on principal branches, in the
+    form before Euler's transformation:
+    (1 - xi^2)^{-ik/2} F(-ik - s, -ik + s + 1; 1 - ik; u).
+
+    50 digits keep 1 - u exact to double precision out to |x| = 40.
+    Principal branches agree with the continued ones while
+    |x| sin(theta) < pi/2, where tanh(x e^{i theta}) has no pole.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        k = mp.mpc(k.real, k.imag)
+        s = mp.mpc(s.real, s.imag)
+        z = mp.mpf(x) * mp.expj(mp.mpf(theta))
+        u = 1 / (1 + mp.exp(2 * z))
+        pref = mp.exp(-0.5j * k * (mp.log(4) + mp.log(u) + mp.log(1 - u)))
+        kb = 1j * k
+        return complex(pref * mp.hyp2f1(-kb - s, -kb + s + 1, -kb + 1, u))
+
+
+@pytest.fixture(scope="session")
+def psi_oracle():
+    """The mpmath wave function, ``psi_oracle(x, k, s, theta)``."""
+    return _psi_oracle

@@ -508,7 +508,7 @@ class TestJostPairWork:
             return raw_psi(k, s, beta, theta, x)
 
         def counted_rows(a, b, c, u):
-            rows.append((np.size(a), len(u)))
+            rows.append((np.broadcast(a, b, c).size, len(u)))
             return hyp2f1_grid(a, b, c, u)
 
         def counted_block(a, b, c, x, at):

@@ -1,11 +1,18 @@
 """Tests for the command-line layer: determinism, exit codes, formats."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csmres.cli import _MAX_BINS, _MAX_DELTAS, main
 
@@ -205,7 +212,27 @@ class TestExitCodes:
         assert "is not finite at g = " in err["message"]
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("k", [150.0, 300.0])
+    @pytest.mark.parametrize("k", [40.0, 100.0, 150.0])
+    def test_wavefunction_at_large_k_is_0(self, tmp_path, psi_oracle, k):
+        # theta 0.3 and lam 1 by default; the oracle's principal branches
+        # hold while |x| sin(theta) < pi/2
+        cfg = write_config(tmp_path, {"wavefunction": {"k": k,
+                                                       "n_points": 65}})
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "wavefunction"]) == 0
+        lines = (tmp_path / "wavefunction.csv").read_text().splitlines()
+        s = 0.5 * (-1.0 + cmath.sqrt(-7.0))
+        checked = 0
+        for x, re, im in (line.split(",") for line in lines[2:]):
+            x = float(x)
+            if abs(x) * math.sin(0.3) < math.pi / 2.0:
+                ref = psi_oracle(x, complex(k), s, 0.3)
+                assert abs(complex(float(re), float(im)) - ref) \
+                    <= 1e-12 * abs(ref), x
+                checked += 1
+        assert checked == 29
+
+    @pytest.mark.parametrize("k", [300.0])
     def test_wavefunction_out_of_range_is_3(self, tmp_path, capsys, k):
         cfg = write_config(tmp_path, {"wavefunction": {"k": k,
                                                        "n_points": 65}})
@@ -340,6 +367,78 @@ class TestExitCodes:
                      "spectrum"]) == 0
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in lines[2:]] == ["0", "1", "2"]
+
+
+def _complex_config(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
+# couplings: negative, with the reflectionless -1 and -3 (b = -s = -1, -2
+# terminates the series), small, large, and complex
+_COUPLINGS = st.one_of(
+    st.sampled_from([-1.0, -3.0]),
+    st.floats(-50.0, -1e-6),
+    st.floats(0.0, 1e-3),
+    st.floats(10.0, 1e4),
+    st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+
+
+def _wavefunction_run(lam: complex, theta: float, k: complex) -> tuple:
+    """Exit code, written file names, CSV text and stderr of one
+    ``csmres wavefunction`` on 65 points, with every warning an error."""
+    config = {"lam": _complex_config(complex(lam)), "theta": theta,
+              "wavefunction": {"k": _complex_config(k), "n_points": 65}}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["--config", str(path), "--out", tmp, "wavefunction"])
+        written = sorted(p.name for p in Path(tmp).glob("wavefunction.*"))
+        text = (Path(tmp) / "wavefunction.csv").read_text() \
+            if code == 0 else ""
+    return code, written, text, err.getvalue()
+
+
+class TestWavefunctionProperty:
+    """Every wavefunction config exits 0 with finite numbers, or exits 2 or
+    3 with the error JSON; it never raises or warns."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(lam=_COUPLINGS, theta=st.floats(1e-3, math.pi / 4.0 - 1e-3),
+           k_abs=st.floats(0.0, 400.0), k_arg=st.floats(-math.pi, math.pi))
+    @example(lam=1.0, theta=0.3, k_abs=150.0, k_arg=0.0)
+    @example(lam=1.0, theta=0.3, k_abs=abs(300 - 0.3j),
+             k_arg=cmath.phase(300 - 0.3j))
+    @example(lam=1.0, theta=0.3, k_abs=2.0, k_arg=-math.pi / 2.0)
+    def test_exits_0_with_finite_numbers_or_typed(self, lam, theta, k_abs,
+                                                 k_arg):
+        code, written, text, err = _wavefunction_run(
+            lam, theta, cmath.rect(k_abs, k_arg))
+        if code == 0:
+            assert written == ["wavefunction.csv", "wavefunction.json"]
+            cells = [float(c) for line in text.splitlines()[2:]
+                     for c in line.split(",")]
+            assert len(cells) == 3 * 65 and all(map(math.isfinite, cells))
+        else:
+            assert code in (2, 3), code
+            assert not written
+            assert set(json.loads(err)) == {"error", "message"}
+
+    @pytest.mark.parametrize("k, code, error", [
+        # the series reach
+        (150.0, 0, None),
+        # Gamma(300i) leaves the float range
+        (300 - 0.3j, 3, "PreconditionViolation"),
+        # c = 1 - ik = -1 is a pole
+        (-2j, 3, "PoleError"),
+    ])
+    def test_examples_exit_as_stated(self, k, code, error):
+        done, _, _, err = _wavefunction_run(1.0, 0.3, k)
+        assert done == code
+        if error:
+            assert json.loads(err)["error"] == error
 
 
 class TestModuleEntryPoint:

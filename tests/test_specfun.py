@@ -31,7 +31,7 @@ GAMMA_GOLDEN = [
 ]
 
 # (a, b, c, u, 2F1(a,b;c;u)) golden tuples on the contract domain; the
-# first and the last two sit at |u| = 0.79, |u/(u-1)| = 0.79 and u = -3 + i
+# first, the sixth and the seventh sit at |u| = 0.79
 HYP_GOLDEN = [
     ((0.751 + 2.383j), (1.654 - 1.649j), (1.11 + 2.241j),
      (0.6932902238933946 + 0.37874617549732037j),
@@ -49,26 +49,37 @@ HYP_GOLDEN = [
      (-1.6069018017830442e-06 - 7.735424134957767e-06j),
      (0.9999911224452184 + 1.5619262650960667e-05j)),
     ((-1.394 + 2.282j), (0.059 + 2.083j), (2.027 + 1.451j),
-     (-0.2913032769246944 - 1.5945894641858214j),
-     (2.2084194943746573 + 14.542462036120643j)),
+     (-0.25539875782216764 - 0.7475770692730574j),
+     (1.8940785460347922 + 3.3076311378503704j)),
     ((0.047 + 2.228j), (-0.832 + 0.589j), (0.46 - 0.674j),
-     (-3.0 + 1.0j),
-     (8.783284635444952 + 10.537724419055879j)),
+     (-0.7443556491282399 + 0.26464063862316506j),
+     (1.5815255011844094 + 2.6228606368224754j)),
     ((1.898 - 0.723j), (2.872 + 0.54j), (1.934 + 0.828j),
      (0.0011081409327587726 - 0.001502000374623087j),
      (1.0002610476020966 - 0.0052642805138042635j)),
 ]
 
 
+# (a, b, c, u, 2F1(a,b;c;u)) at points with |u| > SERIES_RADIUS >=
+# |u/(u-1)|, 30-digit oracle: the series in u is refused there
+HYP_OUTSIDE = [
+    ((-1.394 + 2.282j), (0.059 + 2.083j), (2.027 + 1.451j),
+     (-0.2913032769246944 - 1.5945894641858214j),
+     (2.2084194943746573 + 14.542462036120643j)),
+    ((0.047 + 2.228j), (-0.832 + 0.589j), (0.46 - 0.674j),
+     (-3.0 + 1.0j),
+     (8.783284635444952 + 10.537724419055879j)),
+]
+
+
 def _contract_domain_u(rng):
     """Random u on the image of u = (1 - tanh(beta x e^{i theta}))/2, where
-    min(|u|, |u/(u-1)|) <= SERIES_RADIUS: all of x >= 0 and the band of
-    x < 0 next to 0."""
+    |u| <= SERIES_RADIUS: all of x >= 0 and the band of x < 0 next to 0."""
     while True:
         x = rng.uniform(-9.0, 9.0)
         theta = rng.uniform(0.05, 0.7)
         u = complex(1.0 / (1.0 + np.exp(2.0 * x * np.exp(1j * theta))))
-        if min(abs(u), abs(u / (u - 1.0))) <= SERIES_RADIUS:
+        if abs(u) <= SERIES_RADIUS:
             return u
 
 
@@ -170,8 +181,8 @@ class TestHyp2f1:
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
     def test_continuity_across_switch_radii(self):
-        # the direct and Pfaff routes switch where |u| = |u/(u-1)|, on the
-        # circle |1-u| = 1
+        # across the circle |1-u| = 1, where |u| = |u/(u-1)|, the series
+        # in u is continuous
         for phi in (-0.7, 0.2, 0.6):
             u_lo = 1.0 - (1.0 - 1e-8) * cmath.exp(1j * phi)
             u_hi = 1.0 - (1.0 + 1e-8) * cmath.exp(1j * phi)
@@ -184,7 +195,7 @@ class TestHyp2f1:
         cmath.exp(1j * cmath.pi / 3), cmath.exp(-1j * cmath.pi / 3),
         0.93 + 0.02j, 1.0 + 1e-7j])
     def test_outside_the_series_region_raises(self, u):
-        # every route modulus is 1 at e^{+-i pi/3}; the parameters at
+        # |u| = |u/(u-1)| = 1 at e^{+-i pi/3}; the parameters at
         # 0.93 + 0.02j have integer c - a - b.  The refusal comes before
         # any series term, not after the 100 000-term cap
         a, b = 0.7 - 0.9j, 1.1 + 0.9j
@@ -192,8 +203,26 @@ class TestHyp2f1:
         with pytest.raises(PreconditionViolation, match=re.escape(str(u))):
             hyp2f1(a, b, a + b + 1.0, u)
         assert time.perf_counter() - start < 0.5
-        # a terminating row needs no route
+        # a terminating row takes any u
         assert abs(hyp2f1(-1.0, b, 1.5, u) - (1.0 - b / 1.5 * u)) < 1e-14
+
+    @pytest.mark.parametrize("a, b, c, u, expect", HYP_OUTSIDE)
+    def test_refused_where_only_pfaff_would_converge(self, a, b, c, u,
+                                                     expect):
+        # |u/(u-1)| <= SERIES_RADIUS < |u|: the series in u is refused,
+        # naming u, in a batch as alone; mpmath has the value
+        import mpmath as mp
+
+        assert abs(u / (u - 1.0)) <= SERIES_RADIUS < abs(u)
+        with mp.workdps(30):
+            assert abs(complex(mp.hyp2f1(*map(mp.mpc, (a, b, c, u))))
+                       - expect) <= 1e-15 * abs(expect)
+        named = re.escape(f"u = {complex(u)}")
+        with pytest.raises(PreconditionViolation, match=named):
+            hyp2f1(a, b, c, u)
+        with pytest.raises(PreconditionViolation, match=named):
+            hyp2f1_grid(np.array([a, 0.5]), np.array([b, 1.5]),
+                        np.array([c, 2.5]), np.array([0.3, u, 0.1j]))
 
     def test_grid_matches_scalar(self):
         # every series stops per point, so a grid entry is bitwise the
@@ -247,10 +276,11 @@ class TestHyp2f1:
     def test_parameter_rows_match_single_calls(self):
         # one batched call over parameter rows: generic, terminating
         # (a = -2), terminating before a c pole and integer c-a-b = 1, at
-        # points that include both edges of the series region
+        # points that include the edge of the series region on either side
+        # of the real axis
         rng = np.random.default_rng(33)
         us = np.array([_contract_domain_u(rng) for _ in range(200)]
-                      + [0.79 * cmath.exp(0.5j), -3.0 + 1.0j])
+                      + [0.79 * cmath.exp(0.5j), 0.79 * cmath.exp(-2.5j)])
         a0, b0 = 0.7 - 0.9j, 1.1 + 0.9j
         rows = [(1.3 - 0.8j, -0.4 + 1.6j, 1.1 + 0.3j),
                 (-2.0, 0.6 + 1.2j, 1.4 - 0.3j),
@@ -274,12 +304,10 @@ class TestHyp2f1:
     @pytest.mark.parametrize("n_rows, terminating", [(33, True), (34, False)])
     def test_row_blocks_match_one_row_calls(self, n_rows, terminating):
         # raw_psi's rows at k and -k on the overlap half grid at theta 0.4,
-        # where the points take both routes, summed in blocks of 8 over one
-        # plan; a terminating row (a = -2) leaves the others unaligned
+        # summed in blocks of 8 over one order of the points; a terminating
+        # row (a = -2) leaves the others unaligned
         t = np.exp(-2.0 * spatial_grid(1.0).y * cmath.exp(0.4j))
         u = t / (1.0 + t)
-        direct = np.abs(u) <= np.abs(u / (u - 1.0))
-        assert direct.any() and not direct.all()
         rows = [row for k in np.linspace(0.6, 3.2, 17)
                 for row in _psi_rows(complex(k, -0.1), 1.3)][:n_rows]
         if terminating:
@@ -319,16 +347,24 @@ def test_non_finite_argument_raises_typed_error(fun, args, name):
             fun(*args)
 
 
+def _index(lam: float) -> complex:
+    """Potential index s at coupling lam (m = hbar = beta = 1)."""
+    return 0.5 * (-1.0 + cmath.sqrt(1.0 - 8.0 * lam))
+
+
 def _psi_rows(k: complex, lam: float) -> list:
-    """The (a, b, c) rows ``raw_psi`` sums at beta = 1, at k and at -k."""
-    s = 0.5 * (-1.0 + cmath.sqrt(1.0 - 8.0 * lam))
+    """The (a, b, c) rows ``raw_psi`` sums at beta = 1, at k and at -k:
+    the Poschl-Teller form F(1+s, -s; 1-ik; u)."""
+    s = _index(lam)
+    return [(1.0 + s, -s, 1.0 - kb) for kb in (1j * k, -1j * k)]
+
+
+def _gauss_rows(k: complex, lam: float) -> list:
+    """The rows of the same solutions before Euler's transformation,
+    F(-ik-s, -ik+s+1; 1-ik; u), at k and at -k: all three parameters grow
+    with k, and their terms cancel at large k."""
+    s = _index(lam)
     return [(-kb - s, -kb + s + 1.0, -kb + 1.0) for kb in (1j * k, -1j * k)]
-
-
-def _accepted_u(rho: float, phase: float, pfaff: bool) -> complex:
-    """u with |u| = rho (direct route) or |u/(u-1)| = rho (Pfaff route)."""
-    z = rho * cmath.exp(1j * phase)
-    return z / (z - 1.0) if pfaff else z
 
 
 def _series_peak(a: complex, b: complex, c: complex, x: complex) -> float:
@@ -366,15 +402,16 @@ class TestAgainstMpmath:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(k_re=st.floats(0.2, 4.0), k_im=st.floats(-1.0, 0.0),
            lam=st.floats(0.3, 3.0), rho=st.floats(0.0, SERIES_RADIUS - 1e-12),
-           phase=st.floats(-math.pi, math.pi), pfaff=st.booleans())
+           phase=st.floats(-math.pi, math.pi))
     def test_hyp2f1_grid_on_the_accepted_region(self, k_re, k_im, lam, rho,
-                                                phase, pfaff):
-        # raw_psi's parameter rows at both routes, across the switch
-        # |1 - u| = 1
+                                                phase):
+        # raw_psi's parameter rows, and the rows of the same solutions
+        # before Euler's transformation, over the whole disc |u| <= 0.8
         import mpmath as mp
 
-        u = _accepted_u(rho, phase, pfaff)
-        rows = _psi_rows(complex(k_re, k_im), lam)
+        u = rho * cmath.exp(1j * phase)
+        k = complex(k_re, k_im)
+        rows = _psi_rows(k, lam) + _gauss_rows(k, lam)
         a, b, c = (np.array(col) for col in zip(*rows))
         got = hyp2f1_grid(a, b, c, np.array([u]))[:, 0]
         with mp.workdps(30):
@@ -385,18 +422,16 @@ class TestAgainstMpmath:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.floats(10.0, 60.0), lam=st.floats(0.3, 3.0),
            rho=st.floats(0.5, SERIES_RADIUS - 1e-12),
-           way=st.sampled_from([(0.0, False), (1.5, True), (2.5, True)]))
-    def test_cancellation_verdict(self, k, lam, rho, way):
-        # raw_psi rows along three directions of u on which log(peak/|sum|)
-        # grows about linearly in k, so the draws of k sweep the ratio
-        # through the threshold.  The kernel sums the series in the smaller
-        # argument: u itself, or w = u/(u-1) with parameters (a, c-b, c)
+           phase=st.sampled_from([0.0, 2.5, -1.5]))
+    def test_cancellation_verdict(self, k, lam, rho, phase):
+        # rows before Euler's transformation along three directions of u
+        # on which log(peak/|sum|) grows about linearly in k, so the draws
+        # of k sweep the ratio through the threshold
         import mpmath as mp
 
-        u = _accepted_u(rho, *way)
-        w = u / (u - 1.0)
-        a, b, c = _psi_rows(complex(k), lam)[0]
-        series = (a, b, c, u) if abs(u) <= abs(w) else (a, c - b, c, w)
+        u = rho * cmath.exp(1j * phase)
+        a, b, c = _gauss_rows(complex(k), lam)[0]
+        series = (a, b, c, u)
         with mp.workdps(30):
             total = float(abs(mp.hyp2f1(*map(mp.mpc, series))))
         ratio = _series_peak(*series) / total

@@ -1,6 +1,7 @@
 """Tests for the repository's command-line tools under ``tools/``."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,35 @@ def test_same_outputs_counts_the_differing_cells(tmp_path, capsys):
         "('alpha', 'im'): -0.5 -> -1")
     assert report[5] == "  keys in old only: exponent"
     assert report[6] == "3 files compared, 2 differ"
+
+
+def test_oracle_finds_a_moved_cell_worse(tmp_path, capsys):
+    # one psi cell at x = 0 and the first diagonal S entry of copies of
+    # the goldens move by 1e-12 relative: both are judged new worse
+    same_outputs = load_same_outputs()
+    golden = ROOT / "tests" / "data" / "golden"
+    old, new = tmp_path / "old", tmp_path / "new"
+    moved = {"wavefunction.csv": "0,", "overlap.csv": "S,bin[0],bin[0],"}
+    for side in (old, new):
+        for command, names in (("wavefunction", ("wavefunction.csv",
+                                                 "wavefunction.json")),
+                               ("overlap", ("overlap.csv",))):
+            (side / "golden" / command).mkdir(parents=True, exist_ok=True)
+            for name in names:
+                text = (golden / name).read_text()
+                if side is new and name in moved:
+                    head = moved[name]
+                    start = text.index("\n" + head) + 1 + len(head)
+                    end = text.index(",", start)
+                    value = float(text[start:end]) * (1.0 + 1e-12)
+                    text = text[:start] + "%.17g" % value + text[end:]
+                (side / "golden" / command / name).write_text(text)
+    config = json.loads((golden / "config.json").read_text())
+    oracle = same_outputs.Oracle({"golden": config}, new)
+    assert same_outputs.compare(old, new, oracle) == 2
+    report = capsys.readouterr().out.splitlines()
+    for kind in ("basis", "psi"):
+        assert f"  oracle ({kind}): 1 cells judged; new worse 1, equal 0, " \
+            "better 0" in report
+        assert f"oracle ({kind}), 1 cells in all: new worse 1, equal 0, " \
+            "better 0" in report

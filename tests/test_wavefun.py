@@ -171,23 +171,6 @@ class TestEvalWavefunction:
         assert classify_region(p) == "DivergentB"
 
 
-def psi_oracle(x: float, k: complex, s: complex, theta: float) -> complex:
-    """Scaled solution (beta = 1) by mpmath on principal branches.
-
-    50 digits keep 1 - u exact to double precision out to |x| = 40.
-    """
-    import mpmath as mp
-
-    with mp.workdps(50):
-        k = mp.mpc(k.real, k.imag)
-        s = mp.mpc(s.real, s.imag)
-        z = mp.mpf(x) * mp.expj(mp.mpf(theta))
-        u = 1 / (1 + mp.exp(2 * z))
-        pref = mp.exp(-0.5j * k * (mp.log(4) + mp.log(u) + mp.log(1 - u)))
-        kb = 1j * k
-        return complex(pref * mp.hyp2f1(-kb - s, -kb + s + 1, -kb + 1, u))
-
-
 def _k_rows(case):
     """(k-nodes, s, theta) of a batched raw_psi call as binned_state makes
     them: real-axis nodes unrotated, EP-ray nodes at +theta and their
@@ -217,7 +200,7 @@ class TestBatchedRawPsi:
             one = raw_psi(k, s, 1.0, theta, self.x)
             assert np.all(np.abs(row - one) <= 4e-15 * np.abs(one))
 
-    def test_rows_match_mpmath(self, case):
+    def test_rows_match_mpmath(self, case, psi_oracle):
         # principal branches agree with the continued ones while
         # |x| sin(theta) < pi/2, where tanh(x e^{i theta}) has no pole
         ks, s, theta = _k_rows(case)
@@ -296,9 +279,9 @@ class TestMirroredRawPsi:
            phase=st.floats(0.0, 2.0 * math.pi),
            fractions=st.lists(st.floats(0.0, 1.0), min_size=4,
                               max_size=4))
-    def test_negative_x_matches_mpmath(self, theta, on_ray, partner, lam,
-                                       k_re, k_im, node, offset, phase,
-                                       fractions):
+    def test_negative_x_matches_mpmath(self, psi_oracle, theta, on_ray,
+                                       partner, lam, k_re, k_im, node,
+                                       offset, phase, fractions):
         # the scan k ranges at real lam, or EP-ray nodes as binned_state
         # evaluates them (the partner at conjugate k and lam and -theta)
         k = complex(k_re, k_im)
@@ -324,7 +307,7 @@ class TestMirroredRawPsi:
                     for xi, v in zip(x, psi))
         assert -math.log10(worst) >= 12.0
 
-    def test_band_avoids_the_mirror_cancellation(self):
+    def test_band_avoids_the_mirror_cancellation(self, psi_oracle):
         # near x = 0 the two mirror terms cancel: mirroring every x < 0 here
         # keeps 12.1 digits at x = -0.15, the band 13.0 at worst
         theta, k = 0.5835446288273954, 0.22311220047590596 - 0.9227558969952958j
@@ -419,13 +402,28 @@ class TestGammaFactors:
 
 
 class TestRawPsiRange:
-    """Past the kernels' range raw_psi raises a typed error, not NaN."""
+    """At large |k| the series keeps its digits; past the gamma kernels'
+    range raw_psi raises a typed error, not NaN."""
 
     p = ModelParams(lam=1.0, theta=0.3)
     x = default_grid(1.0, None, 65)
 
+    @pytest.mark.parametrize("k", [40.0, 100.0, 150.0])
+    def test_large_k_matches_mpmath(self, psi_oracle, k):
+        # k enters the series through c = 1 - ik alone, whose terms shrink
+        # as |k| grows; principal branches (the oracle's) hold while
+        # |x| sin(theta) < pi/2
+        s = potential_index(self.p)
+        inside = np.flatnonzero(
+            np.abs(self.x) * math.sin(self.p.theta) < math.pi / 2.0)
+        one = raw_psi(k, s, 1.0, self.p.theta, self.x)
+        rows = raw_psi(np.array([1.0, k]), s, 1.0, self.p.theta, self.x)
+        for psi in (one, rows[1]):
+            worst = max(abs(psi[i] - psi_oracle(x, k, s, self.p.theta))
+                        / abs(psi[i]) for i, x in zip(inside, self.x[inside]))
+            assert worst <= 1e-12
+
     @pytest.mark.parametrize("k, what", [
-        (150.0, "cancel"),       # the 2F1 series terms cancel at u = 1/2
         (300.0, "float range"),  # Gamma(300i) leaves it
     ])
     def test_large_k_raises(self, k, what):

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python tools/same_outputs.py OLD_SRC NEW_SRC
+    python tools/same_outputs.py [--oracle] OLD_SRC NEW_SRC
 
 Each SRC is the directory that holds the ``csmres`` package (``src`` of a
 checkout).  For each tree a fresh interpreter, with only that SRC on
@@ -40,11 +40,30 @@ largest relative change among them, |new - old| / max(|old|, |new|), with
 the cell where it occurs; it counts the other differing cells, and names
 the JSON keys written by one side only.  Exits 1 if any file differs,
 else exits 0.
+
+With ``--oracle`` it also judges the differing numbers by accuracy.  For
+at most ``ORACLE_SAMPLES`` differing numeric cells of each file, spread
+evenly over them, it gives the old and the new error in ulps against an
+independent value, and counts the cells where the new error is larger
+("new worse"), the same to the ulp ("equal") or smaller ("better"):
+
+* psi in ``wavefunction.*``, by mpmath (``bench/checks.py::psi_oracle``,
+  imported by path), at the points with |x| sin(theta) < pi/2, where its
+  principal branches hold, and only for unit m, hbar and beta and real
+  lambda; an error is in ulps of |psi| at the point;
+* S and H of the Hermitian bins in ``overlap.*``, against S = I and
+  H = diag(E_bin), E_bin = (hbar^2/2m)(k_b^3 - k_a^3)/(3 (k_b - k_a)) on
+  the bin edges; an error is in ulps of 1 for S and of E_bin of the
+  entry's row for H.
+
+Other cells, such as those of ``degeneracy.csv``, are not judged.  A
+summary over all files ends the report.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import json
 import math
 import os
@@ -53,9 +72,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 COMMANDS = ("spectrum", "regions", "overlap", "berry", "wavefunction")
-GOLDEN_CONFIG = (Path(__file__).resolve().parents[1] / "tests" / "data"
-                 / "golden" / "config.json")
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_CONFIG = ROOT / "tests" / "data" / "golden" / "config.json"
 BENCH_CONFIG = {
     "theta": 0.4, "lam": 1.3,
     "spectrum": {"n_max": 3},
@@ -180,7 +201,156 @@ def _number(value):
     return number if math.isfinite(number) else None
 
 
-def cell_changes(name: Path, old: bytes, new: bytes) -> list:
+# differing numeric cells judged per file by the oracle
+ORACLE_SAMPLES = 300
+# the CLI's default bin range, for configs that leave it out
+_K_RANGE = (0.5, 3.5)
+
+
+def _evenly(items: list, n: int) -> list:
+    """At most n of the items, spread evenly over them."""
+    if len(items) <= n:
+        return items
+    return [items[i] for i in np.linspace(0, len(items) - 1, n).astype(int)]
+
+
+class Oracle:
+    """Independent values of the cells of the written files.
+
+    ``configs`` maps each case to its config; ``out`` is the directory
+    that holds the cases, whose ``wavefunction.json`` gives the k, lambda
+    and theta of a wave function."""
+
+    def __init__(self, configs: dict, out: Path):
+        self.configs, self.out = configs, out
+        self._psi = {}
+        spec = importlib.util.spec_from_file_location(
+            "bench_checks", ROOT / "bench" / "checks.py")
+        self.checks = importlib.util.module_from_spec(spec)
+        # its dataclass looks its module up while the module runs
+        sys.modules[spec.name] = self.checks
+        spec.loader.exec_module(self.checks)
+
+    def targets(self, name: Path, cells: dict, places: list) -> tuple:
+        """The kind of file ``name`` (a path below ``out``), "psi",
+        "basis" or None where nothing is judged, and the (exact value,
+        scale) of at most ORACLE_SAMPLES of ``places``, spread evenly over
+        those the oracle can judge."""
+        config = self.configs.get(name.parts[0], {})
+        units = config.get("units", {})
+        if name.stem == "wavefunction" and not units:
+            return "psi", self._psi_targets(name, cells, places)
+        if name.stem == "overlap":
+            hbar2_m = units.get("hbar", 1.0) ** 2 / units.get("m", 1.0)
+            return "basis", self._basis_targets(
+                name, config.get("overlap", {}), cells, places, hbar2_m)
+        return None, {}
+
+    def _psi_targets(self, name, cells, places) -> dict:
+        written = json.loads(
+            (self.out / name.parent / "wavefunction.json").read_text())
+        k, lam = (complex(float(written[key]["re"]), float(written[key]["im"]))
+                  for key in ("k", "lam"))
+        if lam.imag:
+            return {}
+        theta = float(written["theta"])
+        valid = []
+        for place in places:
+            # (row, "re_psi") of the CSV, ("samples", row, "re") of the JSON
+            if name.suffix == ".csv":
+                x_place = (place[0], "x")
+                part = {"re_psi": "re", "im_psi": "im"}.get(place[1])
+            else:
+                x_place = ("samples", place[1], "x")
+                part = place[2] if place[0] == "samples" else None
+            x = float(cells[x_place]) if part else math.inf
+            if abs(x) * math.sin(theta) < math.pi / 2.0:
+                valid.append((place, x, part))
+        found = {}
+        for place, x, part in _evenly(valid, ORACLE_SAMPLES):
+            key = (name.parts[0], x)
+            if key not in self._psi:
+                self._psi[key] = self.checks.psi_oracle(
+                    x, k, lam.real, theta)
+            psi = self._psi[key]
+            found[place] = (psi.real if part == "re" else psi.imag, abs(psi))
+        return found
+
+    def _basis_targets(self, name, block, cells, places, hbar2_m) -> dict:
+        n = len({cell for place, cell in cells.items()
+                 if place[-1] in ("row", "col")})
+        k = np.linspace(block.get("k_min", _K_RANGE[0]),
+                        block.get("k_max", _K_RANGE[1]), n + 1)
+        e_bin = 0.5 * hbar2_m * (k[1:] ** 3 - k[:-1] ** 3) \
+            / (3.0 * (k[1:] - k[:-1]))
+        found = {}
+        # (row, "re") of the CSV, ("overlap", entry, "re") of the JSON
+        for place in _evenly([place for place in places
+                              if place[-1] in ("re", "im")], ORACLE_SAMPLES):
+            entry = place[:-1]
+            if name.suffix == ".csv":
+                matrix = cells[(place[0], "matrix")]
+            else:
+                matrix = {"overlap": "S", "hamiltonian": "H"}[place[0]]
+            i, j = (int(cells[entry + (key,)][4:-1]) for key in ("row", "col"))
+            diagonal = i == j and place[-1] == "re"
+            if matrix == "S":
+                found[place] = (1.0 if diagonal else 0.0, 1.0)
+            else:
+                found[place] = (e_bin[i] if diagonal else 0.0, e_bin[i])
+        return found
+
+
+def _spread(errors: list) -> str:
+    """Median and maximum of (ulps, scale) errors, with the relative
+    errors."""
+    ulps = np.array([e for e, _ in errors])
+    rel = np.array([e * np.spacing(s) / s for e, s in errors])
+    return (f"median {np.median(ulps):.3g} ulp ({np.median(rel):.2g}), "
+            f"max {ulps.max():.3g} ulp ({rel.max():.2g})")
+
+
+def _verdict_lines(judged: dict, indent: str) -> list:
+    return [f"new worse {judged['worse']}, equal {judged['equal']}, "
+            f"better {judged['better']}",
+            f"{indent}old {_spread(judged['old'])}",
+            f"{indent}new {_spread(judged['new'])}"]
+
+
+def _judged() -> dict:
+    return {"old": [], "new": [], "worse": 0, "equal": 0, "better": 0}
+
+
+def oracle_lines(name: Path, a: dict, b: dict, changed: list,
+                 oracle: Oracle, tally: dict) -> list:
+    """How the differing numeric cells ``changed`` of file ``name`` fare
+    against the oracle, in ulps of each target's scale; adds the judged
+    cells to ``tally`` under the file's kind.  The new error is worse,
+    equal or better where, rounded to whole ulps, it is above, at or below
+    the old one."""
+    kind, targets = oracle.targets(name, b, changed)
+    if not targets:
+        return ["  oracle: no cell judged"]
+    judged = _judged()
+    for place, (exact, scale) in targets.items():
+        ulp = np.spacing(abs(scale))
+        old = abs(float(a[place]) - exact) / ulp
+        new = abs(float(b[place]) - exact) / ulp
+        judged["old"].append((old, abs(scale)))
+        judged["new"].append((new, abs(scale)))
+        diff = round(new) - round(old)
+        judged["worse" if diff > 0 else "better" if diff < 0
+               else "equal"] += 1
+    whole = tally.setdefault(kind, _judged())
+    for key, value in judged.items():
+        whole[key] += value
+    first, *rest = _verdict_lines(judged, "    ")
+    return [f"  oracle ({kind}): {len(targets)} cells judged; {first}", *rest]
+
+
+def cell_changes(name: Path, old: bytes, new: bytes,
+                 oracle: Oracle | None = None,
+                 tally: dict | None = None) -> list:
     """Lines that say how the cells of two versions of a file differ."""
     a, b = cells(name, old), cells(name, new)
     changed = [place for place in a.keys() & b.keys() if a[place] != b[place]]
@@ -196,6 +366,9 @@ def cell_changes(name: Path, old: bytes, new: bytes) -> list:
         rel, place = max(numeric, key=lambda item: (item[0], str(item[1])))
         lines[0] += (f", largest relative change {rel:.2e} at {place}: "
                      f"{a[place]} -> {b[place]}")
+    if numeric and oracle is not None:
+        places = sorted((place for _, place in numeric), key=str)
+        lines += oracle_lines(name, a, b, places, oracle, tally)
     if len(changed) > len(numeric):
         lines.append(f"  {len(changed) - len(numeric)} other cells differ")
     for side, only in (("old", a.keys() - b.keys()),
@@ -208,8 +381,12 @@ def cell_changes(name: Path, old: bytes, new: bytes) -> list:
     return lines
 
 
-def compare(old_dir: Path, new_dir: Path) -> int:
-    """Print every file that is missing on one side or differs; the count."""
+def compare(old_dir: Path, new_dir: Path,
+            oracle: Oracle | None = None) -> int:
+    """Print every file that is missing on one side or differs; the count.
+    With an ``oracle``, judge the differing numbers of each file and sum
+    the verdicts up at the end."""
+    tally = {}
     old = {p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
     new = {p.relative_to(new_dir) for p in new_dir.rglob("*") if p.is_file()}
     bad = 0
@@ -222,13 +399,19 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         if at is not None:
             print(f"{name}: first difference at byte {at}: "
                   f"old {a[at:at + 40]!r}, new {b[at:at + 40]!r}")
-            print("\n".join(cell_changes(name, a, b)))
+            print("\n".join(cell_changes(name, a, b, oracle, tally)))
             bad += 1
     print(f"{len(old | new)} files compared, {bad} differ")
+    for kind, judged in sorted(tally.items()):
+        first, *rest = _verdict_lines(judged, "  ")
+        print(f"oracle ({kind}), {len(judged['new'])} cells in all: {first}")
+        print("\n".join(rest))
     return bad
 
 
 def main(argv: list) -> int:
+    judge = argv[:1] == ["--oracle"]
+    argv = argv[judge:]
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -270,7 +453,10 @@ def main(argv: list) -> int:
             configs[case] = (path, commands)
         write_outputs(old_src, configs, work / "old")
         write_outputs(new_src, configs, work / "new")
-        return 1 if compare(work / "old", work / "new") else 0
+        oracle = Oracle({case: json.loads(Path(path).read_text())
+                         for case, (path, _) in configs.items()},
+                        work / "new") if judge else None
+        return 1 if compare(work / "old", work / "new", oracle) else 0
 
 
 if __name__ == "__main__":
