@@ -20,8 +20,7 @@ _EXPORTS = {
     "errors": (
         "BranchCollision", "ConfigError", "CsmError", "DegenerateIndex",
         "EmptyRange", "NonConvergence", "NonNormalizable", "PoleError",
-        "PreconditionViolation", "QuadratureError", "SingularCoordinate",
-        "StepTooCoarse",
+        "PreconditionViolation", "QuadratureError", "StepTooCoarse",
     ),
     "model": (
         "ModelParams", "RegionBounds", "ResonancePole", "bin_energy",

@@ -40,10 +40,6 @@ class DegenerateIndex(CsmError):
     """Potential-strength parameter sits at the degenerate point of the index."""
 
 
-class SingularCoordinate(CsmError):
-    """Spatial point too close to a coordinate singularity of the mapping."""
-
-
 class NonNormalizable(CsmError):
     """State has a non-decaying tail; bilinear norm undefined."""
 

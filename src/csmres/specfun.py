@@ -7,7 +7,9 @@ precision.
 
 A non-terminating 2F1 is summed by its defining power series in ``u``,
 accepted where |u| <= SERIES_RADIUS (0.8), and refused with
-``PreconditionViolation`` at every other point.  The wave functions of
+``PreconditionViolation`` at every other point.  A 2F1 that terminates,
+in a and b or, through Euler's transformation, in c-a and c-b, is a
+polynomial (times (1-u)^{c-a-b}) at any u.  The wave functions of
 ``wavefun`` take the Poschl-Teller form F(1+s, -s; 1-ik/beta; u), whose
 series converges at every point they sum: |u| <= 1/2 at x >= 0 for
 theta < pi/4, |u| <= SERIES_RADIUS in the band of x < 0 next to 0, and
@@ -287,8 +289,11 @@ def hyp2f1_grid(a, b, c, u) -> np.ndarray:
         Arguments.  A row that does not terminate is summed by the power
         series in u, which needs |u| <= SERIES_RADIUS at every point; the
         points' order by decreasing |u| is found once per call for all
-        rows (``_general_rows``).  A terminating row is a polynomial and
-        takes any u.
+        rows (``_general_rows``).  A row with a or b at a non-positive
+        integer is that polynomial, and one with c-a or c-b there is
+        (1-u)^{c-a-b} times the polynomial F(c-a, c-b; c; u) (Euler's
+        transformation, principal power): either takes any u (off the cut
+        u >= 1 for the second).
 
     Returns
     -------
@@ -301,8 +306,8 @@ def hyp2f1_grid(a, b, c, u) -> np.ndarray:
     Raises
     ------
     PoleError
-        c a non-positive integer, in any row, not masked by earlier series
-        termination of that row.
+        c a non-positive integer, in any row, not masked by earlier
+        termination of that row's polynomial.
     PreconditionViolation
         A parameter or argument that is not finite; the message names it.
         A non-terminating row and a point with |u| above SERIES_RADIUS;
@@ -330,20 +335,29 @@ def hyp2f1_grid(a, b, c, u) -> np.ndarray:
     # a parameter within 1e-12 of a non-positive integer has |Im| < 1e-12
     # and Re <= 0.5; only rows with one go through the scalar check
     near = np.zeros(len(a), dtype=bool)
-    for p in (a, b, c):
+    for p in (a, b, c, c - a, c - b):
         near |= (np.abs(p.imag) < 1e-12) & (p.real <= 0.5)
     for r in np.flatnonzero(near):
         ar, br, cr = complex(a[r]), complex(b[r]), complex(c[r])
-        na, nb, nc = map(_nonpositive_int, (ar, br, cr))
-        if na is None and nb is None:
+        nc = _nonpositive_int(cr)
+        # a polynomial in a or b; else, by Euler's transformation
+        # F = (1-u)^{c-a-b} F(c-a, c-b; c; u), one in c-a or c-b
+        for euler, (pa, pb) in enumerate(((ar, br), (cr - ar, cr - br))):
+            ends = [-n for n in map(_nonpositive_int, (pa, pb))
+                    if n is not None]
+            if ends:
+                break
+        else:
             if nc is not None:
                 raise PoleError(nc, cr)
             continue
-        # terminating polynomial: exact, branch-free
-        degree = min(-n for n in (na, nb) if n is not None)
+        degree = min(ends)
         if nc is not None and -nc < degree:
             raise PoleError(nc, cr)
-        out[r] = _terminating_sum(ar, br, cr, u, degree)
+        poly = _terminating_sum(pa, pb, cr, u, degree)
+        # not ``*=``: numpy's in-place complex product of one point rounds
+        # differently from the same product in a longer array
+        out[r] = poly * (1.0 - u) ** (cr - ar - br) if euler else poly
         general[r] = False
     if general.any():
         sums = out if general.all() else \

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, PreconditionViolation, \
-    SingularCoordinate
+from .errors import NonConvergence, PreconditionViolation
 from .model import ModelParams, _pole, potential_index
 from .specfun import _K_BLOCK, SERIES_RADIUS, complex_gamma, hyp2f1_grid, \
     reciprocal_gamma
@@ -122,15 +121,11 @@ def raw_psi(k, s: complex, beta: float, theta: float,
         mirrored.  At k = -i beta n (n >= 1), where c = 1-ik/beta is a
         non-positive integer, unless the series terminates first; with
         mirrored points also at k = +i beta n.
-    SingularCoordinate
-        If e^{-2 beta |x| e^{i theta}} underflows to 0.
     """
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=complex)
     phase = cmath.exp(1j * theta)
     t = np.exp(-2.0 * beta * np.abs(x) * phase)
-    if np.any(t == 0.0):
-        raise SingularCoordinate("tanh argument saturates: 1 - xi^2 underflows")
     u = np.where(x >= 0.0, t / (1.0 + t), 1.0 / (1.0 + t))
     mirror = (x < 0.0) & (np.abs(u) > SERIES_RADIUS)
     u[mirror] = t[mirror] / (1.0 + t[mirror])

@@ -10,6 +10,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,12 +48,25 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_numerical_failure_is_3(self, tmp_path, capsys):
-        # a grid cutoff deep in the saturated-tanh regime underflows
-        cfg = write_config(tmp_path, {"wavefunction": {"x_max": 500.0}})
+        # psi grows like e^{|k| |x| sin theta} at x < 0: at k = 5 a cutoff
+        # of 500 takes it past the float range
+        cfg = write_config(tmp_path, {"wavefunction": {
+            "x_max": 500.0, "k": {"re": 5.0, "im": 0.0}}})
         assert main(["--config", cfg, "--out", str(tmp_path),
                      "wavefunction"]) == 3
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "SingularCoordinate"
+        assert err["error"] == "PreconditionViolation"
+        assert "not finite" in err["message"]
+
+    def test_saturated_tanh_cutoff_is_0(self, tmp_path):
+        # where e^{-2 beta |x| e^{i theta}} underflows, u = 0 and F = 1:
+        # the plane wave alone, with no coordinate singularity
+        cfg = write_config(tmp_path, {"wavefunction": {"x_max": 500.0}})
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "wavefunction"]) == 0
+        rows = np.loadtxt(tmp_path / "wavefunction.csv", delimiter=",",
+                          skiprows=2)
+        assert np.isfinite(rows).all()
 
     @pytest.mark.parametrize("command, payload", [
         ("spectrum", {"spectrum": {"n_max": "x"}}),

@@ -323,6 +323,31 @@ class TestHyp2f1:
         # terminates at degree 1 before the c = -2 pole matters
         got = hyp2f1(-1.0, 1.5, -2.0, 0.3)
         assert abs(got - (1.0 - 1.5 / -2.0 * 0.3)) < 1e-14
+        # c - a = -3 ends Euler's polynomial after the c = -2 pole
+        with pytest.raises(PoleError):
+            hyp2f1(1.0, 0.5, -2.0, 0.3)
+
+    @pytest.mark.parametrize("u", [0.6 + 0.3j, -0.2 - 0.75j, -3.0 + 1.0j,
+                                   0.95 + 0.1j])
+    def test_euler_terminating_row_is_a_polynomial(self, u):
+        # raw_psi's row F(1+s, -s; c; u) of the n-th Gamow state, where
+        # c - b = -n: (1-u)^{c-a-b} times a polynomial of degree n, also
+        # at |u| above SERIES_RADIUS, where a series row is refused
+        import mpmath as mp
+
+        s, n = 0.3 + 0.7j, 2
+        a, b, c = 1.0 + s, -s, -s - n
+        start = time.perf_counter()
+        got = hyp2f1(a, b, c, u)
+        assert time.perf_counter() - start < 0.5
+        with mp.workdps(30):
+            expect = complex(mp.hyp2f1(*map(mp.mpc, (a, b, c, u))))
+        assert abs(got - expect) <= 1e-14 * abs(expect)
+        # in a batch with a series row, bitwise the one-row value
+        if abs(u) <= SERIES_RADIUS:
+            rows = hyp2f1_grid(np.array([0.5, a]), np.array([1.5, b]),
+                               np.array([2.5, c]), np.array([0.1j, u]))
+            assert rows[1, 1] == got
 
 
 @pytest.mark.parametrize("fun, args, name", [

@@ -94,8 +94,7 @@ def test_oracle_finds_a_moved_cell_worse(tmp_path, capsys):
                     text = text[:start] + "%.17g" % value + text[end:]
                 (side / "golden" / command / name).write_text(text)
     config = json.loads((golden / "config.json").read_text())
-    oracle = same_outputs.Oracle({"golden": config}, new)
-    assert same_outputs.compare(old, new, oracle) == 2
+    assert same_outputs.compare(old, new, {"golden": config}) == 2
     report = capsys.readouterr().out.splitlines()
     for kind in ("basis", "psi"):
         assert f"  oracle ({kind}): 1 cells judged; new worse 1, equal 0, " \

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python tools/same_outputs.py [--oracle] OLD_SRC NEW_SRC
+    python tools/same_outputs.py OLD_SRC NEW_SRC
 
 Each SRC is the directory that holds the ``csmres`` package (``src`` of a
 checkout).  For each tree a fresh interpreter, with only that SRC on
@@ -41,9 +41,9 @@ the cell where it occurs; it counts the other differing cells, and names
 the JSON keys written by one side only.  Exits 1 if any file differs,
 else exits 0.
 
-With ``--oracle`` it also judges the differing numbers by accuracy.  For
-at most ``ORACLE_SAMPLES`` differing numeric cells of each file, spread
-evenly over them, it gives the old and the new error in ulps against an
+It also judges the differing numbers by accuracy.  For at most
+``ORACLE_SAMPLES`` differing numeric cells of each file, spread evenly
+over them, it gives the old and the new error in ulps against an
 independent value, and counts the cells where the new error is larger
 ("new worse"), the same to the ulp ("equal") or smaller ("better"):
 
@@ -330,7 +330,7 @@ def oracle_lines(name: Path, a: dict, b: dict, changed: list,
     the old one."""
     kind, targets = oracle.targets(name, b, changed)
     if not targets:
-        return ["  oracle: no cell judged"]
+        return []
     judged = _judged()
     for place, (exact, scale) in targets.items():
         ulp = np.spacing(abs(scale))
@@ -348,10 +348,10 @@ def oracle_lines(name: Path, a: dict, b: dict, changed: list,
     return [f"  oracle ({kind}): {len(targets)} cells judged; {first}", *rest]
 
 
-def cell_changes(name: Path, old: bytes, new: bytes,
-                 oracle: Oracle | None = None,
-                 tally: dict | None = None) -> list:
-    """Lines that say how the cells of two versions of a file differ."""
+def cell_changes(name: Path, old: bytes, new: bytes, oracle: Oracle,
+                 tally: dict) -> list:
+    """Lines that say how the cells of two versions of a file differ,
+    and how the differing numbers fare against ``oracle``."""
     a, b = cells(name, old), cells(name, new)
     changed = [place for place in a.keys() & b.keys() if a[place] != b[place]]
     numeric = []
@@ -366,7 +366,7 @@ def cell_changes(name: Path, old: bytes, new: bytes,
         rel, place = max(numeric, key=lambda item: (item[0], str(item[1])))
         lines[0] += (f", largest relative change {rel:.2e} at {place}: "
                      f"{a[place]} -> {b[place]}")
-    if numeric and oracle is not None:
+    if numeric:
         places = sorted((place for _, place in numeric), key=str)
         lines += oracle_lines(name, a, b, places, oracle, tally)
     if len(changed) > len(numeric):
@@ -381,11 +381,12 @@ def cell_changes(name: Path, old: bytes, new: bytes,
     return lines
 
 
-def compare(old_dir: Path, new_dir: Path,
-            oracle: Oracle | None = None) -> int:
+def compare(old_dir: Path, new_dir: Path, configs: dict | None = None) -> int:
     """Print every file that is missing on one side or differs; the count.
-    With an ``oracle``, judge the differing numbers of each file and sum
-    the verdicts up at the end."""
+    The differing numbers of each file are judged by an ``Oracle`` over
+    ``configs``, case -> config (the cases of ``new_dir``), and the
+    verdicts are summed up at the end."""
+    oracle = Oracle(configs or {}, new_dir)
     tally = {}
     old = {p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
     new = {p.relative_to(new_dir) for p in new_dir.rglob("*") if p.is_file()}
@@ -410,8 +411,6 @@ def compare(old_dir: Path, new_dir: Path,
 
 
 def main(argv: list) -> int:
-    judge = argv[:1] == ["--oracle"]
-    argv = argv[judge:]
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -453,10 +452,9 @@ def main(argv: list) -> int:
             configs[case] = (path, commands)
         write_outputs(old_src, configs, work / "old")
         write_outputs(new_src, configs, work / "new")
-        oracle = Oracle({case: json.loads(Path(path).read_text())
-                         for case, (path, _) in configs.items()},
-                        work / "new") if judge else None
-        return 1 if compare(work / "old", work / "new", oracle) else 0
+        return 1 if compare(work / "old", work / "new", {
+            case: json.loads(Path(path).read_text())
+            for case, (path, _) in configs.items()}) else 0
 
 
 if __name__ == "__main__":
