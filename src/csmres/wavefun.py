@@ -57,17 +57,49 @@ def default_grid(beta: float = 1.0, x_max: float | None = None,
     return np.linspace(-x_max, x_max, n_points)
 
 
-def _twins(x: np.ndarray, mirror: np.ndarray) -> tuple:
-    """The mirrored points x[i] whose image -x[i] the grid holds at the
+def _twins(x: np.ndarray) -> tuple:
+    """The points x[i] < 0 whose image -x[i] the grid holds at the
     reversed index n-1-i, as a symmetric grid does, and the indices of
-    those images (two index arrays of equal length).  It compares the
-    mirrored points only: a whole-grid comparison read 1.3-1.6 MB more
-    peak RSS on the benchmark's overlap jobs (2-core VM, seed 53) at the
-    same tracemalloc peak."""
-    neg = np.flatnonzero(mirror)
+    those images (two index arrays of equal length)."""
+    neg = np.flatnonzero(x < 0.0)
     image = len(x) - 1 - neg
     hit = x[image] == -x[neg]
     return neg[hit], image[hit]
+
+
+def _grid_terms(x: np.ndarray, beta: float, theta: float) -> tuple:
+    """The x-only work of ``raw_psi``, once per distinct |x|: (u, arg,
+    mirror, summed, twinned, twin).
+
+    A point x < 0 whose image -x the grid holds (``_twins``) takes
+    t = e^{-2 beta |x| e^{i theta}} from there.  u = t/(1+t) at x >= 0 and
+    1/(1+t) at x < 0; ``mirror`` marks the x < 0 where |u| is above
+    SERIES_RADIUS, which then sum at u(y) = t/(1+t), y = -x.  ``arg`` is
+    psi's exponent over ik, x' - ln 4/2beta, with x' = x e^{i theta}, or
+    y e^{i theta} where mirrored.  ``twinned`` lists the mirrored points
+    with an image, at the indices ``twin``: they take u and arg from there,
+    with the same bits, and psi(k, y) too; ``summed`` marks the rest."""
+    phase = cmath.exp(1j * theta)
+    paired, image = _twins(x)
+    own = np.ones(len(x), dtype=bool)
+    own[paired] = False
+    t = np.empty(len(x), dtype=complex)
+    t[own] = np.exp(-2.0 * beta * np.abs(x[own]) * phase)
+    t[paired] = t[image]
+    pos = x >= 0.0
+    u = np.where(pos, t, 1.0) / (1.0 + t)
+    mirror = ~pos & (np.abs(u) > SERIES_RADIUS)
+    hit = mirror[paired]
+    twinned, twin = paired[hit], image[hit]
+    summed = np.ones(len(x), dtype=bool)
+    summed[twinned] = False
+    alone = mirror & summed
+    u[alone] = t[alone] / (1.0 + t[alone])
+    u[twinned] = u[twin]
+    arg = np.empty(len(x), dtype=complex)
+    arg[summed] = np.where(alone, -x, x)[summed] * phase - LN4 / (2.0 * beta)
+    arg[twinned] = arg[twin]
+    return u, arg, mirror, summed, twinned, twin
 
 
 def raw_psi(k, s: complex, beta: float, theta: float,
@@ -81,22 +113,27 @@ def raw_psi(k, s: complex, beta: float, theta: float,
 
     ``k`` is one wavenumber (result of shape (len(x),)) or a 1-D array of
     them (result (len(k), len(x)), row i at k[i]).  The series in u is
-    summed in place at x >= 0, where |u| <= 1/2 for theta < pi/4, and in
-    the band of x < 0 where |u| <= SERIES_RADIUS.  Every other x = -y < 0
-    comes from the mirror identity of the even barrier,
+    summed in place at x >= 0, where |u| <= 1/2 for theta < pi/4 and the
+    stopping series takes it, and in the band of x < 0 where
+    1/2 < |u| <= SERIES_RADIUS, which ``hyp2f1_grid`` sums by Horner's
+    rule to a proven degree.  Every other x = -y < 0 comes from the
+    mirror identity of the even barrier,
 
         psi(k, -y) = R psi(k, y) + T 4^{-ik/beta} psi(-k, y),
 
     with (R, T) the asymptotic gamma ratios, and psi(-k, y) takes
     c = 1+ik/beta at u(y).  The band keeps the points near x = 0, where
-    the two terms cancel, off the identity.  Where the grid holds x = +y
-    at the reversed index, as a symmetric grid does, the mirrored point
-    takes psi(k, y) from there instead of summing it again.  All rows go
-    through one ``hyp2f1_grid`` call, plus one at -k for the mirrored
-    points; the plane-wave factor is then formed and multiplied in for
-    _K_BLOCK rows at a time, straight into the result where every point is
-    summed (as on a half grid y >= 0).  A value does not depend on the
-    block, on the other rows or on the other points.
+    the two terms cancel, off the identity.  The x-only work, t = e^{-2
+    beta |x| e^{i theta}}, u and psi's exponent over ik, is done once per
+    distinct |x|: where the grid holds x = +y at the reversed index, as
+    a symmetric grid does, the point -y takes t from there, and a
+    mirrored one also u(y) and the exponent, with the same bits, and
+    psi(k, y) instead of summing it again.  All rows go through one
+    ``hyp2f1_grid`` call, plus one at -k for the mirrored points; the
+    plane-wave factor is then formed and multiplied in for _K_BLOCK rows
+    at a time, straight into the result where every point is summed (as
+    on a half grid y >= 0).  A value does not depend on the block, on the
+    other rows or on the other points.
     ``theta`` may be negative (used for biorthogonal partners); the formula
     is the same with x' = x e^{i theta}.
 
@@ -124,18 +161,7 @@ def raw_psi(k, s: complex, beta: float, theta: float,
     """
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=complex)
-    phase = cmath.exp(1j * theta)
-    t = np.exp(-2.0 * beta * np.abs(x) * phase)
-    u = np.where(x >= 0.0, t / (1.0 + t), 1.0 / (1.0 + t))
-    mirror = (x < 0.0) & (np.abs(u) > SERIES_RADIUS)
-    u[mirror] = t[mirror] / (1.0 + t[mirror])
-    # psi's exponent over ik, x' - ln 4/2beta: x' = x e^{i theta} where
-    # summed in place, +y e^{i theta} where mirrored
-    arg = np.where(mirror, -x, x) * phase - LN4 / (2.0 * beta)
-    # psi(k, y) is summed at every point but the twinned mirrored ones
-    twinned, twin = _twins(x, mirror)
-    summed = np.ones(len(x), dtype=bool)
-    summed[twinned] = False
+    u, arg, mirror, summed, twinned, twin = _grid_terms(x, beta, theta)
     arg_sum = arg[summed]
     # rows of up to _K_BLOCK wavenumbers; a scalar k is one block
     blocks = [...] if k.ndim == 0 else \

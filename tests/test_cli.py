@@ -616,3 +616,101 @@ class TestWavefunctionOutput:
         payload = json.loads((tmp_path / "wavefunction.json").read_text())
         assert float(payload["k"]["im"]) == -0.3
         assert len(payload["samples"]) == 201
+
+
+# magnitudes from 1e-300 to 1e300 and everyday values, positive or of
+# either sign
+_POSITIVE = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+              st.integers(-300, 299)),
+    st.floats(0.05, 5.0))
+_MAGNITUDES = st.one_of(_POSITIVE, _POSITIVE.map(lambda v: -v))
+_LAMBDAS = st.one_of(_MAGNITUDES,
+                     st.builds(_complex_config,
+                               st.builds(complex, _MAGNITUDES, _MAGNITUDES)))
+# a config drawn from these keys; one in ten has a misspelled key
+_CONFIGS = st.tuples(st.fixed_dictionaries({}, optional={
+    "theta": st.one_of(st.floats(1e-3, math.pi / 4.0), _MAGNITUDES),
+    "lam": _LAMBDAS,
+    "units": st.fixed_dictionaries({}, optional={
+        "m": _POSITIVE, "hbar": _POSITIVE, "beta": _POSITIVE}),
+    "spectrum": st.fixed_dictionaries({}, optional={
+        "n_max": st.integers(-1, 50)}),
+    "regions": st.fixed_dictionaries({}, optional={
+        "theta_min": st.floats(-0.1, 0.8), "theta_max": st.floats(0.0, 0.9),
+        "n_points": st.integers(1, 70)}),
+    "berry": st.fixed_dictionaries({}, optional={
+        "radius_rel": _POSITIVE, "windings": st.integers(0, 2),
+        "n_steps": st.integers(50, 80)}),
+}), st.sampled_from((False,) * 9 + (True,))).map(
+    lambda drawn: dict(drawn[0], lamda=1.0) if drawn[1] else drawn[0])
+
+
+def _cli_run(command: str, config: dict) -> tuple:
+    """Exit code, {file name: text} and stderr of one ``csmres`` run of
+    ``command`` with every warning an error."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["--config", str(path), "--out", tmp, command])
+        written = {p.name: p.read_text() for p in Path(tmp).glob(
+            f"{command}.*")}
+    return code, written, err.getvalue()
+
+
+def _numbers(text: str, suffix: str) -> list:
+    """Every number of a written CSV or JSON file, as text."""
+    if suffix == ".json":
+        found = []
+
+        def walk(value):
+            if isinstance(value, dict):
+                for item in value.values():
+                    walk(item)
+            elif isinstance(value, list):
+                for item in value:
+                    walk(item)
+            else:
+                found.append(str(value))
+        walk(json.loads(text))
+        return found
+    return [cell for line in text.splitlines()[2:]
+            for cell in line.split(",")]
+
+
+class TestConfigProperty:
+    """Every spectrum, regions and berry config exits 0 with finite
+    numbers, or exits 2 or 3 with the error JSON; it never raises or
+    warns, and each run takes well under a second."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(["spectrum", "regions", "berry"]),
+           config=_CONFIGS)
+    @example(command="spectrum", config={"lam": 1e308})
+    @example(command="berry", config={"units": {"hbar": 1e-30, "m": 1000}})
+    @example(command="spectrum", config={"units": {"beta": 1e150},
+                                         "spectrum": {"n_max": 20000}})
+    @example(command="regions", config={"regions": {"n_pionts": 8}})
+    def test_exits_0_with_finite_numbers_or_typed(self, command, config):
+        if command == "berry":
+            # few loop steps keep the draw fast
+            config = dict(config, berry=dict(
+                {"windings": 1, "n_steps": 64}, **config.get("berry", {})))
+        start = time.perf_counter()
+        code, written, err = _cli_run(command, config)
+        assert time.perf_counter() - start < 2.0
+        if code == 0:
+            assert sorted(written) == [f"{command}.csv", f"{command}.json"]
+            for name, text in written.items():
+                for cell in _numbers(text, Path(name).suffix):
+                    assert cell.lower() not in ("nan", "inf", "-inf"), name
+        else:
+            assert code in (2, 3), code
+            assert not written
+            assert set(json.loads(err)) == {"error", "message"}
+            if "lamda" in config or config.get("regions", {}).get(
+                    "n_pionts"):
+                assert json.loads(err)["error"] == "ConfigError"

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csmres.binbasis import spatial_grid
-from csmres.errors import PoleError, PreconditionViolation
+from csmres.errors import NonConvergence, PoleError, PreconditionViolation
 from csmres.specfun import SERIES_RADIUS, complex_gamma, hyp2f1, hyp2f1_grid, \
     reciprocal_gamma
 
@@ -141,6 +141,18 @@ class TestComplexGamma:
         with pytest.raises(PreconditionViolation, match=named):
             fun(z)
 
+    @pytest.mark.parametrize("z", [-3 + 1e-10, -2.999, -48.99,
+                                   complex(-3.0, 1e-10), -7.5 + 2j])
+    def test_near_a_pole(self, z):
+        # sin(pi z) of the reflection is taken at z minus its nearest
+        # integer, so no digit of the distance to the pole is lost
+        import mpmath as mp
+
+        with mp.workdps(40):
+            expect = complex(mp.gamma(mp.mpc(z)))
+        assert abs(complex_gamma(z) - expect) <= 1e-13 * abs(expect)
+        assert abs(reciprocal_gamma(z) * expect - 1.0) <= 1e-13
+
     def test_reciprocal_gamma_zero_at_poles(self):
         for n in (0, -1, -3, -8):
             assert reciprocal_gamma(complex(n)) == 0.0
@@ -197,7 +209,7 @@ class TestHyp2f1:
     def test_outside_the_series_region_raises(self, u):
         # |u| = |u/(u-1)| = 1 at e^{+-i pi/3}; the parameters at
         # 0.93 + 0.02j have integer c - a - b.  The refusal comes before
-        # any series term, not after the 100 000-term cap
+        # any series term
         a, b = 0.7 - 0.9j, 1.1 + 0.9j
         start = time.perf_counter()
         with pytest.raises(PreconditionViolation, match=re.escape(str(u))):
@@ -266,7 +278,7 @@ class TestHyp2f1:
 
     def test_non_finite_term_raises_at_once(self):
         # the terms overflow near n = 440; a term that is not finite is
-        # never small, so this must not spin to the 100 000-term cap
+        # never small, so this must not spin on to the row's cap
         start = time.perf_counter()
         with pytest.raises(PreconditionViolation,
                            match=re.escape("not finite at a = (0.3-1000j)")):
@@ -466,3 +478,155 @@ class TestAgainstMpmath:
                 hyp2f1_grid(a, b, c, np.array([u]))
         else:
             hyp2f1_grid(a, b, c, np.array([u]))
+
+
+def _band_u(rng, n: int) -> np.ndarray:
+    """n random points of the band, 1/2 < |u| <= SERIES_RADIUS."""
+    rho = rng.uniform(0.5, SERIES_RADIUS - 1e-12, n)
+    rho[rho <= 0.5] = 0.6
+    return rho * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+
+
+class TestBand:
+    """Non-terminating rows at 1/2 < |u| <= SERIES_RADIUS, summed by
+    Horner's rule to the degree the tail bound proves at each point."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(k_re=st.one_of(st.floats(0.2, 4.0), st.sampled_from([10.0,
+                                                                 150.0])),
+           k_im=st.floats(-1.0, 0.0), lam=st.floats(0.3, 3.0),
+           rho=st.floats(0.5, SERIES_RADIUS - 1e-12, exclude_min=True),
+           phase=st.floats(-math.pi, math.pi))
+    def test_matches_mpmath(self, k_re, k_im, lam, rho, phase):
+        # raw_psi's rows, complex s and c, at k and -k
+        import mpmath as mp
+
+        u = rho * cmath.exp(1j * phase)
+        rows = _psi_rows(complex(k_re, k_im), lam)
+        a, b, c = (np.array(col) for col in zip(*rows))
+        got = hyp2f1_grid(a, b, c, np.array([u]))[:, 0]
+        with mp.workdps(30):
+            for g, row in zip(got, rows):
+                expect = complex(mp.hyp2f1(*map(mp.mpc, row), mp.mpc(u)))
+                assert abs(g - expect) <= 1e-13 * abs(expect), (row, u)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.4, -1.9, math.pi])
+    def test_continuous_across_one_half(self, phi):
+        # the series takes |u| = 1/2, the band the next float above it
+        a, b, c = _psi_rows(1.5 - 0.3j, 1.3)[0]
+        inner = 0.5 * cmath.exp(1j * phi)
+        outer = np.nextafter(0.5, 1.0) * cmath.exp(1j * phi)
+        if abs(outer) <= 0.5:
+            outer *= 1.0 + 2e-16
+        f_in, f_out = hyp2f1_grid(a, b, c, np.array([inner, outer]))
+        assert abs(f_in - f_out) <= 1e-14 * abs(f_in)
+
+    def test_values_do_not_depend_on_neighbours_or_rows(self):
+        # band points mixed with series points: permuting or splitting
+        # the points, or summing a row alone, changes no bit
+        rng = np.random.default_rng(41)
+        us = np.concatenate([_band_u(rng, 150),
+                             [_contract_domain_u(rng) for _ in range(150)]])
+        rng.shuffle(us)
+        rows = _psi_rows(2.1 - 0.4j, 0.9) + _psi_rows(150.0, 1.3) \
+            + [(1.3 - 0.8j, -0.4 + 1.6j, 1.1 + 0.3j)]
+        a, b, c = (np.array(col) for col in zip(*rows))
+        whole = hyp2f1_grid(a, b, c, us)
+        perm = rng.permutation(len(us))
+        assert hyp2f1_grid(a, b, c, us[perm]).tobytes() \
+            == whole[:, perm].tobytes()
+        parts = [hyp2f1_grid(a, b, c, chunk)
+                 for chunk in np.array_split(us, [1, 90, 91, 200])]
+        assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+        for i, row in enumerate(rows):
+            assert hyp2f1_grid(*row, us).tobytes() == whole[i].tobytes(), i
+        for j in (0, 7, 250):
+            assert hyp2f1_grid(a, b, c, us[j:j + 1])[:, 0].tobytes() \
+                == whole[:, j].tobytes()
+
+    def test_cancellation_is_refused(self):
+        # the row before Euler's transformation at k = 50 on the band:
+        # its terms peak far above the sum, naming the band point
+        import mpmath as mp
+
+        u = 0.7 * cmath.exp(2.5j)
+        a, b, c = _gauss_rows(50.0, 1.3)[0]
+        with mp.workdps(30):
+            total = float(abs(mp.hyp2f1(*map(mp.mpc, (a, b, c, u)))))
+        assert _series_peak(a, b, c, u) > 1e9 * total
+        with pytest.raises(PreconditionViolation,
+                           match=re.escape(f"cancel to fewer than 8 digits "
+                                           f"at a = {a}")):
+            hyp2f1_grid(np.array([0.5, a]), np.array([1.5, b]),
+                        np.array([2.5, c]), np.array([0.1j, u, 0.3]))
+
+    def test_non_finite_term_is_refused_among_series_points(self):
+        # the terms at |u| = 0.79 overflow near n = 440; the points that
+        # the series takes do not hide it
+        start = time.perf_counter()
+        with pytest.raises(PreconditionViolation,
+                           match=r"term \d+ is not finite at "
+                                 + re.escape("a = (0.3-1000j)")):
+            hyp2f1_grid(0.3 - 1000j, 1.7 - 1000j, 1.0 - 1000j,
+                        np.array([1e-3, 0.79, 0.6j]))
+        assert time.perf_counter() - start < 0.5
+
+    def test_coefficient_past_the_float_range_is_refused(self):
+        # C_n overflows from n = 383 on while C_n 0.8^n peaks near 1e281:
+        # the Horner sum is not finite, refused without a warning
+        with warnings.catch_warnings(), pytest.raises(
+                PreconditionViolation,
+                match=re.escape("sum is not finite at a = (-1100.5+0j)")):
+            warnings.simplefilter("error")
+            hyp2f1_grid(-1100.5, 2.0, 1.5, np.array([1e-3, 0.8, 0.6j]))
+
+
+class TestTerminatingRows:
+    """Rows that end in a polynomial, by Horner's rule to their degree,
+    at points inside and outside the series region."""
+
+    POINTS = np.array([0.3 + 0.2j, -0.6 + 0.45j, 0.75j, -3.0 + 1.0j,
+                       0.95 + 0.1j, 2.5 - 4.0j])
+
+    def _check(self, a, b, c):
+        import mpmath as mp
+
+        got = hyp2f1_grid(a, b, c, self.POINTS)
+        with mp.workdps(30):
+            for g, u in zip(got, self.POINTS):
+                expect = complex(mp.hyp2f1(*map(mp.mpc, (a, b, c, u))))
+                assert abs(g - expect) <= 1e-14 * max(1.0, abs(expect)), u
+
+    @pytest.mark.parametrize("lam, degree", [(-1.0, 1), (-3.0, 2)])
+    def test_reflectionless(self, lam, degree):
+        # s = 1, 2: b = -s ends the polynomial at degree s
+        s = _index(lam)
+        assert s == degree
+        for k in (0.7, 2.0 - 0.5j, 150.0):
+            self._check(*_psi_rows(k, lam)[0])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_gamow(self, n):
+        # at the n-th Gamow pole c - b = -n: (1-u)^{c-a-b} times the
+        # polynomial F(c-a, c-b; c; u) of degree n
+        s = _index(1.3)
+        a, b, c = 1.0 + s, -s, -s - n
+        assert c - b == -n
+        self._check(a, b, c)
+
+
+def test_derived_cap_refuses_a_row_that_cannot_stop():
+    # F(1, 1; c; 1/2) vanishes at this c: the partial sums fall to
+    # rounding level, so the terms never drop below _EPS times them.  The
+    # pair runs past its cap, the degree where the tail bound at |u| = 1/2
+    # falls below every sum the cancellation verdict could accept, and is
+    # refused there, about 90 terms in
+    import mpmath as mp
+
+    c = -0.3465164914758597 + 1.05516006427817j
+    with mp.workdps(30):
+        assert abs(complex(mp.hyp2f1(1, 1, c, 0.5))) < 1e-15
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence, match=r"'terms': \d\d\}"):
+        hyp2f1_grid(1.0, 1.0, c, np.array([0.5, 0.1, 1e-3j]))
+    assert time.perf_counter() - start < 0.1

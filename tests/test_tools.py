@@ -101,3 +101,31 @@ def test_oracle_finds_a_moved_cell_worse(tmp_path, capsys):
             "better 0" in report
         assert f"oracle ({kind}), 1 cells in all: new worse 1, equal 0, " \
             "better 0" in report
+
+
+def test_oracle_judges_spectrum_and_regions_cells(tmp_path, capsys):
+    # one E_n cell of spectrum.csv and one bound of regions.csv in copies
+    # of the goldens move by 1e-12 relative: both are judged new worse
+    same_outputs = load_same_outputs()
+    golden = ROOT / "tests" / "data" / "golden"
+    old, new = tmp_path / "old", tmp_path / "new"
+    moved = {"spectrum.csv": "1,", "regions.csv": "0.02,"}
+    for side in (old, new):
+        for name, head in moved.items():
+            command = name.split(".")[0]
+            (side / "golden" / command).mkdir(parents=True)
+            text = (golden / name).read_text()
+            if side is new:
+                start = text.index("\n" + head) + 1 + len(head)
+                end = text.index(",", start)
+                value = float(text[start:end]) * (1.0 + 1e-12)
+                text = text[:start] + "%.17g" % value + text[end:]
+            (side / "golden" / command / name).write_text(text)
+    config = json.loads((golden / "config.json").read_text())
+    assert same_outputs.compare(old, new, {"golden": config}) == 2
+    report = capsys.readouterr().out.splitlines()
+    for kind in ("regions", "spectrum"):
+        assert f"  oracle ({kind}): 1 cells judged; new worse 1, equal 0, " \
+            "better 0" in report
+        assert f"oracle ({kind}), 1 cells in all: new worse 1, equal 0, " \
+            "better 0" in report

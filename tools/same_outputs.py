@@ -54,9 +54,14 @@ independent value, and counts the cells where the new error is larger
 * S and H of the Hermitian bins in ``overlap.*``, against S = I and
   H = diag(E_bin), E_bin = (hbar^2/2m)(k_b^3 - k_a^3)/(3 (k_b - k_a)) on
   the bin edges; an error is in ulps of 1 for S and of E_bin of the
-  entry's row for H.
+  entry's row for H;
+* E_n, k_n, the width and theta_n in ``spectrum.*``, and the coupling
+  bounds at each written theta in ``regions.*``, by their closed forms
+  in mpmath at 40 digits, with the config's lambda and units; an error
+  is in ulps of the modulus of the complex value (or of the value).
 
-Other cells, such as those of ``degeneracy.csv``, are not judged.  A
+Other cells, such as those of ``degeneracy.csv`` or the theta column of
+``regions.*``, are not judged.  A
 summary over all files ends the report.
 """
 
@@ -233,9 +238,9 @@ class Oracle:
 
     def targets(self, name: Path, cells: dict, places: list) -> tuple:
         """The kind of file ``name`` (a path below ``out``), "psi",
-        "basis" or None where nothing is judged, and the (exact value,
-        scale) of at most ORACLE_SAMPLES of ``places``, spread evenly over
-        those the oracle can judge."""
+        "basis", "spectrum", "regions" or None where nothing is judged,
+        and the (exact value, scale) of at most ORACLE_SAMPLES of
+        ``places``, spread evenly over those the oracle can judge."""
         config = self.configs.get(name.parts[0], {})
         units = config.get("units", {})
         if name.stem == "wavefunction" and not units:
@@ -244,7 +249,82 @@ class Oracle:
             hbar2_m = units.get("hbar", 1.0) ** 2 / units.get("m", 1.0)
             return "basis", self._basis_targets(
                 name, config.get("overlap", {}), cells, places, hbar2_m)
+        if name.stem in ("spectrum", "regions"):
+            m, hbar, beta = (float(units.get(key, 1.0))
+                             for key in ("m", "hbar", "beta"))
+            closed = self._spectrum_targets if name.stem == "spectrum" \
+                else self._regions_targets
+            return name.stem, closed(name, config, cells, places, m, hbar,
+                                     beta)
         return None, {}
+
+    @staticmethod
+    def _spectrum_targets(name, config, cells, places, m, hbar,
+                          beta) -> dict:
+        """E_n = (hbar beta)^2/8m [sqrt(g-1) - i(2n+1)]^2,
+        g = 8 m lam/(beta hbar)^2, k_n = sqrt(2 m E_n)/hbar, the width
+        -2 Im E_n and theta_n = -arg(E_n)/2, at 40 digits."""
+        import mpmath as mp
+
+        lam = config.get("lam", 1.0)
+        lam = complex(lam["re"], lam["im"]) if isinstance(lam, dict) \
+            else complex(lam)
+        found = {}
+        with mp.workdps(40):
+            m, hbar, beta = map(mp.mpf, (m, hbar, beta))
+            g = 8 * m * mp.mpc(lam) / (beta * hbar) ** 2
+            for place in _evenly(places, ORACLE_SAMPLES):
+                # (row, "re_E") of the CSV, ("levels", i, "energy", "re")
+                # of the JSON
+                if name.suffix == ".csv":
+                    n = int(cells[(place[0], "n")])
+                    field, part = {"re_E": ("energy", "re"),
+                                   "im_E": ("energy", "im")}.get(
+                        place[1], (place[1], None))
+                else:
+                    n = int(cells[("levels", place[1], "n")])
+                    field = place[2]
+                    part = place[3] if len(place) > 3 else None
+                energy = (hbar * beta) ** 2 / (8 * m) \
+                    * (mp.sqrt(g - 1) - 1j * (2 * n + 1)) ** 2
+                value = {"energy": energy,
+                         "k": mp.sqrt(2 * m * energy) / hbar,
+                         "width": -2 * energy.imag,
+                         "theta_n": -mp.arg(energy) / 2}.get(field)
+                if value is None:
+                    continue
+                exact = value if part is None else \
+                    (value.real if part == "re" else value.imag)
+                found[place] = (float(exact), float(abs(value)))
+        return found
+
+    @staticmethod
+    def _regions_targets(name, config, cells, places, m, hbar,
+                         beta) -> dict:
+        """At the written theta, with u0 = (beta hbar)^2/4m and
+        t = tan 2 theta: l0m = u0/(2 cos^2 theta), l0p = lbp =
+        u0/(2 sin^2 theta), l1m and l1p = u0 [h -+ sqrt(h^2 - q)] with
+        h = (9 + 5 t^2)/t^2 and q = (9 + 25 t^2)/t^2, at 40 digits."""
+        import mpmath as mp
+
+        found = {}
+        with mp.workdps(40):
+            u0 = (mp.mpf(beta) * hbar) ** 2 / (4 * mp.mpf(m))
+            for place in _evenly(places, ORACLE_SAMPLES):
+                # (row, "l0m") of the CSV, ("curves", i, "l0m") of the
+                # JSON: theta is in the same row
+                theta = mp.mpf(cells[place[:-1] + ("theta",)])
+                t2 = mp.tan(2 * theta) ** 2
+                head, q = (9 + 5 * t2) / t2, (9 + 25 * t2) / t2
+                value = {"l0m": u0 / (2 * mp.cos(theta) ** 2),
+                         "l0p": u0 / (2 * mp.sin(theta) ** 2),
+                         "lbp": u0 / (2 * mp.sin(theta) ** 2),
+                         "l1m": u0 * (head - mp.sqrt(head ** 2 - q)),
+                         "l1p": u0 * (head + mp.sqrt(head ** 2 - q))}.get(
+                             place[-1])
+                if value is not None:
+                    found[place] = (float(value), float(abs(value)))
+        return found
 
     def _psi_targets(self, name, cells, places) -> dict:
         written = json.loads(
