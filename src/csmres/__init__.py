@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "model": (
         "ModelParams", "RegionBounds", "ResonancePole", "bin_energy",
-        "branch_point", "branch_point_coupling", "contact_coupling_root",
-        "lambda_window", "potential_index", "resonance_energy",
+        "branch_point", "branch_point_coupling", "lambda_window",
+        "potential_index", "resonance_energy",
     ),
     "specfun": ("complex_gamma", "hyp2f1", "hyp2f1_grid", "reciprocal_gamma"),
     "wavefun": (

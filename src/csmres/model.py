@@ -17,17 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateIndex, NonConvergence, PreconditionViolation
+from .errors import DegenerateIndex, PreconditionViolation
 
 _G_DEGENERATE_TOL = 1.0e-12
-# halvings per round of ``_bisect_zeros``.  A call on a round's 2^depth - 1
-# midpoints per bracket costs little more than one on a single point.  On
-# a 2-core x86 VM, ``eploop.boundary_crossings`` takes the same time at
-# depths 6 and 7 and about 20% more at 8; 7 makes 4 calls for the 27
-# halvings where 6 makes 5
-_TREE_DEPTH = 7
-# halvings before ``_bisect_zeros`` gives up
-_MAX_HALVINGS = 200
 
 
 def _check_units(m: float, hbar: float, beta: float) -> None:
@@ -315,126 +307,3 @@ def lambda_window(theta: float, m: float = 1.0, hbar: float = 1.0,
 
     l0m, l1m, l1p = _finite_bounds(theta, bounds)
     return RegionBounds(theta, l0m, lam_bp, l1m, l1p)
-
-
-def _midpoint_trees(brackets: list, depth: int) -> np.ndarray:
-    """Row j: a_j, the midpoints that the next ``depth`` halvings of
-    [a_j, b_j] can reach in increasing order, and b_j (2^depth + 1
-    columns).
-
-    The first halving's midpoint is in column 2^(depth - 1); after a
-    halving at column c whose halves are h columns wide, the next midpoint
-    is in column c - h/2 if the lower half is kept and c + h/2 if the
-    upper.  Each midpoint is the float 0.5 (a + b) of its interval's ends.
-    """
-    size = 2 ** depth
-    points = np.empty((len(brackets), size + 1))
-    points[:, [0, -1]] = brackets
-    for level in range(depth):
-        step = size >> level
-        ends = points[:, ::step]
-        points[:, step // 2::step] = 0.5 * (ends[:, :-1] + ends[:, 1:])
-    return points
-
-
-def _bisect_zeros(fun, brackets: list, values: list | None = None,
-                  tol: float = 1e-10) -> list:
-    """Zeros of a real function, one per bracket (a, b), by bisection, each
-    to an interval narrower than ``tol`` or down to adjacent floats; the
-    sign of a value is whether it is below 0.
-
-    ``fun`` maps a 1-D float array to the array of its values, each with
-    the bits of its point taken alone.  ``values`` holds (fun(a), fun(b))
-    per bracket; when None, one call evaluates all the ends.  Each round
-    evaluates the 2^_TREE_DEPTH - 1 midpoints that the next _TREE_DEPTH
-    halvings of each open bracket can reach (``_midpoint_trees``), all in
-    one call, and then walks each bracket's tree: the zero is the midpoint
-    m = 0.5 (a + b) once b - a < tol or m is not strictly between a and b
-    (they are adjacent floats), and otherwise a moves to m where fun(m)
-    has the sign of fun(a) and b moves to m where not.  So each zero is
-    the float that halving with one point per call returns, in one call
-    per _TREE_DEPTH halvings of all the brackets.  ``fun`` also sees the
-    midpoints a walk does not reach; they lie in the bracket as well.
-
-    Raises
-    ------
-    PreconditionViolation
-        If fun(a) and fun(b) have the same sign for a bracket.
-    NonConvergence
-        If a bracket passes neither stop test before any of 200 halvings.
-    """
-    if values is None:
-        values = fun(np.array(brackets, dtype=float).reshape(-1)) \
-            .reshape(-1, 2)
-    live = {}
-    for j, ((a, b), (fa, fb)) in enumerate(zip(brackets, values)):
-        if (fa < 0.0) == (fb < 0.0):
-            raise PreconditionViolation(
-                f"no sign change on [{a}, {b}]: f = {fa}, {fb}")
-        live[j] = (float(a), float(b), fa < 0.0)
-    zeros = [None] * len(live)
-    halvings = 0
-    while live:
-        if halvings == _MAX_HALVINGS:
-            a, b, _ = next(iter(live.values()))
-            raise NonConvergence("bisection", {"a": a, "b": b, "tol": tol})
-        depth = min(_TREE_DEPTH, _MAX_HALVINGS - halvings)
-        trees = _midpoint_trees([(a, b) for a, b, _ in live.values()],
-                                depth)
-        negative = (fun(trees[:, 1:-1].reshape(-1)) < 0.0) \
-            .reshape(len(live), -1).tolist()
-        for (j, (a, b, a_negative)), row in zip(list(live.items()),
-                                                negative):
-            at = half = 2 ** (depth - 1)
-            for _ in range(depth):
-                m = 0.5 * (a + b)
-                if b - a < tol or not a < m < b:
-                    zeros[j] = m
-                    del live[j]
-                    break
-                half //= 2
-                # row[at - 1] is the value at column ``at`` of the tree
-                if row[at - 1] == a_negative:
-                    a, at = m, at + half
-                else:
-                    b, at = m, at - half
-            else:
-                live[j] = (a, b, a_negative)
-        halvings += depth
-    return zeros
-
-
-def contact_coupling_root(theta: float, n: int = 0, m: float = 1.0,
-                          hbar: float = 1.0, beta: float = 1.0) -> float:
-    """Coupling where level n touches the continuum, by bisection.
-
-    Solves tan(2 theta) Re E_n(lam) + Im E_n(lam) = 0 for real lam above
-    the degenerate point; independent cross-check of the closed-form
-    window bounds (and of lambda_bp for n = 0).  The objective takes the
-    bisection's midpoints as one array of couplings (``_pole``), each
-    element with the bits of its coupling taken alone.  The bisection
-    stops on an interval narrower than 1e-13, so the root is within 5e-14
-    of a sign change of the objective, plus the objective's rounding: for
-    n = 0 it is within 1.3e-14 of lambda_bp at theta pi/8, pi/6 and pi/5,
-    and within 3.2e-14 over theta 0.1-0.75 (acceptance 2).
-
-    Raises
-    ------
-    ValueError
-        If n is negative, or theta or the units are refused as
-        ``ModelParams`` refuses them.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    t = math.tan(2.0 * theta)
-    scale = beta**2 * hbar**2 / (8.0 * m)
-    lo = scale * (1.0 + 1.0e-9)
-    hi = scale * 1.0e7
-    params = ModelParams(lam=lo, theta=theta, m=m, hbar=hbar, beta=beta)
-
-    def objective(lam):
-        energy = _pole(params, lam, n)[0]
-        return t * energy.real + energy.imag
-
-    (root,) = _bisect_zeros(objective, [(lo, hi)], tol=1.0e-13)
-    return root

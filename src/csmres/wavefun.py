@@ -314,19 +314,18 @@ def find_resonance_k(params: ModelParams, k0: complex) -> complex:
 def classification_functional(params: ModelParams,
                               lam: complex | np.ndarray | None = None):
     """Re[i k_0(lam) e^{i theta}], whose sign classifies the n = 0 tail:
-    ``classify_region`` labels a value below -1e-12 "ConvergentA", one
-    above 1e-12 "DivergentB" and one between "ScatteringBoundary".
+    ``classify_region`` labels a value below -1e-12 beta "ConvergentA",
+    one above 1e-12 beta "DivergentB" and one between
+    "ScatteringBoundary".
 
     ``lam`` is one coupling (default: that of ``params``), giving a float,
     or a 1-D numpy array of them, giving an array; the Berry loop
     evaluates all its nodes in one call.  k_0 comes from ``model._pole``,
     which takes one coupling as an array of one, and the product with
     e^{i theta} is an array product too, so an array element has the bits
-    of the scalar result.  So the bisection of
-    ``eploop.boundary_crossings``, which takes the midpoints of several
-    halvings in one call and whose last halvings are decided by
-    rounding-level values of f, finds the angles that one scalar call per
-    halving finds.  A coupling that is not finite raises
+    of the scalar result.  The value is proportional to beta: it is
+    (beta / 2) Re[i x e^{i theta}] with x = +-(sqrt(g - 1) - i) and
+    g = 8 m lam / (beta hbar)^2.  A coupling that is not finite raises
     ``PreconditionViolation`` (``model._pole``).
     """
     lam = params.lam if lam is None else lam
@@ -343,13 +342,15 @@ def classify_region(params: ModelParams,
 
     The label is text, the sign of f = Re[i k_0(lam) e^{i theta}]:
     negative -> "ConvergentA" (square-integrable pseudo-bound state),
-    positive -> "DivergentB", within 1e-12 of zero -> "ScatteringBoundary".
-    For a 1-D numpy array of couplings the result is a list of those
-    strings (shared, not a new object per coupling), from one
-    ``classification_functional`` call on the array, whose elements have
-    the bits of its scalar calls: each coupling gets the label of its
-    scalar call.
+    positive -> "DivergentB", |f| <= 1e-12 beta -> "ScatteringBoundary".
+    The band scales with beta as f does, so a coupling reads the same
+    label in any units.  For a 1-D numpy array of couplings the result
+    is a list of those strings (shared, not a new object per coupling),
+    from one ``classification_functional`` call on the array, whose
+    elements have the bits of its scalar calls: each coupling gets the
+    label of its scalar call.
     """
     f = classification_functional(params, lam)
-    index = np.where(np.abs(f) <= 1e-12, 2, np.where(f < 0.0, 0, 1)).tolist()
+    index = np.where(np.abs(f) <= 1e-12 * params.beta, 2,
+                     np.where(f < 0.0, 0, 1)).tolist()
     return [_LABELS[i] for i in index] if np.ndim(f) else _LABELS[index]

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import csmres
 from csmres.errors import NonConvergence, PreconditionViolation
+from csmres.model import ModelParams, _pole
 
 
 @pytest.fixture
@@ -28,8 +30,9 @@ def fresh_python():
 
 
 def _scalar_bisect(fun, a, b, tol=1e-10):
-    """Zero of ``fun`` on [a, b] by bisection with one call per halving:
-    the loop ``model._bisect_zeros`` replaces, kept as its oracle."""
+    """Zero of ``fun`` on [a, b] by bisection with one call per halving,
+    to an interval narrower than ``tol`` or down to adjacent floats; the
+    sign of a value is whether it is below 0."""
     fa, fb = fun(a), fun(b)
     if (fa < 0.0) == (fb < 0.0):
         raise PreconditionViolation(
@@ -50,6 +53,37 @@ def _scalar_bisect(fun, a, b, tol=1e-10):
 def scalar_bisect():
     """The scalar bisection oracle, ``scalar_bisect(fun, a, b, tol)``."""
     return _scalar_bisect
+
+
+def _contact_coupling_root(theta: float, n: int = 0, m: float = 1.0,
+                           hbar: float = 1.0, beta: float = 1.0) -> float:
+    """Coupling where level n touches the continuum, by bisection.
+
+    Solves tan(2 theta) Re E_n(lam) + Im E_n(lam) = 0 for real lam above
+    the degenerate point, with E_n from ``model._pole``: an oracle of the
+    closed-form window bounds (and of lambda_bp for n = 0).  The bisection
+    stops on an interval narrower than 1e-13, so the root is within 5e-14
+    of a sign change of the objective, plus the objective's rounding: for
+    n = 0 it is within 1.3e-14 of lambda_bp at theta pi/8, pi/6 and pi/5,
+    and within 3.2e-14 over theta 0.1-0.75 (acceptance 2).
+    """
+    t = math.tan(2.0 * theta)
+    scale = beta**2 * hbar**2 / (8.0 * m)
+    params = ModelParams(lam=1.0, theta=theta, m=m, hbar=hbar, beta=beta)
+
+    def objective(lam):
+        energy = _pole(params, lam, n)[0][0]
+        return t * energy.real + energy.imag
+
+    return _scalar_bisect(objective, scale * (1.0 + 1.0e-9), scale * 1.0e7,
+                          tol=1.0e-13)
+
+
+@pytest.fixture(scope="session")
+def contact_coupling_root():
+    """The contact-coupling oracle,
+    ``contact_coupling_root(theta, n, m, hbar, beta)``."""
+    return _contact_coupling_root
 
 
 def _psi_oracle(x: float, k: complex, s: complex, theta: float) -> complex:

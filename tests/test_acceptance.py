@@ -28,7 +28,6 @@ from csmres.model import (
     bin_energy,
     branch_point,
     branch_point_coupling,
-    contact_coupling_root,
     resonance_energy,
 )
 from csmres.wavefun import classify_region, find_resonance_k
@@ -70,7 +69,7 @@ class TestAcceptance1SpectrumOracle:
 
 
 class TestAcceptance2BranchPoint:
-    def test_lambda_bp_and_reference_values(self):
+    def test_lambda_bp_and_reference_values(self, contact_coupling_root):
         # ``contact_coupling_root``: half its bisection tolerance, 5e-14,
         # plus rounding; 1.28e-14 at these angles, 3.2e-14 at theta 0.6
         worst = 0.0

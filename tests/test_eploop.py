@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csmres import eploop
 from csmres.eploop import (
     LoopSpec,
     _continued_roots,
@@ -27,6 +26,7 @@ from csmres.errors import BranchCollision, EmptyRange, PreconditionViolation
 from csmres.model import ModelParams, bin_energy, branch_point, \
     branch_point_coupling
 from csmres.wavefun import classification_functional
+from test_tools import load_same_outputs
 
 TH = math.pi / 6
 LBP = branch_point_coupling(TH)
@@ -273,6 +273,38 @@ def bench_berry_jobs(seeds):
             (job["config"] for job in jobs.make_jobs("berry", seed))]
 
 
+def circle_crossings_oracle(scalar_bisect, theta, radius_rel):
+    """The two angles in [0, 2 pi), sorted, where the circle
+    lam_bp (1 + radius_rel e^{i phi}) about the exact branch point meets
+    the boundary Re[i k_0 e^{i theta}] = 0: scalar bisections of the
+    functional at 50 digits, with k_0 taken, up to its factor beta/2 and
+    its sign, as sqrt(g - 1) - i, on brackets of half-width 1 about
+    -theta and pi - theta."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        th = mp.mpf(theta)
+        g_bp = 1 / mp.sin(th) ** 2
+
+        def f(phi):
+            x = mp.sqrt(g_bp - 1 + radius_rel * g_bp * mp.expj(phi)) - 1j
+            return mp.re(1j * x * mp.expj(th))
+
+        return sorted(
+            scalar_bisect(f, centre - 1, centre + 1, mp.mpf(10) ** -45)
+            % (2 * mp.pi) for centre in (-th, mp.pi - th))
+
+
+def closure_cases():
+    """(theta, radius_rel, windings, n_steps) of the berry jobs of the
+    benchmark's seeds 1-3 and of the winding cases of
+    ``tools/same_outputs.py``."""
+    # the benchmark's loops are 4 x 1024 steps
+    return [(theta, radius_rel, 4, 1024)
+            for theta, _, radius_rel in bench_berry_jobs((1, 2, 3))] \
+        + list(load_same_outputs().BERRY_WINDINGS.values())
+
+
 class TestBoundaryCrossings:
     def test_two_crossings_per_turn(self):
         phis = boundary_crossings(P, 1e-5 * LBP)
@@ -284,43 +316,38 @@ class TestBoundaryCrossings:
     def test_functional_vanishes_at_crossing(self):
         for phi in boundary_crossings(P, 1e-5 * LBP):
             lam = LBP + 1e-5 * LBP * cmath.exp(1j * phi)
-            assert abs(classification_functional(P, lam)) < 1e-12
+            assert abs(classification_functional(P, lam)) < 1e-15 * P.beta
 
     @pytest.mark.parametrize("theta, lam, radius_rel",
                              bench_berry_jobs((1, 2, 3)))
     def test_crossings_are_the_scalar_bisections(self, scalar_bisect, theta,
                                                  lam, radius_rel):
-        # the scan and then one scalar call per halving from each scan
-        # bracket: the search boundary_crossings replaces, bit for bit
+        # the crossings of the circle about the exact lam_bp, bisected at
+        # 50 digits: the closed form is within about an ulp of them
         p = ModelParams(lam=lam, theta=theta)
-        lam_bp = branch_point_coupling(theta)
-        radius = radius_rel * lam_bp
-
-        def f(phi):
-            return classification_functional(
-                p, lam_bp + radius * np.exp(1j * phi))
-
-        grid = np.linspace(0.0, 2.0 * math.pi, eploop._N_SCAN + 1)
-        negative = f(grid) < 0.0
-        expect = [scalar_bisect(f, grid[i], grid[i + 1]) for i in
-                  np.flatnonzero(negative[:-1] != negative[1:])]
-        assert len(expect) == 2
-        got = boundary_crossings(p, radius)
-        assert [float(phi).hex() for phi in got] \
-            == [float(phi).hex() for phi in expect]
+        got = boundary_crossings(p, radius_rel * branch_point_coupling(theta))
+        expect = circle_crossings_oracle(scalar_bisect, theta, radius_rel)
+        assert all(0.0 <= phi < 2.0 * math.pi for phi in got)
+        assert max(abs(g - e) for g, e in zip(got, expect)) < 1e-15
 
     def test_functional_calls_per_search(self, monkeypatch):
-        # the scan and one call per round of seven halvings of both
-        # crossings, not one call per halving (59 calls)
+        # the crossings are a closed form: no scan of the functional
+        import csmres.wavefun as wavefun
+
         calls = []
 
         def counting(*args):
             calls.append(args)
             return classification_functional(*args)
 
-        monkeypatch.setattr(eploop, "classification_functional", counting)
+        monkeypatch.setattr(wavefun, "classification_functional", counting)
         assert len(boundary_crossings(P, 1e-5 * LBP)) == 2
-        assert len(calls) <= 5
+        assert len(calls) == 0
+
+    def test_radius_from_lam_bp_on_raises(self):
+        # a circle that encloses lam = 0 meets the boundary once
+        with pytest.raises(PreconditionViolation, match="not below lam_bp"):
+            boundary_crossings(P, LBP)
 
 
 class TestBerryLoop:
@@ -389,6 +416,17 @@ class TestBerryLoop:
         _, v = run_berry_loop(P, spec)
         assert abs(v["ratio_2pi"] - 1j) < 1e-3
 
+    @pytest.mark.parametrize("beta", [1e-100, 1.0, 1e100])
+    def test_start_reads_boundary_in_any_units(self, beta):
+        # the functional scales with beta, and so does the band of
+        # "ScatteringBoundary": every node reads the label it reads at
+        # beta = 1
+        p = ModelParams(lam=beta**2, theta=TH, beta=beta)
+        trace, _ = run_berry_loop(
+            p, LoopSpec(radius=1e-5 * branch_point(p)[0], windings=4))
+        assert trace.region[0] == "ScatteringBoundary"
+        assert trace.region == self.trace.region
+
     def test_taylor_bound_enforced(self):
         with pytest.raises(PreconditionViolation):
             run_berry_loop(P, LoopSpec(radius=0.05, windings=1))
@@ -409,6 +447,25 @@ class TestBerryLoop:
             LoopSpec(radius=-1.0)
         with pytest.raises(ValueError):
             LoopSpec(radius=1e-5, n_steps=16)
+
+
+class TestLoopClosure:
+    @pytest.mark.parametrize("theta, radius_rel, windings, n_steps",
+                             closure_cases())
+    def test_turns_repeat_bit_for_bit(self, theta, radius_rel, windings,
+                                      n_steps):
+        # each turn revisits the first turn's couplings, so the sheets swap
+        # exactly and the per-turn ratios are i^w to rounding
+        p = ModelParams(lam=1.3, theta=theta)
+        spec = LoopSpec(radius=radius_rel * branch_point_coupling(theta),
+                        windings=windings, n_steps=n_steps)
+        trace, _ = run_berry_loop(p, spec)
+        n = n_steps
+        assert trace.lam[n:].tobytes() == trace.lam[:-n].tobytes()
+        assert trace.e_plus[n:].tobytes() == trace.e_minus[:-n].tobytes()
+        read = trace.readout
+        for wnd in range(1, windings + 1):
+            assert abs(read[wnd * n] / read[0] - 1j ** wnd) <= 2.5e-16
 
 
 class TestStartPhase:

@@ -6,19 +6,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmres import model
-from csmres.errors import DegenerateIndex, NonConvergence, \
-    PreconditionViolation
+from csmres.errors import DegenerateIndex, PreconditionViolation
 from csmres.model import (
     ModelParams,
-    _bisect_zeros,
     _pole,
     branch_point,
     branch_point_coupling,
-    contact_coupling_root,
     lambda_window,
     potential_index,
     resonance_energy,
@@ -280,7 +277,8 @@ class TestLambdaWindow:
             rb = lambda_window(th)
             assert rb.lambda0_plus < rb.lambda1_plus
 
-    def test_numerical_contact_root_matches_closed_form(self):
+    def test_numerical_contact_root_matches_closed_form(
+            self, contact_coupling_root):
         for th in (math.pi / 8, math.pi / 6, math.pi / 5):
             root = contact_coupling_root(th, n=0)
             assert abs(root - branch_point_coupling(th)) < 1e-10
@@ -289,108 +287,6 @@ class TestLambdaWindow:
             rb = lambda_window(th)
             root = contact_coupling_root(th, n=1)
             assert abs(root - rb.lambda1_plus) < 1e-9 * rb.lambda1_plus
-
-
-def expanded_cubic(roots):
-    """(t - r1)(t - r2)(t - r3) by Horner from its rounded coefficients:
-    near a root the value is rounding noise, whose signs decide the last
-    halvings of a bisection."""
-    r1, r2, r3 = roots
-    c2, c1, c0 = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
-
-    def fun(t):
-        return ((t + c2) * t + c1) * t + c0
-
-    return fun
-
-
-def scalar_outcomes(scalar_bisect, fun, brackets, tol):
-    """The oracle's zero per bracket, each point an array of one, or the
-    error that one of the brackets raises: ``PreconditionViolation``
-    first, since ``_bisect_zeros`` tests every bracket's ends before it
-    halves any."""
-    def one(a, b):
-        try:
-            return scalar_bisect(lambda t: fun(np.array([t]))[0], a, b, tol)
-        except (PreconditionViolation, NonConvergence) as exc:
-            return type(exc)
-
-    zeros = [one(a, b) for a, b in brackets]
-    for error in (PreconditionViolation, NonConvergence):
-        if error in zeros:
-            return error
-    return zeros
-
-
-class TestBisectZero:
-    def test_root_to_tolerance(self):
-        (root,) = _bisect_zeros(lambda t: t * t - 2.0, [(0.0, 2.0)],
-                                tol=1e-13)
-        assert abs(root - math.sqrt(2.0)) < 1e-13
-
-    def test_stops_at_adjacent_floats(self):
-        # 1e-13 is below the float spacing near 1e6
-        (root,) = _bisect_zeros(lambda t: t - 1e6 - 0.3, [(1e6, 1e6 + 1.0)],
-                                tol=1e-13)
-        assert abs(root - (1e6 + 0.3)) <= 2.0 * math.ulp(1e6)
-
-    def test_same_sign_raises(self):
-        with pytest.raises(PreconditionViolation):
-            _bisect_zeros(lambda t: t * t + 1.0, [(-1.0, 1.0)])
-        # one bracket without a sign change refuses the call
-        with pytest.raises(PreconditionViolation):
-            _bisect_zeros(lambda t: t * t - 0.25, [(0.0, 1.0), (-1.0, 1.0)])
-
-    def test_iteration_cap_raises(self):
-        # 200 halvings of 1e300 leave about 6e239, far above tol
-        with pytest.raises(NonConvergence):
-            _bisect_zeros(lambda t: t - 1e-250, [(0.0, 1e300)], tol=1e-300)
-
-    @pytest.mark.parametrize("tol, zero", [(2.0**-9, None),
-                                           (1.5 * 2.0**-9, 2.0**-10)])
-    def test_cap_is_the_scalar_loops(self, scalar_bisect, tol, zero):
-        # [0, 2^190] halves exactly towards 0: 199 halvings leave 2^-9, so
-        # the stop test before the 200th passes at tol 1.5 * 2^-9, and at
-        # 2^-9 only the one before the 201st would, which is never made
-        brackets = [(0.0, 2.0**190)]
-        expect = scalar_outcomes(scalar_bisect, np.negative, brackets, tol)
-        if zero is None:
-            assert expect is NonConvergence
-            with pytest.raises(NonConvergence):
-                _bisect_zeros(np.negative, brackets, tol=tol)
-        else:
-            assert expect == [zero]
-            assert _bisect_zeros(np.negative, brackets, tol=tol) == [zero]
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(roots=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3,
-                          unique=True).map(sorted),
-           widths=st.lists(st.tuples(st.floats(-14.0, 1.0),
-                                     st.floats(-14.0, 1.0)),
-                           min_size=1, max_size=3),
-           tol=st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 1e-6]))
-    @example(roots=[-1.0, 0.5, 2.0], widths=[(0.0, 0.0)], tol=0.0)
-    @example(roots=[-1.0, 0.5, 2.0], widths=[(-3.0, 0.0), (-9.0, -1.0),
-                                             (-14.0, -14.0)], tol=1e-12)
-    def test_zeros_are_the_scalar_loops(self, scalar_bisect, roots, widths,
-                                        tol):
-        # bracket i straddles root i, with ends 10^u away; the expanded
-        # cubic's noise decides the halvings near the root, and the
-        # brackets take different numbers of halvings
-        fun = expanded_cubic(roots)
-        brackets = [(r - 10.0**lo, r + 10.0**hi)
-                    for r, (lo, hi) in zip(roots, widths)]
-        expect = scalar_outcomes(scalar_bisect, fun, brackets, tol)
-        if isinstance(expect, type):
-            with pytest.raises(expect):
-                _bisect_zeros(fun, brackets, tol=tol)
-            return
-        got = _bisect_zeros(fun, brackets, tol=tol)
-        assert [z.hex() for z in got] == [z.hex() for z in expect]
-        # the ends' values given, as a scan would give them
-        values = [(fun(np.array([a]))[0], fun(np.array([b]))[0])
-                  for a, b in brackets]
-        assert _bisect_zeros(fun, brackets, values, tol) == got
 
 
 class TestBranchPoint:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -41,8 +43,8 @@ def load_same_outputs():
 
 def test_same_outputs_counts_the_differing_cells(tmp_path, capsys):
     # the second CSV row moves one number by 2e-10 and one by half, relabels
-    # a region and flips a signed zero; the JSON moves one number and
-    # drops a key
+    # a region and flips a signed zero; the JSON moves one number, further
+    # from the closed-form alpha, and drops a key
     same_outputs = load_same_outputs()
     old, new = tmp_path / "old", tmp_path / "new"
     for side, (cells, extra) in {
@@ -68,8 +70,10 @@ def test_same_outputs_counts_the_differing_cells(tmp_path, capsys):
     assert report[4] == (
         "  1 numeric cells differ, largest relative change 5.00e-01 at "
         "('alpha', 'im'): -0.5 -> -1")
-    assert report[5] == "  keys in old only: exponent"
-    assert report[6] == "3 files compared, 2 differ"
+    assert report[5] == ("  oracle (berry): 1 cells judged; new worse 1, "
+                         "equal 0, better 0")
+    assert report[8] == "  keys in old only: exponent"
+    assert report[9] == "3 files compared, 2 differ"
 
 
 def test_oracle_finds_a_moved_cell_worse(tmp_path, capsys):
@@ -129,3 +133,36 @@ def test_oracle_judges_spectrum_and_regions_cells(tmp_path, capsys):
             "better 0" in report
         assert f"oracle ({kind}), 1 cells in all: new worse 1, equal 0, " \
             "better 0" in report
+
+
+@pytest.mark.parametrize("name, row, column", [
+    ("berry.csv", 0, "phi"), ("berry.csv", 300, "re_lambda"),
+    ("berry.csv", 700, "re_E_minus"), ("berry.json", None, "alpha")])
+def test_oracle_judges_berry_cells(tmp_path, capsys, name, row, column):
+    # one cell of a copy of a berry golden moves by 1e-12 relative: the
+    # start against the crossing, a coupling against the circle, an energy
+    # against the sheet, alpha against its closed form, all new worse
+    same_outputs = load_same_outputs()
+    golden = ROOT / "tests" / "data" / "golden"
+    old, new = tmp_path / "old", tmp_path / "new"
+    text = (golden / name).read_text()
+    if name.endswith(".csv"):
+        lines = text.splitlines(keepends=True)
+        header = lines[1].rstrip("\n").split(",")
+        cells = lines[2 + row].split(",")
+        at = header.index(column)
+        cells[at] = "%.17g" % (float(cells[at]) * (1.0 + 1e-12))
+        lines[2 + row] = ",".join(cells)
+        moved = "".join(lines)
+    else:
+        value = json.loads(text)[column]["re"]
+        moved = text.replace(f'"{value}"', '"%.17g"' % (
+            float(value) * (1.0 + 1e-12)))
+    for side, content in ((old, text), (new, moved)):
+        (side / "golden" / "berry").mkdir(parents=True)
+        (side / "golden" / "berry" / name).write_text(content)
+    config = json.loads((golden / "config.json").read_text())
+    assert same_outputs.compare(old, new, {"golden": config}) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert "  oracle (berry): 1 cells judged; new worse 1, equal 0, " \
+        "better 0" in report

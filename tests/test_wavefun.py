@@ -617,7 +617,7 @@ K0_REL_TOL = 8.0 * np.finfo(float).eps
 
 def label_oracle(p, lam):
     f = functional_oracle(p, lam)
-    if abs(f) <= 1e-12:
+    if abs(f) <= 1e-12 * p.beta:
         return "ScatteringBoundary"
     return "ConvergentA" if f < 0.0 else "DivergentB"
 

@@ -58,10 +58,22 @@ independent value, and counts the cells where the new error is larger
 * E_n, k_n, the width and theta_n in ``spectrum.*``, and the coupling
   bounds at each written theta in ``regions.*``, by their closed forms
   in mpmath at 40 digits, with the config's lambda and units; an error
-  is in ulps of the modulus of the complex value (or of the value).
+  is in ulps of the modulus of the complex value (or of the value);
+* in ``berry.*``, at 40 digits with the config's theta, units and
+  radius_rel, on the circle lambda_bp + R e^{i phi} about the exact
+  lambda_bp, R = radius_rel lambda_bp: the ``phi`` of row 0 against the
+  boundary crossing where |E_0| < |E_bp|, found by mpmath's root finder
+  on Im[(sqrt(g - 1) - i) e^{i theta}] = 0; lambda against
+  lambda_bp + R e^{i phi} at the row's phi; E_plus and E_minus against
+  E_bp +- alpha r with r = sqrt(R) e^{i phi/2} on the sheet of the
+  principal root at row 0; ``alpha`` = hbar^2 k_bp / 2m and
+  ``t_coefficient`` = hbar^2 / 6m; ``ratio_2pi``, ``overlap_4pi`` and
+  ``overlap_8pi`` against i, -1 and 1.  An error is in ulps of the
+  modulus of the complex value (or of the value).
 
-Other cells, such as those of ``degeneracy.csv`` or the theta column of
-``regions.*``, are not judged.  A
+Other cells, such as those of ``degeneracy.csv``, the theta column of
+``regions.*`` or the region and unwrapped phase of ``berry.csv``, are
+not judged.  A
 summary over all files ends the report.
 """
 
@@ -208,8 +220,11 @@ def _number(value):
 
 # differing numeric cells judged per file by the oracle
 ORACLE_SAMPLES = 300
-# the CLI's default bin range, for configs that leave it out
+# the CLI's default bin range, angle and loop radius, for configs that
+# leave them out
 _K_RANGE = (0.5, 3.5)
+_THETA = 0.3
+_RADIUS_REL = 1e-5
 
 
 def _evenly(items: list, n: int) -> list:
@@ -238,7 +253,8 @@ class Oracle:
 
     def targets(self, name: Path, cells: dict, places: list) -> tuple:
         """The kind of file ``name`` (a path below ``out``), "psi",
-        "basis", "spectrum", "regions" or None where nothing is judged,
+        "basis", "spectrum", "regions", "berry" or None where nothing is
+        judged,
         and the (exact value, scale) of at most ORACLE_SAMPLES of
         ``places``, spread evenly over those the oracle can judge."""
         config = self.configs.get(name.parts[0], {})
@@ -249,14 +265,76 @@ class Oracle:
             hbar2_m = units.get("hbar", 1.0) ** 2 / units.get("m", 1.0)
             return "basis", self._basis_targets(
                 name, config.get("overlap", {}), cells, places, hbar2_m)
-        if name.stem in ("spectrum", "regions"):
+        closed = {"spectrum": self._spectrum_targets,
+                  "regions": self._regions_targets,
+                  "berry": self._berry_targets}.get(name.stem)
+        if closed:
             m, hbar, beta = (float(units.get(key, 1.0))
                              for key in ("m", "hbar", "beta"))
-            closed = self._spectrum_targets if name.stem == "spectrum" \
-                else self._regions_targets
             return name.stem, closed(name, config, cells, places, m, hbar,
                                      beta)
         return None, {}
+
+    @staticmethod
+    def _berry_targets(name, config, cells, places, m, hbar,
+                       beta) -> dict:
+        """On the circle lam_bp + R e^{i phi}, lam_bp = u0 / (2 sin^2
+        theta), u0 = (beta hbar)^2 / 4m, R = radius_rel lam_bp: the start
+        phi_0, the couplings, E_bp +- alpha r with E_bp = (beta hbar)^2/8m
+        (c - i)^2, c = cot theta, k_bp = (beta/2)(c - i),
+        alpha = hbar^2 k_bp / 2m, and the verdicts, at 40 digits."""
+        import mpmath as mp
+
+        found = {}
+        with mp.workdps(40):
+            theta = mp.mpf(config.get("theta", _THETA))
+            rel = mp.mpf(config.get("berry", {}).get("radius_rel",
+                                                     _RADIUS_REL))
+            m, hbar, beta = map(mp.mpf, (m, hbar, beta))
+            g_bp = 1 / mp.sin(theta) ** 2
+            x_bp = mp.cot(theta) - 1j
+            lam_bp = (beta * hbar) ** 2 / (8 * m) * g_bp
+            radius = rel * lam_bp
+
+            def x(phi):
+                # k_0 = (beta/2) x up to its sign, E_0 = (beta hbar)^2/8m x^2
+                return mp.sqrt(g_bp - 1 + rel * g_bp * mp.expj(phi)) - 1j
+
+            # the boundary Re[i k_0 e^{i theta}] = 0 meets the circle near
+            # -theta and pi - theta; the start is where |E_0| < |E_bp|
+            phi0 = next(phi for phi in (
+                mp.findroot(lambda phi: mp.im(x(phi) * mp.expj(theta)),
+                            guess) % (2 * mp.pi)
+                for guess in (-theta, mp.pi - theta))
+                if abs(x(phi)) < abs(x_bp))
+            e_bp = (beta * hbar) ** 2 / (8 * m) * x_bp ** 2
+            alpha = hbar ** 2 * (beta / 2 * x_bp) / (2 * m)
+            # r at row 0 is the principal root of R e^{i phi_0}
+            sheet = 1 if phi0 <= mp.pi else -1
+            verdicts = {"ratio_2pi": 1j, "overlap_4pi": -1, "overlap_8pi": 1,
+                        "alpha": alpha, "t_coefficient": hbar ** 2 / (6 * m)}
+            for place in _evenly(places, ORACLE_SAMPLES):
+                # (row, "re_E_plus") of the CSV, ("alpha", "re") of the JSON
+                if name.suffix == ".json":
+                    value = verdicts.get(place[0])
+                    part = place[1] if len(place) > 1 else None
+                elif place[1] == "phi":
+                    value = phi0 if place[0] == 0 else None
+                    part = None
+                else:
+                    phi = mp.mpf(cells[(place[0], "phi")])
+                    r = sheet * mp.sqrt(radius) * mp.expj(phi / 2)
+                    part, _, column = place[1].partition("_")
+                    value = {"lambda": lam_bp + radius * mp.expj(phi),
+                             "E_plus": e_bp + alpha * r,
+                             "E_minus": e_bp - alpha * r}.get(column)
+                if value is None:
+                    continue
+                value = mp.mpc(value)
+                exact = value if part is None else \
+                    (value.real if part == "re" else value.imag)
+                found[place] = (float(mp.re(exact)), float(abs(value)))
+        return found
 
     @staticmethod
     def _spectrum_targets(name, config, cells, places, m, hbar,
