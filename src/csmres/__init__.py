@@ -18,9 +18,9 @@ import importlib
 # home module of each re-exported name
 _EXPORTS = {
     "errors": (
-        "BranchCollision", "ConfigError", "CsmError", "DegenerateIndex",
-        "EmptyRange", "NonConvergence", "NonNormalizable", "PoleError",
-        "PreconditionViolation", "QuadratureError", "StepTooCoarse",
+        "ConfigError", "CsmError", "DegenerateIndex", "EmptyRange",
+        "NonConvergence", "NonNormalizable", "PoleError",
+        "PreconditionViolation", "QuadratureError",
     ),
     "model": (
         "ModelParams", "RegionBounds", "ResonancePole", "bin_energy",

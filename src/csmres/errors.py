@@ -52,14 +52,6 @@ class QuadratureError(CsmError):
     """Adaptive quadrature failed to reach its tolerance."""
 
 
-class BranchCollision(CsmError):
-    """Path continuation step too coarse to disambiguate branches."""
-
-
-class StepTooCoarse(CsmError):
-    """Phase tracking observed a jump too large for reliable unwrapping."""
-
-
 class PreconditionViolation(CsmError):
     """Operation precondition violated (reported, not silently ignored)."""
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from csmres.eploop import (
     LoopSpec,
-    _continued_roots,
     _loop_readout,
     _readout_zeta,
     _readouts,
@@ -22,7 +21,7 @@ from csmres.eploop import (
     case_asymptotic_phase,
     run_berry_loop,
 )
-from csmres.errors import BranchCollision, EmptyRange, PreconditionViolation
+from csmres.errors import EmptyRange, PreconditionViolation
 from csmres.model import ModelParams, bin_energy, branch_point, \
     branch_point_coupling
 from csmres.wavefun import classification_functional
@@ -34,57 +33,12 @@ P = ModelParams(lam=1.0, theta=TH)
 EPS = np.finfo(float).eps
 
 
-def circle(center, radius, n=257):
-    phis = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    return center + radius * np.exp(1j * phis)
-
-
-def nearest_root(target, prev):
-    """Square root of target on the sheet continuous with prev, in numpy
-    arithmetic on arrays of one."""
-    c = np.sqrt(np.array([target]))
-    pick = c if np.abs(c - prev)[0] <= np.abs(-c - prev)[0] else -c
-    step, size = np.abs(pick - prev)[0], np.abs(c)[0]
-    if size > 0.0 and step > 0.9 * size:
-        raise BranchCollision(
-            f"sheet continuation ambiguous: step {step:.3e} "
-            f"vs sheet separation {2.0 * size:.3e}")
-    return pick[0]
-
-
-def continued_roots_oracle(targets):
-    """The root-by-root continuation: each root the one nearest its
-    predecessor."""
-    roots = np.empty(len(targets), dtype=complex)
-    roots[0] = np.sqrt(np.array([targets[0]]))[0]
-    for j in range(1, len(targets)):
-        roots[j] = nearest_root(targets[j], roots[j - 1])
-    return roots
-
-
-def assert_roots_of(roots, targets):
-    """Each root is one of the two cmath square roots of its target, to
-    within 2 ulp (numpy and cmath round sqrt differently on the imaginary
-    axis)."""
-    for root, target in zip(roots, targets):
-        c = cmath.sqrt(target)
-        assert min(abs(root - c), abs(root + c)) <= 2.0 * EPS * abs(c)
-
-
-def outcome(continue_roots, targets):
-    """The roots as bytes, or the BranchCollision message."""
-    try:
-        return continue_roots(targets).tobytes()
-    except BranchCollision as exc:
-        return str(exc)
-
-
 def readout_oracle(zeta, k_bp, r, w):
     """The readout of one node, in numpy arithmetic on arrays of one.
 
     Exact asymptotic binned value across the nodes k_bp -+ r,
     I = (e^{zeta k_up} - e^{zeta k_dn}) / (zeta sqrt(dk)) with the
-    branch-continued root w = sqrt(dk), dk = 2 r.
+    root w = sqrt(dk), dk = 2 r, on the loop's sheet.
     """
     r, w = np.array([r]), np.array([w])
     return ((np.exp(zeta * (k_bp + r)) - np.exp(zeta * (k_bp - r)))
@@ -110,36 +64,19 @@ def assert_readouts_near_reference(read, zeta, k_bp, rs, ws):
         assert abs(value - expect) <= 2.0 * EPS * scale
 
 
-class TestContinuedRoots:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(scale=st.floats(-8.0, 2.0), alpha=st.floats(0.0, 2.0 * math.pi),
-           ratio=st.floats(0.05, 3.0), turns=st.floats(0.2, 3.0),
-           phi0=st.floats(0.0, 2.0 * math.pi), n=st.integers(2, 600))
-    # enclosing (ratio > 1) and not, fine and too coarse to follow
-    @example(scale=0.0, alpha=1.0, ratio=2.0, turns=2.0, phi0=0.5, n=400)
-    @example(scale=-3.0, alpha=2.0, ratio=0.5, turns=1.0, phi0=0.0, n=64)
-    @example(scale=0.0, alpha=1.0, ratio=2.0, turns=2.0, phi0=0.5, n=3)
-    def test_matches_root_by_root_continuation(self, scale, alpha, ratio,
-                                               turns, phi0, n):
-        center = 10.0 ** scale * cmath.exp(1j * alpha)
-        phis = phi0 + 2.0 * math.pi * turns * np.linspace(0.0, 1.0, n)
-        targets = center + ratio * abs(center) * np.exp(1j * phis)
-        assert outcome(_continued_roots, targets) \
-            == outcome(continued_roots_oracle, targets)
-        try:
-            assert_roots_of(_continued_roots(targets), targets)
-        except BranchCollision:
-            pass
-
-    def test_path_ending_at_the_branch_point(self):
-        # half a turn round the origin flips the principal root's sign, so
-        # the continued sign is -1 when the path reaches the zero target
-        targets = np.append(np.exp(1j * np.linspace(0.0, 1.5 * math.pi,
-                                                    200)), 0.0)
-        roots = _continued_roots(targets)
-        assert roots.tobytes() == continued_roots_oracle(targets).tobytes()
-        assert roots[-2] == -np.sqrt(targets[-2])
-        assert_roots_of(roots, targets)
+def spacing_roots(spec, phi0, windings):
+    """The node-spacing roots w = sqrt(2 r) of a loop from phi0, in closed
+    form node by node, on arrays of one: at node j + t n_steps,
+    sqrt(2 sqrt(R)) e^{i psi / 4}, psi = remainder(phi0, 2 pi) + dphi j,
+    turned by (i orientation)^t."""
+    q = 1j * spec.orientation
+    ws = []
+    for node in range(windings * spec.n_steps + 1):
+        t, j = divmod(node, spec.n_steps)
+        psi = math.remainder(phi0, 2.0 * math.pi) + spec.dphi * np.array([j])
+        w = math.sqrt(2.0 * math.sqrt(spec.radius)) * np.exp(0.25j * psi)
+        ws.append((w, q * w, -w, -q * w)[t % 4][0])
+    return np.array(ws)
 
 
 def taylor_half_radius_rel(theta):
@@ -171,12 +108,16 @@ class TestArrayReadout:
         _, _, rs, read = _loop_readout(spec, zeta, trace.phi[0],
                                        spec.windings, branch_point(p))
         k_bp = branch_point(p)[2]
+        ws = spacing_roots(spec, trace.phi[0], spec.windings)
+        # w is a square root of 2 r, the principal one at node 0 (the
+        # worst of these cases is 2.4 EPS |2 r|)
+        assert np.all(np.abs(ws**2 - 2.0 * rs) <= 4.0 * EPS * np.abs(2.0 * rs))
+        assert abs(ws[0] - np.sqrt(2.0 * rs[0])) <= 2.0 * EPS * abs(ws[0])
         expect = np.array([readout_oracle(zeta, k_bp, r, w) for r, w
-                           in zip(rs, _continued_roots(2.0 * rs))])
+                           in zip(rs, ws)])
         assert read.tobytes() == expect.tobytes()
         assert trace.readout.tobytes() == expect.tobytes()
-        assert_readouts_near_reference(read, zeta, k_bp, rs,
-                                       _continued_roots(2.0 * rs))
+        assert_readouts_near_reference(read, zeta, k_bp, rs, ws)
 
     def test_random_nodes(self):
         # 20 x 5000 nodes: exponents zeta k with real parts in [-30, 30]
@@ -199,11 +140,7 @@ class TestArrayReadout:
 
 class TestTraceResonance:
     # the sheets E_bp +- alpha_e sqrt(lam - lam_bp) of the Berry loop,
-    # continued by nearest-root selection along the coupling path
-    def test_loop_not_enclosing_closes(self):
-        rs = _continued_roots(circle(LBP + 0.01, 1e-3) - LBP)
-        assert abs(rs[-1] - rs[0]) < 1e-10
-
+    # with r = sqrt(R) e^{i phi/2} on the loop's circle
     def test_enclosing_loop_swaps_sheets(self):
         spec = LoopSpec(radius=1e-5 * LBP, windings=1)
         trace, _ = run_berry_loop(P, spec)
@@ -216,11 +153,6 @@ class TestTraceResonance:
         trace, _ = run_berry_loop(P, spec)
         assert abs(trace.e_plus[-1] - trace.e_plus[0]) < 1e-8
         assert abs(trace.e_minus[-1] - trace.e_minus[0]) < 1e-8
-
-    def test_coarse_path_raises(self):
-        # two-point jump across the branch point is ambiguous
-        with pytest.raises(BranchCollision):
-            _continued_roots([1e-3, -1e-3 + 1e-9j])
 
 
 class TestPuiseuxCoefficients:
@@ -344,6 +276,30 @@ class TestBoundaryCrossings:
         assert len(boundary_crossings(P, 1e-5 * LBP)) == 2
         assert len(calls) == 0
 
+    @pytest.mark.parametrize(
+        "theta, radius_rel",
+        [(theta, radius_rel)
+         for theta, _, radius_rel in bench_berry_jobs((1, 2, 3))]
+        + [(0.06, 0.95), (0.3, 0.95), (0.74, 0.95), (1e-3, 1e-5),
+           (1e-3, 0.95)])
+    def test_first_crossing_is_the_lower_one(self, theta, radius_rel):
+        # the loop starts at the first crossing, which must be the one
+        # where |E_0| < |E_bp|: judged at 50 digits, with E_0 up to its
+        # factor (beta hbar)^2 / 8m as (sqrt(g - 1) - i)^2
+        import mpmath as mp
+
+        p = ModelParams(lam=1.3, theta=theta)
+        phis = boundary_crossings(p, radius_rel * branch_point_coupling(theta))
+        with mp.workdps(50):
+            g_bp = 1 / mp.sin(mp.mpf(theta)) ** 2
+
+            def modulus(g):
+                return abs(mp.sqrt(g - 1) - 1j) ** 2
+
+            lower, upper = (modulus(g_bp * (1 + radius_rel * mp.expj(phi)))
+                            for phi in phis)
+            assert lower < modulus(g_bp) < upper
+
     def test_radius_from_lam_bp_on_raises(self):
         # a circle that encloses lam = 0 meets the boundary once
         with pytest.raises(PreconditionViolation, match="not below lam_bp"):
@@ -409,11 +365,13 @@ class TestBerryLoop:
         assert v["monodromy_order"] == 4
 
     def test_sheet_convention_swap_keeps_factor(self):
-        # starting half a sheet later tracks the partner sheet; the loop
-        # orientation is unchanged, so the per-2pi factor stays i
+        # a start phase a turn later names the same coupling, and the loop
+        # starts on the principal root there as well; the orientation is
+        # unchanged, so the per-2pi factor stays i
         spec = LoopSpec(radius=self.spec.radius, windings=4,
                         start_phase=self.trace.phi[0] + 2.0 * math.pi)
-        _, v = run_berry_loop(P, spec)
+        trace, v = run_berry_loop(P, spec)
+        assert abs(trace.e_plus[0] - self.trace.e_plus[0]) < 1e-13
         assert abs(v["ratio_2pi"] - 1j) < 1e-3
 
     @pytest.mark.parametrize("beta", [1e-100, 1.0, 1e100])
@@ -442,6 +400,22 @@ class TestBerryLoop:
         with pytest.raises(EmptyRange, match="readout is 0 at 257 of 257"):
             case_asymptotic_phase(1, p, spec)
 
+    @pytest.mark.parametrize("radius_rel", [1e-14, 1e-15, 1e-16, 1e-17,
+                                            1e-18])
+    def test_tiny_radius_closes_or_is_refused(self, radius_rel):
+        # a radius that rounds away at lam_bp is refused, and any other
+        # loop closes: the roots do not depend on the rounded couplings
+        for theta in np.linspace(0.02, 0.78, 39):
+            p = ModelParams(lam=1.3, theta=theta)
+            lam_bp = branch_point(p)[0]
+            spec = LoopSpec(radius=radius_rel * lam_bp, windings=4,
+                            n_steps=64)
+            if lam_bp + spec.radius == lam_bp:
+                with pytest.raises(EmptyRange, match="rounds away at lam_bp"):
+                    run_berry_loop(p, spec)
+            else:
+                assert run_berry_loop(p, spec)[1]["monodromy_order"] == 4
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             LoopSpec(radius=-1.0)
@@ -468,12 +442,40 @@ class TestLoopClosure:
             assert abs(read[wnd * n] / read[0] - 1j ** wnd) <= 2.5e-16
 
 
+class TestSheetEnergies:
+    def test_within_4_ulp_of_the_oracle(self):
+        # the berry-8windings case of tools/same_outputs.py, judged by its
+        # oracle: E_pm against E_bp +- alpha sqrt(R) e^{i phi/2} at 40
+        # digits, in ulps of |E_pm|
+        same_outputs = load_same_outputs()
+        theta, radius_rel, windings, n_steps = \
+            same_outputs.BERRY_WINDINGS["berry-8windings"]
+        p = ModelParams(lam=1.3, theta=theta)
+        spec = LoopSpec(radius=radius_rel * branch_point(p)[0],
+                        windings=windings, n_steps=n_steps)
+        trace, _ = run_berry_loop(p, spec)
+        cells = {}
+        for row, phi in enumerate(trace.phi):
+            cells[(row, "phi")] = repr(float(phi))
+            for name, values in (("E_plus", trace.e_plus),
+                                 ("E_minus", trace.e_minus)):
+                cells[(row, "re_" + name)] = values[row].real
+                cells[(row, "im_" + name)] = values[row].imag
+        places = [place for place in cells if place[1] != "phi"]
+        config = {"theta": theta, "berry": {"radius_rel": radius_rel}}
+        targets = same_outputs.Oracle._berry_targets(
+            Path("berry.csv"), config, cells, places, 1.0, 1.0, 1.0)
+        assert len(targets) == same_outputs.ORACLE_SAMPLES
+        assert max(abs(cells[place] - exact) / np.spacing(scale)
+                   for place, (exact, scale) in targets.items()) <= 4.0
+
+
 class TestStartPhase:
     @pytest.mark.parametrize("start, scans", [(None, 1), (1.0, 0)])
     def test_crossings_are_scanned_only_for_the_default_start(
             self, monkeypatch, start, scans):
-        # an explicit start phase needs no scan of the coupling circle; the
-        # default one takes one scan per loop
+        # an explicit start phase needs no boundary crossing; the default
+        # one takes one ``boundary_crossings`` call per loop
         import csmres.eploop as eploop
 
         calls = []
@@ -491,6 +493,26 @@ class TestStartPhase:
         assert len(calls) == 2 * scans
         if start is not None:
             assert trace.phi[0] == start
+
+    def test_no_pole_is_evaluated_given_the_branch_point(self, monkeypatch):
+        # the start is the first crossing: no resonance energy is compared
+        # along the circle
+        import csmres.eploop as eploop
+        import csmres.model as model
+
+        branch = branch_point(P)
+        calls = []
+        original = model.resonance_energy
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(model, "resonance_energy", counting)
+        monkeypatch.setattr(eploop, "resonance_energy", counting,
+                            raising=False)
+        run_berry_loop(P, LoopSpec(radius=1e-5 * LBP, windings=1), branch)
+        assert calls == []
 
 
 class TestCaseAsymptoticPhase:

@@ -11,9 +11,9 @@ checkout).  For each tree a fresh interpreter, with only that SRC on
 and 3 deltas, a 4 x 1024-step loop, a 16 385-point wave function).  It
 also runs ``berry`` alone at three more angles (``BERRY_THETAS``) and at
 both ends of the benchmark's ``radius_rel`` range at theta 0.4
-(``BERRY_RADII``), since the bisected boundary crossings that fix the
-loop's start depend on the angle and the radius down to the last bits,
-and at both ends of the berry table's pooling by winding
+(``BERRY_RADII``), since the loop's start, its boundary crossing, and
+its sheet roots sqrt(R) e^{i phi/2} depend on the angle and the radius
+down to the last bits, and at both ends of the berry table's pooling by winding
 (``BERRY_WINDINGS``): one winding of 1 024 steps, whose cells repeat
 little, 8 windings of the minimum 64 steps, whose cells mostly repeat,
 and 3 windings of 100 steps, an odd number of turns of a period that is
